@@ -27,7 +27,7 @@ from .extended import (VARIANTS, build_extended_dual, check_extended_point,
                        fmin_membership, solve_extended_dual)
 from .model import YElement
 from .reducing import AmbiguousOutcome
-from .reduction import (ReductionCertificate, ReductionError, compute_ell,
+from .reduction import (ReductionCertificate, ReductionError,
                         run_facial_reduction, verify_certificate_chain)
 from .solver import SolverError, SolverOptions
 
@@ -108,9 +108,9 @@ def cmd_reduce(args) -> int:
     options = SolverOptions(max_iter=args.max_iter, seed=args.seed)
     report = RunReport("reduce", digest, args.seed, tol)
     try:
-        report.ell = compute_ell(problem)
         cert = run_facial_reduction(problem, tol, options)
     except AmbiguousOutcome as exc:
+        report.ell = exc.partial_chain.ell
         report.extra.append(f"status: ambiguous ({exc})")
         report.wall_time = time.perf_counter() - start
         _emit(report)
@@ -118,6 +118,7 @@ def cmd_reduce(args) -> int:
     except (ReductionError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    report.ell = cert.ell
     report.reducing_iterations = cert.reducing_count
     report.f_min = cert.minimal_face.describe()
     if args.cert:

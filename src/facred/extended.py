@@ -35,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .faces import in_tangent_space
+from .faces import in_tangent_space, split_on_face
+from .linalg import _svec, _unsvec
 from .model import ConeBlock, ConicProgram, YElement, adjoint_apply
 from .reduction import VerificationReport, compute_ell
 from .solver import SolverError, SolverOptions, SolveStatus, solve_conic_lp
@@ -96,32 +97,11 @@ class _Layout:
         return self.slices[key]
 
 
+# The builder's variables hold the plain upper-triangle entries of each
+# symmetric block (``_svec`` with off-diagonal weight 1); weight 2 turns a
+# matrix g into the functional <g, .> on that packing.
 def _packed_len(n):
     return n * (n + 1) // 2
-
-
-def _packed_pairs(n):
-    return [(k, l) for k in range(n) for l in range(k, n)]
-
-
-def _unpack(vec, n):
-    mat = np.zeros((n, n))
-    for idx, (k, l) in enumerate(_packed_pairs(n)):
-        mat[k, l] = vec[idx]
-        mat[l, k] = vec[idx]
-    return mat
-
-
-def _pack(mat):
-    n = mat.shape[0]
-    return np.array([mat[k, l] for k, l in _packed_pairs(n)])
-
-
-def _packed_functional(g):
-    """Coefficients so that coeff . packed(u) = <g, u> for symmetric g, u."""
-    n = g.shape[0]
-    return np.array([(1.0 if k == l else 2.0) * g[k, l]
-                     for k, l in _packed_pairs(n)])
 
 
 @dataclass
@@ -193,10 +173,10 @@ def build_extended_dual(p: ConicProgram, variant: str = "star",
         eliminated."""
         row = np.zeros(nz)
         for bi, g in enumerate(g_funcs):
-            row[layout[("u", i, bi)]] += _packed_functional(g)
+            row[layout[("u", i, bi)]] += _svec(g, "psd", 2.0)
             if i >= 2:
                 if has_v:
-                    row[layout[("v", i, bi)]] += _packed_functional(g)
+                    row[layout[("v", i, bi)]] += _svec(g, "psd", 2.0)
                 else:
                     row[layout[("w", i, bi)]] += 2.0 * g.reshape(-1)
         rows.append(row)
@@ -212,13 +192,15 @@ def build_extended_dual(p: ConicProgram, variant: str = "star",
     if has_v:
         for i in range(2, ell + 2):
             for bi, n in enumerate(sizes):
-                for idx, (k, l) in enumerate(_packed_pairs(n)):
-                    row = np.zeros(nz)
-                    row[layout[("v", i, bi)].start + idx] = 1.0
-                    row[layout[("w", i, bi)].start + k * n + l] -= 1.0
-                    row[layout[("w", i, bi)].start + l * n + k] -= 1.0
-                    rows.append(row)
-                    rhs.append(0.0)
+                # v_i = w_i + w_i^T, one row per packed entry of v_i.
+                k, l = np.triu_indices(n)
+                at = np.arange(k.size)
+                block = np.zeros((k.size, nz))
+                block[at, layout[("v", i, bi)].start + at] = 1.0
+                block[at, layout[("w", i, bi)].start + k * n + l] -= 1.0
+                block[at, layout[("w", i, bi)].start + l * n + k] -= 1.0
+                rows.extend(block)
+                rhs.extend([0.0] * k.size)
 
     eq = np.array(rows).reshape(len(rows), nz)
     eq_rhs = np.array(rhs)
@@ -237,24 +219,26 @@ def build_extended_dual(p: ConicProgram, variant: str = "star",
         phi_rows.append(lin)
         phi0_rows.append(const)
 
-    def put_packed(lin, size, row0, col0, key, n, sign=1.0):
-        base = layout[key].start
-        for idx, (k, l) in enumerate(_packed_pairs(n)):
-            lin[(row0 + k) * size + (col0 + l), base + idx] += sign
-            if k != l:
-                lin[(row0 + l) * size + (col0 + k), base + idx] += sign
+    def put_packed(lin, size, key, n):
+        """Add the packed symmetric variable ``key`` to the leading n x n
+        corner of a size x size output."""
+        cols = np.arange(layout[key].start, layout[key].stop)
+        k, l = np.triu_indices(n)
+        lin[k * size + l, cols] += 1.0
+        off = k != l
+        lin[l[off] * size + k[off], cols[off]] += 1.0
 
     for i in range(1, ell + 2):
         for bi, n in enumerate(sizes):
             def fill_u(lin, const, size, i=i, bi=bi, n=n):
-                put_packed(lin, size, 0, 0, ("u", i, bi), n)
+                put_packed(lin, size, ("u", i, bi), n)
             add_output(n, fill_u)
     for i in range(2, ell + 2):
         for bi, n in enumerate(sizes):
             def fill_t(lin, const, size, i=i, bi=bi, n=n):
                 uppers = range(1, i) if variant == "star" else [i - 1]
                 for j in uppers:
-                    put_packed(lin, size, 0, 0, ("u", j, bi), n)
+                    put_packed(lin, size, ("u", j, bi), n)
                 wbase = layout[("w", i, bi)].start
                 for k in range(n):
                     for l in range(n):
@@ -275,7 +259,7 @@ def build_extended_dual(p: ConicProgram, variant: str = "star",
     # --- objective ----------------------------------------------------------
     q = np.zeros(nz)
     for bi, n in enumerate(sizes):
-        coeffs = _packed_functional(lifted.b.parts[bi])
+        coeffs = _svec(lifted.b.parts[bi], "psd", 2.0)
         q[layout[("u", ell + 1, bi)]] += coeffs
         if ell + 1 >= 2:
             if has_v:
@@ -337,14 +321,14 @@ def extract_dual_solution(ext: ExtendedDualProgram, res):
     us, vs, ws, betas = [zeros], [zeros], [[np.zeros((n, n)) for n in sizes]], [0.0]
     has_v = ext.variant != "ramana"
     for i in range(1, ext.ell + 2):
-        u_parts = [_unpack(z[ext.layout[("u", i, bi)]], n)
+        u_parts = [_unsvec(z[ext.layout[("u", i, bi)]], "psd", n, 1.0)
                    for bi, n in enumerate(sizes)]
         us.append(YElement(blocks, u_parts))
         if i >= 2:
             w_i = [z[ext.layout[("w", i, bi)]].reshape(n, n)
                    for bi, n in enumerate(sizes)]
             if has_v:
-                v_parts = [_unpack(z[ext.layout[("v", i, bi)]], n)
+                v_parts = [_unsvec(z[ext.layout[("v", i, bi)]], "psd", n, 1.0)
                            for bi, n in enumerate(sizes)]
             else:
                 v_parts = [w + w.T for w in w_i]
@@ -432,21 +416,6 @@ def check_extended_point(p: ConicProgram, pt: ExtendedDualPoint,
     return report
 
 
-def _decompose_on_face(lifted, face, y):
-    """Split y in the dual of ``face`` as (cone part, complement part)."""
-    u_parts = []
-    for blk, rep, part in zip(lifted.blocks, face.reps, y.parts):
-        q = rep.basis
-        mat = np.zeros((blk.size, blk.size))
-        if q.shape[1]:
-            compressed = q.T @ part @ q
-            lam, w = np.linalg.eigh(0.5 * (compressed + compressed.T))
-            mat = q @ ((w * np.maximum(lam, 0.0)) @ w.T) @ q.T
-        u_parts.append(mat)
-    u = YElement(lifted.blocks, u_parts)
-    return u, y - u
-
-
 def _regularized_dual_solution(lifted, cert, options):
     """Optimal point of  inf <b, y> : A* y = c, y in (minimal cone)*  -
     attained because the face-restricted primal satisfies Slater's
@@ -458,14 +427,7 @@ def _regularized_dual_solution(lifted, cert, options):
     res = solve_restricted_to_face(lifted, face, options)
     if res.status is not SolveStatus.OPTIMAL:
         raise SolverError("face-restricted solve did not reach optimality")
-    coords = FaceCoordinates(lifted, face)
-    y_face = coords.embed(res.y.parts)
-    target = np.array([ai.inner(y_face) for ai in lifted.a]) - lifted.c
-    if coords.eq_matrix.shape[0]:
-        lam, *_ = np.linalg.lstsq(coords.eq_matrix.T, target, rcond=None)
-        y_full = y_face - coords.outside_element(lam)
-    else:
-        y_full = y_face
+    y_full = FaceCoordinates(lifted, face).dual_point(res.y.parts, lifted.c)
     resid = float(np.max(np.abs(adjoint_apply(lifted, y_full) - lifted.c),
                          initial=0.0))
     if resid > 1e-6 * (1.0 + float(np.max(np.abs(lifted.c), initial=0.0))):
@@ -506,15 +468,15 @@ def assemble_optimal_point(p: ConicProgram, variant: str = "star",
         raise ValueError(f"unknown variant {variant!r}")
     options = options or SolverOptions()
     lifted = lift_to_psd(p)
-    if ell is None:
-        ell = compute_ell(lifted)
     cert = run_facial_reduction(lifted, options=options)
+    if ell is None:
+        ell = cert.ell
     if cert.steps > ell:
         raise SolverError(
             f"chain of length {cert.steps} does not fit in {ell} layers")
     dec = decompose_certificates(lifted, cert)
     y_final, _ = _regularized_dual_solution(lifted, cert, options)
-    u_fin, v_fin = _decompose_on_face(lifted, cert.minimal_face, y_final)
+    u_fin, v_fin = split_on_face(cert.minimal_face, y_final)
 
     blocks = lifted.blocks
     zeros = YElement.zeros(blocks)
@@ -572,21 +534,21 @@ def point_to_vector(ext: ExtendedDualProgram, pt: ExtendedDualPoint) -> np.ndarr
     z = np.zeros(ext.nz)
     for i in range(1, ext.ell + 2):
         for bi, n in enumerate(sizes):
-            z[ext.layout[("u", i, bi)]] = _pack(np.asarray(pt.us[i].parts[bi]))
+            z[ext.layout[("u", i, bi)]] = _svec(
+                np.asarray(pt.us[i].parts[bi]), "psd", 1.0)
             if i >= 2:
                 z[ext.layout[("w", i, bi)]] = \
                     np.asarray(pt.ws[i][bi]).reshape(-1)
                 if ("v", i, bi) in ext.layout:
                     z[ext.layout[("v", i, bi)]] = \
-                        _pack(np.asarray(pt.vs[i].parts[bi]))
+                        _svec(np.asarray(pt.vs[i].parts[bi]), "psd", 1.0)
         if ("beta", i) in ext.layout:
             z[ext.layout[("beta", i)]] = pt.betas[i]
     return z
 
 
 def solve_extended_dual(ext: ExtendedDualProgram,
-                        options: SolverOptions = None,
-                        regularize: bool = True):
+                        options: SolverOptions = None):
     """Solve the encoded extended dual; returns (dual value, point, result).
 
     Extended duals are reliably degenerate: the bordered tangent blocks
@@ -595,37 +557,32 @@ def solve_extended_dual(ext: ExtendedDualProgram,
     point from a facial reduction of the source program, restricts the
     encoded program to the face that point exposes (restriction to a face
     containing a maximizer preserves the optimal value), and solves the
-    restricted program, which satisfies Slater's condition.  Set
-    ``regularize=False`` to solve the raw encoding directly.
+    restricted program, which satisfies Slater's condition.  When that
+    route fails, for instance because the chain does not fit in ``ell``
+    layers, the raw encoding is solved directly.
     """
     from .faces import minimal_face
     from .model import primal_slack
     from .reducing import solve_restricted_to_face
 
     options = options or SolverOptions()
-    res = None
-    assembled = None
-    if regularize:
-        try:
-            assembled = assemble_optimal_point(ext.source, ext.variant,
-                                               ext.ell, options)
-            z0 = point_to_vector(ext, assembled)
-            s0, *_ = np.linalg.lstsq(ext.null_basis, z0 - ext.z_particular,
-                                     rcond=None)
-            gap = float(np.linalg.norm(
-                z0 - ext.z_particular - ext.null_basis @ s0))
-            if gap > 1e-6 * (1.0 + float(np.linalg.norm(z0))):
-                raise SolverError(f"assembled point misses the slice ({gap:.2e})")
-            slack0 = primal_slack(ext.program, s0)
-            face = minimal_face(slack0, ext.program.blocks, tol=1e-6)
-            res = solve_restricted_to_face(ext.program, face, options)
-            score = max(res.residuals["primal"], res.residuals["dual"],
-                        res.residuals["gap"])
-            if score > 1e-5:
-                res = None
-        except (SolverError, ValueError):
-            assembled = None
+    try:
+        assembled = assemble_optimal_point(ext.source, ext.variant, ext.ell,
+                                           options)
+        z0 = point_to_vector(ext, assembled)
+        s0, *_ = np.linalg.lstsq(ext.null_basis, z0 - ext.z_particular,
+                                 rcond=None)
+        gap = float(np.linalg.norm(z0 - ext.z_particular - ext.null_basis @ s0))
+        if gap > 1e-6 * (1.0 + float(np.linalg.norm(z0))):
+            raise SolverError(f"assembled point misses the slice ({gap:.2e})")
+        slack0 = primal_slack(ext.program, s0)
+        face = minimal_face(slack0, ext.program.blocks, tol=1e-6)
+        res = solve_restricted_to_face(ext.program, face, options)
+        if res.score > 1e-5:
             res = None
+    except (SolverError, ValueError):
+        assembled = None
+        res = None
     if res is None:
         res = solve_conic_lp(ext.program, options)
     pt, _ = extract_dual_solution(ext, res)
@@ -670,9 +627,7 @@ def fmin_membership(p: ConicProgram, s: YElement, tol: float = None) -> bool:
     c[-1] = 1.0
     prog = ConicProgram(blocks, a_cols, b_aug, c, name="membership")
     res = solve_conic_lp(prog, SolverOptions())
-    score = max(res.residuals["primal"], res.residuals["dual"],
-                res.residuals["gap"])
-    if score > 1e-6 or 0.1 < res.primal_obj < 0.9:
+    if res.score > 1e-6 or 0.1 < res.primal_obj < 0.9:
         # The squeeze program has no interior when the original program has
         # none; regularize it with facial reduction and solve on its own
         # minimal cone, where Slater's condition holds.
@@ -682,12 +637,10 @@ def fmin_membership(p: ConicProgram, s: YElement, tol: float = None) -> bool:
         try:
             cert = run_facial_reduction(prog)
             res = solve_restricted_to_face(prog, cert.minimal_face)
-            score = max(res.residuals["primal"], res.residuals["dual"],
-                        res.residuals["gap"])
         except Exception:
             pass
     if res.status not in (SolveStatus.OPTIMAL, SolveStatus.NUMERICAL_FAILURE) \
-            or score > 1e-4:
+            or res.score > 1e-4:
         raise SolverError(f"membership solve unusable: {res.status.value}")
     t_star = res.primal_obj
     if t_star >= 0.5:

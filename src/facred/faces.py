@@ -239,6 +239,30 @@ def intersect_with_hyperplane(face: FaceRep, y: YElement, tol: float = None) -> 
     return FaceRep(face.blocks, reps)
 
 
+def split_on_face(face: FaceRep, y: YElement):
+    """Split ``y`` in the dual of ``face`` as (u, y - u): u is the part of y
+    inside the face's span clipped to the cone (nonnegative support entries,
+    psd compressed block), y - u the remainder in the complement."""
+    u_parts = []
+    for blk, rep, part in zip(face.blocks, face.reps, y.parts):
+        if blk.kind == "orthant":
+            vec = np.zeros(blk.size)
+            sup = list(rep.support)
+            if sup:
+                vec[sup] = np.maximum(part[sup], 0.0)
+            u_parts.append(vec)
+        else:
+            q = rep.basis
+            mat = np.zeros((blk.size, blk.size))
+            if q.shape[1]:
+                compressed = q.T @ part @ q
+                lam, w = np.linalg.eigh(0.5 * (compressed + compressed.T))
+                mat = q @ ((w * np.maximum(lam, 0.0)) @ w.T) @ q.T
+            u_parts.append(mat)
+    u = YElement(face.blocks, u_parts)
+    return u, y - u
+
+
 def relative_interior_point(face: FaceRep) -> YElement:
     """A canonical point in the relative interior: support indicator vectors
     and projectors Q Q^T."""

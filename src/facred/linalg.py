@@ -97,22 +97,27 @@ def numeric_rank(eigenvalues: np.ndarray, tol: float = None) -> int:
     return int(np.sum(lam > cutoff))
 
 
-def _svec(part: np.ndarray, kind: str) -> np.ndarray:
-    """Flatten a block payload isometrically (off-diagonals scaled by sqrt 2)."""
+def _svec(part: np.ndarray, kind: str,
+          off_diag: float = np.sqrt(2.0)) -> np.ndarray:
+    """Flatten a block payload's upper triangle row by row, off-diagonals
+    scaled by ``off_diag``: sqrt 2 makes the flattening isometric, 1 packs
+    the plain entries, 2 gives the functional of a symmetric matrix."""
     if kind == "orthant":
         return np.asarray(part, dtype=float).reshape(-1)
     n = part.shape[0]
     iu = np.triu_indices(n)
-    weights = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+    weights = np.where(iu[0] == iu[1], 1.0, off_diag)
     return part[iu] * weights
 
 
-def _unsvec(vec: np.ndarray, kind: str, size: int) -> np.ndarray:
+def _unsvec(vec: np.ndarray, kind: str, size: int,
+            off_diag: float = np.sqrt(2.0)) -> np.ndarray:
+    """Inverse of :func:`_svec` with the same ``off_diag``."""
     if kind == "orthant":
         return np.asarray(vec, dtype=float).copy()
     mat = np.zeros((size, size))
     iu = np.triu_indices(size)
-    weights = np.where(iu[0] == iu[1], 1.0, 1.0 / np.sqrt(2.0))
+    weights = np.where(iu[0] == iu[1], 1.0, 1.0 / off_diag)
     mat[iu] = vec * weights
     mat = mat + mat.T - np.diag(np.diag(mat))
     return mat

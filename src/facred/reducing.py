@@ -6,6 +6,11 @@ a standard cone constraint in the face's compressed coordinates.  The
 equalities are eliminated by parameterizing x over their solution set, so
 the subsolver only ever sees orthant/PSD cones.
 
+FaceCoordinates is the single owner of a face's coordinates: its change of
+basis, the span equalities, their elimination and the reconstruction of a
+full dual element from a compressed one.  Every face-restricted solve, the
+reducing pair and the certificate polish go through it.
+
 The reducing pair decides whether F already is the minimal cone of the
 program (there is a slack in the relative interior of F) or produces a
 certificate y in F* and the nullspace that cuts F down; both come out of one
@@ -24,9 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .faces import FaceRep, face_dual_membership, relative_interior_point
+from .faces import (FaceRep, _orthonormal_complement, face_dual_membership,
+                    relative_interior_point)
 from .model import ConeBlock, ConicProgram, YElement
-from .solver import SolverError, SolverOptions, SolveStatus, solve_conic_lp
+from .solver import (SolveResult, SolverError, SolverOptions, SolveStatus,
+                     solve_conic_lp)
 
 
 class AmbiguousOutcome(RuntimeError):
@@ -56,15 +63,6 @@ class ReducingOutcome:
         return cls(True, x_strict=np.asarray(x_strict, dtype=float), value=value)
 
 
-def _rotation(face, blk, rep):
-    """Orthogonal change of basis [face basis | complement] for a PSD block."""
-    from .faces import _orthonormal_complement
-
-    q = rep.basis
-    comp = _orthonormal_complement(q, blk.size)
-    return np.hstack([q, comp]), q.shape[1]
-
-
 class FaceCoordinates:
     """Coordinates adapted to a face: compressed cone part plus the linear
     functionals that must vanish for membership in the face's span."""
@@ -83,7 +81,9 @@ class FaceCoordinates:
                 if support.size:
                     kept.append(ConeBlock("orthant", support.size))
             else:
-                v, r = _rotation(face, blk, rep)
+                q = rep.basis
+                v = np.hstack([q, _orthonormal_complement(q, blk.size)])
+                r = q.shape[1]
                 self.rotations.append((v, r))
                 if r:
                     kept.append(ConeBlock("psd", r))
@@ -179,9 +179,30 @@ class FaceCoordinates:
                 parts[bi] += v @ unit @ v.T * coeff
         return YElement(self.program.blocks, parts)
 
+    def eliminated(self):
+        """The program with x = x_particular + null_basis @ s substituted,
+        in compressed coordinates: the compressed parts of the image of
+        every null-basis column, and the compressed slack at s = 0."""
+        p = self.program
+        cols = [self.compress(p.apply(self.null_basis[:, j]))
+                for j in range(self.null_basis.shape[1])]
+        slack0 = self.compress(p.b - p.apply(self.x_particular))
+        return cols, slack0
 
-def polish_certificate(p: ConicProgram, face: FaceRep, f: YElement,
-                       y0: YElement, x0: np.ndarray, max_steps: int = 12):
+    def dual_point(self, parts, c=0.0) -> YElement:
+        """Full dual element y with A* y = c from a compressed dual element:
+        embed it, then subtract the outside-coordinate multipliers that best
+        cancel the adjoint's defect."""
+        y_face = self.embed(parts)
+        if not self.eq_matrix.shape[0]:
+            return y_face
+        target = np.array([ai.inner(y_face) for ai in self.program.a]) - c
+        lam, *_ = np.linalg.lstsq(self.eq_matrix.T, target, rcond=None)
+        return y_face - self.outside_element(lam)
+
+
+def polish_certificate(coords: FaceCoordinates, f: YElement, y0: YElement,
+                       x0: np.ndarray, max_steps: int = 12):
     """Gauss-Newton refinement of a reducing certificate.
 
     An interior-point certificate sits about sqrt(gap) away from an exact
@@ -195,6 +216,7 @@ def polish_certificate(p: ConicProgram, face: FaceRep, f: YElement,
     """
     from .linalg import flatten_element, unflatten_element
 
+    p = coords.program
     dim = p.ambient_dim
     m = p.m
     x = np.asarray(x0, dtype=float).copy()
@@ -203,40 +225,34 @@ def polish_certificate(p: ConicProgram, face: FaceRep, f: YElement,
         np.zeros((0, dim))
     flat_b = flatten_element(p.b)
     flat_f = flatten_element(f)
-    span_rows, span_rhs = _span_equations(p, face)
-    basis_elements = [unflatten_element(col, p.blocks) for col in np.eye(dim)]
+    span_rows, span_rhs = coords.eq_matrix, coords.eq_rhs
 
     # Complementarity lives in the face's compressed coordinates: both the
     # slack and the certificate are psd there, so orthogonality of the
     # inner product forces the compressed matrix product to vanish.
-    def compress_pair(bi, s_part, y_part):
-        rep = face.reps[bi]
-        blk = p.blocks[bi]
-        if blk.kind == "orthant":
-            sup = list(rep.support)
-            return s_part[sup], y_part[sup]
-        q = rep.basis
-        return q.T @ s_part @ q, q.T @ y_part @ q
+    kinds = [blk.kind for blk in coords.blocks_hat]
+    a_hat = [coords.compress(ai) for ai in p.a]
+    g_hat = [coords.compress(unflatten_element(col, p.blocks))
+             for col in np.eye(dim)]
+
+    def bilinear(kind, s_c, y_c):
+        return s_c * y_c if kind == "orthant" else (s_c @ y_c).reshape(-1)
 
     def residual(x, yel):
-        slack = p.b - p.apply(x)
+        s_hat = coords.compress(p.b - p.apply(x))
+        y_hat = coords.compress(yel)
         parts = [flat_a @ flatten_element(yel) if m else np.zeros(0),
                  np.array([flat_b @ flatten_element(yel)]),
                  np.array([flat_f @ flatten_element(yel) - 1.0])]
-        for bi, blk in enumerate(p.blocks):
-            s_c, y_c = compress_pair(bi, slack.parts[bi], yel.parts[bi])
-            if blk.kind == "orthant":
-                parts.append(s_c * y_c)
-            else:
-                parts.append((s_c @ y_c).reshape(-1))
+        parts += [bilinear(*blk) for blk in zip(kinds, s_hat, y_hat)]
         if span_rows.shape[0]:
             parts.append(span_rows @ x - span_rhs)
-        return np.concatenate(parts), slack
+        return np.concatenate(parts), s_hat, y_hat
 
     best = None
     for _ in range(max_steps):
         yel = unflatten_element(yvec, p.blocks)
-        res, slack = residual(x, yel)
+        res, s_hat, y_hat = residual(x, yel)
         norm = float(np.linalg.norm(res))
         if best is None or norm < best[0]:
             best = (norm, x.copy(), yvec.copy())
@@ -246,32 +262,14 @@ def polish_certificate(p: ConicProgram, face: FaceRep, f: YElement,
         rows.append(np.hstack([np.zeros((m, m)), flat_a]))
         rows.append(np.hstack([np.zeros((1, m)), flat_b[None, :]]))
         rows.append(np.hstack([np.zeros((1, m)), flat_f[None, :]]))
-        for bi, blk in enumerate(p.blocks):
-            s_c, y_c = compress_pair(bi, slack.parts[bi], yel.parts[bi])
-            if blk.kind == "orthant":
-                d = len(s_c)
-                jx = np.zeros((d, m))
-                for i in range(m):
-                    a_c, _ = compress_pair(bi, p.a[i].parts[bi],
-                                           p.a[i].parts[bi])
-                    jx[:, i] = -a_c * y_c
-                jy = np.zeros((d, dim))
-                for j, g in enumerate(basis_elements):
-                    _, g_c = compress_pair(bi, g.parts[bi], g.parts[bi])
-                    jy[:, j] = s_c * g_c
-                rows.append(np.hstack([jx, jy]))
-            else:
-                r = s_c.shape[0]
-                jx = np.zeros((r * r, m))
-                for i in range(m):
-                    a_c, _ = compress_pair(bi, p.a[i].parts[bi],
-                                           p.a[i].parts[bi])
-                    jx[:, i] = (-a_c @ y_c).reshape(-1)
-                jy = np.zeros((r * r, dim))
-                for j, g in enumerate(basis_elements):
-                    g_c, _ = compress_pair(bi, g.parts[bi], g.parts[bi])
-                    jy[:, j] = (s_c @ g_c).reshape(-1)
-                rows.append(np.hstack([jx, jy]))
+        for k, (kind, s_c, y_c) in enumerate(zip(kinds, s_hat, y_hat)):
+            jx = np.zeros((s_c.size, m))
+            for i, a in enumerate(a_hat):
+                jx[:, i] = bilinear(kind, -a[k], y_c)
+            jy = np.zeros((s_c.size, dim))
+            for j, g in enumerate(g_hat):
+                jy[:, j] = bilinear(kind, s_c, g[k])
+            rows.append(np.hstack([jx, jy]))
         if span_rows.shape[0]:
             rows.append(np.hstack([span_rows, np.zeros((span_rows.shape[0],
                                                         dim))]))
@@ -293,36 +291,6 @@ def polish_certificate(p: ConicProgram, face: FaceRep, f: YElement,
     if abs(scale) < 1e-8:
         raise SolverError("certificate polish collapsed the normalization")
     return (1.0 / scale) * refined, x, best[0]
-
-
-def _span_equations(p: ConicProgram, face: FaceRep):
-    """Rows of the linear system forcing b - Ax into the face's span."""
-    rows, rhs = [], []
-    for bi, (blk, rep) in enumerate(zip(p.blocks, face.reps)):
-        if blk.kind == "orthant":
-            outside = [i for i in range(blk.size) if i not in set(rep.support)]
-            for i in outside:
-                rows.append([ai.parts[bi][i] for ai in p.a])
-                rhs.append(p.b.parts[bi][i])
-        else:
-            q = rep.basis
-            r = q.shape[1]
-            if r == blk.size:
-                continue
-            from .faces import _orthonormal_complement
-            comp = _orthonormal_complement(q, blk.size)
-            v = np.hstack([q, comp])
-            rot_a = [v.T @ ai.parts[bi] @ v for ai in p.a]
-            rot_b = v.T @ p.b.parts[bi] @ v
-            for k in range(blk.size):
-                for l in range(max(k, r), blk.size):
-                    if k < r and l < r:
-                        continue
-                    w = 1.0 if k == l else 2.0
-                    rows.append([w * ra[k, l] for ra in rot_a])
-                    rhs.append(w * rot_b[k, l])
-    return (np.array(rows, dtype=float).reshape(len(rows), p.m),
-            np.array(rhs, dtype=float))
 
 
 def reduced_program(p: ConicProgram, face: FaceRep) -> ConicProgram:
@@ -353,19 +321,15 @@ def solve_restricted_to_face(p: ConicProgram, face: FaceRep,
     if not coords.blocks_hat:
         x = coords.x_particular
         obj = float(np.dot(p.c, x))
-        from .solver import SolveResult
         return SolveResult(SolveStatus.OPTIMAL, x, YElement.zeros(p.blocks),
                            YElement.zeros(p.blocks), obj, obj,
                            {"primal": 0.0, "dual": 0.0, "gap": 0.0, "mu": 0.0},
                            0, [], "face is the zero cone")
-    nn = coords.null_basis.shape[1]
-    a_hat = [YElement(coords.blocks_hat,
-                      coords.compress(p.apply(coords.null_basis[:, j])))
-             for j in range(nn)]
-    slack0 = p.b - p.apply(coords.x_particular)
-    b_hat = YElement(coords.blocks_hat, coords.compress(slack0))
-    c_hat = coords.null_basis.T @ p.c
-    prog = ConicProgram(coords.blocks_hat, a_hat, b_hat, c_hat,
+    cols, slack0 = coords.eliminated()
+    prog = ConicProgram(coords.blocks_hat,
+                        [YElement(coords.blocks_hat, col) for col in cols],
+                        YElement(coords.blocks_hat, slack0),
+                        coords.null_basis.T @ p.c,
                         name=(p.name + " on-face").strip())
     res = solve_conic_lp(prog, options)
     x_full = coords.x_particular + coords.null_basis @ res.x
@@ -379,24 +343,17 @@ def solve_restricted_to_face(p: ConicProgram, face: FaceRep,
 def _reducing_primal(coords: FaceCoordinates, f: YElement):
     """sup t over the eliminated variables, slack in the compressed cone,
     with the bounding row t <= 1."""
-    p = coords.program
-    cap = ConeBlock("orthant", 1)
-    blocks = coords.blocks_hat + (cap,)
-    nn = coords.null_basis.shape[1]
+    blocks = coords.blocks_hat + (ConeBlock("orthant", 1),)
 
     def lift(parts_hat, cap_val):
         return YElement(blocks, list(parts_hat) + [np.array([cap_val])])
 
-    a_cols = []
-    for j in range(nn):
-        elem = p.apply(coords.null_basis[:, j])
-        a_cols.append(lift(coords.compress(elem), 0.0))
+    cols, slack0 = coords.eliminated()
+    a_cols = [lift(col, 0.0) for col in cols]
     a_cols.append(lift(coords.compress(f), 1.0))
-    slack0 = p.b - p.apply(coords.x_particular)
-    b_hat = lift(coords.compress(slack0), 1.0)
-    c = np.zeros(nn + 1)
+    c = np.zeros(len(cols) + 1)
     c[-1] = 1.0
-    return ConicProgram(blocks, a_cols, b_hat, c, name="reducing")
+    return ConicProgram(blocks, a_cols, lift(slack0, 1.0), c, name="reducing")
 
 
 def solve_reducing_pair(p: ConicProgram, face: FaceRep, tol: float = None,
@@ -428,25 +385,21 @@ def solve_reducing_pair(p: ConicProgram, face: FaceRep, tol: float = None,
 
     prog = _reducing_primal(coords, f)
     res = solve_conic_lp(prog, options)
-    score = max(res.residuals["primal"], res.residuals["dual"],
-                res.residuals["gap"])
     if res.status not in (SolveStatus.OPTIMAL, SolveStatus.NUMERICAL_FAILURE) \
-            or score > 1e-5:
+            or res.score > 1e-5:
         raise SolverError(
             f"reducing solve unusable: status {res.status.value}, "
-            f"score {score:.2e}")
+            f"score {res.score:.2e}")
     t_star = res.primal_obj
+    x_cand = coords.x_particular + coords.null_basis @ res.x[:-1]
 
     if t_star >= 100.0 * tol:
-        s_star = res.x[:-1]
-        x_strict = coords.x_particular + coords.null_basis @ s_star
-        return ReducingOutcome.minimal_reached(x_strict, t_star)
+        return ReducingOutcome.minimal_reached(x_cand, t_star)
 
     if t_star <= tol:
         y = _extract_certificate(coords, f, res)
         y = _purify_certificate(p, face, f, y)
-        x_cand = coords.x_particular + coords.null_basis @ res.x[:-1]
-        y, _, _ = polish_certificate(p, face, f, y, x_cand)
+        y, _, _ = polish_certificate(coords, f, y, x_cand)
         _check_certificate(p, face, f, y, tol)
         return ReducingOutcome.reduced(y, t_star)
 
@@ -456,14 +409,7 @@ def solve_reducing_pair(p: ConicProgram, face: FaceRep, tol: float = None,
 
 
 def _extract_certificate(coords: FaceCoordinates, f: YElement, res) -> YElement:
-    p = coords.program
-    y_face = coords.embed(res.y.parts[:-1])
-    target = np.array([ai.inner(y_face) for ai in p.a])
-    if coords.eq_matrix.shape[0]:
-        lam, *_ = np.linalg.lstsq(coords.eq_matrix.T, target, rcond=None)
-        y = y_face - coords.outside_element(lam)
-    else:
-        y = y_face
+    y = coords.dual_point(res.y.parts[:-1])
     scale = f.inner(y)
     if abs(scale) < 1e-6:
         raise SolverError("degenerate certificate: normalization collapsed")

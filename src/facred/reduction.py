@@ -17,7 +17,8 @@ import numpy as np
 from . import config
 from .faces import (FaceRep, face_contains, face_dual_membership, faces_equal,
                     in_tangent_space, intersect_with_hyperplane,
-                    longest_chain_length, relative_interior_point)
+                    longest_chain_length, relative_interior_point,
+                    split_on_face)
 from .linalg import nullspace_basis
 from .model import ConicProgram, YElement, adjoint_apply, primal_slack
 from .reducing import (AmbiguousOutcome, ReducingOutcome, SolverError,
@@ -36,12 +37,14 @@ class ReductionError(RuntimeError):
 @dataclass
 class ReductionCertificate:
     """Chain y_0 .. y_t (y_0 = 0) with faces F_0 .. F_t, per-step reducing
-    flags, and a point whose slack is strictly inside the final face."""
+    flags, a point whose slack is strictly inside the final face, and the
+    iteration bound ``ell`` the run was held to (None when not from a run)."""
 
     ys: list
     faces: list
     reducing_flags: list
     x_strict: np.ndarray
+    ell: int = None
 
     @property
     def steps(self) -> int:
@@ -86,10 +89,11 @@ def run_facial_reduction(p: ConicProgram, tol: float = None,
                          options: SolverOptions = None) -> ReductionCertificate:
     """Compute the minimal cone of a feasible program.
 
-    Returns the full certificate chain; raises ReductionError (with the
-    partial chain attached) when a reducing solve fails or the theoretical
-    iteration bound is exceeded, and propagates AmbiguousOutcome when a
-    reducing value falls between the decision rungs.
+    Returns the full certificate chain, carrying the bound ``ell`` from
+    compute_ell; raises ReductionError (with the partial chain attached)
+    when a reducing solve fails or the theoretical iteration bound is
+    exceeded, and propagates AmbiguousOutcome (partial chain attached) when
+    a reducing value falls between the decision rungs.
     """
     if tol is None:
         tol = config.DEFAULT_TOL
@@ -104,27 +108,30 @@ def run_facial_reduction(p: ConicProgram, tol: float = None,
     ell = compute_ell(p)
 
     def partial():
-        return ReductionCertificate(ys, faces, flags, None)
+        return ReductionCertificate(ys, faces, flags, None, ell)
+
+    def solve(f_override=None):
+        try:
+            return solve_reducing_pair(p, face, tol, options,
+                                       f_override=f_override)
+        except AmbiguousOutcome as exc:
+            exc.partial_chain = partial()
+            raise
+        except SolverError as exc:
+            raise ReductionError(str(exc), partial()) from exc
 
     for _ in range(ell + 1):
-        try:
-            outcome = solve_reducing_pair(p, face, tol, options)
-        except (AmbiguousOutcome, SolverError) as exc:
-            if isinstance(exc, AmbiguousOutcome):
-                exc.partial_chain = partial()
-                raise
-            raise ReductionError(str(exc), partial()) from exc
+        outcome = solve()
         if outcome.minimal:
-            return ReductionCertificate(ys, faces, flags, outcome.x_strict)
+            return ReductionCertificate(ys, faces, flags, outcome.x_strict, ell)
         new_face = intersect_with_hyperplane(face, outcome.y)
         if faces_equal(new_face, face):
             # A certificate that cuts nothing is numerical dust; retry once
             # from a perturbed interior point before giving up.
-            f_pert = _perturbed_interior_point(face, rng)
-            outcome = solve_reducing_pair(p, face, tol, options,
-                                          f_override=f_pert)
+            outcome = solve(_perturbed_interior_point(face, rng))
             if outcome.minimal:
-                return ReductionCertificate(ys, faces, flags, outcome.x_strict)
+                return ReductionCertificate(ys, faces, flags, outcome.x_strict,
+                                            ell)
             new_face = intersect_with_hyperplane(face, outcome.y)
             if faces_equal(new_face, face):
                 raise AmbiguousOutcome(
@@ -270,26 +277,7 @@ def decompose_certificates(p: ConicProgram, cert: ReductionCertificate,
     vs = [YElement.zeros(p.blocks)]
     for i in range(1, len(cert.ys)):
         y = cert.ys[i]
-        face = cert.faces[i - 1]
-        u_parts = []
-        for blk, rep, part in zip(p.blocks, face.reps, y.parts):
-            if blk.kind == "orthant":
-                vec = np.zeros(blk.size)
-                sup = list(rep.support)
-                if sup:
-                    vec[sup] = np.maximum(part[sup], 0.0)
-                u_parts.append(vec)
-            else:
-                q = rep.basis
-                mat = np.zeros((blk.size, blk.size))
-                if q.shape[1]:
-                    compressed = q.T @ part @ q
-                    lam, w = np.linalg.eigh(0.5 * (compressed + compressed.T))
-                    compressed = (w * np.maximum(lam, 0.0)) @ w.T
-                    mat = q @ compressed @ q.T
-                u_parts.append(mat)
-        u = YElement(p.blocks, u_parts)
-        v = y - u
+        u, v = split_on_face(cert.faces[i - 1], y)
         resid = min(u.min_eigenvalue(), 0.0)
         if abs(resid) > tol * (1.0 + y.norm()):
             raise ValueError(f"cone part of step {i} has eigenvalue {resid:.2e}")

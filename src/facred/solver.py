@@ -38,15 +38,14 @@ class SolverError(RuntimeError):
     """The subsolver could not produce a usable outcome."""
 
 
+# Fraction of the distance to the cone boundary taken by a step.
+STEP_FRACTION = 0.98
+
+
 @dataclass
 class SolverOptions:
     max_iter: int = 200
-    tol: float = config.SOLVE_TOL          # accuracy the solver drives toward
-    accept_tol: float = config.DEFAULT_TOL  # accuracy accepted as optimal
-    step_fraction: float = 0.98
-    corrector: bool = True
     keep_history: bool = True
-    verbose: int = 0
     seed: int = 0  # consumed by drivers that perturb, never by the solver itself
 
 
@@ -78,6 +77,12 @@ class SolveResult:
     @property
     def optimal(self) -> bool:
         return self.status is SolveStatus.OPTIMAL
+
+    @property
+    def score(self) -> float:
+        """Worst of the relative primal, dual and gap residuals."""
+        return max(self.residuals["primal"], self.residuals["dual"],
+                   self.residuals["gap"])
 
 
 def _sym(mat):
@@ -178,8 +183,8 @@ def solve_conic_lp(p: ConicProgram, options: SolverOptions = None) -> SolveResul
 
     bnorm = p.b.norm()
     cnorm = float(np.linalg.norm(p.c))
-    tol = options.tol
-    tau = options.step_fraction
+    tol = config.SOLVE_TOL
+    tau = STEP_FRACTION
 
     history = []
     best = None
@@ -210,9 +215,6 @@ def solve_conic_lp(p: ConicProgram, options: SolverOptions = None) -> SolveResul
             history.append(Iterate(x.copy(), pack([z.copy() for z in zs]),
                                    pack([y.copy() for y in ys]),
                                    pobj, dobj, rel_p, rel_d, mu))
-        if options.verbose:
-            print(f"  it {it:3d}  mu {mu:9.2e}  rp {rel_p:9.2e}  "
-                  f"rd {rel_d:9.2e}  gap {rel_gap:9.2e}")
         # Stall accounting only matters in the endgame; early iterations
         # routinely trade residual components back and forth.
         if score < 0.9 * best_score or best_score > 1e-4:
@@ -370,7 +372,7 @@ def solve_conic_lp(p: ConicProgram, options: SolverOptions = None) -> SolveResul
             sigma = max(sigma, 0.8)
             tau_eff = min(tau, 0.9)
 
-        if options.corrector and no_progress < 3:
+        if no_progress < 3:
             # Second-order term solved in the scaled space, where the
             # complementarity linearization is sym(U V) = rhs; its solution
             # in the eigenbasis of V is 2 rhs_ij / (lam_i + lam_j).
@@ -420,8 +422,8 @@ def solve_conic_lp(p: ConicProgram, options: SolverOptions = None) -> SolveResul
     bx, bz, by, bpobj, bdobj, bres = best
     if status is None:
         # Classify by the best iterate: optimal once within the acceptance
-        # tolerance, even if the inner 'tol' target was not quite reached.
-        if best_score <= options.accept_tol:
+        # tolerance, even if the inner SOLVE_TOL target was not quite reached.
+        if best_score <= config.DEFAULT_TOL:
             status = SolveStatus.OPTIMAL
         else:
             status = SolveStatus.NUMERICAL_FAILURE

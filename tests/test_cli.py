@@ -152,6 +152,24 @@ def test_ambiguous_reduction_exits_two(tmp_path):
     code, out = run_cli(["reduce", str(path)])
     assert code == 2
     assert "ambiguous" in out
+    assert "ell: 2" in out.splitlines()
+
+
+def test_reduce_computes_the_bound_once(sdp_path, monkeypatch):
+    from facred import reduction
+
+    calls = []
+    original = reduction.nullspace_basis
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(reduction, "nullspace_basis", counting)
+    code, out = run_cli(["reduce", sdp_path])
+    assert code == 0
+    assert "ell: 3" in out.splitlines()
+    assert len(calls) == 1
 
 
 def test_parse_failure_exits_one(tmp_path):

@@ -5,9 +5,13 @@ from facred.certfile import read_certificate, write_certificate
 from facred.faces import (FaceRep, faces_equal, intersect_with_hyperplane,
                           subspace_distance)
 from facred.model import ConeBlock, ConicProgram, YElement, primal_slack
-from facred.reduction import (ReductionCertificate, compute_ell,
-                              decompose_certificates, reduced_program,
-                              run_facial_reduction, verify_certificate_chain)
+from facred import reduction
+from facred.reducing import AmbiguousOutcome, ReducingOutcome
+from facred.reduction import (ReductionCertificate, ReductionError,
+                              compute_ell, decompose_certificates,
+                              reduced_program, run_facial_reduction,
+                              verify_certificate_chain)
+from facred.solver import SolverError
 
 from conftest import (paper_chain_long, paper_chain_short, random_degenerate,
                       random_strictly_feasible, sdp_chain)
@@ -43,7 +47,7 @@ def hand_cert(p, ys, x_strict):
 def test_fra_lp(example_lp):
     cert = run_facial_reduction(example_lp)
     assert cert.minimal_face.reps[0].support == (0,)
-    assert cert.reducing_count <= 2
+    assert cert.reducing_count <= cert.ell == 2
     assert verify_certificate_chain(example_lp, cert).ok
 
 
@@ -165,3 +169,28 @@ def test_fra_bound_respected_on_random_instances():
                                  kind="psd" if seed % 2 else "orthant")
         cert = run_facial_reduction(p)
         assert cert.reducing_count <= compute_ell(p)
+
+
+@pytest.mark.parametrize("failure, expected", [
+    (SolverError("subsolver gave up"), ReductionError),
+    (AmbiguousOutcome("between the rungs"), AmbiguousOutcome)])
+def test_failed_retry_keeps_the_partial_chain(example_sdp, monkeypatch,
+                                              failure, expected):
+    # The first solve returns a certificate that cuts nothing, so the driver
+    # retries from a perturbed point; that retry fails.
+    calls = []
+
+    def fake_solve(p, face, tol, options, f_override=None):
+        calls.append(f_override)
+        if len(calls) == 1:
+            return ReducingOutcome.reduced(YElement.zeros(p.blocks), 0.0)
+        raise failure
+
+    monkeypatch.setattr(reduction, "solve_reducing_pair", fake_solve)
+    with pytest.raises(expected) as info:
+        run_facial_reduction(example_sdp)
+    assert len(calls) == 2 and calls[1] is not None
+    chain = info.value.partial_chain
+    assert chain is not None
+    assert chain.steps == 0
+    assert chain.ell == compute_ell(example_sdp)
