@@ -154,8 +154,11 @@ def cmd_dualize(args) -> int:
     if args.solve:
         options = SolverOptions(max_iter=args.max_iter, seed=args.seed)
         try:
-            value, point, res = solve_extended_dual(ext, options)
-        except SolverError as exc:
+            value, point = solve_extended_dual(ext, options)
+        except AmbiguousOutcome as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (ValueError, ReductionError, SolverError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         check = check_extended_point(problem, point, ext.variant)

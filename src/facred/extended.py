@@ -419,20 +419,17 @@ def check_extended_point(p: ConicProgram, pt: ExtendedDualPoint,
 def _regularized_dual_solution(lifted, cert, options):
     """Optimal point of  inf <b, y> : A* y = c, y in (minimal cone)*  -
     attained because the face-restricted primal satisfies Slater's
-    condition.  Reconstructed from the face-restricted solve's cone dual
-    plus multipliers for the span equalities."""
-    from .reducing import FaceCoordinates, solve_restricted_to_face
+    condition: the dual of the face-restricted solve."""
+    from .reducing import solve_restricted_to_face
 
-    face = cert.minimal_face
-    res = solve_restricted_to_face(lifted, face, options)
+    res = solve_restricted_to_face(lifted, cert.minimal_face, options)
     if res.status is not SolveStatus.OPTIMAL:
         raise SolverError("face-restricted solve did not reach optimality")
-    y_full = FaceCoordinates(lifted, face).dual_point(res.y.parts, lifted.c)
-    resid = float(np.max(np.abs(adjoint_apply(lifted, y_full) - lifted.c),
+    resid = float(np.max(np.abs(adjoint_apply(lifted, res.y) - lifted.c),
                          initial=0.0))
     if resid > 1e-6 * (1.0 + float(np.max(np.abs(lifted.c), initial=0.0))):
         raise SolverError(f"regularized dual reconstruction residual {resid:.2e}")
-    return y_full, res.primal_obj
+    return res.y
 
 
 def _tangent_witness(base_parts, v_parts, blocks):
@@ -447,6 +444,10 @@ def _tangent_witness(base_parts, v_parts, blocks):
         ws.append(wit[0])
         beta = max(beta, wit[1])
     return ws, beta
+
+
+class _ChainTooLong(SolverError):
+    """The reduction chain needs more layers than the extended dual has."""
 
 
 def assemble_optimal_point(p: ConicProgram, variant: str = "star",
@@ -472,10 +473,10 @@ def assemble_optimal_point(p: ConicProgram, variant: str = "star",
     if ell is None:
         ell = cert.ell
     if cert.steps > ell:
-        raise SolverError(
+        raise _ChainTooLong(
             f"chain of length {cert.steps} does not fit in {ell} layers")
     dec = decompose_certificates(lifted, cert)
-    y_final, _ = _regularized_dual_solution(lifted, cert, options)
+    y_final = _regularized_dual_solution(lifted, cert, options)
     u_fin, v_fin = split_on_face(cert.minimal_face, y_final)
 
     blocks = lifted.blocks
@@ -528,74 +529,36 @@ def assemble_optimal_point(p: ConicProgram, variant: str = "star",
     return ExtendedDualPoint(us, vs, wit_list, beta_list)
 
 
-def point_to_vector(ext: ExtendedDualProgram, pt: ExtendedDualPoint) -> np.ndarray:
-    """Stack a layered point into the builder's variable vector."""
-    sizes = [blk.size for blk in ext.source.blocks]
-    z = np.zeros(ext.nz)
-    for i in range(1, ext.ell + 2):
-        for bi, n in enumerate(sizes):
-            z[ext.layout[("u", i, bi)]] = _svec(
-                np.asarray(pt.us[i].parts[bi]), "psd", 1.0)
-            if i >= 2:
-                z[ext.layout[("w", i, bi)]] = \
-                    np.asarray(pt.ws[i][bi]).reshape(-1)
-                if ("v", i, bi) in ext.layout:
-                    z[ext.layout[("v", i, bi)]] = \
-                        _svec(np.asarray(pt.vs[i].parts[bi]), "psd", 1.0)
-        if ("beta", i) in ext.layout:
-            z[ext.layout[("beta", i)]] = pt.betas[i]
-    return z
-
-
 def solve_extended_dual(ext: ExtendedDualProgram,
                         options: SolverOptions = None):
-    """Solve the encoded extended dual; returns (dual value, point, result).
+    """Optimal value and optimal point of the extended dual: (value, point).
 
-    Extended duals are reliably degenerate: the bordered tangent blocks
-    admit almost-feasible escape directions that drag a bare interior-point
-    solve far below the true value.  The robust route assembles an optimal
-    point from a facial reduction of the source program, restricts the
-    encoded program to the face that point exposes (restriction to a face
-    containing a maximizer preserves the optimal value), and solves the
-    restricted program, which satisfies Slater's condition.  When that
-    route fails, for instance because the chain does not fit in ``ell``
-    layers, the raw encoding is solved directly.
+    The point is assembled from a facial reduction of the source program:
+    the chain supplies the inner layers and the attained optimum of the dual
+    regularized by the minimal cone the final layer.  The extended dual is a
+    valid dual, so a feasible point of it whose objective reaches the primal
+    value is optimal; the point is verified against the variant's system and
+    its objective is the value.  A point that fails verification raises
+    SolverError.  Only when the chain does not fit in ``ell`` layers (for
+    instance ell = 0, the ordinary dual) is the encoded program solved
+    directly, and a solve that ends infeasible or unbounded raises
+    SolverError.
     """
-    from .faces import minimal_face
-    from .model import primal_slack
-    from .reducing import solve_restricted_to_face
-
     options = options or SolverOptions()
     try:
-        assembled = assemble_optimal_point(ext.source, ext.variant, ext.ell,
-                                           options)
-        z0 = point_to_vector(ext, assembled)
-        s0, *_ = np.linalg.lstsq(ext.null_basis, z0 - ext.z_particular,
-                                 rcond=None)
-        gap = float(np.linalg.norm(z0 - ext.z_particular - ext.null_basis @ s0))
-        if gap > 1e-6 * (1.0 + float(np.linalg.norm(z0))):
-            raise SolverError(f"assembled point misses the slice ({gap:.2e})")
-        slack0 = primal_slack(ext.program, s0)
-        face = minimal_face(slack0, ext.program.blocks, tol=1e-6)
-        res = solve_restricted_to_face(ext.program, face, options)
-        if res.score > 1e-5:
-            res = None
-    except (SolverError, ValueError):
-        assembled = None
-        res = None
-    if res is None:
+        pt = assemble_optimal_point(ext.source, ext.variant, ext.ell, options)
+    except _ChainTooLong:
         res = solve_conic_lp(ext.program, options)
-    pt, _ = extract_dual_solution(ext, res)
-    if assembled is not None:
-        # The solve confirms the value; for the reported optimizer prefer
-        # whichever point verifies more cleanly (the assembled one is exact
-        # up to the reduction pipeline's accuracy).
-        direct = check_extended_point(ext.source, pt, ext.variant)
-        if not direct.ok:
-            backup = check_extended_point(ext.source, assembled, ext.variant)
-            if backup.ok:
-                pt = assembled
-    return ext.value_of(res), pt, res
+        if res.status not in (SolveStatus.OPTIMAL,
+                              SolveStatus.NUMERICAL_FAILURE):
+            raise SolverError(f"extended dual solve ended {res.status.value}")
+        pt, _ = extract_dual_solution(ext, res)
+        return ext.value_of(res), pt
+    report = check_extended_point(ext.source, pt, ext.variant)
+    if not report.ok:
+        failed = ", ".join(c.name for c in report.failures())
+        raise SolverError(f"assembled extended dual point fails: {failed}")
+    return report.objective, pt
 
 
 def fmin_membership(p: ConicProgram, s: YElement, tol: float = None) -> bool:
@@ -631,13 +594,13 @@ def fmin_membership(p: ConicProgram, s: YElement, tol: float = None) -> bool:
         # The squeeze program has no interior when the original program has
         # none; regularize it with facial reduction and solve on its own
         # minimal cone, where Slater's condition holds.
-        from .reducing import solve_restricted_to_face
-        from .reduction import run_facial_reduction
+        from .reducing import AmbiguousOutcome, solve_restricted_to_face
+        from .reduction import ReductionError, run_facial_reduction
 
         try:
             cert = run_facial_reduction(prog)
             res = solve_restricted_to_face(prog, cert.minimal_face)
-        except Exception:
+        except (SolverError, ReductionError, AmbiguousOutcome):
             pass
     if res.status not in (SolveStatus.OPTIMAL, SolveStatus.NUMERICAL_FAILURE) \
             or res.score > 1e-4:

@@ -312,8 +312,10 @@ def solve_restricted_to_face(p: ConicProgram, face: FaceRep,
 
     The span equalities are eliminated exactly and the compressed program is
     handed to the subsolver, so the returned point's slack lies in the face
-    itself.  Returns a SolveResult whose ``x`` is in the original variable
-    space and whose objective values are for the original program.
+    itself.  Returns a SolveResult for the original program: ``x`` in its
+    variables, ``z`` the slack embedded in its blocks, and ``y`` a dual
+    element of its blocks with A* y = c (the compressed dual plus the span
+    multipliers).
     """
     if options is None:
         options = SolverOptions()
@@ -332,9 +334,10 @@ def solve_restricted_to_face(p: ConicProgram, face: FaceRep,
                         coords.null_basis.T @ p.c,
                         name=(p.name + " on-face").strip())
     res = solve_conic_lp(prog, options)
-    x_full = coords.x_particular + coords.null_basis @ res.x
     shift = float(np.dot(p.c, coords.x_particular))
-    res.x = x_full
+    res.x = coords.x_particular + coords.null_basis @ res.x
+    res.y = coords.dual_point(res.y.parts, p.c)
+    res.z = coords.embed(res.z.parts)
     res.primal_obj += shift
     res.dual_obj += shift
     return res

@@ -159,8 +159,9 @@ def solve_conic_lp(p: ConicProgram, options: SolverOptions = None) -> SolveResul
     """Solve a conic LP; deterministic for fixed options.
 
     Status contract: OPTIMAL means primal and dual feasibility residuals and
-    the relative gap are all below the solve tolerance.  On stalls the best
-    iterate found is returned with NUMERICAL_FAILURE.
+    the relative gap are all below the solve tolerance.  On stalls and on a
+    linear-algebra breakdown the best iterate found is returned with
+    NUMERICAL_FAILURE.
     """
     if options is None:
         options = SolverOptions()
@@ -286,124 +287,126 @@ def solve_conic_lp(p: ConicProgram, options: SolverOptions = None) -> SolveResul
                     atil = root @ b.a @ root.T if b.a.shape[0] else b.a
                     scal.append({"w": w, "root": root, "yinv": yinv, "lz": lz,
                                  "ly": ly, "atil": atil})
-        except np.linalg.LinAlgError as exc:
-            message = f"scaling breakdown: {exc}"
-            break
 
-        mat = np.zeros((m, m))
-        for b, s in zip(bd, scal):
-            if b.a.shape[0] == 0:
-                continue
-            mat += s["atil"].reshape(m, -1) @ s["atil"].reshape(m, -1).T
-        mat = _sym(mat)
-
-        diag_scale = max(1.0, float(np.trace(mat)) / max(m, 1))
-        ridge = 0.0
-        for attempt in range(6):
-            try:
-                np.linalg.cholesky(mat + ridge * np.eye(m))
-                break
-            except np.linalg.LinAlgError:
-                ridge = max(ridge * 100.0, 1e-13 * diag_scale)
-        mreg = mat + ridge * np.eye(m)
-
-        def schur_solve(rhs):
-            if m == 0:
-                return np.zeros(0)
-            try:
-                sol = np.linalg.solve(mreg, rhs)
-                sol += np.linalg.solve(mreg, rhs - mat @ sol)
-            except np.linalg.LinAlgError:
-                sol = np.linalg.lstsq(mat, rhs, rcond=None)[0]
-            return sol
-
-        def directions(rc):
-            rhs = rd.copy()
-            for b, s, r, rcb in zip(bd, scal, rp, rc):
+            mat = np.zeros((m, m))
+            for b, s in zip(bd, scal):
                 if b.a.shape[0] == 0:
                     continue
-                if b.kind == "orthant":
-                    rhs -= s["atil"] @ (s["root"] * (rcb - r))
-                else:
-                    stil = s["root"] @ (rcb - r) @ s["root"].T
-                    rhs -= np.einsum("iab,ab->i", s["atil"], stil)
-            dx = schur_solve(rhs)
-            dzs, dys = [], []
-            for b, s, r, rcb in zip(bd, scal, rp, rc):
-                adx = b.apply(dx)
-                dzs.append(r - adx)
-                if b.kind == "orthant":
-                    dys.append((rcb - r + adx) * (s["root"] * s["root"]))
-                else:
-                    inner = s["root"] @ (rcb - r + adx) @ s["root"].T
-                    dys.append(_sym(s["root"].T @ inner @ s["root"]))
-            if m:
-                defect = rd - sum((b.adjoint(dy) for b, dy in zip(bd, dys)),
-                                  start=np.zeros(m))
-                lam = np.linalg.solve(gram_reg, defect)
-                for k, b in enumerate(bd):
-                    dys[k] = dys[k] + b.apply(lam)
-            return dx, dzs, dys
+                mat += s["atil"].reshape(m, -1) @ s["atil"].reshape(m, -1).T
+            mat = _sym(mat)
 
-        def max_steps(dzs, dys):
-            ap = ad = np.inf
-            for b, s, z, y, dz, dy in zip(bd, scal, zs, ys, dzs, dys):
-                if b.kind == "orthant":
-                    ap = min(ap, _max_step_orthant(z, dz))
-                    ad = min(ad, _max_step_orthant(y, dy))
-                else:
-                    ap = min(ap, _max_step_psd(s["lz"], dz))
-                    ad = min(ad, _max_step_psd(s["ly"], dy))
-            return ap, ad
+            diag_scale = max(1.0, float(np.trace(mat)) / max(m, 1))
+            ridge = 0.0
+            for attempt in range(6):
+                try:
+                    np.linalg.cholesky(mat + ridge * np.eye(m))
+                    break
+                except np.linalg.LinAlgError:
+                    ridge = max(ridge * 100.0, 1e-13 * diag_scale)
+            mreg = mat + ridge * np.eye(m)
 
-        # Predictor (affine scaling) direction.
-        rc_aff = [-z for z in zs]
-        dx_a, dz_a, dy_a = directions(rc_aff)
-        ap_a, ad_a = max_steps(dz_a, dy_a)
-        ap_a, ad_a = min(1.0, tau * ap_a), min(1.0, tau * ad_a)
-        gap_aff = sum(float(np.sum((z + ap_a * dz) * (y + ad_a * dy)))
-                      for z, y, dz, dy in zip(zs, ys, dz_a, dy_a))
-        sigma = float(np.clip((max(gap_aff, 0.0) / gap) ** 3, 1e-8, 0.999)) \
-            if gap > 0 else 0.1
-        # Recenter when progress stalls: a pure centering step restores the
-        # proximity to the central path that cheap directions rely on.
-        tau_eff = tau
-        if no_progress >= 3:
-            sigma = max(sigma, 0.8)
-            tau_eff = min(tau, 0.9)
+            def schur_solve(rhs):
+                if m == 0:
+                    return np.zeros(0)
+                try:
+                    sol = np.linalg.solve(mreg, rhs)
+                    sol += np.linalg.solve(mreg, rhs - mat @ sol)
+                except np.linalg.LinAlgError:
+                    sol = np.linalg.lstsq(mat, rhs, rcond=None)[0]
+                return sol
 
-        if no_progress < 3:
-            # Second-order term solved in the scaled space, where the
-            # complementarity linearization is sym(U V) = rhs; its solution
-            # in the eigenbasis of V is 2 rhs_ij / (lam_i + lam_j).
-            rc = []
-            for b, s, z, dz, dy in zip(bd, scal, zs, dz_a, dy_a):
-                if b.kind == "orthant":
-                    rc.append(sigma * mu * s["yinv"] - z - dz * dy * s["yinv"])
-                else:
-                    lw, uw = np.linalg.eigh(s["w"])
-                    lw = np.maximum(lw, 1e-14 * max(float(lw[-1]), 1e-100))
-                    dhalf = (uw * np.sqrt(lw)) @ uw.T
-                    dihalf = (uw / np.sqrt(lw)) @ uw.T
-                    v = _sym(dihalf @ z @ dihalf)
-                    dzh = dihalf @ dz @ dihalf
-                    dyh = dhalf @ dy @ dhalf
-                    lv, qv = np.linalg.eigh(v)
-                    lv = np.maximum(lv, 1e-14 * max(float(lv[-1]), 1e-100))
-                    rhs_t = qv.T @ _sym(dzh @ dyh) @ qv
-                    u_c = qv @ (2.0 * rhs_t / np.add.outer(lv, lv)) @ qv.T
-                    corr = dhalf @ _sym(u_c) @ dhalf
-                    if not np.all(np.isfinite(corr)):
-                        corr = np.zeros_like(corr)
-                    rc.append(sigma * mu * s["yinv"] - z - corr)
-        else:
-            rc = [sigma * mu * s["yinv"] - z for s, z in zip(scal, zs)]
+            def directions(rc):
+                rhs = rd.copy()
+                for b, s, r, rcb in zip(bd, scal, rp, rc):
+                    if b.a.shape[0] == 0:
+                        continue
+                    if b.kind == "orthant":
+                        rhs -= s["atil"] @ (s["root"] * (rcb - r))
+                    else:
+                        stil = s["root"] @ (rcb - r) @ s["root"].T
+                        rhs -= np.einsum("iab,ab->i", s["atil"], stil)
+                dx = schur_solve(rhs)
+                dzs, dys = [], []
+                for b, s, r, rcb in zip(bd, scal, rp, rc):
+                    adx = b.apply(dx)
+                    dzs.append(r - adx)
+                    if b.kind == "orthant":
+                        dys.append((rcb - r + adx) * (s["root"] * s["root"]))
+                    else:
+                        inner = s["root"] @ (rcb - r + adx) @ s["root"].T
+                        dys.append(_sym(s["root"].T @ inner @ s["root"]))
+                if m:
+                    defect = rd - sum(
+                        (b.adjoint(dy) for b, dy in zip(bd, dys)),
+                        start=np.zeros(m))
+                    lam = np.linalg.solve(gram_reg, defect)
+                    for k, b in enumerate(bd):
+                        dys[k] = dys[k] + b.apply(lam)
+                return dx, dzs, dys
 
-        dx, dzs, dys = directions(rc)
-        ap, ad = max_steps(dzs, dys)
-        ap, ad = min(1.0, tau_eff * ap), min(1.0, tau_eff * ad)
-        if no_progress >= 3:
-            ap = ad = min(ap, ad)
+            def max_steps(dzs, dys):
+                ap = ad = np.inf
+                for b, s, z, y, dz, dy in zip(bd, scal, zs, ys, dzs, dys):
+                    if b.kind == "orthant":
+                        ap = min(ap, _max_step_orthant(z, dz))
+                        ad = min(ad, _max_step_orthant(y, dy))
+                    else:
+                        ap = min(ap, _max_step_psd(s["lz"], dz))
+                        ad = min(ad, _max_step_psd(s["ly"], dy))
+                return ap, ad
+
+            # Predictor (affine scaling) direction.
+            rc_aff = [-z for z in zs]
+            dx_a, dz_a, dy_a = directions(rc_aff)
+            ap_a, ad_a = max_steps(dz_a, dy_a)
+            ap_a, ad_a = min(1.0, tau * ap_a), min(1.0, tau * ad_a)
+            gap_aff = sum(float(np.sum((z + ap_a * dz) * (y + ad_a * dy)))
+                          for z, y, dz, dy in zip(zs, ys, dz_a, dy_a))
+            sigma = float(np.clip((max(gap_aff, 0.0) / gap) ** 3,
+                                  1e-8, 0.999)) if gap > 0 else 0.1
+            # Recenter when progress stalls: a pure centering step restores the
+            # proximity to the central path that cheap directions rely on.
+            tau_eff = tau
+            if no_progress >= 3:
+                sigma = max(sigma, 0.8)
+                tau_eff = min(tau, 0.9)
+
+            if no_progress < 3:
+                # Second-order term solved in the scaled space, where the
+                # complementarity linearization is sym(U V) = rhs; its solution
+                # in the eigenbasis of V is 2 rhs_ij / (lam_i + lam_j).
+                rc = []
+                for b, s, z, dz, dy in zip(bd, scal, zs, dz_a, dy_a):
+                    if b.kind == "orthant":
+                        rc.append(sigma * mu * s["yinv"] - z
+                                  - dz * dy * s["yinv"])
+                    else:
+                        lw, uw = np.linalg.eigh(s["w"])
+                        lw = np.maximum(lw, 1e-14 * max(float(lw[-1]), 1e-100))
+                        dhalf = (uw * np.sqrt(lw)) @ uw.T
+                        dihalf = (uw / np.sqrt(lw)) @ uw.T
+                        v = _sym(dihalf @ z @ dihalf)
+                        dzh = dihalf @ dz @ dihalf
+                        dyh = dhalf @ dy @ dhalf
+                        lv, qv = np.linalg.eigh(v)
+                        lv = np.maximum(lv, 1e-14 * max(float(lv[-1]), 1e-100))
+                        rhs_t = qv.T @ _sym(dzh @ dyh) @ qv
+                        u_c = qv @ (2.0 * rhs_t / np.add.outer(lv, lv)) @ qv.T
+                        corr = dhalf @ _sym(u_c) @ dhalf
+                        if not np.all(np.isfinite(corr)):
+                            corr = np.zeros_like(corr)
+                        rc.append(sigma * mu * s["yinv"] - z - corr)
+            else:
+                rc = [sigma * mu * s["yinv"] - z for s, z in zip(scal, zs)]
+
+            dx, dzs, dys = directions(rc)
+            ap, ad = max_steps(dzs, dys)
+            ap, ad = min(1.0, tau_eff * ap), min(1.0, tau_eff * ad)
+            if no_progress >= 3:
+                ap = ad = min(ap, ad)
+        except np.linalg.LinAlgError as exc:
+            message = f"linear algebra breakdown: {exc}"
+            break
 
         if max(ap, ad) < 1e-8:
             stall += 1

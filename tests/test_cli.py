@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from facred import cli
+from facred.reducing import AmbiguousOutcome
+from facred.reduction import ReductionError
 from facred.sdpa import emit_sdpa
+from facred.solver import SolverError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -190,3 +193,18 @@ def test_seed_printed_in_report(sdp_path):
     code, out = run_cli(["reduce", sdp_path, "--seed", "7"])
     assert code == 0
     assert "seed: 7" in out
+
+
+@pytest.mark.parametrize("error, code", [
+    (AmbiguousOutcome("rungs"), 2), (ReductionError("bound", None), 1),
+    (ValueError("tangent"), 1), (SolverError("stalled"), 1)])
+def test_dualize_solve_failure_exit_codes(sdp_path, monkeypatch, error, code):
+    """A reduction or solve failure behind the extended dual ends the run
+    with its exit code, not with an escaping exception."""
+    def failing(ext, options):
+        raise error
+
+    monkeypatch.setattr(cli, "solve_extended_dual", failing)
+    got, out = run_cli(["dualize", sdp_path, "--solve"])
+    assert got == code
+    assert "status: ok" not in out

@@ -4,12 +4,13 @@ import pytest
 from facred.extended import (VARIANTS, ExtendedDualPoint,
                              assemble_optimal_point, build_extended_dual,
                              check_extended_point, extract_dual_solution,
-                             fmin_membership, lift_to_psd, point_to_vector,
+                             fmin_membership, lift_to_psd,
                              solve_extended_dual)
 from facred.faces import tangent_membership_schur
 from facred.model import ConeBlock, ConicProgram, YElement
 from facred.sdpa import emit_sdpa, parse_sdpa
-from facred.solver import SolverOptions, solve_conic_lp, standard_dual
+from facred.solver import (SolverError, SolverOptions, solve_conic_lp,
+                           standard_dual)
 
 from conftest import random_strictly_feasible
 
@@ -34,15 +35,25 @@ def test_layout_round_trips_through_extraction(example_sdp):
         x = s
 
     pt, y = extract_dual_solution(ext, Fake())
-    z = point_to_vector(ext, pt)
-    np.testing.assert_allclose(z, ext.z_from_solution(s), atol=1e-12)
+    z = ext.z_from_solution(s)
+    n = example_sdp.blocks[0].size
+    iu = np.triu_indices(n)
+    for i in range(1, ext.ell + 2):
+        np.testing.assert_array_equal(pt.us[i].parts[0][iu],
+                                      z[ext.layout[("u", i, 0)]])
+        if i >= 2:
+            np.testing.assert_array_equal(pt.vs[i].parts[0][iu],
+                                          z[ext.layout[("v", i, 0)]])
+            np.testing.assert_array_equal(pt.ws[i][0].reshape(-1),
+                                          z[ext.layout[("w", i, 0)]])
+            assert pt.betas[i] == z[ext.layout[("beta", i)]][0]
     assert (y - pt.final_dual_point()).norm() == 0.0
 
 
 def test_depth_zero_collapses_to_standard_dual():
     p, _ = random_strictly_feasible(4, n=3, m=2)
     ext = build_extended_dual(p, "star", ell_override=0)
-    val, _, res = solve_extended_dual(ext)
+    val, _ = solve_extended_dual(ext)
     sd = standard_dual(p)
     ref = sd.value_of(solve_conic_lp(sd.program))
     assert val == pytest.approx(ref, abs=1e-5)
@@ -52,7 +63,7 @@ def test_variant_values_agree(example_sdp):
     vals = {}
     for variant in VARIANTS:
         ext = build_extended_dual(example_sdp, variant)
-        vals[variant], pt, _ = solve_extended_dual(ext)
+        vals[variant], pt = solve_extended_dual(ext)
         assert check_extended_point(example_sdp, pt, variant).ok
     spread = max(vals.values()) - min(vals.values())
     assert spread <= 1e-5
@@ -61,7 +72,7 @@ def test_variant_values_agree(example_sdp):
 
 def test_extraction_exposes_minimal_cone_dual(example_sdp):
     ext = build_extended_dual(example_sdp, "star")
-    _, pt, _ = solve_extended_dual(ext)
+    _, pt = solve_extended_dual(ext)
     y = pt.final_dual_point().parts[0]
     assert abs(y[0, 0]) <= 1e-6
     assert 2 * y[0, 1] == pytest.approx(1.0, abs=1e-6)
@@ -71,7 +82,7 @@ def test_extension_matches_standard_dual_when_regular():
     p, _ = random_strictly_feasible(3, n=4, m=3)
     sd = standard_dual(p)
     ref = sd.value_of(solve_conic_lp(sd.program))
-    val, pt, _ = solve_extended_dual(build_extended_dual(p, "star"))
+    val, pt = solve_extended_dual(build_extended_dual(p, "star"))
     assert val == pytest.approx(ref, abs=1e-5)
     assert check_extended_point(p, pt, "star").ok
 
@@ -163,3 +174,47 @@ def test_fmin_membership_fixtures(example_sdp):
 def test_fmin_membership_rejects_points_outside_cone(example_sdp):
     assert not fmin_membership(example_sdp,
                                YElement(example_sdp.blocks, [-np.eye(3)]))
+
+
+def test_fmin_membership_lets_bugs_through(example_sdp, monkeypatch):
+    """Only solver and reduction failures fall back; a programming error in
+    the facial-reduction fallback propagates."""
+    import facred.reduction
+
+    def broken(*args, **kwargs):
+        raise TypeError("injected")
+
+    monkeypatch.setattr(facred.reduction, "run_facial_reduction", broken)
+    with pytest.raises(TypeError, match="injected"):
+        fmin_membership(example_sdp,
+                        YElement(example_sdp.blocks, [np.diag([0.0, 1, 0])]))
+
+
+def _congruence(p, seed):
+    """The program with every data matrix rotated by one seeded random
+    orthogonal Q (a_i -> Q a_i Q^T, b -> Q b Q^T); its value is unchanged."""
+    n = p.blocks[0].size
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+
+    def rotate(y):
+        return YElement(p.blocks, [q @ y.parts[0] @ q.T])
+
+    return ConicProgram(p.blocks, [rotate(ai) for ai in p.a], rotate(p.b),
+                        p.c, name=p.name + " rotated")
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize("seed", range(10))
+def test_extended_value_is_right_or_raises(seed, rotated):
+    """On a regular program the star extended dual either reports the
+    standard dual value or raises SolverError, in any orthonormal basis."""
+    p, _ = random_strictly_feasible(seed, n=4, m=3)
+    sd = standard_dual(p)
+    ref = sd.value_of(solve_conic_lp(sd.program))
+    if rotated:
+        p = _congruence(p, 100 + seed)
+    try:
+        val, _ = solve_extended_dual(build_extended_dual(p, "star"))
+    except SolverError:
+        return
+    assert abs(val - ref) <= 1e-5 * (1.0 + abs(ref)), (val, ref)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from facred.faces import FaceRep, intersect_with_hyperplane, minimal_face
-from facred.model import ConeBlock, ConicProgram, YElement, primal_slack
+from facred.model import (ConeBlock, ConicProgram, YElement, adjoint_apply,
+                          primal_slack)
 from facred.reducing import (AmbiguousOutcome, reduced_program,
                              solve_reducing_pair, solve_restricted_to_face)
 from facred.solver import SolveStatus, solve_conic_lp
@@ -81,6 +82,11 @@ def test_restricted_solve_preserves_value(example_sdp):
     res = solve_restricted_to_face(example_sdp, face)
     assert res.status is SolveStatus.OPTIMAL
     assert res.primal_obj == pytest.approx(0.0, abs=1e-7)
+    # The dual comes back in the program's own blocks, solving A* y = c.
+    assert res.y.blocks == example_sdp.blocks
+    assert res.z.blocks == example_sdp.blocks
+    np.testing.assert_allclose(adjoint_apply(example_sdp, res.y),
+                               example_sdp.c, atol=1e-7)
 
 
 def test_restricted_solve_on_full_cone_matches_direct():

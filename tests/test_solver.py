@@ -128,3 +128,23 @@ def test_history_recorded():
     res = solve_conic_lp(simple_lp())
     assert len(res.iterates) == res.iterations + 1
     assert res.iterates[-1].mu <= res.iterates[0].mu
+
+
+def test_linear_algebra_breakdown_ends_the_solve(monkeypatch):
+    """A LinAlgError inside an iteration ends the solve with the best
+    iterate so far instead of escaping the solver."""
+    from facred import solver
+
+    real, calls = solver._max_step_psd, []
+
+    def flaky(chol_l, direction):
+        calls.append(1)
+        if len(calls) == 5:
+            raise np.linalg.LinAlgError("injected")
+        return real(chol_l, direction)
+
+    monkeypatch.setattr(solver, "_max_step_psd", flaky)
+    p, _ = random_strictly_feasible(1)
+    res = solve_conic_lp(p)
+    assert res.status is SolveStatus.NUMERICAL_FAILURE
+    assert "injected" in res.message
