@@ -122,8 +122,12 @@ def cmd_reduce(args) -> int:
     report.reducing_iterations = cert.reducing_count
     report.f_min = cert.minimal_face.describe()
     if args.cert:
-        with open(args.cert, "w", encoding="utf-8") as handle:
-            handle.write(certfile.write_certificate(cert))
+        try:
+            with open(args.cert, "w", encoding="utf-8") as handle:
+                handle.write(certfile.write_certificate(cert))
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         report.extra.append(f"certificate: {args.cert}")
     report.extra.append("status: ok")
     report.wall_time = time.perf_counter() - start
@@ -148,8 +152,12 @@ def cmd_dualize(args) -> int:
     report.extra.append(f"variant: {ext.variant}")
     report.extra.append(f"objective_offset: {_fmt(ext.offset)}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(sdpa.emit_sdpa(ext.program))
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(sdpa.emit_sdpa(ext.program))
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         report.extra.append(f"output: {args.out}")
     if args.solve:
         options = SolverOptions(max_iter=args.max_iter, seed=args.seed)

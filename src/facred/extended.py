@@ -31,12 +31,13 @@ objective carry no constant whenever possible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import config
 from .faces import in_tangent_space, split_on_face
-from .linalg import _svec, _unsvec
+from .linalg import _packed_index, _svec, _unsvec
 from .model import ConeBlock, ConicProgram, YElement, adjoint_apply
 from .reduction import VerificationReport, compute_ell
 from .solver import SolverError, SolverOptions, SolveStatus, solve_conic_lp
@@ -112,9 +113,13 @@ class ExtendedDualProgram:
     eliminating the equality constraints via ``z = z_particular +
     null_basis @ s`` the remaining cone constraints become the slack of
     ``program``.  The dual's value is ``offset - (sup value of program)``.
+
+    The layout, the objective and the elimination are computed by
+    build_extended_dual.  The encoded ``program`` (its cone-output maps and
+    one constraint element per null-basis column) is built on first read and
+    then kept; solving through the assembled point never reads it.
     """
 
-    program: ConicProgram
     variant: str
     ell: int
     source: ConicProgram          # lifted problem the dual was built from
@@ -124,12 +129,82 @@ class ExtendedDualProgram:
     null_basis: np.ndarray
     objective: np.ndarray         # q with <q, z> the dual objective
     offset: float
+    name: str                     # name of the encoded program
 
     def z_from_solution(self, s) -> np.ndarray:
         return self.z_particular + self.null_basis @ np.asarray(s, dtype=float)
 
     def value_of(self, res) -> float:
         return self.offset - res.primal_obj
+
+    @cached_property
+    def program(self) -> ConicProgram:
+        """The encoded sup-form program: one PSD output per layer and block
+        for u_i, and one bordered block per layer i >= 2 and block."""
+        sizes = [blk.size for blk in self.source.blocks]
+        layout, nz = self.layout, self.nz
+        out_blocks, phi_rows, phi0_rows = [], [], []
+
+        def add_output(size):
+            """Linear part and constant of one square output, row-major."""
+            lin = np.zeros((size * size, nz))
+            const = np.zeros(size * size)
+            out_blocks.append(ConeBlock("psd", size))
+            phi_rows.append(lin)
+            phi0_rows.append(const)
+            return lin, const
+
+        def put_packed(lin, size, key, n):
+            """Add the packed symmetric variable ``key`` to the leading n x n
+            corner of a size x size output."""
+            cols = np.arange(layout[key].start, layout[key].stop)
+            k, l, _ = _packed_index(n, 1.0)
+            lin[k * size + l, cols] += 1.0
+            off = k != l
+            lin[l[off] * size + k[off], cols[off]] += 1.0
+
+        for i in range(1, self.ell + 2):
+            for bi, n in enumerate(sizes):
+                lin, _ = add_output(n)
+                put_packed(lin, n, ("u", i, bi), n)
+        for i in range(2, self.ell + 2):
+            for bi, n in enumerate(sizes):
+                size = 2 * n
+                lin, const = add_output(size)
+                uppers = range(1, i) if self.variant == "star" else [i - 1]
+                for j in uppers:
+                    put_packed(lin, size, ("u", j, bi), n)
+                # w_i fills the off-diagonal corners, w_i^T mirrored below.
+                k, l = np.divmod(np.arange(n * n), n)
+                wcols = layout[("w", i, bi)].start + k * n + l
+                lin[k * size + (n + l), wcols] += 1.0
+                lin[(n + l) * size + k, wcols] += 1.0
+                diag = (n + np.arange(n)) * (size + 1)
+                if ("beta", i) in layout:
+                    lin[diag, layout[("beta", i)].start] += 1.0
+                else:
+                    const[diag] += 1.0
+
+        phi = np.vstack(phi_rows)
+        phi0 = np.concatenate(phi0_rows)
+        slack0 = phi0 + phi @ self.z_particular
+        cols = phi @ self.null_basis
+
+        def as_parts(flat):
+            parts, at = [], 0
+            for blk in out_blocks:
+                d = blk.size * blk.size
+                parts.append(0.5 * (flat[at:at + d].reshape(blk.size, blk.size)
+                                    + flat[at:at + d].reshape(blk.size, blk.size).T))
+                at += d
+            return parts
+
+        b_prog = YElement(out_blocks, as_parts(slack0))
+        a_prog = [YElement(out_blocks, as_parts(-cols[:, j]))
+                  for j in range(self.null_basis.shape[1])]
+        return ConicProgram(tuple(out_blocks), a_prog, b_prog,
+                            -(self.null_basis.T @ self.objective),
+                            name=self.name)
 
 
 def build_extended_dual(p: ConicProgram, variant: str = "star",
@@ -138,7 +213,10 @@ def build_extended_dual(p: ConicProgram, variant: str = "star",
 
     Orthant blocks are lifted to diagonal PSD blocks first.  The layer count
     defaults to compute_ell of the lifted program; ell = 0 collapses to the
-    ordinary dual.
+    ordinary dual.  This lays out the variables, writes the equality rows and
+    the objective, and eliminates the equalities (raising SolverError when
+    they are inconsistent); the encoded program is left to the first read of
+    ``.program``.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -193,7 +271,7 @@ def build_extended_dual(p: ConicProgram, variant: str = "star",
         for i in range(2, ell + 2):
             for bi, n in enumerate(sizes):
                 # v_i = w_i + w_i^T, one row per packed entry of v_i.
-                k, l = np.triu_indices(n)
+                k, l, _ = _packed_index(n, 1.0)
                 at = np.arange(k.size)
                 block = np.zeros((k.size, nz))
                 block[at, layout[("v", i, bi)].start + at] = 1.0
@@ -204,57 +282,6 @@ def build_extended_dual(p: ConicProgram, variant: str = "star",
 
     eq = np.array(rows).reshape(len(rows), nz)
     eq_rhs = np.array(rhs)
-
-    # --- cone outputs ------------------------------------------------------
-    out_blocks = []
-    phi_rows = []
-    phi0_rows = []
-
-    def add_output(size, fill):
-        """fill(mat_rows, const) writes the linear map for one square output."""
-        lin = np.zeros((size * size, nz))
-        const = np.zeros(size * size)
-        fill(lin, const, size)
-        out_blocks.append(ConeBlock("psd", size))
-        phi_rows.append(lin)
-        phi0_rows.append(const)
-
-    def put_packed(lin, size, key, n):
-        """Add the packed symmetric variable ``key`` to the leading n x n
-        corner of a size x size output."""
-        cols = np.arange(layout[key].start, layout[key].stop)
-        k, l = np.triu_indices(n)
-        lin[k * size + l, cols] += 1.0
-        off = k != l
-        lin[l[off] * size + k[off], cols[off]] += 1.0
-
-    for i in range(1, ell + 2):
-        for bi, n in enumerate(sizes):
-            def fill_u(lin, const, size, i=i, bi=bi, n=n):
-                put_packed(lin, size, ("u", i, bi), n)
-            add_output(n, fill_u)
-    for i in range(2, ell + 2):
-        for bi, n in enumerate(sizes):
-            def fill_t(lin, const, size, i=i, bi=bi, n=n):
-                uppers = range(1, i) if variant == "star" else [i - 1]
-                for j in uppers:
-                    put_packed(lin, size, ("u", j, bi), n)
-                wbase = layout[("w", i, bi)].start
-                for k in range(n):
-                    for l in range(n):
-                        lin[k * size + (n + l), wbase + k * n + l] += 1.0
-                        lin[(n + l) * size + k, wbase + k * n + l] += 1.0
-                if has_beta:
-                    bidx = layout[("beta", i)].start
-                    for k in range(n):
-                        lin[(n + k) * size + (n + k), bidx] += 1.0
-                else:
-                    for k in range(n):
-                        const[(n + k) * size + (n + k)] += 1.0
-            add_output(2 * n, fill_t)
-
-    phi = np.vstack(phi_rows)
-    phi0 = np.concatenate(phi0_rows)
 
     # --- objective ----------------------------------------------------------
     q = np.zeros(nz)
@@ -288,25 +315,9 @@ def build_extended_dual(p: ConicProgram, variant: str = "star",
         z_p = z_p - null @ (offset * bn / float(bn @ bn))
         offset = float(q @ z_p)
 
-    slack0 = phi0 + phi @ z_p
-    cols = phi @ null
-
-    def as_parts(flat):
-        parts, at = [], 0
-        for blk in out_blocks:
-            d = blk.size * blk.size
-            parts.append(0.5 * (flat[at:at + d].reshape(blk.size, blk.size)
-                                + flat[at:at + d].reshape(blk.size, blk.size).T))
-            at += d
-        return parts
-
-    b_prog = YElement(out_blocks, as_parts(slack0))
-    a_prog = [YElement(out_blocks, as_parts(-cols[:, j]))
-              for j in range(null.shape[1])]
-    prog = ConicProgram(tuple(out_blocks), a_prog, b_prog, -bn,
-                        name=f"{p.name} extended-{variant}".strip())
-    return ExtendedDualProgram(prog, variant, ell, lifted, dict(layout.slices),
-                               nz, z_p, null, q, offset)
+    return ExtendedDualProgram(variant, ell, lifted, dict(layout.slices), nz,
+                               z_p, null, q, offset,
+                               f"{p.name} extended-{variant}".strip())
 
 
 def extract_dual_solution(ext: ExtendedDualProgram, res):

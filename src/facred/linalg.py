@@ -8,6 +8,7 @@ eigenvector signs so repeated runs are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,6 +69,18 @@ def numeric_rank(eigenvalues: np.ndarray, tol: float = None) -> int:
     return int(np.sum(lam > cutoff))
 
 
+@lru_cache(maxsize=256)
+def _packed_index(n: int, off_diag: float):
+    """Row and column indices of the n x n upper triangle, row by row, and
+    the weight of each entry: 1 on the diagonal, ``off_diag`` off it.
+    Cached and read-only, shared by every packing of that shape."""
+    rows, cols = np.triu_indices(n)
+    weights = np.where(rows == cols, 1.0, off_diag)
+    for arr in (rows, cols, weights):
+        arr.flags.writeable = False
+    return rows, cols, weights
+
+
 def _svec(part: np.ndarray, kind: str,
           off_diag: float = np.sqrt(2.0)) -> np.ndarray:
     """Flatten a block payload's upper triangle row by row, off-diagonals
@@ -75,10 +88,8 @@ def _svec(part: np.ndarray, kind: str,
     the plain entries, 2 gives the functional of a symmetric matrix."""
     if kind == "orthant":
         return np.asarray(part, dtype=float).reshape(-1)
-    n = part.shape[0]
-    iu = np.triu_indices(n)
-    weights = np.where(iu[0] == iu[1], 1.0, off_diag)
-    return part[iu] * weights
+    rows, cols, weights = _packed_index(part.shape[0], off_diag)
+    return part[rows, cols] * weights
 
 
 def _unsvec(vec: np.ndarray, kind: str, size: int,
@@ -87,9 +98,8 @@ def _unsvec(vec: np.ndarray, kind: str, size: int,
     if kind == "orthant":
         return np.asarray(vec, dtype=float).copy()
     mat = np.zeros((size, size))
-    iu = np.triu_indices(size)
-    weights = np.where(iu[0] == iu[1], 1.0, 1.0 / off_diag)
-    mat[iu] = vec * weights
+    rows, cols, weights = _packed_index(size, 1.0 / off_diag)
+    mat[rows, cols] = vec * weights
     mat = mat + mat.T - np.diag(np.diag(mat))
     return mat
 

@@ -10,8 +10,9 @@ Nesterov-Todd scaling on PSD blocks and dense Schur-complement solves.
 Intended for desk-scale problems (ambient dimension up to a few thousand);
 no sparsity exploitation, no warm starts.
 
-The iterate history is kept on the result so callers can inspect how the
-solver approached problems whose optima are not attained.
+With ``SolverOptions(keep_history=True)`` every iterate is kept on the
+result, so callers can inspect how the solver approached problems whose
+optima are not attained; by default none is kept.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ STEP_FRACTION = 0.98
 @dataclass
 class SolverOptions:
     max_iter: int = 200
-    keep_history: bool = True
+    keep_history: bool = False
     seed: int = 0  # consumed by drivers that perturb, never by the solver itself
 
 
@@ -460,7 +461,14 @@ class StandardDualForm:
         return self.offset - res.primal_obj
 
     def y_iterates(self, res: SolveResult):
-        """Cone-feasible dual iterates (the solver's slack trajectory)."""
+        """Cone-feasible dual iterates (the solver's slack trajectory).
+
+        Raises ValueError when the solve kept no iterates (solve with
+        ``SolverOptions(keep_history=True)``).
+        """
+        if not res.iterates:
+            raise ValueError("the solve kept no iterates; "
+                             "pass SolverOptions(keep_history=True)")
         return [rec.z for rec in res.iterates]
 
 

@@ -93,7 +93,8 @@ def test_criterion_2_sdp_reduction(tmp_path, example_sdp):
 
 def test_criterion_3_unattained_dual(example_sdp):
     sd = standard_dual(example_sdp)
-    res = solve_conic_lp(sd.program, SolverOptions(max_iter=150))
+    res = solve_conic_lp(sd.program,
+                         SolverOptions(max_iter=150, keep_history=True))
     iterates = sd.y_iterates(res)
     assert all(y.parts[0][0, 0] > 0 for y in iterates)
     final = iterates[-1].parts[0]

@@ -175,6 +175,16 @@ def test_reduce_computes_the_bound_once(sdp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command, flag", [("reduce", "--cert"),
+                                           ("dualize", "--out")])
+def test_unwritable_output_exits_one(tmp_path, sdp_path, capsys, command, flag):
+    target = str(tmp_path / "missing" / "file")
+    code, out = run_cli([command, sdp_path, flag, target])
+    assert code == 1
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_parse_failure_exits_one(tmp_path):
     path = tmp_path / "broken.dat-s"
     path.write_text("not a header\n")

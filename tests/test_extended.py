@@ -50,6 +50,31 @@ def test_layout_round_trips_through_extraction(example_sdp):
     assert (y - pt.final_dual_point()).norm() == 0.0
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_encoded_slack_is_the_layered_point(example_sdp, variant):
+    """At any s, the slack of the encoded program holds the u_i and the
+    bordered blocks [[S_i, w_i], [w_i^T, D_i]] of the layered point z(s)."""
+    ext = build_extended_dual(example_sdp, variant, ell_override=2)
+    s = np.random.default_rng(3).normal(size=ext.null_basis.shape[1])
+
+    class Fake:
+        x = s
+
+    pt, _ = extract_dual_solution(ext, Fake())
+    n = example_sdp.blocks[0].size
+    expected = [u.parts[0] for u in pt.us[1:]]
+    for i in range(2, ext.ell + 2):
+        uppers = pt.us[1:i] if variant == "star" else [pt.us[i - 1]]
+        upper = sum(u.parts[0] for u in uppers)
+        w = pt.ws[i][0]
+        lower = pt.betas[i] * np.eye(n)
+        expected.append(np.block([[upper, w], [w.T, lower]]))
+    slack = ext.program.b - ext.program.apply(s)
+    assert len(slack.parts) == len(expected)
+    for got, want in zip(slack.parts, expected):
+        np.testing.assert_allclose(got, want, atol=1e-9)
+
+
 def test_depth_zero_collapses_to_standard_dual():
     p, _ = random_strictly_feasible(4, n=3, m=2)
     ext = build_extended_dual(p, "star", ell_override=0)
@@ -59,11 +84,27 @@ def test_depth_zero_collapses_to_standard_dual():
     assert val == pytest.approx(ref, abs=1e-5)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_raw_route_builds_the_program(example_sdp, variant):
+    """The fixture's one-step chain does not fit in ell = 0 layers, so the
+    encoded program is built on that solve and solved directly."""
+    ext = build_extended_dual(example_sdp, variant, ell_override=0)
+    assert "program" not in vars(ext)
+    val, _ = solve_extended_dual(ext)
+    assert "program" in vars(ext)
+    sd = standard_dual(example_sdp)
+    ref = sd.value_of(solve_conic_lp(sd.program))
+    assert val == pytest.approx(ref, abs=1e-3)  # both near the unattained zero
+
+
 def test_variant_values_agree(example_sdp):
+    """Every variant answers through the assembled point, which never needs
+    the encoded program: it stays unbuilt."""
     vals = {}
     for variant in VARIANTS:
         ext = build_extended_dual(example_sdp, variant)
         vals[variant], pt = solve_extended_dual(ext)
+        assert "program" not in vars(ext), variant
         assert check_extended_point(example_sdp, pt, variant).ok
     spread = max(vals.values()) - min(vals.values())
     assert spread <= 1e-5
@@ -154,6 +195,7 @@ def test_extended_dual_emits_valid_sdpa(example_sdp):
     back = parse_sdpa(text)
     assert back.m == ext.program.m
     assert (back.b - ext.program.b).norm() <= 1e-12
+    assert back.name == ext.program.name == "sdp3 extended-primed"
 
 
 def test_build_rejects_bad_input(example_sdp):

@@ -70,7 +70,8 @@ def test_unattained_dual_iterates(example_sdp):
     objective drifts toward zero while the (1,1) entry stays positive on
     every cone-interior iterate."""
     sd = standard_dual(example_sdp)
-    res = solve_conic_lp(sd.program, SolverOptions(max_iter=150))
+    res = solve_conic_lp(sd.program,
+                         SolverOptions(max_iter=150, keep_history=True))
     iterates = sd.y_iterates(res)
     assert len(iterates) > 5
     assert all(y.parts[0][0, 0] > 0 for y in iterates)
@@ -125,9 +126,19 @@ def test_optimal_status_meets_contract():
 
 
 def test_history_recorded():
-    res = solve_conic_lp(simple_lp())
+    res = solve_conic_lp(simple_lp(), SolverOptions(keep_history=True))
     assert len(res.iterates) == res.iterations + 1
     assert res.iterates[-1].mu <= res.iterates[0].mu
+
+
+def test_history_off_by_default(example_sdp):
+    """No iterate is kept unless asked for, and the dual trajectory of a
+    solve without one is an error rather than a vacuously empty list."""
+    sd = standard_dual(example_sdp)
+    res = solve_conic_lp(sd.program)
+    assert res.iterates == []
+    with pytest.raises(ValueError, match="kept no iterates"):
+        sd.y_iterates(res)
 
 
 def test_linear_algebra_breakdown_ends_the_solve(monkeypatch):
