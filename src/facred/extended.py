@@ -130,6 +130,7 @@ class ExtendedDualProgram:
     objective: np.ndarray         # q with <q, z> the dual objective
     offset: float
     name: str                     # name of the encoded program
+    bound: int = None             # compute_ell of source; None if ell was given
 
     def z_from_solution(self, s) -> np.ndarray:
         return self.z_particular + self.null_basis @ np.asarray(s, dtype=float)
@@ -223,7 +224,8 @@ def build_extended_dual(p: ConicProgram, variant: str = "star",
     if ell_override is not None and ell_override < 0:
         raise ValueError("layer count must be nonnegative")
     lifted = lift_to_psd(p)
-    ell = compute_ell(lifted) if ell_override is None else int(ell_override)
+    bound = compute_ell(lifted) if ell_override is None else None
+    ell = bound if ell_override is None else int(ell_override)
     blocks = lifted.blocks
     sizes = [blk.size for blk in blocks]
     m = lifted.m
@@ -317,7 +319,7 @@ def build_extended_dual(p: ConicProgram, variant: str = "star",
 
     return ExtendedDualProgram(variant, ell, lifted, dict(layout.slices), nz,
                                z_p, null, q, offset,
-                               f"{p.name} extended-{variant}".strip())
+                               f"{p.name} extended-{variant}".strip(), bound)
 
 
 def extract_dual_solution(ext: ExtendedDualProgram, res):
@@ -462,8 +464,8 @@ class _ChainTooLong(SolverError):
 
 
 def assemble_optimal_point(p: ConicProgram, variant: str = "star",
-                           ell: int = None,
-                           options: SolverOptions = None) -> ExtendedDualPoint:
+                           ell: int = None, options: SolverOptions = None,
+                           bound: int = None) -> ExtendedDualPoint:
     """Construct an optimal point of the chosen extended dual from a facial
     reduction run of the source program.
 
@@ -472,7 +474,9 @@ def assemble_optimal_point(p: ConicProgram, variant: str = "star",
     regularized by the minimal cone.  The "simple" family takes cumulative
     sums of the chain, and the identity-block variants additionally rescale
     the layers so the fixed identity suffices as the bordered block's lower
-    corner.  Requires ell at least the chain length.
+    corner.  Requires ell at least the chain length.  ``bound``, when
+    given, is compute_ell of the lifted program, already known to the
+    caller; the reduction then does not compute it again.
     """
     from .reduction import decompose_certificates, run_facial_reduction
 
@@ -480,7 +484,7 @@ def assemble_optimal_point(p: ConicProgram, variant: str = "star",
         raise ValueError(f"unknown variant {variant!r}")
     options = options or SolverOptions()
     lifted = lift_to_psd(p)
-    cert = run_facial_reduction(lifted, options=options)
+    cert = run_facial_reduction(lifted, options=options, ell=bound)
     if ell is None:
         ell = cert.ell
     if cert.steps > ell:
@@ -542,7 +546,8 @@ def assemble_optimal_point(p: ConicProgram, variant: str = "star",
 
 def solve_extended_dual(ext: ExtendedDualProgram,
                         options: SolverOptions = None):
-    """Optimal value and optimal point of the extended dual: (value, point).
+    """Optimal value and optimal point of the extended dual, with the
+    point's verification: (value, point, report).
 
     The point is assembled from a facial reduction of the source program:
     the chain supplies the inner layers and the attained optimum of the dual
@@ -552,24 +557,26 @@ def solve_extended_dual(ext: ExtendedDualProgram,
     its objective is the value.  A point that fails verification raises
     SolverError.  Only when the chain does not fit in ``ell`` layers (for
     instance ell = 0, the ordinary dual) is the encoded program solved
-    directly, and a solve that ends infeasible or unbounded raises
-    SolverError.
+    directly; a solve that ends infeasible or unbounded raises SolverError,
+    and otherwise its point is returned with its report, passed or not.
     """
     options = options or SolverOptions()
     try:
-        pt = assemble_optimal_point(ext.source, ext.variant, ext.ell, options)
+        pt = assemble_optimal_point(ext.source, ext.variant, ext.ell, options,
+                                    bound=ext.bound)
     except _ChainTooLong:
         res = solve_conic_lp(ext.program, options)
         if res.status not in (SolveStatus.OPTIMAL,
                               SolveStatus.NUMERICAL_FAILURE):
             raise SolverError(f"extended dual solve ended {res.status.value}")
         pt, _ = extract_dual_solution(ext, res)
-        return ext.value_of(res), pt
+        return (ext.value_of(res), pt,
+                check_extended_point(ext.source, pt, ext.variant))
     report = check_extended_point(ext.source, pt, ext.variant)
     if not report.ok:
         failed = ", ".join(c.name for c in report.failures())
         raise SolverError(f"assembled extended dual point fails: {failed}")
-    return report.objective, pt
+    return report.objective, pt, report
 
 
 def fmin_membership(p: ConicProgram, s: YElement, tol: float = None) -> bool:

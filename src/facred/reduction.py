@@ -86,11 +86,13 @@ def compute_ell(p: ConicProgram, tol: float = None) -> int:
 
 
 def run_facial_reduction(p: ConicProgram, tol: float = None,
-                         options: SolverOptions = None) -> ReductionCertificate:
+                         options: SolverOptions = None,
+                         ell: int = None) -> ReductionCertificate:
     """Compute the minimal cone of a feasible program.
 
     Returns the full certificate chain, carrying the bound ``ell`` from
-    compute_ell; raises ReductionError (with the partial chain attached)
+    compute_ell (pass ``ell`` when the caller already computed it for this
+    program); raises ReductionError (with the partial chain attached)
     when a reducing solve fails or the theoretical iteration bound is
     exceeded, and propagates AmbiguousOutcome (partial chain attached) when
     a reducing value falls between the decision rungs.
@@ -105,7 +107,8 @@ def run_facial_reduction(p: ConicProgram, tol: float = None,
     ys = [YElement.zeros(p.blocks)]
     faces = [face]
     flags = []
-    ell = compute_ell(p)
+    if ell is None:
+        ell = compute_ell(p)
 
     def partial():
         return ReductionCertificate(ys, faces, flags, None, ell)

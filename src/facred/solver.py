@@ -6,9 +6,13 @@ Solves the pair
     s.t. b - sum x_i a_i = z in K    s.t. <a_i, y> = c_i,  y in K
 
 by an infeasible-start predictor-corrector path-following method with
-Nesterov-Todd scaling on PSD blocks and dense Schur-complement solves.
-Intended for desk-scale problems (ambient dimension up to a few thousand);
-no sparsity exploitation, no warm starts.
+Nesterov-Todd scaling on PSD blocks.  Each iteration works in the NT-scaled
+space: one Cholesky factor and one eigendecomposition per PSD block give
+the scaling root, Y^-1, the whitened step-length tests and the Mehrotra
+second-order term, and the Schur system is solved through one QR
+factorization of the stacked scaled data.  Intended for desk-scale problems
+(ambient dimension up to a few thousand); no sparsity exploitation, no warm
+starts.
 
 With ``SolverOptions(keep_history=True)`` every iterate is kept on the
 result, so callers can inspect how the solver approached problems whose
@@ -90,11 +94,43 @@ def _sym(mat):
     return 0.5 * (mat + mat.T)
 
 
-def _max_step_psd(chol_l, direction):
-    """Largest alpha with Z + alpha * direction psd, given chol(Z)."""
-    s = np.linalg.solve(chol_l, direction)
-    s = np.linalg.solve(chol_l, s.T)
-    lam_min = float(np.linalg.eigvalsh(_sym(s))[0])
+def _psd_scaling(z, y):
+    """Nesterov-Todd factors of one PSD block at the interior pair (Z, Y).
+
+    With Z = L L^T and L^T Y L = U diag(lam) U^T, the scaling root
+    R = lam^1/4 U^T L^-1 satisfies W^-1 = R^T R and
+    R Z R^T = R^-T Y R^-1 = diag(v), v = lam^1/2, and R^-1 = g lam^-1/4
+    with g = L U.  Returns R ("root"), R^-1 ("rinv"), v, Y^-1 = g lam^-1 g^T
+    ("yinv") and the bases h = L^-T U ("hz") and g lam^-1/2 ("hy") with
+    h^T Z h = hy^T Y hy = I, which whiten the step-length tests.
+    """
+    lz = np.linalg.cholesky(z)
+    lam, u = np.linalg.eigh(_sym(lz.T @ y @ lz))
+    if lam[0] <= 0:
+        raise np.linalg.LinAlgError("scaling matrix not PD")
+    g = lz @ u
+    q = lam ** 0.25
+    v = np.sqrt(lam)
+    h = np.linalg.solve(lz.T, u)
+    return {"root": q[:, None] * h.T, "rinv": g / q, "v": v, "hz": h,
+            "hy": g / v, "yinv": _sym((g / lam) @ g.T)}
+
+
+def _second_order_psd(scaling, dz, dy):
+    """Mehrotra's second-order term of one PSD block, formed where the
+    scaled point V = diag(v) is diagonal: the U with
+    sym(U V) = sym(R dZ R^T R^-T dY R^-1) is 2 sym(.)_ij / (v_i + v_j)
+    entrywise, mapped back as R^-1 U R^-T."""
+    root, rinv, v = scaling["root"], scaling["rinv"], scaling["v"]
+    dzt = root @ dz @ root.T
+    dyt = rinv.T @ dy @ rinv
+    return rinv @ (2.0 * _sym(dzt @ dyt) / np.add.outer(v, v)) @ rinv.T
+
+
+def _max_step_whitened(basis, direction):
+    """Largest alpha with X + alpha * direction psd, given a basis with
+    basis^T X basis = I (so the test is on basis^T direction basis)."""
+    lam_min = float(np.linalg.eigvalsh(_sym(basis.T @ direction @ basis))[0])
     if lam_min >= -1e-14:
         return np.inf
     return -1.0 / lam_min
@@ -114,19 +150,37 @@ class _BlockData:
         self.kind = kind
         self.size = size
         self.a = a_stack        # (m, n, n) or (m, d)
+        self.flat = a_stack.reshape(len(a_stack), b_part.size)
         self.b = b_part
 
     def apply(self, x):
-        if self.a.shape[0] == 0:
-            return np.zeros_like(self.b)
-        return np.tensordot(x, self.a, axes=(0, 0))
+        return (x @ self.flat).reshape(self.b.shape)
 
     def adjoint(self, y_part):
-        if self.a.shape[0] == 0:
-            return np.zeros(0)
-        if self.kind == "orthant":
-            return self.a @ y_part
-        return np.einsum("iab,ab->i", self.a, y_part)
+        return self.flat @ y_part.ravel()
+
+
+def _schur_solver(tmat):
+    """Solver for the Schur system (T^T T) dx = rhs of the scaled data T.
+
+    One QR factorization T = Q R gives T^T T = R^T R without forming it.
+    Each solve takes one correction step against T itself, because the
+    semi-normal equations alone are not backward stable.  A rank-deficient
+    T gets the minimum-norm least-squares solution instead.
+    """
+    m = tmat.shape[1]
+    r_t = np.linalg.qr(tmat, mode="r")
+    diag = np.abs(np.diag(r_t))
+    if r_t.shape[0] < m or (m and diag.min() <= 1e-13 * diag.max()):
+        mat = r_t.T @ r_t
+        return lambda rhs: np.linalg.lstsq(mat, rhs, rcond=None)[0]
+    r_inv = np.linalg.inv(r_t)
+
+    def solve(rhs):
+        sol = r_inv @ (r_inv.T @ rhs)
+        return sol + r_inv @ (r_inv.T @ (rhs - tmat.T @ (tmat @ sol)))
+
+    return solve
 
 
 def _prepare_blocks(p: ConicProgram):
@@ -177,11 +231,9 @@ def solve_conic_lp(p: ConicProgram, options: SolverOptions = None) -> SolveResul
     # Gram matrix of the constraint elements, used to re-project dual
     # directions onto A*(dY) = r_d exactly; the Schur solve alone loses that
     # identity once the scaling becomes ill-conditioned near the optimum.
-    gram = np.zeros((m, m))
-    for b in bd:
-        if b.a.shape[0]:
-            gram += b.a.reshape(m, -1) @ b.a.reshape(m, -1).T
-    gram_reg = gram + 1e-12 * max(1.0, float(np.trace(gram)) / max(m, 1)) * np.eye(m)
+    gram = sum(b.flat @ b.flat.T for b in bd)
+    gram_inv = np.linalg.inv(
+        gram + 1e-12 * max(1.0, float(np.trace(gram)) / max(m, 1)) * np.eye(m))
 
     bnorm = p.b.norm()
     cnorm = float(np.linalg.norm(p.c))
@@ -260,9 +312,8 @@ def solve_conic_lp(p: ConicProgram, options: SolverOptions = None) -> SolveResul
             message = "iteration limit reached"
             break
 
-        # Nesterov-Todd scaling per block.  The scaling root R satisfies
-        # W^-1 = R^T R, so the Schur complement becomes a Gram matrix of the
-        # transformed constraint data (PSD by construction).
+        # Nesterov-Todd scaling per block (see _psd_scaling).  The Schur
+        # complement is T^T T for the stacked scaled data T.
         try:
             scal = []
             for b, z, y in zip(bd, zs, ys):
@@ -270,62 +321,25 @@ def solve_conic_lp(p: ConicProgram, options: SolverOptions = None) -> SolveResul
                     if np.min(z) <= 0 or np.min(y) <= 0:
                         raise np.linalg.LinAlgError("interior lost")
                     root = np.sqrt(y / z)
-                    scal.append({"w2": z / y, "root": root, "yinv": 1.0 / y,
-                                 "atil": b.a * root if b.a.shape[0] else b.a})
+                    scal.append({"root": root, "yinv": 1.0 / y,
+                                 "atil": b.flat * root})
                 else:
-                    lz = np.linalg.cholesky(z)
-                    mz = _sym(lz.T @ y @ lz)
-                    lam, u = np.linalg.eigh(mz)
-                    if lam[0] <= 0:
-                        raise np.linalg.LinAlgError("scaling matrix not PD")
-                    h = np.linalg.solve(lz.T, u)
-                    root = (lam ** 0.25)[:, None] * h.T
-                    g = lz @ u
-                    w = _sym((g / np.sqrt(lam)) @ g.T)
-                    ly = np.linalg.cholesky(y)
-                    li = np.linalg.solve(ly, np.eye(b.size))
-                    yinv = _sym(li.T @ li)
-                    atil = root @ b.a @ root.T if b.a.shape[0] else b.a
-                    scal.append({"w": w, "root": root, "yinv": yinv, "lz": lz,
-                                 "ly": ly, "atil": atil})
+                    s = _psd_scaling(z, y)
+                    s["atil"] = (s["root"] @ b.a @ s["root"].T).reshape(
+                        b.flat.shape)
+                    scal.append(s)
 
-            mat = np.zeros((m, m))
-            for b, s in zip(bd, scal):
-                if b.a.shape[0] == 0:
-                    continue
-                mat += s["atil"].reshape(m, -1) @ s["atil"].reshape(m, -1).T
-            mat = _sym(mat)
-
-            diag_scale = max(1.0, float(np.trace(mat)) / max(m, 1))
-            ridge = 0.0
-            for attempt in range(6):
-                try:
-                    np.linalg.cholesky(mat + ridge * np.eye(m))
-                    break
-                except np.linalg.LinAlgError:
-                    ridge = max(ridge * 100.0, 1e-13 * diag_scale)
-            mreg = mat + ridge * np.eye(m)
-
-            def schur_solve(rhs):
-                if m == 0:
-                    return np.zeros(0)
-                try:
-                    sol = np.linalg.solve(mreg, rhs)
-                    sol += np.linalg.solve(mreg, rhs - mat @ sol)
-                except np.linalg.LinAlgError:
-                    sol = np.linalg.lstsq(mat, rhs, rcond=None)[0]
-                return sol
+            schur_solve = _schur_solver(
+                np.concatenate([s["atil"] for s in scal], axis=1).T)
 
             def directions(rc):
                 rhs = rd.copy()
                 for b, s, r, rcb in zip(bd, scal, rp, rc):
-                    if b.a.shape[0] == 0:
-                        continue
                     if b.kind == "orthant":
-                        rhs -= s["atil"] @ (s["root"] * (rcb - r))
+                        stil = s["root"] * (rcb - r)
                     else:
                         stil = s["root"] @ (rcb - r) @ s["root"].T
-                        rhs -= np.einsum("iab,ab->i", s["atil"], stil)
+                    rhs -= s["atil"] @ stil.ravel()
                 dx = schur_solve(rhs)
                 dzs, dys = [], []
                 for b, s, r, rcb in zip(bd, scal, rp, rc):
@@ -340,7 +354,7 @@ def solve_conic_lp(p: ConicProgram, options: SolverOptions = None) -> SolveResul
                     defect = rd - sum(
                         (b.adjoint(dy) for b, dy in zip(bd, dys)),
                         start=np.zeros(m))
-                    lam = np.linalg.solve(gram_reg, defect)
+                    lam = gram_inv @ defect
                     for k, b in enumerate(bd):
                         dys[k] = dys[k] + b.apply(lam)
                 return dx, dzs, dys
@@ -352,8 +366,8 @@ def solve_conic_lp(p: ConicProgram, options: SolverOptions = None) -> SolveResul
                         ap = min(ap, _max_step_orthant(z, dz))
                         ad = min(ad, _max_step_orthant(y, dy))
                     else:
-                        ap = min(ap, _max_step_psd(s["lz"], dz))
-                        ad = min(ad, _max_step_psd(s["ly"], dy))
+                        ap = min(ap, _max_step_whitened(s["hz"], dz))
+                        ad = min(ad, _max_step_whitened(s["hy"], dy))
                 return ap, ad
 
             # Predictor (affine scaling) direction.
@@ -373,27 +387,13 @@ def solve_conic_lp(p: ConicProgram, options: SolverOptions = None) -> SolveResul
                 tau_eff = min(tau, 0.9)
 
             if no_progress < 3:
-                # Second-order term solved in the scaled space, where the
-                # complementarity linearization is sym(U V) = rhs; its solution
-                # in the eigenbasis of V is 2 rhs_ij / (lam_i + lam_j).
                 rc = []
                 for b, s, z, dz, dy in zip(bd, scal, zs, dz_a, dy_a):
                     if b.kind == "orthant":
                         rc.append(sigma * mu * s["yinv"] - z
                                   - dz * dy * s["yinv"])
                     else:
-                        lw, uw = np.linalg.eigh(s["w"])
-                        lw = np.maximum(lw, 1e-14 * max(float(lw[-1]), 1e-100))
-                        dhalf = (uw * np.sqrt(lw)) @ uw.T
-                        dihalf = (uw / np.sqrt(lw)) @ uw.T
-                        v = _sym(dihalf @ z @ dihalf)
-                        dzh = dihalf @ dz @ dihalf
-                        dyh = dhalf @ dy @ dhalf
-                        lv, qv = np.linalg.eigh(v)
-                        lv = np.maximum(lv, 1e-14 * max(float(lv[-1]), 1e-100))
-                        rhs_t = qv.T @ _sym(dzh @ dyh) @ qv
-                        u_c = qv @ (2.0 * rhs_t / np.add.outer(lv, lv)) @ qv.T
-                        corr = dhalf @ _sym(u_c) @ dhalf
+                        corr = _second_order_psd(s, dz, dy)
                         if not np.all(np.isfinite(corr)):
                             corr = np.zeros_like(corr)
                         rc.append(sigma * mu * s["yinv"] - z - corr)

@@ -69,6 +69,19 @@ def random_strictly_feasible(seed, n=4, m=3):
     return ConicProgram(blocks, a, b, c, name=f"rand{seed}"), xbar
 
 
+def congruence(p, seed):
+    """The program with every data matrix rotated by one seeded random
+    orthogonal Q (a_i -> Q a_i Q^T, b -> Q b Q^T); its value is unchanged."""
+    n = p.blocks[0].size
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+
+    def rotate(y):
+        return YElement(p.blocks, [q @ y.parts[0] @ q.T])
+
+    return ConicProgram(p.blocks, [rotate(ai) for ai in p.a], rotate(p.b),
+                        p.c, name=p.name + " rotated")
+
+
 def random_degenerate(seed, n=4, m=3, kind="psd"):
     """Random program without a strictly feasible point: the data is made
     orthogonal to a boundary certificate y1 and the right-hand side places

@@ -108,7 +108,7 @@ def test_criterion_4_strong_duality_restored(example_sdp):
     start = time.perf_counter()
     for variant in VARIANTS:
         ext = build_extended_dual(example_sdp, variant)
-        value, point = solve_extended_dual(ext)
+        value, point, _ = solve_extended_dual(ext)
         assert abs(value) <= 1e-5, (variant, value)
         report = check_extended_point(example_sdp, point, variant)
         assert report.ok, (variant, [c.name for c in report.failures()])
@@ -268,7 +268,7 @@ def test_criterion_9_depth_padding_invariance(example_sdp):
     values = []
     for ell in (2, 3, 4):
         ext = build_extended_dual(example_sdp, "star", ell_override=ell)
-        value, _ = solve_extended_dual(ext)
+        value, _, _ = solve_extended_dual(ext)
         values.append(value)
     assert max(values) - min(values) <= 1e-5
     print(f"criterion 9 (depth padding invariance): pass "

@@ -175,6 +175,34 @@ def test_reduce_computes_the_bound_once(sdp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_dualize_computes_the_bound_once(sdp_path, monkeypatch):
+    """The bound the builder computed is handed to the facial reduction
+    behind --solve, and the verified assembled point is not checked again."""
+    from facred import extended, reduction
+
+    calls = {"bound": 0, "check": 0}
+
+    def count(name, key, *modules):
+        """Count calls of ``name`` through every module that binds it."""
+        original = getattr(modules[0], name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        for module in modules:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+
+    count("nullspace_basis", "bound", reduction)
+    count("check_extended_point", "check", extended, cli)
+    code, out = run_cli(["dualize", sdp_path, "--solve"])
+    assert code == 0
+    assert "ell: 3" in out.splitlines()
+    assert "point_verified: yes" in out.splitlines()
+    assert calls == {"bound": 1, "check": 1}
+
+
 @pytest.mark.parametrize("command, flag", [("reduce", "--cert"),
                                            ("dualize", "--out")])
 def test_unwritable_output_exits_one(tmp_path, sdp_path, capsys, command, flag):

@@ -12,7 +12,7 @@ from facred.sdpa import emit_sdpa, parse_sdpa
 from facred.solver import (SolverError, SolverOptions, solve_conic_lp,
                            standard_dual)
 
-from conftest import random_strictly_feasible
+from conftest import congruence, random_strictly_feasible
 
 
 def test_lift_embeds_orthant_blocks(example_lp):
@@ -78,7 +78,7 @@ def test_encoded_slack_is_the_layered_point(example_sdp, variant):
 def test_depth_zero_collapses_to_standard_dual():
     p, _ = random_strictly_feasible(4, n=3, m=2)
     ext = build_extended_dual(p, "star", ell_override=0)
-    val, _ = solve_extended_dual(ext)
+    val, _, _ = solve_extended_dual(ext)
     sd = standard_dual(p)
     ref = sd.value_of(solve_conic_lp(sd.program))
     assert val == pytest.approx(ref, abs=1e-5)
@@ -90,7 +90,7 @@ def test_raw_route_builds_the_program(example_sdp, variant):
     encoded program is built on that solve and solved directly."""
     ext = build_extended_dual(example_sdp, variant, ell_override=0)
     assert "program" not in vars(ext)
-    val, _ = solve_extended_dual(ext)
+    val, _, _ = solve_extended_dual(ext)
     assert "program" in vars(ext)
     sd = standard_dual(example_sdp)
     ref = sd.value_of(solve_conic_lp(sd.program))
@@ -103,7 +103,7 @@ def test_variant_values_agree(example_sdp):
     vals = {}
     for variant in VARIANTS:
         ext = build_extended_dual(example_sdp, variant)
-        vals[variant], pt = solve_extended_dual(ext)
+        vals[variant], pt, _ = solve_extended_dual(ext)
         assert "program" not in vars(ext), variant
         assert check_extended_point(example_sdp, pt, variant).ok
     spread = max(vals.values()) - min(vals.values())
@@ -113,7 +113,7 @@ def test_variant_values_agree(example_sdp):
 
 def test_extraction_exposes_minimal_cone_dual(example_sdp):
     ext = build_extended_dual(example_sdp, "star")
-    _, pt = solve_extended_dual(ext)
+    _, pt, _ = solve_extended_dual(ext)
     y = pt.final_dual_point().parts[0]
     assert abs(y[0, 0]) <= 1e-6
     assert 2 * y[0, 1] == pytest.approx(1.0, abs=1e-6)
@@ -123,7 +123,7 @@ def test_extension_matches_standard_dual_when_regular():
     p, _ = random_strictly_feasible(3, n=4, m=3)
     sd = standard_dual(p)
     ref = sd.value_of(solve_conic_lp(sd.program))
-    val, pt = solve_extended_dual(build_extended_dual(p, "star"))
+    val, pt, _ = solve_extended_dual(build_extended_dual(p, "star"))
     assert val == pytest.approx(ref, abs=1e-5)
     assert check_extended_point(p, pt, "star").ok
 
@@ -221,28 +221,22 @@ def test_fmin_membership_rejects_points_outside_cone(example_sdp):
 def test_fmin_membership_lets_bugs_through(example_sdp, monkeypatch):
     """Only solver and reduction failures fall back; a programming error in
     the facial-reduction fallback propagates."""
+    import facred.extended
     import facred.reduction
 
     def broken(*args, **kwargs):
         raise TypeError("injected")
 
+    def unconverged(prog, options=None):
+        # A one-iteration membership solve is unusable, so the decision
+        # always goes to the facial-reduction fallback.
+        return solve_conic_lp(prog, SolverOptions(max_iter=1))
+
+    monkeypatch.setattr(facred.extended, "solve_conic_lp", unconverged)
     monkeypatch.setattr(facred.reduction, "run_facial_reduction", broken)
     with pytest.raises(TypeError, match="injected"):
         fmin_membership(example_sdp,
                         YElement(example_sdp.blocks, [np.diag([0.0, 1, 0])]))
-
-
-def _congruence(p, seed):
-    """The program with every data matrix rotated by one seeded random
-    orthogonal Q (a_i -> Q a_i Q^T, b -> Q b Q^T); its value is unchanged."""
-    n = p.blocks[0].size
-    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
-
-    def rotate(y):
-        return YElement(p.blocks, [q @ y.parts[0] @ q.T])
-
-    return ConicProgram(p.blocks, [rotate(ai) for ai in p.a], rotate(p.b),
-                        p.c, name=p.name + " rotated")
 
 
 @pytest.mark.parametrize("rotated", [False, True])
@@ -254,9 +248,9 @@ def test_extended_value_is_right_or_raises(seed, rotated):
     sd = standard_dual(p)
     ref = sd.value_of(solve_conic_lp(sd.program))
     if rotated:
-        p = _congruence(p, 100 + seed)
+        p = congruence(p, 100 + seed)
     try:
-        val, _ = solve_extended_dual(build_extended_dual(p, "star"))
+        val, _, _ = solve_extended_dual(build_extended_dual(p, "star"))
     except SolverError:
         return
     assert abs(val - ref) <= 1e-5 * (1.0 + abs(ref)), (val, ref)

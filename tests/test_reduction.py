@@ -13,8 +13,8 @@ from facred.reduction import (ReductionCertificate, ReductionError,
                               verify_certificate_chain)
 from facred.solver import SolverError
 
-from conftest import (paper_chain_long, paper_chain_short, random_degenerate,
-                      random_strictly_feasible, sdp_chain)
+from conftest import (congruence, paper_chain_long, paper_chain_short,
+                      random_degenerate, random_strictly_feasible, sdp_chain)
 
 
 def test_compute_ell_lp(example_lp):
@@ -194,3 +194,19 @@ def test_failed_retry_keeps_the_partial_chain(example_sdp, monkeypatch,
     assert chain is not None
     assert chain.steps == 0
     assert chain.ell == compute_ell(example_sdp)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("seed", range(5))
+def test_face_ranks_survive_a_congruence(seed, n):
+    """Rotating every data matrix by one orthogonal Q maps the minimal cone
+    to its congruent face: the reduction either reports the face ranks of
+    the program as generated or fails loudly, never other ranks."""
+    p, _ = random_degenerate(seed, n=n, m=2 * n // 3)
+    ranks = [face.ranks for face in run_facial_reduction(p).faces]
+    assert ranks[-1][0] < n
+    try:
+        cert = run_facial_reduction(congruence(p, 200 + seed))
+    except (ReductionError, AmbiguousOutcome):
+        return
+    assert [face.ranks for face in cert.faces] == ranks

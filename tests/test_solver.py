@@ -146,16 +146,78 @@ def test_linear_algebra_breakdown_ends_the_solve(monkeypatch):
     iterate so far instead of escaping the solver."""
     from facred import solver
 
-    real, calls = solver._max_step_psd, []
+    real, calls = solver._max_step_whitened, []
 
-    def flaky(chol_l, direction):
+    def flaky(basis, direction):
         calls.append(1)
         if len(calls) == 5:
             raise np.linalg.LinAlgError("injected")
-        return real(chol_l, direction)
+        return real(basis, direction)
 
-    monkeypatch.setattr(solver, "_max_step_psd", flaky)
+    monkeypatch.setattr(solver, "_max_step_whitened", flaky)
     p, _ = random_strictly_feasible(1)
     res = solve_conic_lp(p)
     assert res.status is SolveStatus.NUMERICAL_FAILURE
     assert "injected" in res.message
+
+
+def _spd(rng, n, spread):
+    """Random symmetric positive-definite matrix with eigenvalues spread
+    over ``spread`` decades."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return (q * np.logspace(0, -spread, n)) @ q.T
+
+
+def _sqrtm(mat, power=0.5):
+    lam, vec = np.linalg.eigh(mat)
+    return (vec * lam ** power) @ vec.T
+
+
+def _close(got, want, rel=1e-10):
+    got, want = np.asarray(got), np.asarray(want)
+    return np.max(np.abs(got - want)) <= rel * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_scaled_space_identities(seed):
+    """The Nesterov-Todd factors the iteration reads (scaling root, Y^-1,
+    step lengths, second-order term) agree with textbook formulas."""
+    from facred.solver import (_max_step_whitened, _psd_scaling,
+                               _second_order_psd)
+
+    rng = np.random.default_rng(seed)
+    n = 3 + seed % 4
+    z, y = _spd(rng, n, 2 + seed % 3), _spd(rng, n, 1 + seed % 3)
+    s = _psd_scaling(z, y)
+    root, rinv, v = s["root"], s["rinv"], s["v"]
+    # W = Z^1/2 (Z^1/2 Y Z^1/2)^-1/2 Z^1/2 is the NT scaling: W Y W = Z.
+    zh = _sqrtm(z)
+    w = zh @ _sqrtm(zh @ y @ zh, -0.5) @ zh
+    assert _close(w @ y @ w, z)
+    assert _close(root.T @ root, np.linalg.inv(w))
+    assert _close(rinv, np.linalg.inv(root))
+    assert _close(root @ z @ root.T, np.diag(v))
+    assert _close(rinv.T @ y @ rinv, np.diag(v))
+    assert _close(s["yinv"], np.linalg.inv(y))
+
+    def step(mat, d):
+        low = np.linalg.cholesky(mat)
+        li = np.linalg.inv(low)
+        lam_min = np.linalg.eigvalsh(li @ d @ li.T)[0]
+        return np.inf if lam_min >= -1e-14 else -1.0 / lam_min
+
+    for _ in range(3):
+        d = sym(rng.normal(size=(n, n)))
+        for mat, basis in ((z, s["hz"]), (y, s["hy"])):
+            got, want = _max_step_whitened(basis, d), step(mat, d)
+            assert got == want or _close(got, want), (got, want)
+
+    # Mehrotra's term in the W^1/2 form: V = W^-1/2 Z W^-1/2, solve
+    # sym(U V) = sym(W^-1/2 dZ W^-1/2 W^1/2 dY W^1/2) in the eigenbasis of
+    # V and map back as W^1/2 U W^1/2.
+    dz, dy = sym(rng.normal(size=(n, n))), sym(rng.normal(size=(n, n)))
+    wh, wih = _sqrtm(w), _sqrtm(w, -0.5)
+    lv, qv = np.linalg.eigh(wih @ z @ wih)
+    rhs = qv.T @ sym((wih @ dz @ wih) @ (wh @ dy @ wh)) @ qv
+    u_c = qv @ (2.0 * rhs / np.add.outer(lv, lv)) @ qv.T
+    assert _close(_second_order_psd(s, dz, dy), wh @ u_c @ wh)
