@@ -3,7 +3,8 @@
 Subcommands:
 
     reduce    run facial reduction on an SDPA problem, write a certificate
-    dualize   build an extended dual (star/simple/primed/ramana) as SDPA
+    dualize   build an extended dual (star/simple/primed/ramana) as SDPA;
+              --solve without --ell reduces first, one layer per step
     verify    recheck a certificate file against a problem
     member    decide membership of a point in the problem's minimal cone
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import certfile, config, sdpa
 from .extended import (VARIANTS, build_extended_dual, fmin_membership,
-                       solve_extended_dual)
+                       lift_to_psd, solve_extended_dual)
 from .model import YElement
 from .reducing import AmbiguousOutcome
 from .reduction import (ReductionCertificate, ReductionError,
@@ -143,11 +144,13 @@ def cmd_dualize(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report = RunReport("dualize", digest, args.seed, config.resolve_tol(args.tol))
+    options = SolverOptions(max_iter=args.max_iter, seed=args.seed)
     try:
-        ext = build_extended_dual(problem, args.variant, args.ell)
-    except (ValueError, SolverError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        chain = run_facial_reduction(lift_to_psd(problem), options=options) \
+            if args.solve and args.ell is None else None
+        ext = build_extended_dual(problem, args.variant, args.ell, chain)
+    except (AmbiguousOutcome, ValueError, ReductionError, SolverError) as exc:
+        return _failure(exc)
     report.ell = ext.ell
     report.extra.append(f"variant: {ext.variant}")
     report.extra.append(f"objective_offset: {_fmt(ext.offset)}")
@@ -160,15 +163,11 @@ def cmd_dualize(args) -> int:
             return 1
         report.extra.append(f"output: {args.out}")
     if args.solve:
-        options = SolverOptions(max_iter=args.max_iter, seed=args.seed)
         try:
             value, _, check = solve_extended_dual(ext, options)
-        except AmbiguousOutcome as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except (ValueError, ReductionError, SolverError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        except (AmbiguousOutcome, ValueError, ReductionError,
+                SolverError) as exc:
+            return _failure(exc)
         report.extended_dual_value = value
         report.attained = check.ok
         report.extra.append(f"point_verified: {'yes' if check.ok else 'no'}")
@@ -184,6 +183,12 @@ def cmd_dualize(args) -> int:
     report.wall_time = time.perf_counter() - start
     _emit(report)
     return 0
+
+
+def _failure(exc) -> int:
+    """Report a failed reduction or solve; its exit code."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 2 if isinstance(exc, AmbiguousOutcome) else 1
 
 
 def cmd_verify(args) -> int:
@@ -282,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dual.add_argument("input", help="problem file (SDPA sparse)")
     p_dual.add_argument("--variant", choices=VARIANTS, default="star")
     p_dual.add_argument("--ell", type=int, default=None,
-                        help="layer count (default: computed bound)")
+                        help="layer count (default: chain length with "
+                             "--solve, computed bound otherwise)")
     p_dual.add_argument("--out", help="write the dual as SDPA here")
     p_dual.add_argument("--solve", action="store_true",
                         help="solve the dual and verify the optimal point")

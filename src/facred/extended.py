@@ -39,7 +39,8 @@ from . import config
 from .faces import in_tangent_space, split_on_face
 from .linalg import _packed_index, _svec, _unsvec
 from .model import ConeBlock, ConicProgram, YElement, adjoint_apply
-from .reduction import VerificationReport, compute_ell
+from .reduction import (ReductionCertificate, VerificationReport,
+                        compute_ell)
 from .solver import SolverError, SolverOptions, SolveStatus, solve_conic_lp
 
 VARIANTS = ("star", "simple", "primed", "ramana")
@@ -118,6 +119,7 @@ class ExtendedDualProgram:
     build_extended_dual.  The encoded ``program`` (its cone-output maps and
     one constraint element per null-basis column) is built on first read and
     then kept; solving through the assembled point never reads it.
+    solve_extended_dual assembles its point from ``chain`` when set.
     """
 
     variant: str
@@ -130,7 +132,7 @@ class ExtendedDualProgram:
     objective: np.ndarray         # q with <q, z> the dual objective
     offset: float
     name: str                     # name of the encoded program
-    bound: int = None             # compute_ell of source; None if ell was given
+    chain: ReductionCertificate = None  # reduction of source, if given
 
     def z_from_solution(self, s) -> np.ndarray:
         return self.z_particular + self.null_basis @ np.asarray(s, dtype=float)
@@ -209,23 +211,29 @@ class ExtendedDualProgram:
 
 
 def build_extended_dual(p: ConicProgram, variant: str = "star",
-                        ell_override: int = None) -> ExtendedDualProgram:
+                        ell_override: int = None,
+                        chain: ReductionCertificate = None
+                        ) -> ExtendedDualProgram:
     """Construct the chosen extended-dual variant of ``p``.
 
-    Orthant blocks are lifted to diagonal PSD blocks first.  The layer count
-    defaults to compute_ell of the lifted program; ell = 0 collapses to the
-    ordinary dual.  This lays out the variables, writes the equality rows and
-    the objective, and eliminates the equalities (raising SolverError when
-    they are inconsistent); the encoded program is left to the first read of
-    ``.program``.
+    Orthant blocks are lifted to diagonal PSD blocks first.  ``chain``, a
+    run_facial_reduction of the lifted program, is kept for
+    solve_extended_dual.  The layer count is ``ell_override``, else the
+    chain's length (one layer per reducing step suffices), else compute_ell
+    of the lifted program; ell = 0 is the ordinary dual.  This lays out the
+    variables, writes the equality rows and the objective, and eliminates
+    the equalities (raising SolverError when they are inconsistent); the
+    encoded program is left to the first read of ``.program``.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if ell_override is not None and ell_override < 0:
         raise ValueError("layer count must be nonnegative")
     lifted = lift_to_psd(p)
-    bound = compute_ell(lifted) if ell_override is None else None
-    ell = bound if ell_override is None else int(ell_override)
+    if chain is not None and chain.ys[0].blocks != lifted.blocks:
+        raise ValueError("chain is not a reduction of the lifted program")
+    ell = int(ell_override) if ell_override is not None else \
+        chain.steps if chain is not None else compute_ell(lifted)
     blocks = lifted.blocks
     sizes = [blk.size for blk in blocks]
     m = lifted.m
@@ -319,7 +327,7 @@ def build_extended_dual(p: ConicProgram, variant: str = "star",
 
     return ExtendedDualProgram(variant, ell, lifted, dict(layout.slices), nz,
                                z_p, null, q, offset,
-                               f"{p.name} extended-{variant}".strip(), bound)
+                               f"{p.name} extended-{variant}".strip(), chain)
 
 
 def extract_dual_solution(ext: ExtendedDualProgram, res):
@@ -465,7 +473,8 @@ class _ChainTooLong(SolverError):
 
 def assemble_optimal_point(p: ConicProgram, variant: str = "star",
                            ell: int = None, options: SolverOptions = None,
-                           bound: int = None) -> ExtendedDualPoint:
+                           chain: ReductionCertificate = None
+                           ) -> ExtendedDualPoint:
     """Construct an optimal point of the chosen extended dual from a facial
     reduction run of the source program.
 
@@ -474,9 +483,9 @@ def assemble_optimal_point(p: ConicProgram, variant: str = "star",
     regularized by the minimal cone.  The "simple" family takes cumulative
     sums of the chain, and the identity-block variants additionally rescale
     the layers so the fixed identity suffices as the bordered block's lower
-    corner.  Requires ell at least the chain length.  ``bound``, when
-    given, is compute_ell of the lifted program, already known to the
-    caller; the reduction then does not compute it again.
+    corner.  ``chain`` is a run_facial_reduction of the lifted program, run
+    here when not given.  ``ell`` defaults to the chain's bound and must be
+    at least the chain length; each layer past it squares that rescale.
     """
     from .reduction import decompose_certificates, run_facial_reduction
 
@@ -484,7 +493,8 @@ def assemble_optimal_point(p: ConicProgram, variant: str = "star",
         raise ValueError(f"unknown variant {variant!r}")
     options = options or SolverOptions()
     lifted = lift_to_psd(p)
-    cert = run_facial_reduction(lifted, options=options, ell=bound)
+    cert = chain if chain is not None else \
+        run_facial_reduction(lifted, options=options)
     if ell is None:
         ell = cert.ell
     if cert.steps > ell:
@@ -549,21 +559,22 @@ def solve_extended_dual(ext: ExtendedDualProgram,
     """Optimal value and optimal point of the extended dual, with the
     point's verification: (value, point, report).
 
-    The point is assembled from a facial reduction of the source program:
-    the chain supplies the inner layers and the attained optimum of the dual
-    regularized by the minimal cone the final layer.  The extended dual is a
-    valid dual, so a feasible point of it whose objective reaches the primal
-    value is optimal; the point is verified against the variant's system and
-    its objective is the value.  A point that fails verification raises
-    SolverError.  Only when the chain does not fit in ``ell`` layers (for
-    instance ell = 0, the ordinary dual) is the encoded program solved
+    The point is assembled from a facial reduction of the source program
+    (``ext.chain``, else one run here): the chain supplies the inner layers
+    and the attained optimum of the dual regularized by the minimal cone the
+    final layer.  The extended dual is a valid dual, so a feasible point of
+    it whose objective reaches the primal value is optimal; the point is
+    verified against the variant's system and its objective is the value.
+    A point that fails verification raises SolverError.  Only when the
+    chain does not fit in ``ell`` layers (an ``ell`` given below the chain
+    length, for instance 0, the ordinary dual) is the encoded program solved
     directly; a solve that ends infeasible or unbounded raises SolverError,
     and otherwise its point is returned with its report, passed or not.
     """
     options = options or SolverOptions()
     try:
         pt = assemble_optimal_point(ext.source, ext.variant, ext.ell, options,
-                                    bound=ext.bound)
+                                    ext.chain)
     except _ChainTooLong:
         res = solve_conic_lp(ext.program, options)
         if res.status not in (SolveStatus.OPTIMAL,

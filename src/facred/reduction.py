@@ -19,7 +19,7 @@ from .faces import (FaceRep, face_contains, face_dual_membership, faces_equal,
                     in_tangent_space, intersect_with_hyperplane,
                     longest_chain_length, relative_interior_point,
                     split_on_face)
-from .linalg import nullspace_basis
+from .linalg import flatten_element
 from .model import ConicProgram, YElement, adjoint_apply, primal_slack
 from .reducing import (AmbiguousOutcome, ReducingOutcome, SolverError,
                        reduced_program, solve_reducing_pair)
@@ -80,19 +80,22 @@ class DecomposedChain:
 def compute_ell(p: ConicProgram, tol: float = None) -> int:
     """Bound on reducing iterations and on the depth of extended duals:
     min(longest face chain of the cone - 1, dim of the nullspace of the
-    stacked constraint data and right-hand side)."""
-    dim_l = len(nullspace_basis(list(p.a) + [p.b], tol))
-    return min(longest_chain_length(p.blocks) - 1, dim_l)
+    stacked constraint data and right-hand side), the latter counted from
+    singular values with the cutoff of linalg.nullspace_basis."""
+    if tol is None:
+        tol = config.RANK_TOL
+    rows = np.vstack([flatten_element(y) for y in list(p.a) + [p.b]])
+    sigma = np.linalg.svd(rows, compute_uv=False)
+    rank = int(np.sum(sigma > tol * max(1.0, float(sigma[0]))))
+    return min(longest_chain_length(p.blocks) - 1, rows.shape[1] - rank)
 
 
 def run_facial_reduction(p: ConicProgram, tol: float = None,
-                         options: SolverOptions = None,
-                         ell: int = None) -> ReductionCertificate:
+                         options: SolverOptions = None) -> ReductionCertificate:
     """Compute the minimal cone of a feasible program.
 
     Returns the full certificate chain, carrying the bound ``ell`` from
-    compute_ell (pass ``ell`` when the caller already computed it for this
-    program); raises ReductionError (with the partial chain attached)
+    compute_ell; raises ReductionError (with the partial chain attached)
     when a reducing solve fails or the theoretical iteration bound is
     exceeded, and propagates AmbiguousOutcome (partial chain attached) when
     a reducing value falls between the decision rungs.
@@ -107,8 +110,7 @@ def run_facial_reduction(p: ConicProgram, tol: float = None,
     ys = [YElement.zeros(p.blocks)]
     faces = [face]
     flags = []
-    if ell is None:
-        ell = compute_ell(p)
+    ell = compute_ell(p)
 
     def partial():
         return ReductionCertificate(ys, faces, flags, None, ell)

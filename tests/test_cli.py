@@ -162,13 +162,13 @@ def test_reduce_computes_the_bound_once(sdp_path, monkeypatch):
     from facred import reduction
 
     calls = []
-    original = reduction.nullspace_basis
+    original = reduction.compute_ell
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(reduction, "nullspace_basis", counting)
+    monkeypatch.setattr(reduction, "compute_ell", counting)
     code, out = run_cli(["reduce", sdp_path])
     assert code == 0
     assert "ell: 3" in out.splitlines()
@@ -176,11 +176,12 @@ def test_reduce_computes_the_bound_once(sdp_path, monkeypatch):
 
 
 def test_dualize_computes_the_bound_once(sdp_path, monkeypatch):
-    """The bound the builder computed is handed to the facial reduction
-    behind --solve, and the verified assembled point is not checked again."""
+    """--solve reduces once, builds the dual at the chain's depth (2 for
+    the fixture, whose bound is 3) and assembles its point from that same
+    chain, and the verified assembled point is not checked again."""
     from facred import extended, reduction
 
-    calls = {"bound": 0, "check": 0}
+    calls = {"reduce": 0, "bound": 0, "check": 0}
 
     def count(name, key, *modules):
         """Count calls of ``name`` through every module that binds it."""
@@ -194,13 +195,48 @@ def test_dualize_computes_the_bound_once(sdp_path, monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)
 
-    count("nullspace_basis", "bound", reduction)
+    count("run_facial_reduction", "reduce", reduction, extended, cli)
+    count("compute_ell", "bound", reduction, extended)
     count("check_extended_point", "check", extended, cli)
     code, out = run_cli(["dualize", sdp_path, "--solve"])
     assert code == 0
-    assert "ell: 3" in out.splitlines()
+    assert "ell: 2" in out.splitlines()
     assert "point_verified: yes" in out.splitlines()
-    assert calls == {"bound": 1, "check": 1}
+    assert calls == {"reduce": 1, "bound": 1, "check": 1}
+
+
+@pytest.mark.parametrize("flags", [["--out", "ext.dat-s"],
+                                   ["--ell", "3", "--solve"]])
+def test_dualize_depth_without_the_chain(tmp_path, sdp_path, monkeypatch,
+                                         flags):
+    """Without --solve, and with an explicit --ell, the dual keeps the
+    computed bound (3 for the fixture) or the given depth."""
+    monkeypatch.chdir(tmp_path)
+    code, out = run_cli(["dualize", sdp_path] + flags)
+    assert code == 0
+    assert "ell: 3" in out.splitlines()
+
+
+@pytest.mark.parametrize("seed, n, m", [(0, 4, 3), (4, 4, 3), (3, 5, 3),
+                                        (7, 5, 3), (0, 6, 4)])
+def test_degenerate_ramana_solves_at_the_chain_depth(tmp_path, seed, n, m):
+    """The identity-block rescale squares once per layer; at the one-step
+    chain's depth the ramana point verifies and matches the star value."""
+    from conftest import random_degenerate
+
+    path = tmp_path / "degen.dat-s"
+    path.write_text(emit_sdpa(random_degenerate(seed, n, m)[0]))
+    values = {}
+    for variant in ("ramana", "star"):
+        code, out = run_cli(["dualize", str(path), "--variant", variant,
+                             "--solve"])
+        assert code == 0
+        lines = out.splitlines()
+        assert "ell: 1" in lines
+        assert "point_verified: yes" in lines
+        values[variant] = next(l for l in lines
+                               if l.startswith("extended_dual_value:"))
+    assert values["ramana"] == values["star"]
 
 
 @pytest.mark.parametrize("command, flag", [("reduce", "--cert"),
@@ -233,9 +269,11 @@ def test_seed_printed_in_report(sdp_path):
     assert "seed: 7" in out
 
 
-@pytest.mark.parametrize("error, code", [
-    (AmbiguousOutcome("rungs"), 2), (ReductionError("bound", None), 1),
-    (ValueError("tangent"), 1), (SolverError("stalled"), 1)])
+EXIT_CODES = [(AmbiguousOutcome("rungs"), 2), (ReductionError("bound", None), 1),
+              (ValueError("tangent"), 1), (SolverError("stalled"), 1)]
+
+
+@pytest.mark.parametrize("error, code", EXIT_CODES)
 def test_dualize_solve_failure_exit_codes(sdp_path, monkeypatch, error, code):
     """A reduction or solve failure behind the extended dual ends the run
     with its exit code, not with an escaping exception."""
@@ -246,3 +284,17 @@ def test_dualize_solve_failure_exit_codes(sdp_path, monkeypatch, error, code):
     got, out = run_cli(["dualize", sdp_path, "--solve"])
     assert got == code
     assert "status: ok" not in out
+
+
+@pytest.mark.parametrize("error, code", EXIT_CODES)
+def test_dualize_depth_reduction_failure_exit_codes(sdp_path, monkeypatch,
+                                                    error, code):
+    """The reduction that sets the depth of --solve fails with the same
+    exit codes, before anything is built."""
+    def failing(program, options):
+        raise error
+
+    monkeypatch.setattr(cli, "run_facial_reduction", failing)
+    got, out = run_cli(["dualize", sdp_path, "--solve"])
+    assert got == code
+    assert out == ""

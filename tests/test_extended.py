@@ -8,6 +8,7 @@ from facred.extended import (VARIANTS, ExtendedDualPoint,
                              solve_extended_dual)
 from facred.faces import tangent_membership_schur
 from facred.model import ConeBlock, ConicProgram, YElement
+from facred.reduction import run_facial_reduction
 from facred.sdpa import emit_sdpa, parse_sdpa
 from facred.solver import (SolverError, SolverOptions, solve_conic_lp,
                            standard_dual)
@@ -198,11 +199,15 @@ def test_extended_dual_emits_valid_sdpa(example_sdp):
     assert back.name == ext.program.name == "sdp3 extended-primed"
 
 
-def test_build_rejects_bad_input(example_sdp):
+def test_build_rejects_bad_input(example_sdp, example_lp):
     with pytest.raises(ValueError):
         build_extended_dual(example_sdp, "unknown")
     with pytest.raises(ValueError):
         build_extended_dual(example_sdp, "star", ell_override=-1)
+    # The chain must reduce the PSD lift, not the orthant program itself.
+    with pytest.raises(ValueError):
+        build_extended_dual(example_lp, "star",
+                            chain=run_facial_reduction(example_lp))
 
 
 def test_fmin_membership_fixtures(example_sdp):

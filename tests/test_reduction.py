@@ -35,6 +35,33 @@ def test_compute_ell_zero_nullspace():
     assert compute_ell(p) == 0
 
 
+def _generated_programs():
+    for seed in range(4):
+        for n, m in ((4, 3), (6, 4)):
+            yield random_strictly_feasible(seed, n, m)[0]
+            yield random_degenerate(seed, n, m)[0]
+            yield random_degenerate(seed, n, m, kind="orthant")[0]
+
+
+def test_compute_ell_counts_the_nullspace_basis(example_lp, example_sdp,
+                                                monkeypatch):
+    """The singular-value count of compute_ell is the length of
+    nullspace_basis of the stacked data, on the fixtures, the generators
+    and their PSD lifts."""
+    from facred.extended import lift_to_psd
+    from facred.linalg import nullspace_basis
+
+    programs = [example_lp, example_sdp, *_generated_programs()]
+    programs += [lift_to_psd(p) for p in programs]
+    bounds = [compute_ell(p) for p in programs]
+    # Without the face-chain cap, compute_ell is the nullspace dimension.
+    monkeypatch.setattr(reduction, "longest_chain_length", lambda blocks: 10**9)
+    for p, bound in zip(programs, bounds):
+        dim_l = len(nullspace_basis(list(p.a) + [p.b]))
+        assert compute_ell(p) == dim_l
+        assert bound == min(p.blocks[0].size, dim_l)
+
+
 def hand_cert(p, ys, x_strict):
     faces = [FaceRep.full_cone(p.blocks)]
     for y in ys:
