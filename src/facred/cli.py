@@ -175,8 +175,12 @@ def cmd_dualize(args) -> int:
             from .solver import solve_conic_lp, standard_dual
 
             sd = standard_dual(problem)
-            report.standard_dual_value = sd.value_of(
-                solve_conic_lp(sd.program, options))
+            res = solve_conic_lp(sd.program, options)
+            if res.optimal:
+                report.standard_dual_value = sd.value_of(res)
+            else:
+                report.extra.append(
+                    f"standard_dual: {res.status.value} ({res.message})")
         except ValueError:
             report.extra.append("standard_dual: infeasible")
     report.extra.append("status: ok")

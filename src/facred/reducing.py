@@ -430,23 +430,24 @@ def _purify_certificate(p: ConicProgram, face: FaceRep, f: YElement,
     low rank.  Alternating projection between the two contracts the dust;
     the loop stops once the combined violation reaches fine precision.
     """
-    from .linalg import flatten_element, unflatten_element
+    from .linalg import _svec, _unsvec, flatten_element, unflatten_element
 
     rows = np.vstack([flatten_element(ai) for ai in p.a]
                      + [flatten_element(p.b)])
     _, svals, vt = np.linalg.svd(rows, full_matrices=True)
     rank = int(np.sum(svals > 1e-12 * (svals[0] if svals.size else 1.0)))
     null_vt = vt[rank:]
+    ends = np.cumsum([blk.ambient_dim for blk in p.blocks])
 
     # Rank cutoff for the structure projection: the large eigenvalues of a
     # normalized certificate are O(1), the dust is near sqrt(solver gap).
     cutoff = 1e-4
 
-    vec = flatten_element(y)
+    # The projection in each round's stopping test starts the next round.
+    vec = null_vt.T @ (null_vt @ flatten_element(y))
     for _ in range(rounds):
-        vec = null_vt.T @ (null_vt @ vec)
-        cur = unflatten_element(vec, p.blocks)
-        parts = [np.array(part) for part in cur.parts]
+        parts = [_unsvec(vec[end - blk.ambient_dim:end], blk.kind, blk.size)
+                 for blk, end in zip(p.blocks, ends)]
         change = 0.0
         for bi, (blk, rep) in enumerate(zip(p.blocks, face.reps)):
             if blk.kind == "orthant":
@@ -470,14 +471,15 @@ def _purify_certificate(p: ConicProgram, face: FaceRep, f: YElement,
                 fixed = (u * lam_clip) @ u.T
                 change = max(change, float(np.max(np.abs(fixed - compressed),
                                                   initial=0.0)))
-                parts[bi] = parts[bi] + q @ (fixed - compressed) @ q.T
-        cur = YElement(p.blocks, parts)
-        vec_new = flatten_element(cur)
-        null_resid = float(np.linalg.norm(vec_new - null_vt.T @ (null_vt @ vec_new)))
-        vec = vec_new
-        if max(change, null_resid) <= 1e-13 * (1.0 + float(np.linalg.norm(vec))):
+                part = parts[bi] + q @ (fixed - compressed) @ q.T
+                parts[bi] = 0.5 * (part + part.T)
+        vec_new = np.concatenate([_svec(part, blk.kind)
+                                  for blk, part in zip(p.blocks, parts)])
+        vec = null_vt.T @ (null_vt @ vec_new)
+        null_resid = float(np.linalg.norm(vec_new - vec))
+        if max(change, null_resid) <= 1e-13 * (1.0 + float(np.linalg.norm(vec_new))):
             break
-    refined = unflatten_element(null_vt.T @ (null_vt @ vec), p.blocks)
+    refined = unflatten_element(vec, p.blocks)
     scale = f.inner(refined)
     if abs(scale) < 1e-6:
         raise SolverError("certificate cleanup collapsed the normalization")

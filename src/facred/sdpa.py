@@ -47,12 +47,15 @@ def _ints(line, what):
 def parse_sdpa(text) -> ConicProgram:
     """Parse SDPA sparse text (str or bytes) into a ConicProgram."""
     lines, comments = _tokens(text)
-    if len(lines) < 4:
-        raise SdpaFormatError("header requires at least four lines")
+    if len(lines) < 3:
+        raise SdpaFormatError("header requires at least three lines")
     mline = _ints(lines[0].split("=")[0], "variable count")
     if len(mline) != 1 or mline[0] < 0:
         raise SdpaFormatError(f"bad variable count line: {lines[0]!r}")
     m = mline[0]
+    head = 4 if m else 3  # with no variables the objective line is empty
+    if len(lines) < head:
+        raise SdpaFormatError("header requires an objective line")
     nline = _ints(lines[1].split("=")[0], "block count")
     if len(nline) != 1 or nline[0] < 1:
         raise SdpaFormatError(f"bad block count line: {lines[1]!r}")
@@ -68,7 +71,8 @@ def parse_sdpa(text) -> ConicProgram:
         blocks.append(ConeBlock("orthant", -d) if d < 0 else ConeBlock("psd", d))
     blocks = tuple(blocks)
     try:
-        c = np.array([float(tok) for tok in lines[3].replace(",", " ").split()])
+        c = np.array([float(tok) for tok in lines[3].replace(",", " ").split()]
+                     if m else [])
     except ValueError as exc:
         raise SdpaFormatError(f"could not parse objective line: {lines[3]!r}") from exc
     if len(c) != m:
@@ -76,7 +80,7 @@ def parse_sdpa(text) -> ConicProgram:
 
     mats = [[blk.zero().copy() for blk in blocks] for _ in range(m + 1)]
     seen = set()
-    for line in lines[4:]:
+    for line in lines[head:]:
         toks = line.replace(",", " ").split()
         if len(toks) != 5:
             raise SdpaFormatError(f"entry needs 5 fields: {line!r}")

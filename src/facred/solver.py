@@ -10,7 +10,10 @@ Nesterov-Todd scaling on PSD blocks.  Each iteration works in the NT-scaled
 space: one Cholesky factor and one eigendecomposition per PSD block give
 the scaling root, Y^-1, the whitened step-length tests and the Mehrotra
 second-order term, and the Schur system is solved through one QR
-factorization of the stacked scaled data.  Intended for desk-scale problems
+factorization of the stacked scaled data.  The same factor re-projects the
+dual direction onto the dual equations in the NT metric (Nesterov and Todd,
+SIOPT 1998), where the correction is small against the distance to the cone
+boundary, so the endgame does not stall.  Intended for desk-scale problems
 (ambient dimension up to a few thousand); no sparsity exploitation, no warm
 starts.
 
@@ -228,13 +231,6 @@ def solve_conic_lp(p: ConicProgram, options: SolverOptions = None) -> SolveResul
     x = np.zeros(m)
     zs, ys = _initial_point(p, bd)
 
-    # Gram matrix of the constraint elements, used to re-project dual
-    # directions onto A*(dY) = r_d exactly; the Schur solve alone loses that
-    # identity once the scaling becomes ill-conditioned near the optimum.
-    gram = sum(b.flat @ b.flat.T for b in bd)
-    gram_inv = np.linalg.inv(
-        gram + 1e-12 * max(1.0, float(np.trace(gram)) / max(m, 1)) * np.eye(m))
-
     bnorm = p.b.norm()
     cnorm = float(np.linalg.norm(p.c))
     tol = config.SOLVE_TOL
@@ -350,13 +346,19 @@ def solve_conic_lp(p: ConicProgram, options: SolverOptions = None) -> SolveResul
                     else:
                         inner = s["root"] @ (rcb - r + adx) @ s["root"].T
                         dys.append(_sym(s["root"].T @ inner @ s["root"]))
+                # Re-project dY onto A*(dY) = r_d, lost when W is
+                # ill-conditioned.  W^-1 A(lam) W^-1, (T^T T) lam = defect, is
+                # the least correction in the NT metric, where the distance to
+                # the boundary is measured; a Euclidean A(lam) leaves the cone.
                 if m:
                     defect = rd - sum(
                         (b.adjoint(dy) for b, dy in zip(bd, dys)),
                         start=np.zeros(m))
-                    lam = gram_inv @ defect
-                    for k, b in enumerate(bd):
-                        dys[k] = dys[k] + b.apply(lam)
+                    lam = schur_solve(defect)
+                    for k, (b, s) in enumerate(zip(bd, scal)):
+                        alam, rt = b.apply(lam), s["root"]
+                        dys[k] = dys[k] + (rt * rt * alam if b.kind == "orthant"
+                                           else _sym(rt.T @ (rt @ alam @ rt.T) @ rt))
                 return dx, dzs, dys
 
             def max_steps(dzs, dys):

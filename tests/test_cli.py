@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from facred import cli
+from facred.model import ConeBlock, ConicProgram, YElement
 from facred.reducing import AmbiguousOutcome
 from facred.reduction import ReductionError
 from facred.sdpa import emit_sdpa
@@ -237,6 +238,53 @@ def test_degenerate_ramana_solves_at_the_chain_depth(tmp_path, seed, n, m):
         values[variant] = next(l for l in lines
                                if l.startswith("extended_dual_value:"))
     assert values["ramana"] == values["star"]
+
+
+@pytest.mark.parametrize("variant", ["star", "ramana"])
+def test_dualize_solves_a_regular_program(tmp_path, variant):
+    """The face-restricted solve of this strictly feasible program stalled
+    in the interior-point endgame before the NT-metric re-projection."""
+    from conftest import random_strictly_feasible
+
+    path = tmp_path / "strict.dat-s"
+    path.write_text(emit_sdpa(random_strictly_feasible(7, n=4, m=3)[0]))
+    code, out = run_cli(["dualize", str(path), "--variant", variant,
+                         "--solve"])
+    assert code == 0
+    assert "point_verified: yes" in out.splitlines()
+
+
+def test_dualize_flags_an_unconverged_standard_dual():
+    """The golden SDP's ordinary dual has the unattained infimum 0, so its
+    solve does not end optimal: no value is printed, the status is."""
+    code, out = run_cli(["dualize", str(GOLDEN / "sdp3.dat-s"), "--solve"])
+    assert code == 0
+    lines = out.splitlines()
+    assert not any(l.startswith("standard_dual_value:") for l in lines)
+    flag = next(l for l in lines if l.startswith("standard_dual:"))
+    assert flag.startswith("standard_dual: numerical_failure (")
+    assert "extended_dual_value: 0.000000" in lines
+
+
+def test_dualize_prints_an_optimal_standard_dual(lp_path):
+    code, out = run_cli(["dualize", lp_path, "--solve"])
+    assert code == 0
+    assert "standard_dual_value: 0.000000" in out.splitlines()
+    assert "standard_dual:" not in out
+
+
+def test_reduce_without_variables(tmp_path):
+    """A program with m = 0 survives the SDPA round trip and reduces to
+    the face its right-hand side spans."""
+    blocks = (ConeBlock("psd", 2), ConeBlock("orthant", 2))
+    p = ConicProgram(blocks, [], YElement(blocks, [np.eye(2), [0.0, 1.0]]),
+                     [])
+    path = tmp_path / "m0.dat-s"
+    path.write_text(emit_sdpa(p))
+    code, out = run_cli(["reduce", str(path)])
+    assert code == 0
+    assert ("F_min: block 1: psd rank 2 of 2; block 2: orthant support {2}"
+            in out.splitlines())
 
 
 @pytest.mark.parametrize("command, flag", [("reduce", "--cert"),

@@ -6,6 +6,7 @@ from facred.model import (ConeBlock, ConicProgram, YElement, adjoint_apply,
                           primal_slack)
 from facred.reducing import (AmbiguousOutcome, reduced_program,
                              solve_reducing_pair, solve_restricted_to_face)
+from facred.reduction import ReductionError
 from facred.solver import SolveStatus, solve_conic_lp
 
 from conftest import random_degenerate
@@ -105,3 +106,88 @@ def test_reduced_program_is_strictly_feasible(example_sdp):
     assert red.blocks[0].size == 1
     out = solve_reducing_pair(red, FaceRep.full_cone(red.blocks))
     assert out.minimal
+
+
+def _purify_reference(p, face, f, y, rounds=80):
+    """The certificate cleanup as first written, one YElement round trip per
+    half-step; kept to pin the faster loop to the same bits."""
+    from facred.linalg import flatten_element, unflatten_element
+    from facred.solver import SolverError
+
+    rows = np.vstack([flatten_element(ai) for ai in p.a]
+                     + [flatten_element(p.b)])
+    _, svals, vt = np.linalg.svd(rows, full_matrices=True)
+    rank = int(np.sum(svals > 1e-12 * (svals[0] if svals.size else 1.0)))
+    null_vt = vt[rank:]
+    cutoff = 1e-4
+    vec = flatten_element(y)
+    for _ in range(rounds):
+        vec = null_vt.T @ (null_vt @ vec)
+        cur = unflatten_element(vec, p.blocks)
+        parts = [np.array(part) for part in cur.parts]
+        change = 0.0
+        for bi, (blk, rep) in enumerate(zip(p.blocks, face.reps)):
+            if blk.kind == "orthant":
+                sup = list(rep.support)
+                if not sup:
+                    continue
+                vals = parts[bi][sup]
+                clipped = np.where(vals > cutoff * max(1.0, np.max(vals, initial=0.0)),
+                                   vals, 0.0)
+                change = max(change, float(np.max(np.abs(vals - clipped),
+                                                  initial=0.0)))
+                parts[bi][sup] = clipped
+            else:
+                q = rep.basis
+                if q.shape[1] == 0:
+                    continue
+                compressed = q.T @ parts[bi] @ q
+                lam, u = np.linalg.eigh(0.5 * (compressed + compressed.T))
+                lam_clip = np.where(lam > cutoff * max(1.0, lam[-1] if lam.size else 1.0),
+                                    lam, 0.0)
+                fixed = (u * lam_clip) @ u.T
+                change = max(change, float(np.max(np.abs(fixed - compressed),
+                                                  initial=0.0)))
+                parts[bi] = parts[bi] + q @ (fixed - compressed) @ q.T
+        cur = YElement(p.blocks, parts)
+        vec_new = flatten_element(cur)
+        null_resid = float(np.linalg.norm(vec_new - null_vt.T @ (null_vt @ vec_new)))
+        vec = vec_new
+        if max(change, null_resid) <= 1e-13 * (1.0 + float(np.linalg.norm(vec))):
+            break
+    refined = unflatten_element(null_vt.T @ (null_vt @ vec), p.blocks)
+    scale = f.inner(refined)
+    if abs(scale) < 1e-6:
+        raise SolverError("certificate cleanup collapsed the normalization")
+    return (1.0 / scale) * refined
+
+
+def test_purify_matches_the_reference_bit_for_bit(monkeypatch, example_sdp,
+                                                   example_lp):
+    """Every certificate cleanup of seeded reductions gives exactly the
+    bits of the round-trip formulation."""
+    import facred.reducing
+    from facred.reduction import run_facial_reduction
+
+    fast = facred.reducing._purify_certificate
+    seen = []
+
+    def both(p, face, f, y, *args):
+        got = fast(p, face, f, y, *args)
+        want = _purify_reference(p, face, f, y, *args)
+        seen.append(all(np.array_equal(a, b)
+                        for a, b in zip(got.parts, want.parts)))
+        return got
+
+    monkeypatch.setattr(facred.reducing, "_purify_certificate", both)
+    programs = [example_sdp, example_lp] + [
+        random_degenerate(seed, n, m, kind)[0]
+        for seed in range(4) for n, m in [(4, 3), (6, 4)]
+        for kind in ("psd", "orthant")]
+    for p in programs:
+        try:
+            run_facial_reduction(p)
+        except (AmbiguousOutcome, ReductionError):
+            pass
+    assert len(seen) >= 15
+    assert all(seen)

@@ -41,6 +41,20 @@ def test_empty_entry_list_gives_zero_data():
     assert all(ai.norm() == 0.0 for ai in p.a)
 
 
+def test_round_trip_without_variables():
+    """With m = 0 the objective line is empty; the reader must not take
+    the first entry for it."""
+    blocks = (ConeBlock("psd", 2), ConeBlock("orthant", 2))
+    p = ConicProgram(blocks, [], YElement(blocks, [np.eye(2), [0.0, 1.0]]),
+                     [])
+    text = emit_sdpa(p)
+    q = parse_sdpa(text)
+    assert q.m == 0 and q.blocks == blocks
+    assert (q.b - p.b).norm() == 0.0
+    assert emit_sdpa(q) == text
+    assert parse_sdpa("0\n1\n2\n").b.norm() == 0.0
+
+
 MIXED_SAMPLE = """\
 * diagonal block then a psd block
 2
@@ -79,6 +93,7 @@ def test_braced_dimension_line():
 
 @pytest.mark.parametrize("bad, what", [
     ("1\n1\n", "truncated header"),
+    ("1\n1\n2\n", "objective line missing"),
     ("x\n1\n2\n1.0\n", "bad m"),
     ("1\n1\n0\n1.0\n", "zero block"),
     ("1\n1\n2\n1.0 2.0\n", "objective length"),
