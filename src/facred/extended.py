@@ -568,8 +568,9 @@ def solve_extended_dual(ext: ExtendedDualProgram,
     A point that fails verification raises SolverError.  Only when the
     chain does not fit in ``ell`` layers (an ``ell`` given below the chain
     length, for instance 0, the ordinary dual) is the encoded program solved
-    directly; a solve that ends infeasible or unbounded raises SolverError,
-    and otherwise its point is returned with its report, passed or not.
+    directly; unless it ends OPTIMAL it raises SolverError (a stalled solve
+    of an unattained infimum sits at a feasible point of the wrong value),
+    and its point is returned with its report, passed or not.
     """
     options = options or SolverOptions()
     try:
@@ -577,9 +578,9 @@ def solve_extended_dual(ext: ExtendedDualProgram,
                                     ext.chain)
     except _ChainTooLong:
         res = solve_conic_lp(ext.program, options)
-        if res.status not in (SolveStatus.OPTIMAL,
-                              SolveStatus.NUMERICAL_FAILURE):
-            raise SolverError(f"extended dual solve ended {res.status.value}")
+        if res.status is not SolveStatus.OPTIMAL:
+            raise SolverError(f"extended dual solve ended {res.status.value} "
+                              f"({res.message})")
         pt, _ = extract_dual_solution(ext, res)
         return (ext.value_of(res), pt,
                 check_extended_point(ext.source, pt, ext.variant))

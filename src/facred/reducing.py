@@ -31,9 +31,14 @@ import numpy as np
 from . import config
 from .faces import (FaceRep, _orthonormal_complement, face_dual_membership,
                     relative_interior_point)
+from .linalg import (_packed_index, _svec, _unsvec, flatten_element,
+                     unflatten_element)
 from .model import ConeBlock, ConicProgram, YElement
 from .solver import (SolveResult, SolverError, SolverOptions, SolveStatus,
                      solve_conic_lp)
+
+_PURIFY_ROUNDS = 80    # cap on purify's alternating-projection rounds
+_POLISH_STEPS = 12     # cap on polish's Gauss-Newton steps
 
 
 class AmbiguousOutcome(RuntimeError):
@@ -201,8 +206,27 @@ class FaceCoordinates:
         return y_face - self.outside_element(lam)
 
 
+def _compressed_units(coords: FaceCoordinates):
+    """Per kept block, its first ambient coordinate and the compressed image
+    of each of its unit elements: h_kl (q_k q_l^T + q_l q_k^T) for PSD
+    coordinate (k, l), q_k the k-th row of the kept basis, h 1/2 on the
+    diagonal and 1/sqrt 2 off it; the 0/1 support selection for an orthant."""
+    g_hat, start = [], 0
+    for blk, rot in zip(coords.program.blocks, coords.rotations):
+        if blk.kind == "orthant" and rot.size:
+            g_hat.append((start, (np.arange(blk.size)[:, None] == rot) * 1.0))
+        elif blk.kind == "psd" and rot[1]:
+            q = rot[0][:, :rot[1]]
+            rows, cols, weights = _packed_index(blk.size, 1.0 / np.sqrt(2.0))
+            half = np.where(rows == cols, 0.5, weights)[:, None, None]
+            g = half * q[rows][:, :, None] * q[cols][:, None, :]
+            g_hat.append((start, g + g.transpose(0, 2, 1)))
+        start += blk.ambient_dim
+    return g_hat
+
+
 def polish_certificate(coords: FaceCoordinates, f: YElement, y0: YElement,
-                       x0: np.ndarray, max_steps: int = 12):
+                       x0: np.ndarray) -> YElement:
     """Gauss-Newton refinement of a reducing certificate.
 
     An interior-point certificate sits about sqrt(gap) away from an exact
@@ -212,28 +236,25 @@ def polish_certificate(coords: FaceCoordinates, f: YElement, y0: YElement,
     complementarity  slack(x) . y = 0,  and the requirement that slack(x)
     stays in the face's span.  Gauss-Newton from the solver's point lands on
     a nearby exact solution; any exact solution cuts a valid face, so the
-    residual norm is all that matters.
+    residual norm is all that matters.  Its Jacobian in y is closed form.
     """
-    from .linalg import flatten_element, unflatten_element
-
     p = coords.program
     dim = p.ambient_dim
     m = p.m
     x = np.asarray(x0, dtype=float).copy()
     yvec = flatten_element(y0)
-    flat_a = np.vstack([flatten_element(ai) for ai in p.a]) if m else \
-        np.zeros((0, dim))
-    flat_b = flatten_element(p.b)
-    flat_f = flatten_element(f)
+    data = np.vstack([flatten_element(e) for e in [*p.a, p.b, f]])
+    target = np.r_[np.zeros(m + 1), 1.0]    # (A, b)* y = 0 and <f, y> = 1
     span_rows, span_rhs = coords.eq_matrix, coords.eq_rhs
+    top = np.hstack([np.zeros((m + 2, m)), data])
+    bottom = np.hstack([span_rows, np.zeros((span_rows.shape[0], dim))])
 
     # Complementarity lives in the face's compressed coordinates: both the
     # slack and the certificate are psd there, so orthogonality of the
     # inner product forces the compressed matrix product to vanish.
     kinds = [blk.kind for blk in coords.blocks_hat]
     a_hat = [coords.compress(ai) for ai in p.a]
-    g_hat = [coords.compress(unflatten_element(col, p.blocks))
-             for col in np.eye(dim)]
+    g_hat = _compressed_units(coords)
 
     def bilinear(kind, s_c, y_c):
         return s_c * y_c if kind == "orthant" else (s_c @ y_c).reshape(-1)
@@ -241,39 +262,32 @@ def polish_certificate(coords: FaceCoordinates, f: YElement, y0: YElement,
     def residual(x, yel):
         s_hat = coords.compress(p.b - p.apply(x))
         y_hat = coords.compress(yel)
-        parts = [flat_a @ flatten_element(yel) if m else np.zeros(0),
-                 np.array([flat_b @ flatten_element(yel)]),
-                 np.array([flat_f @ flatten_element(yel) - 1.0])]
+        parts = [data @ flatten_element(yel) - target]
         parts += [bilinear(*blk) for blk in zip(kinds, s_hat, y_hat)]
         if span_rows.shape[0]:
             parts.append(span_rows @ x - span_rhs)
         return np.concatenate(parts), s_hat, y_hat
 
     best = None
-    for _ in range(max_steps):
+    for _ in range(_POLISH_STEPS):
         yel = unflatten_element(yvec, p.blocks)
         res, s_hat, y_hat = residual(x, yel)
         norm = float(np.linalg.norm(res))
         if best is None or norm < best[0]:
-            best = (norm, x.copy(), yvec.copy())
+            best = (norm, yvec.copy())
         if norm <= 1e-13 * (1.0 + float(np.linalg.norm(yvec))):
             break
-        rows = []
-        rows.append(np.hstack([np.zeros((m, m)), flat_a]))
-        rows.append(np.hstack([np.zeros((1, m)), flat_b[None, :]]))
-        rows.append(np.hstack([np.zeros((1, m)), flat_f[None, :]]))
+        rows = [top]
         for k, (kind, s_c, y_c) in enumerate(zip(kinds, s_hat, y_hat)):
             jx = np.zeros((s_c.size, m))
             for i, a in enumerate(a_hat):
                 jx[:, i] = bilinear(kind, -a[k], y_c)
+            first, g = g_hat[k]
             jy = np.zeros((s_c.size, dim))
-            for j, g in enumerate(g_hat):
-                jy[:, j] = bilinear(kind, s_c, g[k])
+            jy[:, first:first + len(g)] = (s_c * g).T if kind == "orthant" \
+                else (s_c @ g).reshape(len(g), -1).T
             rows.append(np.hstack([jx, jy]))
-        if span_rows.shape[0]:
-            rows.append(np.hstack([span_rows, np.zeros((span_rows.shape[0],
-                                                        dim))]))
-        jac = np.vstack(rows)
+        jac = np.vstack(rows + [bottom])
         # Truncate tiny singular values and cap the step: the certificate
         # family has flat directions along which a raw least-squares step
         # can run off to enormous but useless exact solutions.
@@ -285,12 +299,11 @@ def polish_certificate(coords: FaceCoordinates, f: YElement, y0: YElement,
         x = x + step[:m]
         yvec = yvec + step[m:]
 
-    _, x, yvec = best
-    refined = unflatten_element(yvec, p.blocks)
+    refined = unflatten_element(best[1], p.blocks)
     scale = f.inner(refined)
     if abs(scale) < 1e-8:
         raise SolverError("certificate polish collapsed the normalization")
-    return (1.0 / scale) * refined, x, best[0]
+    return (1.0 / scale) * refined
 
 
 def reduced_program(p: ConicProgram, face: FaceRep) -> ConicProgram:
@@ -402,7 +415,7 @@ def solve_reducing_pair(p: ConicProgram, face: FaceRep, tol: float = None,
     if t_star <= tol:
         y = _extract_certificate(coords, f, res)
         y = _purify_certificate(p, face, f, y)
-        y, _, _ = polish_certificate(coords, f, y, x_cand)
+        y = polish_certificate(coords, f, y, x_cand)
         _check_certificate(p, face, f, y, tol)
         return ReducingOutcome.reduced(y, t_star)
 
@@ -420,7 +433,7 @@ def _extract_certificate(coords: FaceCoordinates, f: YElement, res) -> YElement:
 
 
 def _purify_certificate(p: ConicProgram, face: FaceRep, f: YElement,
-                        y: YElement, rounds: int = 80) -> YElement:
+                        y: YElement) -> YElement:
     """Clean the interior-point dust off a reducing certificate.
 
     A certificate solves a degenerate program, so the raw solution sits
@@ -428,10 +441,10 @@ def _purify_certificate(p: ConicProgram, face: FaceRep, f: YElement,
     rank decisions downstream.  The exact constraints are known: y must lie
     in the nullspace of (A, b)* and its face-compressed part must be psd of
     low rank.  Alternating projection between the two contracts the dust;
-    the loop stops once the combined violation reaches fine precision.
+    the loop stops once the combined violation reaches fine precision, or
+    stalls above half of its value three rounds earlier (it often settles
+    at 1e-13 to 1e-10): polish then reaches 1e-13 in one or two steps.
     """
-    from .linalg import _svec, _unsvec, flatten_element, unflatten_element
-
     rows = np.vstack([flatten_element(ai) for ai in p.a]
                      + [flatten_element(p.b)])
     _, svals, vt = np.linalg.svd(rows, full_matrices=True)
@@ -445,7 +458,8 @@ def _purify_certificate(p: ConicProgram, face: FaceRep, f: YElement,
 
     # The projection in each round's stopping test starts the next round.
     vec = null_vt.T @ (null_vt @ flatten_element(y))
-    for _ in range(rounds):
+    history = [np.inf] * 3      # violation by round; padded for the stall test
+    for _ in range(_PURIFY_ROUNDS):
         parts = [_unsvec(vec[end - blk.ambient_dim:end], blk.kind, blk.size)
                  for blk, end in zip(p.blocks, ends)]
         change = 0.0
@@ -455,10 +469,8 @@ def _purify_certificate(p: ConicProgram, face: FaceRep, f: YElement,
                 if not sup:
                     continue
                 vals = parts[bi][sup]
-                clipped = np.where(vals > cutoff * max(1.0, np.max(vals, initial=0.0)),
-                                   vals, 0.0)
-                change = max(change, float(np.max(np.abs(vals - clipped),
-                                                  initial=0.0)))
+                clipped = np.where(vals > cutoff * max(1.0, np.max(vals)), vals, 0.0)
+                change = max(change, float(np.max(np.abs(vals - clipped))))
                 parts[bi][sup] = clipped
             else:
                 q = rep.basis
@@ -466,18 +478,18 @@ def _purify_certificate(p: ConicProgram, face: FaceRep, f: YElement,
                     continue
                 compressed = q.T @ parts[bi] @ q
                 lam, u = np.linalg.eigh(0.5 * (compressed + compressed.T))
-                lam_clip = np.where(lam > cutoff * max(1.0, lam[-1] if lam.size else 1.0),
-                                    lam, 0.0)
+                lam_clip = np.where(lam > cutoff * max(1.0, lam[-1]), lam, 0.0)
                 fixed = (u * lam_clip) @ u.T
-                change = max(change, float(np.max(np.abs(fixed - compressed),
-                                                  initial=0.0)))
+                change = max(change, float(np.max(np.abs(fixed - compressed))))
                 part = parts[bi] + q @ (fixed - compressed) @ q.T
                 parts[bi] = 0.5 * (part + part.T)
         vec_new = np.concatenate([_svec(part, blk.kind)
                                   for blk, part in zip(p.blocks, parts)])
         vec = null_vt.T @ (null_vt @ vec_new)
         null_resid = float(np.linalg.norm(vec_new - vec))
-        if max(change, null_resid) <= 1e-13 * (1.0 + float(np.linalg.norm(vec_new))):
+        history.append(max(change, null_resid))
+        if history[-1] <= 1e-13 * (1.0 + float(np.linalg.norm(vec_new))) \
+                or history[-1] > 0.5 * history[-4]:
             break
     refined = unflatten_element(vec, p.blocks)
     scale = f.inner(refined)

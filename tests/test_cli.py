@@ -124,17 +124,40 @@ def test_dualize_all_variants_agree(tmp_path, sdp_path):
     assert max(values) - min(values) <= 1e-5
 
 
-def test_dualize_ell_zero_matches_standard_dual(sdp_path, example_sdp):
-    from facred.solver import solve_conic_lp, standard_dual
-
-    code, out = run_cli(["dualize", sdp_path, "--ell", "0", "--solve"])
-    assert code == 0
+def _dualize_value(out):
     line = next(l for l in out.splitlines()
                 if l.startswith("extended_dual_value:"))
-    val = float(line.split(":")[1])
-    sd = standard_dual(example_sdp)
-    ref = sd.value_of(solve_conic_lp(sd.program))
-    assert abs(val - ref) <= 1e-3  # both approach the unattained zero
+    return float(line.split(":")[1])
+
+
+def test_dualize_ell_zero_matches_standard_dual(tmp_path):
+    """At --ell 0 (the ordinary dual, solved directly) a program whose
+    ordinary dual solve ends optimal answers the default-depth value."""
+    from conftest import random_degenerate
+
+    path = tmp_path / "degen1.dat-s"
+    path.write_text(emit_sdpa(random_degenerate(1, n=4, m=3)[0]))
+    code, out = run_cli(["dualize", str(path), "--solve"])
+    assert code == 0
+    ref = _dualize_value(out)
+    assert ref == pytest.approx(-1.372442, abs=1e-6)
+    code, out = run_cli(["dualize", str(path), "--ell", "0", "--solve"])
+    assert code == 0
+    assert "point_verified: yes" in out
+    assert abs(_dualize_value(out) - ref) <= 1e-5
+
+
+def test_dualize_ell_zero_refuses_an_unconverged_solve(tmp_path, sdp_path):
+    """An ordinary dual solve that does not end optimal sits at a feasible
+    point of the wrong value: --ell 0 exits 1 instead of printing it."""
+    from conftest import random_degenerate
+
+    path = tmp_path / "degen3.dat-s"
+    path.write_text(emit_sdpa(random_degenerate(3, n=4, m=3)[0]))
+    for prob in (sdp_path, str(path)):
+        code, out = run_cli(["dualize", prob, "--ell", "0", "--solve"])
+        assert code == 1, prob
+        assert "extended_dual_value" not in out
 
 
 def test_member_command(tmp_path, sdp_path):

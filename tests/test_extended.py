@@ -10,9 +10,10 @@ from facred.faces import tangent_membership_schur
 from facred.model import ConeBlock, ConicProgram, YElement
 from facred.reduction import run_facial_reduction
 from facred.sdpa import emit_sdpa, parse_sdpa
-from facred.solver import SolverOptions, solve_conic_lp, standard_dual
+from facred.solver import (SolverError, SolverOptions, solve_conic_lp,
+                           standard_dual)
 
-from conftest import congruence, random_strictly_feasible
+from conftest import congruence, random_degenerate, random_strictly_feasible
 
 
 def test_lift_embeds_orthant_blocks(example_lp):
@@ -85,16 +86,28 @@ def test_depth_zero_collapses_to_standard_dual():
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_raw_route_builds_the_program(example_sdp, variant):
-    """The fixture's one-step chain does not fit in ell = 0 layers, so the
-    encoded program is built on that solve and solved directly."""
-    ext = build_extended_dual(example_sdp, variant, ell_override=0)
+def test_raw_route_builds_the_program(variant):
+    """A one-step chain does not fit in ell = 0 layers, so the encoded
+    program is built on that solve and solved directly; here that solve
+    ends optimal, at the default-depth value."""
+    p, _ = random_degenerate(1, n=4, m=3)
+    ref, _, _ = solve_extended_dual(build_extended_dual(p, variant))
+    ext = build_extended_dual(p, variant, ell_override=0)
     assert "program" not in vars(ext)
-    val, _, _ = solve_extended_dual(ext)
+    val, _, report = solve_extended_dual(ext)
     assert "program" in vars(ext)
-    sd = standard_dual(example_sdp)
-    ref = sd.value_of(solve_conic_lp(sd.program))
-    assert val == pytest.approx(ref, abs=1e-3)  # both near the unattained zero
+    assert report.ok
+    assert val == pytest.approx(ref, abs=1e-5)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_raw_route_refuses_an_unconverged_solve(example_sdp, variant):
+    """A raw solve that does not end optimal raises, naming its status,
+    instead of answering from a feasible point of the wrong value."""
+    for p in (example_sdp, random_degenerate(3, n=4, m=3)[0]):
+        ext = build_extended_dual(p, variant, ell_override=0)
+        with pytest.raises(SolverError, match="numerical_failure"):
+            solve_extended_dual(ext)
 
 
 def test_variant_values_agree(example_sdp):

@@ -110,7 +110,9 @@ def test_reduced_program_is_strictly_feasible(example_sdp):
 
 def _purify_reference(p, face, f, y, rounds=80):
     """The certificate cleanup as first written, one YElement round trip per
-    half-step; kept to pin the faster loop to the same bits."""
+    half-step, with the stall stop (a round whose violation is above half
+    the violation three rounds earlier ends the loop); kept to pin the
+    faster loop to the same bits."""
     from facred.linalg import flatten_element, unflatten_element
     from facred.solver import SolverError
 
@@ -121,6 +123,7 @@ def _purify_reference(p, face, f, y, rounds=80):
     null_vt = vt[rank:]
     cutoff = 1e-4
     vec = flatten_element(y)
+    history = []
     for _ in range(rounds):
         vec = null_vt.T @ (null_vt @ vec)
         cur = unflatten_element(vec, p.blocks)
@@ -153,7 +156,10 @@ def _purify_reference(p, face, f, y, rounds=80):
         vec_new = flatten_element(cur)
         null_resid = float(np.linalg.norm(vec_new - null_vt.T @ (null_vt @ vec_new)))
         vec = vec_new
-        if max(change, null_resid) <= 1e-13 * (1.0 + float(np.linalg.norm(vec))):
+        history.append(max(change, null_resid))
+        if history[-1] <= 1e-13 * (1.0 + float(np.linalg.norm(vec))):
+            break
+        if len(history) > 3 and history[-1] > 0.5 * history[-4]:
             break
     refined = unflatten_element(null_vt.T @ (null_vt @ vec), p.blocks)
     scale = f.inner(refined)
@@ -191,3 +197,115 @@ def test_purify_matches_the_reference_bit_for_bit(monkeypatch, example_sdp,
             pass
     assert len(seen) >= 15
     assert all(seen)
+
+
+def _purify_rounds(monkeypatch, programs):
+    """Rounds of each purify call over the reductions of ``programs``: one
+    eigendecomposition per round on single-PSD-block programs."""
+    import facred.reducing
+    from facred.reduction import run_facial_reduction
+
+    inner = facred.reducing._purify_certificate
+    eigh = np.linalg.eigh
+    rounds, inside = [], []
+
+    def counted_eigh(*args, **kwargs):
+        if inside:
+            rounds[-1] += 1
+        return eigh(*args, **kwargs)
+
+    def purify(*args):
+        rounds.append(0)
+        inside.append(True)
+        try:
+            return inner(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(facred.reducing.np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(facred.reducing, "_purify_certificate", purify)
+    for p in programs:
+        run_facial_reduction(p)
+    return rounds
+
+
+def test_purify_stops_when_it_stalls(monkeypatch, example_sdp):
+    """The fixture's first cleanup converges geometrically and still exits
+    through the 1e-13 test; on the degenerate programs the violation
+    settles within a few rounds and the stall stop ends the loop (each ran
+    all 80 rounds before the stop: 320 in all, 20 with it)."""
+    assert _purify_rounds(monkeypatch, [example_sdp]) == [19, 1]
+    rounds = _purify_rounds(monkeypatch, [random_degenerate(seed)[0]
+                                          for seed in range(4)])
+    assert len(rounds) == 4
+    assert sum(rounds) <= 1.1 * 20
+
+
+def _unit_images_reference(coords):
+    """Compressed images of the ambient unit elements, one unit element at
+    a time: the construction the closed form replaced."""
+    from facred.linalg import unflatten_element
+
+    p = coords.program
+    return [coords.compress(unflatten_element(e_j, p.blocks))
+            for e_j in np.eye(p.ambient_dim)]
+
+
+def _mixed_program(monkeypatch):
+    """The benchmark's orthant-beside-PSD family and its planted face, at
+    a seed whose PSD face has rank 3 of 6."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    from facred.faces import OrthantFace, PsdFace
+
+    path = Path(__file__).resolve().parent.parent / "bench" / "instances.py"
+    spec = importlib.util.spec_from_file_location("bench_instances", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    inst = module.mixed(3)
+    blocks = tuple(ConeBlock(kind, size) for kind, size in inst.blocks)
+    p = ConicProgram(blocks, [YElement(blocks, list(a)) for a in inst.a],
+                     YElement(blocks, list(inst.b)), inst.c)
+    support, basis = inst.face
+    return p, FaceRep(blocks, [OrthantFace(support), PsdFace(basis)])
+
+
+def _closed_form_case(case, monkeypatch):
+    from facred.faces import OrthantFace
+
+    if case == "mixed":
+        return _mixed_program(monkeypatch)
+    full, _ = random_degenerate(2, n=5, m=3)
+    cut, xbar = random_degenerate(1, n=5, m=3)
+    cut_face = minimal_face(primal_slack(cut, xbar), cut.blocks)
+    assert 0 < cut_face.ranks[0] < 5
+    blocks = (ConeBlock("orthant", 4), ConeBlock("orthant", 3))
+    rng = np.random.default_rng(0)
+    a = [YElement(blocks, [rng.normal(size=4), rng.normal(size=3)])
+         for _ in range(2)]
+    orth = ConicProgram(blocks, a, YElement(blocks, [np.array([1.0, 0, 2, 0]),
+                                                     np.zeros(3)]), [0.0, 0.0])
+    orth_face = FaceRep(blocks, [OrthantFace((0, 2)), OrthantFace(())])
+    return {"full psd": (full, FaceRep.full_cone(full.blocks)),
+            "cut psd": (cut, cut_face), "orthant": (orth, orth_face)}[case]
+
+
+@pytest.mark.parametrize("case", ["full psd", "cut psd", "orthant", "mixed"])
+def test_closed_form_jacobian_matches_unit_elements(case, monkeypatch):
+    """Polish's closed-form images of the unit elements equal the
+    compressed unit elements, block by block, within 1e-15."""
+    from facred.reducing import FaceCoordinates, _compressed_units
+
+    p, face = _closed_form_case(case, monkeypatch)
+    coords = FaceCoordinates(p, face)
+    want = _unit_images_reference(coords)
+    got = _compressed_units(coords)
+    assert len(got) == len(coords.blocks_hat)
+    for k, (first, images) in enumerate(got):
+        for j, parts in enumerate(want):
+            inside = first <= j < first + len(images)
+            expect = images[j - first] if inside else 0.0
+            assert np.max(np.abs(parts[k] - expect)) <= 1e-15, (k, j)
