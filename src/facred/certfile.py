@@ -50,21 +50,24 @@ def _element_lines(y: YElement):
     return lines
 
 
+def _floats(text):
+    """A line of numbers as one float array."""
+    try:
+        return np.array(text.split(), dtype=float)
+    except ValueError as exc:
+        raise CertFormatError(f"could not parse numbers: {text!r}") from exc
+
+
 def _read_element(blocks, lines, at):
     parts = []
     for blk in blocks:
         if at >= len(lines):
             raise CertFormatError("unexpected end of file inside an element")
-        vals = [float(t) for t in lines[at].split()]
+        vals = _floats(lines[at])
         at += 1
-        if blk.kind == "orthant":
-            if len(vals) != blk.size:
-                raise CertFormatError("orthant payload length mismatch")
-            parts.append(np.array(vals))
-        else:
-            if len(vals) != blk.size * blk.size:
-                raise CertFormatError("psd payload length mismatch")
-            parts.append(np.array(vals).reshape(blk.size, blk.size))
+        if len(vals) != blk.zero().size:
+            raise CertFormatError(f"{blk.kind} payload length mismatch")
+        parts.append(vals.reshape(blk.zero().shape))
     return YElement(blocks, parts), at
 
 
@@ -109,5 +112,5 @@ def read_certificate(text):
         ys.append(y)
     if at >= len(lines) or not lines[at].startswith("x_strict:"):
         raise CertFormatError("missing x_strict line")
-    x_strict = np.array([float(t) for t in lines[at].split(":", 1)[1].split()])
+    x_strict = _floats(lines[at].split(":", 1)[1])
     return blocks, ys, flags, x_strict

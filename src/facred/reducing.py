@@ -447,9 +447,9 @@ def _purify_certificate(p: ConicProgram, face: FaceRep, f: YElement,
     """
     rows = np.vstack([flatten_element(ai) for ai in p.a]
                      + [flatten_element(p.b)])
-    _, svals, vt = np.linalg.svd(rows, full_matrices=True)
-    rank = int(np.sum(svals > 1e-12 * (svals[0] if svals.size else 1.0)))
-    null_vt = vt[rank:]
+    # Nullspace projection v - V_r^T (V_r v), V_r the thin SVD's row space.
+    _, svals, vt = np.linalg.svd(rows, full_matrices=False)
+    row_vt = vt[:int(np.sum(svals > 1e-12 * (svals[0] if svals.size else 1.0)))]
     ends = np.cumsum([blk.ambient_dim for blk in p.blocks])
 
     # Rank cutoff for the structure projection: the large eigenvalues of a
@@ -457,7 +457,8 @@ def _purify_certificate(p: ConicProgram, face: FaceRep, f: YElement,
     cutoff = 1e-4
 
     # The projection in each round's stopping test starts the next round.
-    vec = null_vt.T @ (null_vt @ flatten_element(y))
+    vec = flatten_element(y)
+    vec = vec - row_vt.T @ (row_vt @ vec)
     history = [np.inf] * 3      # violation by round; padded for the stall test
     for _ in range(_PURIFY_ROUNDS):
         parts = [_unsvec(vec[end - blk.ambient_dim:end], blk.kind, blk.size)
@@ -485,7 +486,7 @@ def _purify_certificate(p: ConicProgram, face: FaceRep, f: YElement,
                 parts[bi] = 0.5 * (part + part.T)
         vec_new = np.concatenate([_svec(part, blk.kind)
                                   for blk, part in zip(p.blocks, parts)])
-        vec = null_vt.T @ (null_vt @ vec_new)
+        vec = vec_new - row_vt.T @ (row_vt @ vec_new)
         null_resid = float(np.linalg.norm(vec_new - vec))
         history.append(max(change, null_resid))
         if history[-1] <= 1e-13 * (1.0 + float(np.linalg.norm(vec_new))) \

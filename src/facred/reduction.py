@@ -36,9 +36,9 @@ class ReductionError(RuntimeError):
 
 @dataclass
 class ReductionCertificate:
-    """Chain y_0 .. y_t (y_0 = 0) with faces F_0 .. F_t, per-step reducing
-    flags, a point whose slack is strictly inside the final face, and the
-    iteration bound ``ell`` the run was held to (None when not from a run)."""
+    """Chain y_0 .. y_t (y_0 = 0) with faces F_0 .. F_t (or None), per-step
+    reducing flags, a point whose slack is strictly inside the final face,
+    and the iteration bound ``ell`` of the run (None when not from a run)."""
 
     ys: list
     faces: list
@@ -183,6 +183,7 @@ class CheckRecord:
 @dataclass
 class VerificationReport:
     checks: list = field(default_factory=list)
+    faces: list = field(default_factory=list)  # F_0, F_1, ... as recomputed
 
     @property
     def ok(self) -> bool:
@@ -206,19 +207,21 @@ def verify_certificate_chain(p: ConicProgram, cert: ReductionCertificate,
 
     Pure evaluation, no solves: nullspace membership of every certificate,
     membership in the running face dual, face recomputation, flag
-    consistency, and the strict-slack condition for the final face.
+    consistency, and the strict-slack condition for the final face.  The
+    recomputed faces go to the report, compared with ``cert.faces`` if set.
     """
     if tol is None:
         tol = config.DEFAULT_TOL
-    report = VerificationReport()
+    face = FaceRep.full_cone(p.blocks)
+    report = VerificationReport(faces=[face])
     report.add("chain starts at zero", cert.ys[0].norm() <= tol,
                f"|y_0| = {cert.ys[0].norm():.2e}")
 
-    face = FaceRep.full_cone(p.blocks)
-    if not faces_equal(cert.faces[0], face):
-        report.add("face 0 is the full cone", False, cert.faces[0].describe())
-        return report
-    report.add("face 0 is the full cone", True)
+    if cert.faces is not None:
+        if not faces_equal(cert.faces[0], face):
+            report.add("face 0 is the full cone", False, cert.faces[0].describe())
+            return report
+        report.add("face 0 is the full cone", True)
 
     for i in range(1, len(cert.ys)):
         y = cert.ys[i]
@@ -236,9 +239,12 @@ def verify_certificate_chain(p: ConicProgram, cert: ReductionCertificate,
         except ValueError as exc:
             report.add(f"face {i} recomputation", False, str(exc))
             return report
-        matches = faces_equal(cert.faces[i], new_face)
-        report.add(f"face {i} matches the recomputed intersection", matches,
-                   cert.faces[i].describe())
+        report.faces.append(new_face)
+        if cert.faces is None:
+            report.add(f"face {i} recomputation", True, new_face.describe())
+        else:
+            report.add(f"face {i} matches the recomputed intersection",
+                       faces_equal(cert.faces[i], new_face), cert.faces[i].describe())
         strict = not faces_equal(new_face, face)
         flag = cert.reducing_flags[i - 1]
         report.add(f"step {i} flag consistent", flag == strict,

@@ -13,6 +13,8 @@ rejected.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .model import ConeBlock, ConicProgram, YElement
@@ -25,16 +27,10 @@ class SdpaFormatError(ValueError):
 def _tokens(text):
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    lines, comments = [], []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line[0] in "*\"":
-            comments.append(line.lstrip("*\" ").strip())
-            continue
-        lines.append(line)
-    return lines, comments
+    lines = [line for line in map(str.strip, text.splitlines()) if line]
+    comments = [line.lstrip("*\" ").strip() for line in lines
+                if line[0] in "*\""]
+    return [line for line in lines if line[0] not in "*\""], comments
 
 
 def _ints(line, what):
@@ -44,8 +40,66 @@ def _ints(line, what):
         raise SdpaFormatError(f"could not parse {what}: {line!r}") from exc
 
 
+def _entry_array(rows):
+    """Tokenised entry lines as one (n, 5) float array; None when a line
+    lacks 5 fields, a token is no number, or an index token is not one that
+    int() reads too (of decimal digits, signs and underscores)."""
+    flat = list(chain.from_iterable(rows))
+    index = "".join(flat[0::5] + flat[1::5] + flat[2::5] + flat[3::5])
+    if set(map(len, rows)) - {5} or index and not index.translate(
+            str.maketrans("", "", "+-_")).isdecimal():
+        return None
+    try:
+        return np.array(flat, dtype=float).reshape(-1, 5)
+    except ValueError:
+        return None
+
+
+def _entry_stacks(entries, rows, blocks, m):
+    """Each block's m + 1 matrices (vectors if diagonal) from the entries of
+    the tokenised lines ``rows``.  SdpaFormatError for the first offending
+    line: matrix, block, entry index, duplicate (mirrored too), off-diagonal
+    entry in a diagonal block, checked in that order."""
+    # Block numbers 0 and nb + 1 stand for all bad ones: order 0.
+    sizes = np.array([0] + [blk.size for blk in blocks] + [0])
+    psd = np.array([False] + [blk.kind == "psd" for blk in blocks] + [False])
+    mat, blk, i, j = entries[:, :4].T
+    b = blk.clip(0, len(blocks) + 1).astype(np.intp)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    # Unique over in-range entries; a stable sort puts a repeat after the
+    # line it repeats.
+    key = ((mat * len(sizes) + b) * (sizes.max() + 1) + lo) * (sizes.max() + 1) + hi
+    order = np.argsort(key, kind="stable")
+    dup = np.zeros(len(key), dtype=bool)
+    dup[order[1:][key[order[1:]] == key[order[:-1]]]] = True
+    flags = ((mat < 0) | (mat > m), sizes[b] == 0, (lo < 1) | (hi > sizes[b]),
+             dup, ~psd[b] & (lo != hi))
+    offending = flags[0] | flags[1] | flags[2] | flags[3] | flags[4]
+    if offending.any():
+        k = int(np.argmax(offending))
+        matno, blkno, ii, jj = map(int, rows[k][:4])
+        raise SdpaFormatError(next(msg for flag, msg in zip(flags, (
+            f"matrix index {matno} out of range",
+            f"block index {blkno} out of range",
+            f"entry index ({ii},{jj}) out of range",
+            f"duplicate entry {(matno, blkno, min(ii, jj), max(ii, jj))}",
+            "off-diagonal entry in a diagonal block")) if flag[k]))
+    ix = entries[:, :4].astype(np.intp) - (0, 1, 1, 1)
+    stacks = [np.zeros((m + 1,) + blk.zero().shape) for blk in blocks]
+    for bi, stack in enumerate(stacks):
+        # One scatter per triangle; on a diagonal block both are (mat, i).
+        sel = ix[:, 1] == bi
+        mat, _, i, j = ix[sel].T
+        stack[(mat, i, j)[:stack.ndim]] = entries[sel, 4]
+        stack[(mat, j, i)[:stack.ndim]] = entries[sel, 4]
+    return stacks
+
+
 def parse_sdpa(text) -> ConicProgram:
-    """Parse SDPA sparse text (str or bytes) into a ConicProgram."""
+    """Parse SDPA sparse text (str or bytes) into a ConicProgram, reading
+    the entry lines as arrays: each line is split once, one conversion takes
+    all their tokens, and the checks and the fill are array operations.  A
+    malformed file raises SdpaFormatError naming its first offending line."""
     lines, comments = _tokens(text)
     if len(lines) < 3:
         raise SdpaFormatError("header requires at least three lines")
@@ -64,83 +118,45 @@ def parse_sdpa(text) -> ConicProgram:
                  .replace(")", " "), "block sizes")
     if len(dims) != nblocks:
         raise SdpaFormatError(f"expected {nblocks} block sizes, found {len(dims)}")
-    blocks = []
-    for d in dims:
-        if d == 0:
-            raise SdpaFormatError("zero block size")
-        blocks.append(ConeBlock("orthant", -d) if d < 0 else ConeBlock("psd", d))
-    blocks = tuple(blocks)
+    if 0 in dims:
+        raise SdpaFormatError("zero block size")
+    blocks = tuple(ConeBlock("orthant", -d) if d < 0 else ConeBlock("psd", d)
+                   for d in dims)
     try:
-        c = np.array([float(tok) for tok in lines[3].replace(",", " ").split()]
-                     if m else [])
+        c = np.array(lines[3].replace(",", " ").split() if m else [],
+                     dtype=float)
     except ValueError as exc:
         raise SdpaFormatError(f"could not parse objective line: {lines[3]!r}") from exc
     if len(c) != m:
         raise SdpaFormatError(f"objective has {len(c)} entries, expected {m}")
 
-    mats = [[blk.zero().copy() for blk in blocks] for _ in range(m + 1)]
-    seen = set()
-    for line in lines[head:]:
-        toks = line.replace(",", " ").split()
-        if len(toks) != 5:
-            raise SdpaFormatError(f"entry needs 5 fields: {line!r}")
-        try:
-            matno, blkno, i, j = (int(t) for t in toks[:4])
-            value = float(toks[4])
-        except ValueError as exc:
-            raise SdpaFormatError(f"could not parse entry: {line!r}") from exc
-        if not 0 <= matno <= m:
-            raise SdpaFormatError(f"matrix index {matno} out of range")
-        if not 1 <= blkno <= nblocks:
-            raise SdpaFormatError(f"block index {blkno} out of range")
-        blk = blocks[blkno - 1]
-        if not (1 <= i <= blk.size and 1 <= j <= blk.size):
-            raise SdpaFormatError(f"entry index ({i},{j}) out of range")
-        key = (matno, blkno, min(i, j), max(i, j))
-        if key in seen:
-            raise SdpaFormatError(f"duplicate entry {key}")
-        seen.add(key)
-        target = mats[matno][blkno - 1]
-        if blk.kind == "orthant":
-            if i != j:
-                raise SdpaFormatError("off-diagonal entry in a diagonal block")
-            target[i - 1] = value
-        else:
-            target[i - 1, j - 1] = value
-            target[j - 1, i - 1] = value
-
-    b = YElement(blocks, mats[0])
-    a = [YElement(blocks, mats[k + 1]) for k in range(m)]
+    lines = lines[head:]
+    rows = [line.replace(",", " ").split() for line in lines]
+    entries, bad = _entry_array(rows), len(rows)
+    if entries is None:
+        bad = next(k for k, row in enumerate(rows) if _entry_array([row]) is None)
+        entries = _entry_array(rows[:bad])
+    # Below a bad line, the checks of the lines above it still come first.
+    stacks = _entry_stacks(entries, rows, blocks, m)
+    if bad < len(rows):
+        what = "entry needs 5 fields" if len(rows[bad]) != 5 else "could not parse entry"
+        raise SdpaFormatError(f"{what}: {lines[bad]!r}")
+    b = YElement(blocks, [stack[0] for stack in stacks])
+    a = [YElement(blocks, [stack[k] for stack in stacks]) for k in range(1, m + 1)]
     return ConicProgram(blocks, a, b, c, name=comments[0] if comments else "")
-
-
-def _entry_lines(matno, blocks, y):
-    lines = []
-    for bi, (blk, part) in enumerate(zip(blocks, y.parts)):
-        if blk.kind == "orthant":
-            for i in range(blk.size):
-                if part[i] != 0.0:
-                    lines.append(f"{matno} {bi + 1} {i + 1} {i + 1} {part[i]:.17g}")
-        else:
-            for i in range(blk.size):
-                for j in range(i, blk.size):
-                    if part[i, j] != 0.0:
-                        lines.append(
-                            f"{matno} {bi + 1} {i + 1} {j + 1} {part[i, j]:.17g}")
-    return lines
 
 
 def emit_sdpa(p: ConicProgram) -> str:
     """Serialize a ConicProgram to SDPA sparse text; inverse of parse_sdpa."""
-    out = []
-    if p.name:
-        out.append(f"* {p.name}")
-    out.append(str(p.m))
-    out.append(str(len(p.blocks)))
-    out.append(" ".join(str(-blk.size if blk.kind == "orthant" else blk.size)
-                        for blk in p.blocks))
-    out.append(" ".join(f"{v:.17g}" for v in p.c))
-    out.extend(_entry_lines(0, p.blocks, p.b))
-    for k, ai in enumerate(p.a):
-        out.extend(_entry_lines(k + 1, p.blocks, ai))
+    out = ([f"* {p.name}"] if p.name else []) + [
+        str(p.m), str(len(p.blocks)),
+        " ".join(str(-blk.size if blk.kind == "orthant" else blk.size)
+                 for blk in p.blocks),
+        " ".join(f"{v:.17g}" for v in p.c)]
+    for matno, y in enumerate((p.b,) + p.a):
+        for bi, (blk, part) in enumerate(zip(p.blocks, y.parts), start=1):
+            full = np.triu(part) if blk.kind == "psd" else np.diag(part)
+            i, j = np.nonzero(full)
+            out.extend(f"{matno} {bi} {r} {c} {v:.17g}" for r, c, v in zip(
+                (i + 1).tolist(), (j + 1).tolist(), full[i, j].tolist()))
     return "\n".join(out) + "\n"

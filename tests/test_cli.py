@@ -369,3 +369,40 @@ def test_dualize_depth_reduction_failure_exit_codes(sdp_path, monkeypatch,
     got, out = run_cli(["dualize", sdp_path, "--solve"])
     assert got == code
     assert out == ""
+
+
+def test_calls_in_one_process_share_no_state(sdp_path, monkeypatch):
+    """The parser is built once; flags of one call do not carry into the
+    next, and each call runs the command function bound at call time."""
+    monkeypatch.delenv("FACRED_TOL", raising=False)
+    assert cli.build_parser() is cli.build_parser()
+    code, out = run_cli(["reduce", sdp_path, "--seed", "5", "--tol", "1e-6"])
+    assert code == 0 and "seed: 5" in out and "tol: 1e-06" in out
+    code, plain = run_cli(["reduce", sdp_path])
+    assert code == 0 and "seed: 0" in plain and "tol: 1e-07" in plain
+    seen = []
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "cmd_reduce", lambda args: seen.append(args) or 7)
+        assert cli.main(["reduce", sdp_path, "--max-iter", "3"]) == 7
+    assert seen[0].max_iter == 3 and seen[0].cert is None
+    assert run_cli(["reduce", sdp_path])[1] == plain
+
+
+def test_verify_reports_each_recomputed_face(tmp_path, sdp_path):
+    cert = str(tmp_path / "chain.cert")
+    assert run_cli(["reduce", sdp_path, "--cert", cert])[0] == 0
+    code, out = run_cli(["verify", sdp_path, cert])
+    assert code == 0
+    faces = [line for line in out.splitlines() if " face " in line
+             and "dual of face" not in line]
+    assert faces == ["pass  face 1 recomputation  (block 1: psd rank 2 of 3)",
+                     "pass  face 2 recomputation  (block 1: psd rank 1 of 3)"]
+
+
+def test_unreadable_certificate_number_exits_one(tmp_path, sdp_path, capsys):
+    cert = tmp_path / "chain.cert"
+    assert run_cli(["reduce", sdp_path, "--cert", str(cert)])[0] == 0
+    text = cert.read_text()
+    cert.write_text(text.replace("x_strict: ", "x_strict: oops "))
+    assert run_cli(["verify", sdp_path, str(cert)])[0] == 1
+    assert "could not parse numbers" in capsys.readouterr().err

@@ -118,14 +118,18 @@ def _purify_reference(p, face, f, y, rounds=80):
 
     rows = np.vstack([flatten_element(ai) for ai in p.a]
                      + [flatten_element(p.b)])
-    _, svals, vt = np.linalg.svd(rows, full_matrices=True)
+    _, svals, vt = np.linalg.svd(rows, full_matrices=False)
     rank = int(np.sum(svals > 1e-12 * (svals[0] if svals.size else 1.0)))
-    null_vt = vt[rank:]
+    row_vt = vt[:rank]
+
+    def project(v):  # onto the nullspace, through the thin SVD's row space
+        return v - row_vt.T @ (row_vt @ v)
+
     cutoff = 1e-4
     vec = flatten_element(y)
     history = []
     for _ in range(rounds):
-        vec = null_vt.T @ (null_vt @ vec)
+        vec = project(vec)
         cur = unflatten_element(vec, p.blocks)
         parts = [np.array(part) for part in cur.parts]
         change = 0.0
@@ -154,14 +158,14 @@ def _purify_reference(p, face, f, y, rounds=80):
                 parts[bi] = parts[bi] + q @ (fixed - compressed) @ q.T
         cur = YElement(p.blocks, parts)
         vec_new = flatten_element(cur)
-        null_resid = float(np.linalg.norm(vec_new - null_vt.T @ (null_vt @ vec_new)))
+        null_resid = float(np.linalg.norm(vec_new - project(vec_new)))
         vec = vec_new
         history.append(max(change, null_resid))
         if history[-1] <= 1e-13 * (1.0 + float(np.linalg.norm(vec))):
             break
         if len(history) > 3 and history[-1] > 0.5 * history[-4]:
             break
-    refined = unflatten_element(null_vt.T @ (null_vt @ vec), p.blocks)
+    refined = unflatten_element(project(vec), p.blocks)
     scale = f.inner(refined)
     if abs(scale) < 1e-6:
         raise SolverError("certificate cleanup collapsed the normalization")

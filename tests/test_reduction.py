@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from facred.certfile import read_certificate, write_certificate
+from facred.certfile import (CertFormatError, read_certificate,
+                             write_certificate)
 from facred.faces import (FaceRep, faces_equal, intersect_with_hyperplane,
                           subspace_distance)
 from facred.model import ConeBlock, ConicProgram, YElement, primal_slack
@@ -122,6 +123,39 @@ def test_corrupted_chain_fails_dual_membership(example_lp):
     assert not report.ok
     names = [c.name for c in report.failures()]
     assert any("dual of face" in n or "nullspace" in n for n in names)
+
+
+def test_verification_recomputes_the_faces_a_chain_omits(example_sdp):
+    """Without faces the check reports each recomputed face and keeps it;
+    with faces it compares them against the recomputation."""
+    cert = run_facial_reduction(example_sdp)
+    bare = ReductionCertificate(cert.ys, None, cert.reducing_flags,
+                                cert.x_strict)
+    report = verify_certificate_chain(example_sdp, bare)
+    assert report.ok
+    names = [c.name for c in report.checks]
+    assert "face 0 is the full cone" not in names
+    assert [n for n in names if "recomputation" in n] == [
+        f"face {i} recomputation" for i in range(1, len(cert.ys))]
+    assert all(faces_equal(a, b) for a, b in zip(report.faces, cert.faces))
+    assert len(report.faces) == len(cert.faces)
+    names = [c.name for c in verify_certificate_chain(example_sdp, cert).checks]
+    assert "face 0 is the full cone" in names
+    assert "face 1 matches the recomputed intersection" in names
+    wrong = ReductionCertificate(cert.ys, [cert.faces[0]] * len(cert.ys),
+                                 cert.reducing_flags, cert.x_strict)
+    failed = verify_certificate_chain(example_sdp, wrong).failures()
+    assert failed[0].name == "face 1 matches the recomputed intersection"
+
+
+def test_certificate_payload_errors(example_sdp):
+    text = write_certificate(run_facial_reduction(example_sdp))
+    lines = text.splitlines()
+    short = "\n".join(lines[:4] + [" ".join(lines[4].split()[:-1])] + lines[5:])
+    with pytest.raises(CertFormatError, match="^psd payload length mismatch$"):
+        read_certificate(short)
+    with pytest.raises(CertFormatError, match="could not parse numbers"):
+        read_certificate(text.replace("x_strict: ", "x_strict: 1 x "))
 
 
 def test_chain_monotone_on_fixture(example_sdp):

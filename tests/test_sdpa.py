@@ -91,21 +91,56 @@ def test_braced_dimension_line():
     assert [blk.size for blk in p.blocks] == [2, 2]
 
 
-@pytest.mark.parametrize("bad, what", [
-    ("1\n1\n", "truncated header"),
-    ("1\n1\n2\n", "objective line missing"),
-    ("x\n1\n2\n1.0\n", "bad m"),
-    ("1\n1\n0\n1.0\n", "zero block"),
-    ("1\n1\n2\n1.0 2.0\n", "objective length"),
-    ("1\n1\n2\n1.0\n1 1 3 3 1.0\n", "index out of range"),
-    ("1\n1\n2\n1.0\n1 2 1 1 1.0\n", "block out of range"),
-    ("1\n1\n2\n1.0\n2 1 1 1 1.0\n", "matrix index out of range"),
-    ("1\n1\n-2\n1.0\n1 1 1 2 1.0\n", "off-diagonal in diagonal block"),
-    ("1\n1\n2\n1.0\n1 1 1 1 1.0\n1 1 1 1 2.0\n", "duplicate"),
-])
-def test_malformed_inputs_rejected(bad, what):
-    with pytest.raises(SdpaFormatError):
+MALFORMED = [  # (text, label, the error it must raise)
+    ("1\n1\n", "truncated header", "header requires at least three lines"),
+    ("1\n1\n2\n", "objective line missing", "header requires an objective line"),
+    ("x\n1\n2\n1.0\n", "bad m", "could not parse variable count: 'x'"),
+    ("1\n1\n0\n1.0\n", "zero block", "zero block size"),
+    ("1\n1\n2\n1.0 2.0\n", "objective length", "objective has 2 entries, expected 1"),
+    ("1\n1\n2\n1.0\n1 1 3 3 1.0\n", "index out of range",
+     "entry index (3,3) out of range"),
+    ("1\n1\n2\n1.0\n1 2 1 1 1.0\n", "block out of range",
+     "block index 2 out of range"),
+    ("1\n1\n2\n1.0\n2 1 1 1 1.0\n", "matrix index out of range",
+     "matrix index 2 out of range"),
+    ("1\n1\n-2\n1.0\n1 1 1 2 1.0\n", "off-diagonal in diagonal block",
+     "off-diagonal entry in a diagonal block"),
+    ("1\n1\n2\n1.0\n1 1 1 1 1.0\n1 1 1 1 2.0\n", "duplicate",
+     "duplicate entry (1, 1, 1, 1)"),
+    ("1\n1\n2\n1.0\n1 1 1 1\n", "four fields", "entry needs 5 fields: '1 1 1 1'"),
+    ("1\n1\n2\n1.0\n1 1 1.0 1 1.0\n", "float index",
+     "could not parse entry: '1 1 1.0 1 1.0'"),
+    ("1\n1\n2\n1.0\n1 1 1 1 x\n", "bad value", "could not parse entry: '1 1 1 1 x'"),
+    ("1\n1\n2\n1.0\n99999999999999999999 1 1 1 1.0\n", "huge index",
+     "matrix index 99999999999999999999 out of range"),
+    # The first offending line names the error, whatever the later ones are.
+    ("1\n1\n2\n1.0\n1 1 1 1 1.0\n2 1 1 1 1.0\n1 1 1 1 x\n", "range before parse",
+     "matrix index 2 out of range"),
+    ("1\n1\n2\n1.0\n1 1 1 1 x\n2 1 1 1 1.0\n", "parse before range",
+     "could not parse entry: '1 1 1 1 x'"),
+    ("1\n1\n2\n1.0\n1 1 1 2 1.0\n1 1 2 1 1.0\n1 1 9 9 1.0\n",
+     "duplicate before range", "duplicate entry (1, 1, 1, 2)"),
+    ("1\n1\n2\n1.0\n1 1 9 9 1.0\n1 1 1 2 1.0\n1 1 2 1 1.0\n",
+     "range before duplicate", "entry index (9,9) out of range"),
+    ("1\n2\n-2 2\n1.0\n1 1 2 2 1.0\n1 1 1 2 1.0\n", "off-diagonal after diagonal",
+     "off-diagonal entry in a diagonal block"),
+    # One line with two faults reports the first check it fails.
+    ("1\n1\n2\n1.0\n5 9 9 9 1.0\n", "matrix before block",
+     "matrix index 5 out of range"),
+    ("1\n1\n2\n1.0\n1 9 9 9 1.0\n", "block before entry index",
+     "block index 9 out of range"),
+]
+
+
+@pytest.mark.parametrize("bad, what, message", MALFORMED,
+                         ids=[f"{bad}-{what}" for bad, what, _ in MALFORMED])
+def test_malformed_inputs_rejected(bad, what, message):
+    with pytest.raises(SdpaFormatError) as info:
         parse_sdpa(bad)
+    assert str(info.value) == message
+    with pytest.raises(SdpaFormatError) as info:
+        _parse_reference(bad)
+    assert str(info.value) == message
 
 
 def test_duplicate_mirrored_entry_rejected():
@@ -116,3 +151,121 @@ def test_duplicate_mirrored_entry_rejected():
 def test_bytes_input_accepted(example_sdp):
     text = emit_sdpa(example_sdp).encode()
     assert parse_sdpa(text).m == example_sdp.m
+
+
+def _parse_reference(text):
+    """The entry reader as first written, one line at a time; kept to pin
+    the array reader to the same arrays and the same errors."""
+    from facred.sdpa import _ints
+
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    lines, comments = [], []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if line and line[0] in "*\"":
+            comments.append(line.lstrip("*\" ").strip())
+        elif line:
+            lines.append(line)
+    if len(lines) < 3:
+        raise SdpaFormatError("header requires at least three lines")
+    m = _ints(lines[0].split("=")[0], "variable count")[0]
+    head = 4 if m else 3
+    if len(lines) < head:
+        raise SdpaFormatError("header requires an objective line")
+    dims = _ints(lines[2].replace("{", " ").replace("}", " ").replace("(", " ")
+                 .replace(")", " "), "block sizes")
+    if 0 in dims:
+        raise SdpaFormatError("zero block size")
+    blocks = tuple(ConeBlock("orthant", -d) if d < 0 else ConeBlock("psd", d)
+                   for d in dims)
+    c = np.array([float(tok) for tok in lines[3].replace(",", " ").split()]
+                 if m else [])
+    if len(c) != m:
+        raise SdpaFormatError(f"objective has {len(c)} entries, expected {m}")
+    mats = [[blk.zero().copy() for blk in blocks] for _ in range(m + 1)]
+    seen = set()
+    for line in lines[head:]:
+        toks = line.replace(",", " ").split()
+        if len(toks) != 5:
+            raise SdpaFormatError(f"entry needs 5 fields: {line!r}")
+        try:
+            matno, blkno, i, j = (int(t) for t in toks[:4])
+            value = float(toks[4])
+        except ValueError as exc:
+            raise SdpaFormatError(f"could not parse entry: {line!r}") from exc
+        if not 0 <= matno <= m:
+            raise SdpaFormatError(f"matrix index {matno} out of range")
+        if not 1 <= blkno <= len(blocks):
+            raise SdpaFormatError(f"block index {blkno} out of range")
+        blk = blocks[blkno - 1]
+        if not (1 <= i <= blk.size and 1 <= j <= blk.size):
+            raise SdpaFormatError(f"entry index ({i},{j}) out of range")
+        key = (matno, blkno, min(i, j), max(i, j))
+        if key in seen:
+            raise SdpaFormatError(f"duplicate entry {key}")
+        seen.add(key)
+        target = mats[matno][blkno - 1]
+        if blk.kind == "orthant":
+            if i != j:
+                raise SdpaFormatError("off-diagonal entry in a diagonal block")
+            target[i - 1] = value
+        else:
+            target[i - 1, j - 1] = value
+            target[j - 1, i - 1] = value
+    return ConicProgram(blocks, [YElement(blocks, mats[k]) for k in range(1, m + 1)],
+                        YElement(blocks, mats[0]), c,
+                        name=comments[0] if comments else "")
+
+
+def _random_sdpa(rng, kinds, m):
+    """SDPA text of a random program over blocks of the given kinds, with
+    about half of the entries zero, in shuffled order, some written as the
+    lower-triangle mirror."""
+    blocks = tuple(ConeBlock(kind, int(rng.integers(1, 6))) for kind in kinds)
+    out = ["* random", str(m), str(len(blocks)),
+           " ".join(str(-b.size if b.kind == "orthant" else b.size)
+                    for b in blocks),
+           " ".join(repr(float(v)) for v in rng.normal(size=m))]
+    entries = []
+    for k in range(m + 1):
+        for bi, blk in enumerate(blocks, start=1):
+            for i in range(1, blk.size + 1):
+                for j in range(i, blk.size + 1) if blk.kind == "psd" else [i]:
+                    if rng.random() < 0.5:
+                        a, b = (i, j) if rng.random() < 0.7 else (j, i)
+                        entries.append(f"{k} {bi} {a} {b} {rng.normal()!r}")
+    rng.shuffle(entries)
+    return "\n".join(out[:4] + out[4:] * bool(m) + entries) + "\n"
+
+
+@pytest.mark.parametrize("kinds", [("psd",), ("orthant",), ("orthant", "psd"),
+                                   ("psd", "orthant", "psd")])
+@pytest.mark.parametrize("m", [0, 1, 4])
+def test_array_reader_matches_the_line_reader(kinds, m):
+    rng = np.random.default_rng([m, len(kinds), kinds.count("psd")])
+    for _ in range(5):
+        text = _random_sdpa(rng, kinds, m)
+        got, want = parse_sdpa(text), _parse_reference(text)
+        assert got.blocks == want.blocks and got.name == want.name
+        assert np.array_equal(got.c, want.c)
+        for left, right in zip((got.b,) + got.a, (want.b,) + want.a):
+            for a, b in zip(left.parts, right.parts):
+                assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_index_tokens_read_as_strictly_as_int():
+    """An index token the array conversion takes as a number is still
+    refused unless int() reads it; signs and leading zeros read."""
+    for token in ("1.0", "1e0", "inf", "0x1"):
+        with pytest.raises(SdpaFormatError, match="could not parse entry"):
+            parse_sdpa(f"1\n1\n2\n1.0\n1 1 {token} 1 1.0\n")
+    p = parse_sdpa("1\n1\n2\n1.0\n+1 01 2 1 -0.5\n")
+    assert p.a[0].parts[0][0, 1] == p.a[0].parts[0][1, 0] == -0.5
+
+
+def test_commas_and_interleaved_comments():
+    text = "2\n1\n2\n1.0, 2.0\n* note\n0, 1, 1, 2, 3.0\n\n\"x\n2 1 2 2 4.0\n"
+    p = parse_sdpa(text)
+    assert p.name == "note"
+    assert p.b.parts[0][0, 1] == 3.0 and p.a[1].parts[0][1, 1] == 4.0

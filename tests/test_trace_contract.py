@@ -6,10 +6,13 @@ benchmark run fail.  This test installs the tracer (and removes it again)
 so such a change fails here first.
 """
 
+import contextlib
 import importlib.util
+import io
 from pathlib import Path
 
 import facred.cli  # noqa: F401  (the tracer patches every facred module)
+from facred.sdpa import emit_sdpa
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -28,3 +31,24 @@ def test_tracer_binds_every_traced_function():
         assert sorted(trace.sites) == sorted(tracer.NAMES)
     finally:
         trace.uninstall()
+
+
+def test_commands_traced_after_an_untraced_call(tmp_path, example_sdp):
+    """The benchmark runs a warm-up op before it installs the tracer; the
+    traced call that follows must still run through the wrapped cmd_*
+    (a dispatch that kept the functions of its first call would not)."""
+    path = tmp_path / "sdp.dat-s"
+    path.write_text(emit_sdpa(example_sdp))
+    argv = ["reduce", str(path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert facred.cli.main(argv) == 0
+        tracer = _load_tracer()
+        trace = tracer.Tracer().install()
+        try:
+            trace.enabled = True
+            assert facred.cli.main(argv) == 0
+        finally:
+            trace.uninstall()
+    names = [span[0] for span in trace.spans]
+    assert names.count("cli.cmd_reduce") == 1
+    assert "sdpa.parse_sdpa" in names
