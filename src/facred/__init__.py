@@ -9,8 +9,8 @@ optimal values are always attained and equal to the primal value.
 
 from .extended import (VARIANTS, ExtendedDualPoint, ExtendedDualProgram,
                        assemble_optimal_point, build_extended_dual,
-                       check_extended_point, extract_dual_solution,
-                       fmin_membership, lift_to_psd, solve_extended_dual)
+                       check_extended_point, fmin_membership, lift_to_psd,
+                       solve_extended_dual)
 from .faces import (FaceRep, conjugate_face, face_dual_membership,
                     faces_equal, in_tangent_space, intersect_with_hyperplane,
                     longest_chain_length, minimal_face,

@@ -37,9 +37,13 @@ def _parse_blocks(line):
     body = line.split(":", 1)[1]
     for piece in body.split("|"):
         toks = piece.split()
-        if len(toks) != 2:
-            raise CertFormatError(f"bad block descriptor: {piece!r}")
-        blocks.append(ConeBlock(toks[0], int(toks[1])))
+        try:
+            if len(toks) != 2:
+                raise ValueError("expected a kind and a size")
+            blocks.append(ConeBlock(toks[0], int(toks[1])))
+        except ValueError as exc:
+            raise CertFormatError(
+                f"bad block descriptor {piece.strip()!r}: {exc}") from exc
     return tuple(blocks)
 
 
@@ -96,7 +100,10 @@ def read_certificate(text):
     blocks = _parse_blocks(lines[1])
     if not lines[2].startswith("steps:"):
         raise CertFormatError("missing steps line")
-    nsteps = int(lines[2].split(":", 1)[1])
+    try:
+        nsteps = int(lines[2].split(":", 1)[1])
+    except ValueError as exc:
+        raise CertFormatError(f"bad steps line: {lines[2]!r}") from exc
     ys = [YElement.zeros(blocks)]
     flags = []
     at = 3

@@ -276,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dual.add_argument("--variant", choices=VARIANTS, default="star")
     p_dual.add_argument("--ell", type=int, default=None,
                         help="layer count (default: chain length with "
-                             "--solve, computed bound otherwise)")
+                             "--solve, computed bound otherwise); --solve "
+                             "refuses fewer layers than the chain has")
     p_dual.add_argument("--out", help="write the dual as SDPA here")
     p_dual.add_argument("--solve", action="store_true",
                         help="solve the dual and verify the optimal point")

@@ -21,11 +21,12 @@ The "ramana" variant additionally eliminates the v_i, writing every
 occurrence as w_i + w_i^T.  Layer 1 carries only u_1: the tangent space at
 zero is trivial, so v_1 = w_1 = 0 and they are not materialized.
 
-The equality constraints are eliminated by parameterizing the variable
-vector over their solution set, so the emitted program is a plain conic
-program in sup-form that the subsolver (or any SDPA-reading solver, via
-emit_sdpa) can handle; the parameterization is shifted to make the sup-form
-objective carry no constant whenever possible.
+The dual is solved through an assembled point, built from a facial
+reduction chain and verified against the variant's system; the chain must
+fit in the layers.  For other solvers the dual is also encoded as a plain
+sup-form conic program (emit_sdpa): the equality constraints are eliminated
+by parameterizing the variable vector over their solution set, shifted so
+the sup-form objective carries no constant whenever possible.
 """
 
 from __future__ import annotations
@@ -37,11 +38,12 @@ import numpy as np
 
 from . import config
 from .faces import in_tangent_space, split_on_face
-from .linalg import _packed_index, _svec, _unsvec
+from .linalg import _packed_index, _svec, flatten_element
 from .model import ConeBlock, ConicProgram, YElement, adjoint_apply
 from .reduction import (ReductionCertificate, VerificationReport,
                         compute_ell)
-from .solver import SolverError, SolverOptions, SolveStatus, solve_conic_lp
+from .solver import (SolverError, SolverOptions, SolveStatus,
+                     dual_affine_point, solve_conic_lp)
 
 VARIANTS = ("star", "simple", "primed", "ramana")
 
@@ -92,12 +94,6 @@ class _Layout:
         self.slices[key] = slice(self.size, self.size + length)
         self.size += length
 
-    def __contains__(self, key):
-        return key in self.slices
-
-    def __getitem__(self, key):
-        return self.slices[key]
-
 
 # The builder's variables hold the plain upper-triangle entries of each
 # symmetric block (``_svec`` with off-diagonal weight 1); weight 2 turns a
@@ -111,15 +107,15 @@ class ExtendedDualProgram:
     """An extended dual, encoded as a solvable sup-form conic program.
 
     The dual minimizes <b, u_{L+1} + v_{L+1}> over the layered system; after
-    eliminating the equality constraints via ``z = z_particular +
-    null_basis @ s`` the remaining cone constraints become the slack of
-    ``program``.  The dual's value is ``offset - (sup value of program)``.
+    eliminating the equality constraints via ``z = z_p + N s`` (N a basis of
+    their null space) the remaining cone constraints become the slack of
+    ``program`` at s.  The dual's value is ``offset - (sup value of program)``.
 
-    The layout, the objective and the elimination are computed by
-    build_extended_dual.  The encoded ``program`` (its cone-output maps and
-    one constraint element per null-basis column) is built on first read and
-    then kept; solving through the assembled point never reads it.
-    solve_extended_dual assembles its point from ``chain`` when set.
+    build_extended_dual lays out the variables and computes ``offset``.  The
+    equalities, their elimination and the encoded ``program`` are built on
+    first read of ``program`` and then kept; solving through the assembled
+    point never reads it.  solve_extended_dual assembles its point from
+    ``chain`` when set.
     """
 
     variant: str
@@ -127,18 +123,63 @@ class ExtendedDualProgram:
     source: ConicProgram          # lifted problem the dual was built from
     layout: dict
     nz: int
-    z_particular: np.ndarray
-    null_basis: np.ndarray
-    objective: np.ndarray         # q with <q, z> the dual objective
     offset: float
     name: str                     # name of the encoded program
     chain: ReductionCertificate = None  # reduction of source, if given
 
-    def z_from_solution(self, s) -> np.ndarray:
-        return self.z_particular + self.null_basis @ np.asarray(s, dtype=float)
+    def _equalities(self):
+        """The layered system's equality rows and right-hand side, and q with
+        <q, z> the dual objective."""
+        lifted, layout, nz, ell = self.source, self.layout, self.nz, self.ell
+        sizes = [blk.size for blk in lifted.blocks]
+        has_v = self.variant != "ramana"
+        rows, rhs = [], []
 
-    def value_of(self, res) -> float:
-        return self.offset - res.primal_obj
+        def data_row(i, g_funcs, target):
+            """<g, u_i + v_i> = target, with v_i written through w_i when
+            eliminated."""
+            row = np.zeros(nz)
+            for bi, g in enumerate(g_funcs):
+                row[layout[("u", i, bi)]] += _svec(g, "psd", 2.0)
+                if i >= 2:
+                    if has_v:
+                        row[layout[("v", i, bi)]] += _svec(g, "psd", 2.0)
+                    else:
+                        row[layout[("w", i, bi)]] += 2.0 * g.reshape(-1)
+            rows.append(row)
+            rhs.append(target)
+
+        for i in range(1, ell + 1):
+            for r in range(lifted.m):
+                data_row(i, lifted.a[r].parts, 0.0)
+            data_row(i, lifted.b.parts, 0.0)
+        for r in range(lifted.m):
+            data_row(ell + 1, lifted.a[r].parts, lifted.c[r])
+
+        if has_v:
+            for i in range(2, ell + 2):
+                for bi, n in enumerate(sizes):
+                    # v_i = w_i + w_i^T, one row per packed entry of v_i.
+                    k, l, _ = _packed_index(n, 1.0)
+                    at = np.arange(k.size)
+                    block = np.zeros((k.size, nz))
+                    block[at, layout[("v", i, bi)].start + at] = 1.0
+                    block[at, layout[("w", i, bi)].start + k * n + l] -= 1.0
+                    block[at, layout[("w", i, bi)].start + l * n + k] -= 1.0
+                    rows.extend(block)
+                    rhs.extend([0.0] * k.size)
+
+        q = np.zeros(nz)
+        for bi, n in enumerate(sizes):
+            coeffs = _svec(lifted.b.parts[bi], "psd", 2.0)
+            q[layout[("u", ell + 1, bi)]] += coeffs
+            if ell + 1 >= 2:
+                if has_v:
+                    q[layout[("v", ell + 1, bi)]] += coeffs
+                else:
+                    q[layout[("w", ell + 1, bi)]] += \
+                        2.0 * np.asarray(lifted.b.parts[bi]).reshape(-1)
+        return np.array(rows).reshape(len(rows), nz), np.array(rhs), q
 
     @cached_property
     def program(self) -> ConicProgram:
@@ -146,6 +187,19 @@ class ExtendedDualProgram:
         for u_i, and one bordered block per layer i >= 2 and block."""
         sizes = [blk.size for blk in self.source.blocks]
         layout, nz = self.layout, self.nz
+        eq, eq_rhs, q = self._equalities()
+        if eq.shape[0]:
+            z_p, *_ = np.linalg.lstsq(eq, eq_rhs, rcond=None)
+            _, svals, vt = np.linalg.svd(eq)
+            rank = int(np.sum(svals > 1e-11 * (svals[0] if svals.size else 1.0)))
+            null = vt[rank:].T
+        else:
+            z_p = np.zeros(nz)
+            null = np.eye(nz)
+        bn = null.T @ q
+        if bn.size and np.linalg.norm(bn) > 1e-12:
+            z_p = z_p - null @ (float(q @ z_p) * bn / float(bn @ bn))
+
         out_blocks, phi_rows, phi0_rows = [], [], []
 
         def add_output(size):
@@ -190,8 +244,8 @@ class ExtendedDualProgram:
 
         phi = np.vstack(phi_rows)
         phi0 = np.concatenate(phi0_rows)
-        slack0 = phi0 + phi @ self.z_particular
-        cols = phi @ self.null_basis
+        slack0 = phi0 + phi @ z_p
+        cols = phi @ null
 
         def as_parts(flat):
             parts, at = [], 0
@@ -204,9 +258,8 @@ class ExtendedDualProgram:
 
         b_prog = YElement(out_blocks, as_parts(slack0))
         a_prog = [YElement(out_blocks, as_parts(-cols[:, j]))
-                  for j in range(self.null_basis.shape[1])]
-        return ConicProgram(tuple(out_blocks), a_prog, b_prog,
-                            -(self.null_basis.T @ self.objective),
+                  for j in range(null.shape[1])]
+        return ConicProgram(tuple(out_blocks), a_prog, b_prog, -(null.T @ q),
                             name=self.name)
 
 
@@ -221,9 +274,10 @@ def build_extended_dual(p: ConicProgram, variant: str = "star",
     solve_extended_dual.  The layer count is ``ell_override``, else the
     chain's length (one layer per reducing step suffices), else compute_ell
     of the lifted program; ell = 0 is the ordinary dual.  This lays out the
-    variables, writes the equality rows and the objective, and eliminates
-    the equalities (raising SolverError when they are inconsistent); the
-    encoded program is left to the first read of ``.program``.
+    variables and computes the objective offset; it raises SolverError when
+    the ordinary dual is infeasible (A* y = c has no solution), which is
+    exactly when the layered equalities are inconsistent.  The equalities
+    and the encoded program are left to the first read of ``.program``.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -234,136 +288,39 @@ def build_extended_dual(p: ConicProgram, variant: str = "star",
         raise ValueError("chain is not a reduction of the lifted program")
     ell = int(ell_override) if ell_override is not None else \
         chain.steps if chain is not None else compute_ell(lifted)
-    blocks = lifted.blocks
-    sizes = [blk.size for blk in blocks]
-    m = lifted.m
-    has_v = variant != "ramana"
-    has_beta = variant in ("star", "simple")
+    if dual_affine_point(lifted) is None:
+        raise SolverError("extended dual equalities are inconsistent; "
+                          "the ordinary dual is infeasible")
 
     layout = _Layout()
     for i in range(1, ell + 2):
-        for bi, n in enumerate(sizes):
-            layout.add(("u", i, bi), _packed_len(n))
+        for bi, blk in enumerate(lifted.blocks):
+            layout.add(("u", i, bi), _packed_len(blk.size))
         if i >= 2:
-            for bi, n in enumerate(sizes):
-                layout.add(("w", i, bi), n * n)
-                if has_v:
-                    layout.add(("v", i, bi), _packed_len(n))
-            if has_beta:
+            for bi, blk in enumerate(lifted.blocks):
+                layout.add(("w", i, bi), blk.size * blk.size)
+                if variant != "ramana":
+                    layout.add(("v", i, bi), _packed_len(blk.size))
+            if variant in ("star", "simple"):
                 layout.add(("beta", i), 1)
-    nz = layout.size
 
-    # --- equality rows -----------------------------------------------------
-    rows, rhs = [], []
-
-    def data_row(i, g_funcs, target):
-        """<g, u_i + v_i> = target, with v_i written through w_i when
-        eliminated."""
-        row = np.zeros(nz)
-        for bi, g in enumerate(g_funcs):
-            row[layout[("u", i, bi)]] += _svec(g, "psd", 2.0)
-            if i >= 2:
-                if has_v:
-                    row[layout[("v", i, bi)]] += _svec(g, "psd", 2.0)
-                else:
-                    row[layout[("w", i, bi)]] += 2.0 * g.reshape(-1)
-        rows.append(row)
-        rhs.append(target)
-
-    for i in range(1, ell + 1):
-        for r in range(m):
-            data_row(i, [part for part in lifted.a[r].parts], 0.0)
-        data_row(i, [part for part in lifted.b.parts], 0.0)
-    for r in range(m):
-        data_row(ell + 1, [part for part in lifted.a[r].parts], lifted.c[r])
-
-    if has_v:
-        for i in range(2, ell + 2):
-            for bi, n in enumerate(sizes):
-                # v_i = w_i + w_i^T, one row per packed entry of v_i.
-                k, l, _ = _packed_index(n, 1.0)
-                at = np.arange(k.size)
-                block = np.zeros((k.size, nz))
-                block[at, layout[("v", i, bi)].start + at] = 1.0
-                block[at, layout[("w", i, bi)].start + k * n + l] -= 1.0
-                block[at, layout[("w", i, bi)].start + l * n + k] -= 1.0
-                rows.extend(block)
-                rhs.extend([0.0] * k.size)
-
-    eq = np.array(rows).reshape(len(rows), nz)
-    eq_rhs = np.array(rhs)
-
-    # --- objective ----------------------------------------------------------
-    q = np.zeros(nz)
-    for bi, n in enumerate(sizes):
-        coeffs = _svec(lifted.b.parts[bi], "psd", 2.0)
-        q[layout[("u", ell + 1, bi)]] += coeffs
-        if ell + 1 >= 2:
-            if has_v:
-                q[layout[("v", ell + 1, bi)]] += coeffs
-            else:
-                q[layout[("w", ell + 1, bi)]] += \
-                    2.0 * np.asarray(lifted.b.parts[bi]).reshape(-1)
-
-    # --- eliminate equalities ----------------------------------------------
-    if eq.shape[0]:
-        z_p, *_ = np.linalg.lstsq(eq, eq_rhs, rcond=None)
-        resid = np.linalg.norm(eq @ z_p - eq_rhs)
-        if resid > 1e-8 * (1.0 + np.linalg.norm(eq_rhs)):
-            raise SolverError("extended dual equalities are inconsistent; "
-                              "the ordinary dual is infeasible")
-        _, svals, vt = np.linalg.svd(eq)
-        rank = int(np.sum(svals > 1e-11 * (svals[0] if svals.size else 1.0)))
-        null = vt[rank:].T
-    else:
-        z_p = np.zeros(nz)
-        null = np.eye(nz)
-
-    bn = null.T @ q
-    offset = float(q @ z_p)
-    if bn.size and np.linalg.norm(bn) > 1e-12:
-        z_p = z_p - null @ (offset * bn / float(bn @ bn))
-        offset = float(q @ z_p)
-
-    return ExtendedDualProgram(variant, ell, lifted, dict(layout.slices), nz,
-                               z_p, null, q, offset,
+    return ExtendedDualProgram(variant, ell, lifted, dict(layout.slices),
+                               layout.size, _objective_offset(lifted),
                                f"{p.name} extended-{variant}".strip(), chain)
 
 
-def extract_dual_solution(ext: ExtendedDualProgram, res):
-    """Recover the layered point and the dual element u_{L+1} + v_{L+1} from
-    a solve of the encoded program."""
-    if len(res.x) != ext.null_basis.shape[1]:
-        raise ValueError("solution does not match the program layout")
-    z = ext.z_from_solution(res.x)
-    blocks = ext.source.blocks
-    sizes = [blk.size for blk in blocks]
-    zeros = YElement.zeros(blocks)
-    us, vs, ws, betas = [zeros], [zeros], [[np.zeros((n, n)) for n in sizes]], [0.0]
-    has_v = ext.variant != "ramana"
-    for i in range(1, ext.ell + 2):
-        u_parts = [_unsvec(z[ext.layout[("u", i, bi)]], "psd", n, 1.0)
-                   for bi, n in enumerate(sizes)]
-        us.append(YElement(blocks, u_parts))
-        if i >= 2:
-            w_i = [z[ext.layout[("w", i, bi)]].reshape(n, n)
-                   for bi, n in enumerate(sizes)]
-            if has_v:
-                v_parts = [_unsvec(z[ext.layout[("v", i, bi)]], "psd", n, 1.0)
-                           for bi, n in enumerate(sizes)]
-            else:
-                v_parts = [w + w.T for w in w_i]
-            beta = float(z[ext.layout[("beta", i)]][0]) \
-                if ("beta", i) in ext.layout else 1.0
-        else:
-            w_i = [np.zeros((n, n)) for n in sizes]
-            v_parts = [np.zeros((n, n)) for n in sizes]
-            beta = 0.0
-        vs.append(YElement(blocks, v_parts))
-        ws.append(w_i)
-        betas.append(beta)
-    pt = ExtendedDualPoint(us, vs, ws, betas)
-    return pt, pt.final_dual_point()
+def _objective_offset(lifted: ConicProgram) -> float:
+    """The constant of the encoded program's objective.  The shift removes
+    it unless <b, .> is constant on the final layer's affine set, that is
+    unless b = sum lam_i a_i; then the dual objective is lam . c."""
+    if not lifted.m:
+        return 0.0
+    rows = np.column_stack([flatten_element(ai) for ai in lifted.a])
+    b = flatten_element(lifted.b)
+    lam, *_ = np.linalg.lstsq(rows, b, rcond=None)
+    if np.linalg.norm(rows @ lam - b) > 1e-12:
+        return 0.0
+    return float(lam @ lifted.c)
 
 
 def check_extended_point(p: ConicProgram, pt: ExtendedDualPoint,
@@ -467,10 +424,6 @@ def _tangent_witness(base_parts, v_parts, blocks):
     return ws, beta
 
 
-class _ChainTooLong(SolverError):
-    """The reduction chain needs more layers than the extended dual has."""
-
-
 def assemble_optimal_point(p: ConicProgram, variant: str = "star",
                            ell: int = None, options: SolverOptions = None,
                            chain: ReductionCertificate = None
@@ -484,8 +437,9 @@ def assemble_optimal_point(p: ConicProgram, variant: str = "star",
     sums of the chain, and the identity-block variants additionally rescale
     the layers so the fixed identity suffices as the bordered block's lower
     corner.  ``chain`` is a run_facial_reduction of the lifted program, run
-    here when not given.  ``ell`` defaults to the chain's bound and must be
-    at least the chain length; each layer past it squares that rescale.
+    here when not given.  ``ell`` defaults to the chain's bound; below the
+    chain length the chain does not fit and ValueError is raised.  Each
+    layer past the chain length squares the identity-block rescale.
     """
     from .reduction import decompose_certificates, run_facial_reduction
 
@@ -498,8 +452,9 @@ def assemble_optimal_point(p: ConicProgram, variant: str = "star",
     if ell is None:
         ell = cert.ell
     if cert.steps > ell:
-        raise _ChainTooLong(
-            f"chain of length {cert.steps} does not fit in {ell} layers")
+        raise ValueError(
+            f"chain of length {cert.steps} does not fit in {ell} layers; "
+            f"the extended dual needs at least one layer per reducing step")
     dec = decompose_certificates(lifted, cert)
     y_final = _regularized_dual_solution(lifted, cert, options)
     u_fin, v_fin = split_on_face(cert.minimal_face, y_final)
@@ -565,25 +520,12 @@ def solve_extended_dual(ext: ExtendedDualProgram,
     final layer.  The extended dual is a valid dual, so a feasible point of
     it whose objective reaches the primal value is optimal; the point is
     verified against the variant's system and its objective is the value.
-    A point that fails verification raises SolverError.  Only when the
-    chain does not fit in ``ell`` layers (an ``ell`` given below the chain
-    length, for instance 0, the ordinary dual) is the encoded program solved
-    directly; unless it ends OPTIMAL it raises SolverError (a stalled solve
-    of an unattained infimum sits at a feasible point of the wrong value),
-    and its point is returned with its report, passed or not.
+    A point that fails verification raises SolverError.  A chain longer
+    than ``ext.ell`` raises ValueError: below the chain length the extended
+    dual need not be strong, so no value is answered.
     """
-    options = options or SolverOptions()
-    try:
-        pt = assemble_optimal_point(ext.source, ext.variant, ext.ell, options,
-                                    ext.chain)
-    except _ChainTooLong:
-        res = solve_conic_lp(ext.program, options)
-        if res.status is not SolveStatus.OPTIMAL:
-            raise SolverError(f"extended dual solve ended {res.status.value} "
-                              f"({res.message})")
-        pt, _ = extract_dual_solution(ext, res)
-        return (ext.value_of(res), pt,
-                check_extended_point(ext.source, pt, ext.variant))
+    pt = assemble_optimal_point(ext.source, ext.variant, ext.ell, options,
+                                ext.chain)
     report = check_extended_point(ext.source, pt, ext.variant)
     if not report.ok:
         failed = ", ".join(c.name for c in report.failures())

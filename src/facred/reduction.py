@@ -67,15 +67,6 @@ class DecomposedChain:
     us: list
     vs: list
 
-    def padded(self, length: int):
-        """Extend with zero pairs up to ``length`` + 1 entries."""
-        blocks = self.us[0].blocks
-        us, vs = list(self.us), list(self.vs)
-        while len(us) < length + 1:
-            us.append(YElement.zeros(blocks))
-            vs.append(YElement.zeros(blocks))
-        return DecomposedChain(us, vs)
-
 
 def compute_ell(p: ConicProgram, tol: float = None) -> int:
     """Bound on reducing iterations and on the depth of extended duals:

@@ -453,12 +453,6 @@ class StandardDualForm:
     basis: tuple
     offset: float
 
-    def y_from_t(self, t) -> YElement:
-        y = self.y0
-        for tj, nj in zip(np.asarray(t, dtype=float), self.basis):
-            y = y + float(tj) * nj
-        return y
-
     def value_of(self, res: SolveResult) -> float:
         return self.offset - res.primal_obj
 
@@ -474,6 +468,18 @@ class StandardDualForm:
         return [rec.z for rec in res.iterates]
 
 
+def dual_affine_point(p: ConicProgram):
+    """A flattened least-squares solution of the dual equations
+    <a_i, y> = c_i, or None when they are inconsistent."""
+    if not p.m:
+        return np.zeros(p.ambient_dim)
+    rows = np.vstack([flatten_element(ai) for ai in p.a])
+    sol, *_ = np.linalg.lstsq(rows, p.c, rcond=None)
+    if np.linalg.norm(rows @ sol - p.c) > 1e-9 * (1.0 + np.linalg.norm(p.c)):
+        return None
+    return sol
+
+
 def standard_dual(p: ConicProgram) -> StandardDualForm:
     """Build the standard dual of ``p`` as a solvable ConicProgram.
 
@@ -482,13 +488,10 @@ def standard_dual(p: ConicProgram) -> StandardDualForm:
     """
     from .linalg import nullspace_basis, unflatten_element
 
-    rows = np.vstack([flatten_element(ai) for ai in p.a]) if p.m else \
-        np.zeros((0, p.ambient_dim))
-    sol, *_ = np.linalg.lstsq(rows, p.c, rcond=None) if p.m else \
-        (np.zeros(p.ambient_dim),)
-    if p.m and np.linalg.norm(rows @ sol - p.c) > 1e-9 * (1.0 + np.linalg.norm(p.c)):
+    sol = dual_affine_point(p)
+    if sol is None:
         raise ValueError("dual affine equations are inconsistent")
-    y0 = unflatten_element(np.asarray(sol).reshape(-1), p.blocks)
+    y0 = unflatten_element(sol, p.blocks)
     basis = nullspace_basis(list(p.a)) if p.m else \
         nullspace_basis([YElement.zeros(p.blocks)])
     bn = np.array([p.b.inner(nj) for nj in basis])

@@ -131,33 +131,94 @@ def _dualize_value(out):
 
 
 def test_dualize_ell_zero_matches_standard_dual(tmp_path):
-    """At --ell 0 (the ordinary dual, solved directly) a program whose
-    ordinary dual solve ends optimal answers the default-depth value."""
-    from conftest import random_degenerate
+    """At --ell 0 (the ordinary dual) a regular program, whose chain has no
+    step, answers the ordinary dual's value through the assembled point."""
+    from conftest import random_strictly_feasible
 
-    path = tmp_path / "degen1.dat-s"
-    path.write_text(emit_sdpa(random_degenerate(1, n=4, m=3)[0]))
-    code, out = run_cli(["dualize", str(path), "--solve"])
-    assert code == 0
-    ref = _dualize_value(out)
-    assert ref == pytest.approx(-1.372442, abs=1e-6)
+    path = tmp_path / "strict.dat-s"
+    path.write_text(emit_sdpa(random_strictly_feasible(4, n=3, m=2)[0]))
     code, out = run_cli(["dualize", str(path), "--ell", "0", "--solve"])
     assert code == 0
-    assert "point_verified: yes" in out
-    assert abs(_dualize_value(out) - ref) <= 1e-5
+    lines = out.splitlines()
+    assert "ell: 0" in lines and "point_verified: yes" in lines
+    ref = next(l for l in lines if l.startswith("standard_dual_value:"))
+    assert abs(_dualize_value(out) - float(ref.split(":")[1])) <= 1e-5
 
 
-def test_dualize_ell_zero_refuses_an_unconverged_solve(tmp_path, sdp_path):
-    """An ordinary dual solve that does not end optimal sits at a feasible
-    point of the wrong value: --ell 0 exits 1 instead of printing it."""
+def test_dualize_below_the_chain_length_is_refused(tmp_path, sdp_path,
+                                                   capsys):
+    """Below the chain length the extended dual need not be strong: --solve
+    exits 1 naming the chain length and prints no report."""
     from conftest import random_degenerate
 
-    path = tmp_path / "degen3.dat-s"
-    path.write_text(emit_sdpa(random_degenerate(3, n=4, m=3)[0]))
-    for prob in (sdp_path, str(path)):
-        code, out = run_cli(["dualize", prob, "--ell", "0", "--solve"])
-        assert code == 1, prob
-        assert "extended_dual_value" not in out
+    cases = [(sdp_path, 2)]
+    for seed in (1, 3):
+        path = tmp_path / f"degen{seed}.dat-s"
+        path.write_text(emit_sdpa(random_degenerate(seed, n=4, m=3)[0]))
+        cases.append((str(path), 1))
+    for prob, steps in cases:
+        for ell in range(steps):
+            for variant in ("star", "ramana"):
+                code, out = run_cli(["dualize", prob, "--ell", str(ell),
+                                     "--variant", variant, "--solve"])
+                assert code == 1, (prob, ell, variant)
+                assert out == ""
+                assert capsys.readouterr().err.startswith(
+                    f"error: chain of length {steps} does not fit in {ell} "
+                    f"layers")
+
+
+@pytest.mark.parametrize("variant", ["star", "ramana"])
+def test_dualize_reports_the_duality_gap(tmp_path, variant):
+    """The gap SDP: sup -x_1 with slack E33 + x_1 (E12 + E21 + E33) + x_2 E22
+    pins x_1 = 0, so the primal value is 0, while the ordinary dual,
+    inf y_33 with y_22 = 0 and 2 y_12 + y_33 = 1, has value 1.  The extended
+    dual closes the gap with one layer."""
+    blocks = (ConeBlock("psd", 3),)
+    unit = np.eye(3)
+
+    def e(i, j):
+        return np.outer(unit[i], unit[j])
+
+    a = [YElement(blocks, [-(e(0, 1) + e(1, 0) + e(2, 2))]),
+         YElement(blocks, [-e(1, 1)])]
+    p = ConicProgram(blocks, a, YElement(blocks, [e(2, 2)]), [-1.0, 0.0],
+                     name="gap")
+    path = tmp_path / "gap.dat-s"
+    path.write_text(emit_sdpa(p))
+    code, out = run_cli(["dualize", str(path), "--variant", variant,
+                         "--solve"])
+    assert code == 0
+    lines = out.splitlines()
+    ref = next(l for l in lines if l.startswith("standard_dual_value:"))
+    assert float(ref.split(":")[1]) == pytest.approx(1.0, abs=1e-4)
+    assert "extended_dual_value: 0.000000" in lines
+    assert "point_verified: yes" in lines
+    assert "ell: 1" in lines
+
+
+def test_dualize_infeasible_dual_exits_one(tmp_path, capsys):
+    """With a_2 = a_1 but c_1 != c_2 no y solves A* y = c."""
+    from conftest import random_strictly_feasible
+
+    p, _ = random_strictly_feasible(3)
+    p = ConicProgram(p.blocks, [p.a[0], p.a[0], p.a[2]], p.b, [1.0, 0.0, 0.5])
+    path = tmp_path / "infeasible.dat-s"
+    path.write_text(emit_sdpa(p))
+    for flags in ([], ["--solve"], ["--ell", "0", "--solve"]):
+        code, out = run_cli(["dualize", str(path)] + flags)
+        assert code == 1
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name", ["sdp3", "lp5x3"])
+@pytest.mark.parametrize("variant", ["star", "ramana"])
+def test_dualize_reports_match_the_goldens(name, variant):
+    code, out = run_cli(["dualize", str(GOLDEN / f"{name}.dat-s"),
+                         "--variant", variant, "--solve"])
+    assert code == 0
+    assert out == (GOLDEN / f"dualize_{name}_{variant}.txt").read_text()
 
 
 def test_member_command(tmp_path, sdp_path):
@@ -406,3 +467,21 @@ def test_unreadable_certificate_number_exits_one(tmp_path, sdp_path, capsys):
     cert.write_text(text.replace("x_strict: ", "x_strict: oops "))
     assert run_cli(["verify", sdp_path, str(cert)])[0] == 1
     assert "could not parse numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new", [("steps: 2", "steps: two"),
+                                      ("blocks: psd 3", "blocks: psd three"),
+                                      ("blocks: psd 3", "blocks: cone 3"),
+                                      ("blocks: psd 3", "blocks: psd 0")])
+def test_bad_certificate_header_exits_one(tmp_path, sdp_path, capsys, old,
+                                          new):
+    cert = tmp_path / "chain.cert"
+    assert run_cli(["reduce", sdp_path, "--cert", str(cert)])[0] == 0
+    text = cert.read_text()
+    assert old in text
+    cert.write_text(text.replace(old, new))
+    capsys.readouterr()
+    code, out = run_cli(["verify", sdp_path, str(cert)])
+    assert code == 1
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: ")

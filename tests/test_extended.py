@@ -3,17 +3,17 @@ import pytest
 
 from facred.extended import (VARIANTS, ExtendedDualPoint,
                              assemble_optimal_point, build_extended_dual,
-                             check_extended_point, extract_dual_solution,
-                             fmin_membership, lift_to_psd,
-                             solve_extended_dual)
+                             check_extended_point, fmin_membership,
+                             lift_to_psd, solve_extended_dual)
 from facred.faces import tangent_membership_schur
-from facred.model import ConeBlock, ConicProgram, YElement
+from facred.model import ConeBlock, ConicProgram, YElement, adjoint_apply
 from facred.reduction import run_facial_reduction
 from facred.sdpa import emit_sdpa, parse_sdpa
 from facred.solver import (SolverError, SolverOptions, solve_conic_lp,
                            standard_dual)
 
-from conftest import congruence, random_degenerate, random_strictly_feasible
+from conftest import (congruence, random_degenerate,
+                      random_strictly_feasible, sym)
 
 
 def test_lift_embeds_orthant_blocks(example_lp):
@@ -28,52 +28,84 @@ def test_lift_is_identity_on_psd_programs(example_sdp):
 
 
 def test_layout_round_trips_through_extraction(example_sdp):
+    """The layout tiles the stacked vector, and an assembled point packed
+    into z by it satisfies the layered equalities with objective q . z."""
     ext = build_extended_dual(example_sdp, "star", ell_override=2)
-    rng = np.random.default_rng(5)
-    s = rng.normal(size=ext.null_basis.shape[1])
+    spans = sorted((sl.start, sl.stop) for sl in ext.layout.values())
+    assert spans[0][0] == 0 and spans[-1][1] == ext.nz
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
 
-    class Fake:
-        x = s
-
-    pt, y = extract_dual_solution(ext, Fake())
-    z = ext.z_from_solution(s)
+    value, pt, _ = solve_extended_dual(ext)
     n = example_sdp.blocks[0].size
     iu = np.triu_indices(n)
+    z = np.zeros(ext.nz)
     for i in range(1, ext.ell + 2):
-        np.testing.assert_array_equal(pt.us[i].parts[0][iu],
-                                      z[ext.layout[("u", i, 0)]])
+        z[ext.layout[("u", i, 0)]] = pt.us[i].parts[0][iu]
         if i >= 2:
-            np.testing.assert_array_equal(pt.vs[i].parts[0][iu],
-                                          z[ext.layout[("v", i, 0)]])
-            np.testing.assert_array_equal(pt.ws[i][0].reshape(-1),
-                                          z[ext.layout[("w", i, 0)]])
-            assert pt.betas[i] == z[ext.layout[("beta", i)]][0]
-    assert (y - pt.final_dual_point()).norm() == 0.0
+            z[ext.layout[("v", i, 0)]] = pt.vs[i].parts[0][iu]
+            z[ext.layout[("w", i, 0)]] = pt.ws[i][0].reshape(-1)
+            z[ext.layout[("beta", i)]] = pt.betas[i]
+    eq, rhs, q = ext._equalities()
+    np.testing.assert_allclose(eq @ z, rhs, atol=1e-7)
+    assert q @ z == pytest.approx(value, abs=1e-7)
+    assert pt.final_dual_point().inner(example_sdp.b) == pytest.approx(
+        value, abs=1e-7)
+
+
+def _in_span_program():
+    """Two blocks with b = 2 a_1 - a_2, so the dual objective <b, y> is the
+    constant 2 c_1 - c_2 = 1.5 on the final layer's affine set."""
+    rng = np.random.default_rng(11)
+    blocks = (ConeBlock("psd", 2), ConeBlock("orthant", 2))
+    a = [YElement(blocks, [sym(rng.normal(size=(2, 2))), rng.normal(size=2)])
+         for _ in range(2)]
+    return ConicProgram(blocks, a, 2.0 * a[0] - a[1], [1.0, 0.5], name="span")
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_encoded_slack_is_the_layered_point(example_sdp, variant):
     """At any s, the slack of the encoded program holds the u_i and the
-    bordered blocks [[S_i, w_i], [w_i^T, D_i]] of the layered point z(s)."""
-    ext = build_extended_dual(example_sdp, variant, ell_override=2)
-    s = np.random.default_rng(3).normal(size=ext.null_basis.shape[1])
+    bordered blocks [[S_i, w_i], [w_i^T, D_i]] of a point of the layered
+    system, whose objective is offset - <c, s>."""
+    for p, offset in ((example_sdp, 0.0), (_in_span_program(), 1.5)):
+        ext = build_extended_dual(p, variant, ell_override=2)
+        assert ext.offset == pytest.approx(offset, abs=1e-12)
+        lifted, ell = ext.source, ext.ell
+        sizes = [blk.size for blk in lifted.blocks]
+        prog = ext.program
+        s = np.random.default_rng(3).normal(size=prog.m)
+        parts = iter((prog.b - prog.apply(s)).parts)
 
-    class Fake:
-        x = s
+        def element(mats):
+            return YElement(lifted.blocks, mats)
 
-    pt, _ = extract_dual_solution(ext, Fake())
-    n = example_sdp.blocks[0].size
-    expected = [u.parts[0] for u in pt.us[1:]]
-    for i in range(2, ext.ell + 2):
-        uppers = pt.us[1:i] if variant == "star" else [pt.us[i - 1]]
-        upper = sum(u.parts[0] for u in uppers)
-        w = pt.ws[i][0]
-        lower = pt.betas[i] * np.eye(n)
-        expected.append(np.block([[upper, w], [w.T, lower]]))
-    slack = ext.program.b - ext.program.apply(s)
-    assert len(slack.parts) == len(expected)
-    for got, want in zip(slack.parts, expected):
-        np.testing.assert_allclose(got, want, atol=1e-9)
+        us = [element([np.zeros((n, n)) for n in sizes])]
+        us += [element([next(parts) for _ in sizes]) for _ in range(ell + 1)]
+        vs = [us[0], us[0]]
+        for i in range(2, ell + 2):
+            uppers = us[1:i] if variant == "star" else [us[i - 1]]
+            v_parts = []
+            for bi, n in enumerate(sizes):
+                block = next(parts)
+                upper = sum(u.parts[bi] for u in uppers)
+                np.testing.assert_allclose(block[:n, :n], upper, atol=1e-9)
+                beta = block[n, n] if variant in ("star", "simple") else 1.0
+                np.testing.assert_allclose(block[n:, n:], beta * np.eye(n),
+                                           atol=1e-9)
+                w = block[:n, n:]
+                v_parts.append(w + w.T)
+            vs.append(element(v_parts))
+        assert next(parts, None) is None
+
+        ys = [u + v for u, v in zip(us, vs)]
+        for i in range(1, ell + 1):
+            np.testing.assert_allclose(adjoint_apply(lifted, ys[i]), 0.0,
+                                       atol=1e-9)
+            assert abs(lifted.b.inner(ys[i])) <= 1e-9
+        np.testing.assert_allclose(adjoint_apply(lifted, ys[-1]), lifted.c,
+                                   atol=1e-9)
+        assert lifted.b.inner(ys[-1]) == pytest.approx(
+            ext.offset - prog.c @ s, abs=1e-9)
 
 
 def test_depth_zero_collapses_to_standard_dual():
@@ -87,27 +119,47 @@ def test_depth_zero_collapses_to_standard_dual():
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_raw_route_builds_the_program(variant):
-    """A one-step chain does not fit in ell = 0 layers, so the encoded
-    program is built on that solve and solved directly; here that solve
-    ends optimal, at the default-depth value."""
+    """A one-step chain does not fit in ell = 0 layers: the solve refuses
+    without building the encoded program, which is still built on request
+    (as for --out) and, solved directly, reaches the default-depth value."""
     p, _ = random_degenerate(1, n=4, m=3)
     ref, _, _ = solve_extended_dual(build_extended_dual(p, variant))
     ext = build_extended_dual(p, variant, ell_override=0)
+    with pytest.raises(ValueError, match="chain of length 1 does not fit "
+                                         "in 0 layers"):
+        solve_extended_dual(ext)
     assert "program" not in vars(ext)
-    val, _, report = solve_extended_dual(ext)
+    res = solve_conic_lp(ext.program)
     assert "program" in vars(ext)
-    assert report.ok
-    assert val == pytest.approx(ref, abs=1e-5)
+    assert res.optimal
+    assert ext.offset - res.primal_obj == pytest.approx(ref, abs=1e-5)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_raw_route_refuses_an_unconverged_solve(example_sdp, variant):
-    """A raw solve that does not end optimal raises, naming its status,
-    instead of answering from a feasible point of the wrong value."""
-    for p in (example_sdp, random_degenerate(3, n=4, m=3)[0]):
-        ext = build_extended_dual(p, variant, ell_override=0)
-        with pytest.raises(SolverError, match="numerical_failure"):
-            solve_extended_dual(ext)
+    """Below the chain length the extended dual need not be strong (a direct
+    solve of these programs at ell = 0 does not end optimal), so no value is
+    answered: the solve raises ValueError, naming the chain length, and the
+    encoded program stays unbuilt."""
+    for p, steps in ((example_sdp, 2), (random_degenerate(1, n=4, m=3)[0], 1),
+                     (random_degenerate(3, n=4, m=3)[0], 1)):
+        for ell in range(steps):
+            ext = build_extended_dual(p, variant, ell_override=ell)
+            with pytest.raises(ValueError, match=f"chain of length {steps} "
+                                                 f"does not fit in {ell} layers"):
+                solve_extended_dual(ext)
+            assert "program" not in vars(ext)
+
+
+@pytest.mark.parametrize("ell", [None, 0, 1, 2, 3])
+def test_inconsistent_dual_equalities_raise(ell):
+    """With a_2 = a_1 but c_1 != c_2, A* y = c has no solution: the
+    ordinary dual, and every extended dual, is infeasible."""
+    p, _ = random_strictly_feasible(3)
+    p = ConicProgram(p.blocks, [p.a[0], p.a[0], p.a[2]], p.b, [1.0, 0.0, 0.5])
+    for variant in VARIANTS:
+        with pytest.raises(SolverError, match="ordinary dual is infeasible"):
+            build_extended_dual(p, variant, ell_override=ell)
 
 
 def test_variant_values_agree(example_sdp):

@@ -204,13 +204,6 @@ def test_decompose_random_chains_recompose():
             assert resid <= 1e-10 * (1 + cert.ys[i].norm())
 
 
-def test_padded_decomposition(example_sdp):
-    cert = hand_cert(example_sdp, sdp_chain(example_sdp.blocks), [0.0, 0.0])
-    dec = decompose_certificates(example_sdp, cert).padded(4)
-    assert len(dec.us) == 5
-    assert dec.us[-1].norm() == 0.0
-
-
 def test_certificate_file_round_trip(example_sdp):
     cert = run_facial_reduction(example_sdp)
     text = write_certificate(cert)
