@@ -438,8 +438,8 @@ def assemble_optimal_point(p: ConicProgram, variant: str = "star",
     the layers so the fixed identity suffices as the bordered block's lower
     corner.  ``chain`` is a run_facial_reduction of the lifted program, run
     here when not given.  ``ell`` defaults to the chain's bound; below the
-    chain length the chain does not fit and ValueError is raised.  Each
-    layer past the chain length squares the identity-block rescale.
+    chain length the chain does not fit and ValueError is raised.  The
+    layers past the chain length are zero layers placed before the chain.
     """
     from .reduction import decompose_certificates, run_facial_reduction
 
@@ -461,19 +461,16 @@ def assemble_optimal_point(p: ConicProgram, variant: str = "star",
 
     blocks = lifted.blocks
     zeros = YElement.zeros(blocks)
-    if variant == "star":
-        us = list(dec.us) + [zeros] * (ell - cert.steps) + [u_fin]
-        vs = list(dec.vs) + [zeros] * (ell - cert.steps) + [v_fin]
-    else:
-        cum_u, cum_v = [zeros], [zeros]
+    us, vs = list(dec.us), list(dec.vs)
+    if variant != "star":
         for i in range(1, cert.steps + 1):
-            cum_u.append(cum_u[-1] + dec.us[i])
-            cum_v.append(cum_v[-1] + dec.vs[i])
-        while len(cum_u) < ell + 1:
-            cum_u.append(cum_u[-1])
-            cum_v.append(cum_v[-1])
-        us = cum_u + [u_fin]
-        vs = cum_v + [v_fin]
+            us[i] = us[i - 1] + us[i]
+            vs[i] = vs[i - 1] + vs[i]
+    # Zero layers go first: the rescale of the identity-block variants then
+    # squares only through them, not through the chain's layers.
+    pad = [zeros] * (ell - cert.steps)
+    us = pad + us + [u_fin]
+    vs = pad + vs + [v_fin]
 
     # Witnesses per layer (the certificate for v_i at the variant's base).
     bases = []

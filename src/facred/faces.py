@@ -5,6 +5,13 @@ an orthonormal basis Q of the active subspace for a PSD block (the face is
 { Q z Q^T : z psd of order r }).  r = 0 encodes the trivial face {0},
 r = n the full cone.  Both block cones are self-dual and nice, so conjugate
 faces and tangent spaces have the explicit forms implemented here.
+
+FaceRep also owns the face's coordinates: ``compress`` maps an element to
+one payload per block of nonzero rank (the support entries of an orthant
+block, Q^T Y Q of a PSD block) and ``embed`` maps payloads back, zero
+outside the face.  Membership in F, in F* and in ri F are statements about
+those payloads: a vector payload lives in an orthant, a matrix payload in a
+PSD cone.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import numpy as np
 
 from . import config
 from .linalg import numeric_rank, sym_eig
-from .model import StructureMismatchError, YElement
+from .model import ConeBlock, StructureMismatchError, YElement
 
 
 @dataclass(frozen=True)
@@ -45,7 +52,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class FaceRep:
     """Per-block description of a face of the product cone."""
 
-    __slots__ = ("blocks", "reps")
+    __slots__ = ("blocks", "reps", "kept_blocks")
 
     def __init__(self, blocks, reps):
         blocks = tuple(blocks)
@@ -67,9 +74,37 @@ class FaceRep:
                 clean.append(PsdFace(_frozen(q)))
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "reps", tuple(clean))
+        # The cone of the compressed payloads: one block per nonzero rank.
+        object.__setattr__(self, "kept_blocks", tuple(
+            ConeBlock(blk.kind, rep.rank)
+            for blk, rep in zip(blocks, clean) if rep.rank))
 
     def __setattr__(self, name, value):
         raise AttributeError("FaceRep is immutable")
+
+    def compress(self, y: YElement) -> list:
+        """Payloads of ``y`` in the face's coordinates, one per kept block:
+        the support entries of an orthant block, Q^T Y Q of a PSD block."""
+        return [part[list(rep.support)] if blk.kind == "orthant"
+                else rep.basis.T @ part @ rep.basis
+                for blk, rep, part in zip(self.blocks, self.reps, y.parts)
+                if rep.rank]
+
+    def _embed_parts(self, parts) -> list:
+        """Per-block arrays of ``embed`` before the symmetric check."""
+        full, kept = [], iter(parts)
+        for blk, rep in zip(self.blocks, self.reps):
+            part = blk.zero()
+            if rep.rank and blk.kind == "orthant":
+                part[list(rep.support)] = next(kept)
+            elif rep.rank:
+                part = rep.basis @ next(kept) @ rep.basis.T
+            full.append(part)
+        return full
+
+    def embed(self, parts) -> YElement:
+        """Inverse of ``compress``: payloads placed back, zero outside."""
+        return YElement(self.blocks, self._embed_parts(parts))
 
     @classmethod
     def full_cone(cls, blocks) -> "FaceRep":
@@ -171,45 +206,47 @@ def conjugate_face(face: FaceRep) -> FaceRep:
     return FaceRep(face.blocks, reps)
 
 
+def _cone_margin(part: np.ndarray) -> float:
+    """Cone margin of a compressed payload: the smallest entry of a vector
+    (orthant), the smallest eigenvalue of a matrix (PSD)."""
+    if part.ndim == 1:
+        return float(np.min(part))
+    return float(np.linalg.eigvalsh(part)[0])
+
+
+def _nearest_cone_point(part: np.ndarray, cutoff: float = 0.0) -> np.ndarray:
+    """Nearest cone point of a compressed payload: negative entries or
+    eigenvalues set to zero.  A positive ``cutoff`` also zeroes those at or
+    below cutoff * max(1, largest)."""
+    if part.ndim == 1:
+        return np.where(part > cutoff * max(1.0, np.max(part)), part, 0.0)
+    lam, w = np.linalg.eigh(0.5 * (part + part.T))
+    return (w * np.where(lam > cutoff * max(1.0, lam[-1]), lam, 0.0)) @ w.T
+
+
 def face_contains(face: FaceRep, y: YElement, tol: float = 1e-9) -> bool:
-    """Membership of ``y`` in the face itself (not its dual)."""
+    """Membership of ``y`` in the face itself (not its dual): the compressed
+    payloads lie in their cones and nothing of y is left outside the span."""
     if y.blocks != face.blocks:
         raise StructureMismatchError("block structures differ")
-    for blk, rep, part in zip(face.blocks, face.reps, y.parts):
-        scale = 1.0 + float(np.max(np.abs(part), initial=0.0))
-        if blk.kind == "orthant":
-            mask = np.zeros(blk.size, dtype=bool)
-            mask[list(rep.support)] = True
-            if np.min(part[mask], initial=0.0) < -tol * scale:
-                return False
-            if np.max(np.abs(part[~mask]), initial=0.0) > tol * scale:
-                return False
-        else:
-            q = rep.basis
-            compressed = q.T @ part @ q
-            if compressed.size and np.linalg.eigvalsh(compressed)[0] < -tol * scale:
-                return False
-            residual = part - (q @ compressed @ q.T if q.shape[1] else 0.0)
-            if np.max(np.abs(residual), initial=0.0) > tol * scale:
-                return False
-    return True
+    bounds = [tol * (1.0 + float(np.max(np.abs(part), initial=0.0)))
+              for part in y.parts]
+    compressed = face.compress(y)
+    kept_bounds = [bound for bound, rep in zip(bounds, face.reps) if rep.rank]
+    if any(_cone_margin(part) < -bound
+           for part, bound in zip(compressed, kept_bounds)):
+        return False
+    outside = [part - inside for part, inside
+               in zip(y.parts, face._embed_parts(compressed))]
+    return all(np.max(np.abs(part), initial=0.0) <= bound
+               for part, bound in zip(outside, bounds))
 
 
 def face_dual_membership(face: FaceRep, y: YElement, tol: float = 1e-7) -> bool:
     """Membership of ``y`` in the dual of the face, i.e. in K* + F^perp."""
     if y.blocks != face.blocks:
         raise StructureMismatchError("block structures differ")
-    for blk, rep, part in zip(face.blocks, face.reps, y.parts):
-        if blk.kind == "orthant":
-            if any(part[i] < -tol for i in rep.support):
-                return False
-        else:
-            q = rep.basis
-            if q.shape[1]:
-                compressed = q.T @ part @ q
-                if np.linalg.eigvalsh(compressed)[0] < -tol:
-                    return False
-    return True
+    return not any(_cone_margin(part) < -tol for part in face.compress(y))
 
 
 def intersect_with_hyperplane(face: FaceRep, y: YElement, tol: float = None) -> FaceRep:
@@ -223,19 +260,18 @@ def intersect_with_hyperplane(face: FaceRep, y: YElement, tol: float = None) -> 
         tol = config.RANK_TOL
     if not face_dual_membership(face, y, max(tol, 1e-7)):
         raise ValueError("certificate lies outside the face dual beyond tolerance")
-    reps = []
-    for blk, rep, part in zip(face.blocks, face.reps, y.parts):
-        if blk.kind == "orthant":
-            reps.append(OrthantFace(tuple(i for i in rep.support if part[i] <= tol)))
+    reps, compressed = [], iter(face.compress(y))
+    for blk, rep in zip(face.blocks, face.reps):
+        if not rep.rank:
+            reps.append(rep)
+        elif blk.kind == "orthant":
+            reps.append(OrthantFace(tuple(
+                i for i, v in zip(rep.support, next(compressed)) if v <= tol)))
         else:
-            q = rep.basis
-            if q.shape[1] == 0:
-                reps.append(PsdFace(q))
-                continue
-            dec = sym_eig(q.T @ part @ q)
-            cutoff = tol * max(1.0, float(dec.eigenvalues[0]) if dec.eigenvalues.size else 1.0)
+            dec = sym_eig(next(compressed))
+            cutoff = tol * max(1.0, float(dec.eigenvalues[0]))
             kernel = dec.eigenvectors[:, dec.eigenvalues <= cutoff]
-            reps.append(PsdFace(q @ kernel))
+            reps.append(PsdFace(rep.basis @ kernel))
     return FaceRep(face.blocks, reps)
 
 
@@ -243,120 +279,53 @@ def split_on_face(face: FaceRep, y: YElement):
     """Split ``y`` in the dual of ``face`` as (u, y - u): u is the part of y
     inside the face's span clipped to the cone (nonnegative support entries,
     psd compressed block), y - u the remainder in the complement."""
-    u_parts = []
-    for blk, rep, part in zip(face.blocks, face.reps, y.parts):
-        if blk.kind == "orthant":
-            vec = np.zeros(blk.size)
-            sup = list(rep.support)
-            if sup:
-                vec[sup] = np.maximum(part[sup], 0.0)
-            u_parts.append(vec)
-        else:
-            q = rep.basis
-            mat = np.zeros((blk.size, blk.size))
-            if q.shape[1]:
-                compressed = q.T @ part @ q
-                lam, w = np.linalg.eigh(0.5 * (compressed + compressed.T))
-                mat = q @ ((w * np.maximum(lam, 0.0)) @ w.T) @ q.T
-            u_parts.append(mat)
-    u = YElement(face.blocks, u_parts)
+    u = face.embed([_nearest_cone_point(part) for part in face.compress(y)])
     return u, y - u
 
 
 def relative_interior_point(face: FaceRep) -> YElement:
     """A canonical point in the relative interior: support indicator vectors
     and projectors Q Q^T."""
-    parts = []
-    for blk, rep in zip(face.blocks, face.reps):
-        if blk.kind == "orthant":
-            v = np.zeros(blk.size)
-            v[list(rep.support)] = 1.0
-            parts.append(v)
-        else:
-            q = rep.basis
-            parts.append(q @ q.T if q.shape[1] else np.zeros((blk.size, blk.size)))
-    return YElement(face.blocks, parts)
+    return face.embed([blk.identity() for blk in face.kept_blocks])
 
 
-def tangent_space_basis(u: YElement, blocks, tol: float = None):
-    """Orthogonal-pattern basis of the tangent space of the cone at ``u``.
-
-    For an orthant block the tangent space is spanned by the coordinates where
-    u is positive.  For a PSD block with eigenbasis split [P, P_perp] at rank
-    r, it consists of all symmetric matrices whose P_perp-by-P_perp block
-    vanishes; the basis below enumerates that pattern.  Returns a list of
-    YElements.
-    """
-    if tol is None:
-        tol = config.RANK_TOL
-    if tuple(blocks) != u.blocks:
-        raise StructureMismatchError("block structures differ")
-    if u.min_eigenvalue() < -max(tol, 1e-7):
-        raise ValueError("base point outside the cone beyond tolerance")
-    basis = []
-    for bi, (blk, part) in enumerate(zip(blocks, u.parts)):
-        if blk.kind == "orthant":
-            for i in np.nonzero(part > tol)[0]:
-                e = YElement.zeros(blocks)
-                parts = [p.copy() for p in e.parts]
-                parts[bi] = parts[bi].copy()
-                parts[bi][i] = 1.0
-                basis.append(YElement(blocks, parts))
-        else:
-            dec = sym_eig(part)
-            r = numeric_rank(dec.eigenvalues, tol)
-            v = dec.eigenvectors
-            n = blk.size
-            for k in range(n):
-                for l in range(k, n):
-                    if k >= r and l >= r:
-                        continue
-                    mat = np.zeros((n, n))
-                    if k == l:
-                        mat[k, k] = 1.0
-                    else:
-                        mat[k, l] = mat[l, k] = 1.0 / np.sqrt(2.0)
-                    parts = [b.zero() for b in blocks]
-                    parts[bi] = v @ mat @ v.T
-                    basis.append(YElement(blocks, parts))
-    return basis
+def _tangent_range(x, v, tol: float):
+    """The range test shared by both tangent-space routines: for v in the
+    tangent space of the PSD cone at x, the block of v on the kernel of x
+    must vanish.  Returns (eigendecomposition of x, rank, verdict)."""
+    dec = sym_eig(np.asarray(x, dtype=float))
+    r = numeric_rank(dec.eigenvalues, config.RANK_TOL)
+    q = dec.eigenvectors
+    tail = (q.T @ v @ q)[r:, r:]
+    scale = 1.0 + float(np.max(np.abs(v), initial=0.0))
+    return dec, r, float(np.max(np.abs(tail), initial=0.0)) <= tol * scale
 
 
 def in_tangent_space(x: np.ndarray, v: np.ndarray, tol: float = 1e-8) -> bool:
     """Pattern test for v in the tangent space of the PSD cone at x: the
     component of v on the kernel-by-kernel block of x must vanish."""
-    dec = sym_eig(np.asarray(x, dtype=float))
-    r = numeric_rank(dec.eigenvalues, config.RANK_TOL)
-    q = dec.eigenvectors
-    vt = q.T @ np.asarray(v, dtype=float) @ q
-    tail = vt[r:, r:]
-    scale = 1.0 + float(np.max(np.abs(v), initial=0.0))
-    return float(np.max(np.abs(tail), initial=0.0)) <= tol * scale
+    return _tangent_range(x, np.asarray(v, dtype=float), tol)[2]
 
 
 def tangent_membership_schur(x: np.ndarray, v: np.ndarray, tol: float = 1e-8):
     """Certificate test for v in the tangent space of the PSD cone at x.
 
     Decides via the range condition (the component of v outside range(x)
-    must vanish) and, when it holds, returns an explicit witness (w, beta)
-    with v = w + w^T and the bordered matrix [[x, w], [w^T, beta I]] psd:
-    w is the half of v that respects range(x), beta bounds the Schur
-    complement via the pseudoinverse of x.
+    must vanish, the test of in_tangent_space) and, when it holds, returns
+    an explicit witness (w, beta) with v = w + w^T and the bordered matrix
+    [[x, w], [w^T, beta I]] psd: w is the half of v that respects range(x),
+    beta bounds the Schur complement via the pseudoinverse of x.
     """
-    x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    dec = sym_eig(x)
+    dec, r, inside = _tangent_range(x, v, tol)
     if dec.eigenvalues.size and dec.eigenvalues[-1] < -tol * max(
             1.0, float(dec.eigenvalues[0])):
         raise ValueError("base point outside the cone beyond tolerance")
-    r = numeric_rank(dec.eigenvalues, config.RANK_TOL)
+    if not inside:
+        return False, None
     q = dec.eigenvectors
     proj = q[:, :r] @ q[:, :r].T
-    n = x.shape[0]
-    outside = (np.eye(n) - proj) @ v @ (np.eye(n) - proj)
-    scale = 1.0 + float(np.max(np.abs(v), initial=0.0))
-    if np.max(np.abs(outside), initial=0.0) > tol * scale:
-        return False, None
+    n = v.shape[0]
     w = 0.5 * proj @ v @ proj + proj @ v @ (np.eye(n) - proj)
     if r:
         pinv = q[:, :r] @ np.diag(1.0 / dec.eigenvalues[:r]) @ q[:, :r].T

@@ -16,7 +16,6 @@ threads; arithmetic returns new values.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +25,6 @@ SYMMETRY_TOL = 1e-12
 
 class StructureMismatchError(ValueError):
     """Operands do not share the same block structure."""
-
-
-class FeasibilityWarning(UserWarning):
-    """A point handed to a feasibility-sensitive operation is infeasible."""
 
 
 @dataclass(frozen=True)
@@ -235,24 +230,3 @@ def adjoint_apply(p: ConicProgram, y: YElement) -> np.ndarray:
 def primal_slack(p: ConicProgram, x) -> YElement:
     """Constraint slack b - sum_i x_i a_i at the point x."""
     return p.b - p.apply(x)
-
-
-def weak_duality_gap(p: ConicProgram, x, y: YElement, tol: float = 1e-7) -> float:
-    """Gap <b, y> - <c, x> between a primal and a dual candidate.
-
-    For feasible inputs the gap is nonnegative up to tolerance.  Infeasible
-    inputs are flagged with a :class:`FeasibilityWarning`; the gap is still
-    returned.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    slack = primal_slack(p, x)
-    if not slack.in_cone(tol):
-        warnings.warn("primal point infeasible beyond tolerance", FeasibilityWarning)
-    if not y.in_cone(tol):
-        warnings.warn("dual point outside the cone beyond tolerance",
-                      FeasibilityWarning)
-    resid = adjoint_apply(p, y) - p.c
-    if np.max(np.abs(resid), initial=0.0) > tol * (1.0 + float(np.max(np.abs(p.c), initial=0.0))):
-        warnings.warn("dual point violates the adjoint equations beyond tolerance",
-                      FeasibilityWarning)
-    return p.b.inner(y) - float(np.dot(p.c, x))

@@ -6,10 +6,11 @@ a standard cone constraint in the face's compressed coordinates.  The
 equalities are eliminated by parameterizing x over their solution set, so
 the subsolver only ever sees orthant/PSD cones.
 
-FaceCoordinates is the single owner of a face's coordinates: its change of
-basis, the span equalities, their elimination and the reconstruction of a
-full dual element from a compressed one.  Every face-restricted solve, the
-reducing pair and the certificate polish go through it.
+The face's own coordinates (compress and embed) belong to FaceRep.
+FaceCoordinates adds what depends on the program: the span equalities,
+their elimination and the reconstruction of a full dual element from a
+compressed one.  Every face-restricted solve, the reducing pair and the
+certificate polish go through it.
 
 The reducing pair decides whether F already is the minimal cone of the
 program (there is a slack in the relative interior of F) or produces a
@@ -29,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .faces import (FaceRep, _orthonormal_complement, face_dual_membership,
-                    relative_interior_point)
-from .linalg import (_packed_index, _svec, _unsvec, flatten_element,
+from .faces import (FaceRep, _nearest_cone_point, _orthonormal_complement,
+                    face_dual_membership, relative_interior_point)
+from .linalg import (_packed_index, _svec, flatten_element,
                      unflatten_element)
 from .model import ConeBlock, ConicProgram, YElement
 from .solver import (SolveResult, SolverError, SolverOptions, SolveStatus,
@@ -69,54 +70,38 @@ class ReducingOutcome:
 
 
 class FaceCoordinates:
-    """Coordinates adapted to a face: compressed cone part plus the linear
-    functionals that must vanish for membership in the face's span."""
+    """A program on a face: the linear functionals of b - Ax that must
+    vanish for membership in the face's span, and their elimination."""
 
     def __init__(self, p: ConicProgram, face: FaceRep):
         if p.blocks != face.blocks:
             raise ValueError("face structure differs from program")
         self.program = p
         self.face = face
-        self.rotations = []   # per block: (V, r) for psd, support array for orthant
-        kept = []
-        for blk, rep in zip(p.blocks, face.reps):
-            if blk.kind == "orthant":
-                support = np.array(rep.support, dtype=int)
-                self.rotations.append(support)
-                if support.size:
-                    kept.append(ConeBlock("orthant", support.size))
-            else:
-                q = rep.basis
-                v = np.hstack([q, _orthonormal_complement(q, blk.size)])
-                r = q.shape[1]
-                self.rotations.append((v, r))
-                if r:
-                    kept.append(ConeBlock("psd", r))
-        self.blocks_hat = tuple(kept)
 
         # Equality rows: outside-of-span coordinates of b - Ax must vanish.
-        rows, rhs, self._row_keys = [], [], []
-        for bi, (blk, rot) in enumerate(zip(p.blocks, self.rotations)):
+        # Those are the entries off the support of an orthant block, and the
+        # entries (k, l), k <= l, l >= r, of V^T Y V for a PSD block of rank
+        # r, V = [Q, Q_perp]; weight 2 off the diagonal gives the functional.
+        self._outside = []    # per block: (V or None, index of the entries)
+        values = []           # per block: (m + 1) x rows, A then b
+        for bi, (blk, rep) in enumerate(zip(p.blocks, face.reps)):
+            data = [ai.parts[bi] for ai in p.a] + [p.b.parts[bi]]
             if blk.kind == "orthant":
-                outside = [i for i in range(blk.size) if i not in set(rot.tolist())]
-                for i in outside:
-                    rows.append([ai.parts[bi][i] for ai in p.a])
-                    rhs.append(p.b.parts[bi][i])
-                    self._row_keys.append((bi, i))
+                idx = np.delete(np.arange(blk.size), list(rep.support))
+                self._outside.append((None, (idx,)))
+                values.append(np.array(data)[:, idx])
             else:
-                v, r = rot
-                rot_a = [v.T @ ai.parts[bi] @ v for ai in p.a]
-                rot_b = v.T @ p.b.parts[bi] @ v
-                for k in range(blk.size):
-                    for l in range(max(k, r), blk.size):
-                        if k < r and l < r:
-                            continue
-                        w = 1.0 if k == l else 2.0
-                        rows.append([w * ra[k, l] for ra in rot_a])
-                        rhs.append(w * rot_b[k, l])
-                        self._row_keys.append((bi, k, l))
-        self.eq_matrix = np.array(rows, dtype=float).reshape(len(rows), p.m)
-        self.eq_rhs = np.array(rhs, dtype=float)
+                v = np.hstack([rep.basis,
+                               _orthonormal_complement(rep.basis, blk.size)])
+                rows, cols, weights = _packed_index(blk.size, 2.0)
+                keep = cols >= rep.rank
+                self._outside.append((v, (rows[keep], cols[keep])))
+                values.append(np.array([v.T @ part @ v for part in data])
+                              [:, rows[keep], cols[keep]] * weights[keep])
+        values = np.hstack(values)
+        self.eq_matrix = np.ascontiguousarray(values[:-1].T)
+        self.eq_rhs = values[-1]
 
         if self.eq_matrix.shape[0]:
             sol, *_ = np.linalg.lstsq(self.eq_matrix, self.eq_rhs, rcond=None)
@@ -133,55 +118,19 @@ class FaceCoordinates:
             self.x_particular = np.zeros(p.m)
             self.null_basis = np.eye(p.m)
 
-    def compress(self, y: YElement):
-        """Per-kept-block compressed payloads of a constraint-space element."""
-        parts = []
-        for blk, rot, part in zip(self.program.blocks, self.rotations, y.parts):
-            if blk.kind == "orthant":
-                if rot.size:
-                    parts.append(part[rot])
-            else:
-                v, r = rot
-                if r:
-                    q = v[:, :r]
-                    parts.append(q.T @ part @ q)
-        return parts
-
-    def embed(self, parts) -> YElement:
-        """Inverse of compress: place compressed payloads back, zero outside."""
-        full, at = [], 0
-        for blk, rot in zip(self.program.blocks, self.rotations):
-            if blk.kind == "orthant":
-                vec = np.zeros(blk.size)
-                if rot.size:
-                    vec[rot] = parts[at]
-                    at += 1
-                full.append(vec)
-            else:
-                v, r = rot
-                mat = np.zeros((blk.size, blk.size))
-                if r:
-                    q = v[:, :r]
-                    mat = q @ parts[at] @ q.T
-                    at += 1
-                full.append(mat)
-        return YElement(self.program.blocks, full)
-
     def outside_element(self, coeffs) -> YElement:
         """Linear combination of the outside-coordinate unit elements; the
         piece of a dual certificate living in the face's orthocomplement."""
-        parts = [np.array(blk.zero()) for blk in self.program.blocks]
-        for coeff, key in zip(coeffs, self._row_keys):
-            if len(key) == 2:
-                bi, i = key
-                parts[bi][i] += coeff
-            else:
-                bi, k, l = key
-                v, _ = self.rotations[bi]
-                unit = np.zeros((self.program.blocks[bi].size,) * 2)
-                unit[k, l] = 1.0
-                unit[l, k] = 1.0
-                parts[bi] += v @ unit @ v.T * coeff
+        parts, at = [], 0
+        for blk, (v, index) in zip(self.program.blocks, self._outside):
+            coeff = coeffs[at:at + len(index[0])]
+            at += len(index[0])
+            part = blk.zero()
+            part[index] = coeff
+            if v is not None:
+                part[index[::-1]] = coeff
+                part = v @ part @ v.T
+            parts.append(part)
         return YElement(self.program.blocks, parts)
 
     def eliminated(self):
@@ -189,16 +138,16 @@ class FaceCoordinates:
         in compressed coordinates: the compressed parts of the image of
         every null-basis column, and the compressed slack at s = 0."""
         p = self.program
-        cols = [self.compress(p.apply(self.null_basis[:, j]))
+        cols = [self.face.compress(p.apply(self.null_basis[:, j]))
                 for j in range(self.null_basis.shape[1])]
-        slack0 = self.compress(p.b - p.apply(self.x_particular))
+        slack0 = self.face.compress(p.b - p.apply(self.x_particular))
         return cols, slack0
 
     def dual_point(self, parts, c=0.0) -> YElement:
         """Full dual element y with A* y = c from a compressed dual element:
         embed it, then subtract the outside-coordinate multipliers that best
         cancel the adjoint's defect."""
-        y_face = self.embed(parts)
+        y_face = self.face.embed(parts)
         if not self.eq_matrix.shape[0]:
             return y_face
         target = np.array([ai.inner(y_face) for ai in self.program.a]) - c
@@ -212,11 +161,11 @@ def _compressed_units(coords: FaceCoordinates):
     coordinate (k, l), q_k the k-th row of the kept basis, h 1/2 on the
     diagonal and 1/sqrt 2 off it; the 0/1 support selection for an orthant."""
     g_hat, start = [], 0
-    for blk, rot in zip(coords.program.blocks, coords.rotations):
-        if blk.kind == "orthant" and rot.size:
-            g_hat.append((start, (np.arange(blk.size)[:, None] == rot) * 1.0))
-        elif blk.kind == "psd" and rot[1]:
-            q = rot[0][:, :rot[1]]
+    for blk, rep in zip(coords.face.blocks, coords.face.reps):
+        if blk.kind == "orthant" and rep.rank:
+            g_hat.append((start, np.eye(blk.size)[:, list(rep.support)]))
+        elif blk.kind == "psd" and rep.rank:
+            q = rep.basis
             rows, cols, weights = _packed_index(blk.size, 1.0 / np.sqrt(2.0))
             half = np.where(rows == cols, 0.5, weights)[:, None, None]
             g = half * q[rows][:, :, None] * q[cols][:, None, :]
@@ -252,16 +201,17 @@ def polish_certificate(coords: FaceCoordinates, f: YElement, y0: YElement,
     # Complementarity lives in the face's compressed coordinates: both the
     # slack and the certificate are psd there, so orthogonality of the
     # inner product forces the compressed matrix product to vanish.
-    kinds = [blk.kind for blk in coords.blocks_hat]
-    a_hat = [coords.compress(ai) for ai in p.a]
+    face = coords.face
+    kinds = [blk.kind for blk in face.kept_blocks]
+    a_hat = [face.compress(ai) for ai in p.a]
     g_hat = _compressed_units(coords)
 
     def bilinear(kind, s_c, y_c):
         return s_c * y_c if kind == "orthant" else (s_c @ y_c).reshape(-1)
 
     def residual(x, yel):
-        s_hat = coords.compress(p.b - p.apply(x))
-        y_hat = coords.compress(yel)
+        s_hat = face.compress(p.b - p.apply(x))
+        y_hat = face.compress(yel)
         parts = [data @ flatten_element(yel) - target]
         parts += [bilinear(*blk) for blk in zip(kinds, s_hat, y_hat)]
         if span_rows.shape[0]:
@@ -309,12 +259,13 @@ def polish_certificate(coords: FaceCoordinates, f: YElement, y0: YElement,
 def reduced_program(p: ConicProgram, face: FaceRep) -> ConicProgram:
     """The program with its cone replaced by the face, in the face's
     compressed coordinates (span equalities dropped)."""
-    coords = FaceCoordinates(p, face)
-    if not coords.blocks_hat:
+    FaceCoordinates(p, face)    # raises when the span equations fail
+    blocks = face.kept_blocks
+    if not blocks:
         raise ValueError("face is the zero cone; nothing to compress")
-    a_hat = [YElement(coords.blocks_hat, coords.compress(ai)) for ai in p.a]
-    b_hat = YElement(coords.blocks_hat, coords.compress(p.b))
-    return ConicProgram(coords.blocks_hat, a_hat, b_hat, p.c,
+    a_hat = [YElement(blocks, face.compress(ai)) for ai in p.a]
+    b_hat = YElement(blocks, face.compress(p.b))
+    return ConicProgram(blocks, a_hat, b_hat, p.c,
                         name=(p.name + " reduced").strip())
 
 
@@ -333,7 +284,8 @@ def solve_restricted_to_face(p: ConicProgram, face: FaceRep,
     if options is None:
         options = SolverOptions()
     coords = FaceCoordinates(p, face)
-    if not coords.blocks_hat:
+    blocks = face.kept_blocks
+    if not blocks:
         x = coords.x_particular
         obj = float(np.dot(p.c, x))
         return SolveResult(SolveStatus.OPTIMAL, x, YElement.zeros(p.blocks),
@@ -341,16 +293,14 @@ def solve_restricted_to_face(p: ConicProgram, face: FaceRep,
                            {"primal": 0.0, "dual": 0.0, "gap": 0.0, "mu": 0.0},
                            0, [], "face is the zero cone")
     cols, slack0 = coords.eliminated()
-    prog = ConicProgram(coords.blocks_hat,
-                        [YElement(coords.blocks_hat, col) for col in cols],
-                        YElement(coords.blocks_hat, slack0),
-                        coords.null_basis.T @ p.c,
+    prog = ConicProgram(blocks, [YElement(blocks, col) for col in cols],
+                        YElement(blocks, slack0), coords.null_basis.T @ p.c,
                         name=(p.name + " on-face").strip())
     res = solve_conic_lp(prog, options)
     shift = float(np.dot(p.c, coords.x_particular))
     res.x = coords.x_particular + coords.null_basis @ res.x
     res.y = coords.dual_point(res.y.parts, p.c)
-    res.z = coords.embed(res.z.parts)
+    res.z = face.embed(res.z.parts)
     res.primal_obj += shift
     res.dual_obj += shift
     return res
@@ -359,14 +309,14 @@ def solve_restricted_to_face(p: ConicProgram, face: FaceRep,
 def _reducing_primal(coords: FaceCoordinates, f: YElement):
     """sup t over the eliminated variables, slack in the compressed cone,
     with the bounding row t <= 1."""
-    blocks = coords.blocks_hat + (ConeBlock("orthant", 1),)
+    blocks = coords.face.kept_blocks + (ConeBlock("orthant", 1),)
 
     def lift(parts_hat, cap_val):
         return YElement(blocks, list(parts_hat) + [np.array([cap_val])])
 
     cols, slack0 = coords.eliminated()
     a_cols = [lift(col, 0.0) for col in cols]
-    a_cols.append(lift(coords.compress(f), 1.0))
+    a_cols.append(lift(coords.face.compress(f), 1.0))
     c = np.zeros(len(cols) + 1)
     c[-1] = 1.0
     return ConicProgram(blocks, a_cols, lift(slack0, 1.0), c, name="reducing")
@@ -394,7 +344,7 @@ def solve_reducing_pair(p: ConicProgram, face: FaceRep, tol: float = None,
     coords = FaceCoordinates(p, face)
     f = f_override if f_override is not None else relative_interior_point(face)
 
-    if not coords.blocks_hat:
+    if not face.kept_blocks:
         # The face is {0}: minimal iff b - Ax can vanish, which the span
         # equations already certified.
         return ReducingOutcome.minimal_reached(coords.x_particular, 1.0)
@@ -450,7 +400,6 @@ def _purify_certificate(p: ConicProgram, face: FaceRep, f: YElement,
     # Nullspace projection v - V_r^T (V_r v), V_r the thin SVD's row space.
     _, svals, vt = np.linalg.svd(rows, full_matrices=False)
     row_vt = vt[:int(np.sum(svals > 1e-12 * (svals[0] if svals.size else 1.0)))]
-    ends = np.cumsum([blk.ambient_dim for blk in p.blocks])
 
     # Rank cutoff for the structure projection: the large eigenvalues of a
     # normalized certificate are O(1), the dust is near sqrt(solver gap).
@@ -461,29 +410,14 @@ def _purify_certificate(p: ConicProgram, face: FaceRep, f: YElement,
     vec = vec - row_vt.T @ (row_vt @ vec)
     history = [np.inf] * 3      # violation by round; padded for the stall test
     for _ in range(_PURIFY_ROUNDS):
-        parts = [_unsvec(vec[end - blk.ambient_dim:end], blk.kind, blk.size)
-                 for blk, end in zip(p.blocks, ends)]
-        change = 0.0
-        for bi, (blk, rep) in enumerate(zip(p.blocks, face.reps)):
-            if blk.kind == "orthant":
-                sup = list(rep.support)
-                if not sup:
-                    continue
-                vals = parts[bi][sup]
-                clipped = np.where(vals > cutoff * max(1.0, np.max(vals)), vals, 0.0)
-                change = max(change, float(np.max(np.abs(vals - clipped))))
-                parts[bi][sup] = clipped
-            else:
-                q = rep.basis
-                if q.shape[1] == 0:
-                    continue
-                compressed = q.T @ parts[bi] @ q
-                lam, u = np.linalg.eigh(0.5 * (compressed + compressed.T))
-                lam_clip = np.where(lam > cutoff * max(1.0, lam[-1]), lam, 0.0)
-                fixed = (u * lam_clip) @ u.T
-                change = max(change, float(np.max(np.abs(fixed - compressed))))
-                part = parts[bi] + q @ (fixed - compressed) @ q.T
-                parts[bi] = 0.5 * (part + part.T)
+        cur = unflatten_element(vec, p.blocks)
+        shifts = [_nearest_cone_point(part, cutoff) - part
+                  for part in face.compress(cur)]
+        change = max((float(np.max(np.abs(d))) for d in shifts), default=0.0)
+        # Symmetrizing is exact on vectors and on blocks left unchanged.
+        parts = [part + shift for part, shift
+                 in zip(cur.parts, face._embed_parts(shifts))]
+        parts = [0.5 * (part + part.T) for part in parts]
         vec_new = np.concatenate([_svec(part, blk.kind)
                                   for blk, part in zip(p.blocks, parts)])
         vec = vec_new - row_vt.T @ (row_vt @ vec_new)

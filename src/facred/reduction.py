@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config
-from .faces import (FaceRep, face_contains, face_dual_membership, faces_equal,
-                    in_tangent_space, intersect_with_hyperplane,
-                    longest_chain_length, relative_interior_point,
+from .faces import (FaceRep, _cone_margin, face_contains,
+                    face_dual_membership, faces_equal, in_tangent_space,
+                    intersect_with_hyperplane, longest_chain_length,
                     split_on_face)
 from .linalg import flatten_element
 from .model import ConicProgram, YElement, adjoint_apply, primal_slack
@@ -143,25 +143,17 @@ def run_facial_reduction(p: ConicProgram, tol: float = None,
 
 
 def _perturbed_interior_point(face: FaceRep, rng) -> YElement:
-    base = relative_interior_point(face)
+    """The face's canonical interior point, each kept block jittered: support
+    entries by up to 20%, the compressed identity by a small symmetric w."""
     parts = []
-    for blk, rep, part in zip(face.blocks, face.reps, base.parts):
+    for blk in face.kept_blocks:
         if blk.kind == "orthant":
-            jitter = np.ones(blk.size)
-            sup = list(rep.support)
-            if sup:
-                jitter[sup] = 1.0 + 0.2 * rng.random(len(sup))
-            parts.append(part * jitter)
+            parts.append(1.0 + 0.2 * rng.random(blk.size))
         else:
-            q = rep.basis
-            r = q.shape[1]
-            if r:
-                w = rng.normal(size=(r, r))
-                w = 0.05 * (w + w.T) / max(1.0, np.linalg.norm(w))
-                parts.append(q @ (np.eye(r) + w) @ q.T)
-            else:
-                parts.append(part)
-    return YElement(face.blocks, parts)
+            w = rng.normal(size=(blk.size, blk.size))
+            parts.append(np.eye(blk.size)
+                         + 0.05 * (w + w.T) / max(1.0, np.linalg.norm(w)))
+    return face.embed(parts)
 
 
 @dataclass
@@ -257,17 +249,8 @@ def verify_certificate_chain(p: ConicProgram, cert: ReductionCertificate,
 def _interior_margin(face: FaceRep, y: YElement) -> float:
     """Smallest compressed coordinate of y relative to the face (interior
     margin; +inf for the zero face)."""
-    margin = np.inf
-    for blk, rep, part in zip(face.blocks, face.reps, y.parts):
-        if blk.kind == "orthant":
-            if rep.support:
-                margin = min(margin, float(np.min(part[list(rep.support)])))
-        else:
-            q = rep.basis
-            if q.shape[1]:
-                margin = min(margin, float(
-                    np.linalg.eigvalsh(q.T @ part @ q)[0]))
-    return margin
+    return min((_cone_margin(part) for part in face.compress(y)),
+               default=np.inf)
 
 
 def decompose_certificates(p: ConicProgram, cert: ReductionCertificate,

@@ -54,6 +54,35 @@ def sdp_chain(blocks):
     return [YElement(blocks, [y1]), YElement(blocks, [y2])]
 
 
+def random_element(blocks, rng):
+    """A YElement with standard normal entries (symmetrized on PSD blocks)."""
+    return YElement(blocks, [rng.normal(size=blk.size) if blk.kind == "orthant"
+                             else sym(rng.normal(size=(blk.size, blk.size)))
+                             for blk in blocks])
+
+
+def face_case(case):
+    """A face of an orthant, PSD or mixed product cone; each holds a block
+    of rank 0 beside blocks of partial rank."""
+    from facred.faces import FaceRep, OrthantFace, PsdFace
+
+    rng = np.random.default_rng(7)
+
+    def basis(n, r):
+        return np.linalg.qr(rng.normal(size=(n, n)))[0][:, :r]
+
+    blocks, reps = {
+        "orthant": ([("orthant", 5), ("orthant", 3)],
+                    [OrthantFace((0, 2, 3)), OrthantFace(())]),
+        "psd": ([("psd", 4), ("psd", 3)], [PsdFace(basis(4, 2)),
+                                           PsdFace(basis(3, 0))]),
+        "mixed": ([("orthant", 4), ("psd", 3), ("psd", 2), ("orthant", 2)],
+                  [OrthantFace((1, 3)), PsdFace(basis(3, 2)),
+                   PsdFace(basis(2, 0)), OrthantFace((0, 1))]),
+    }[case]
+    return FaceRep([ConeBlock(kind, n) for kind, n in blocks], reps)
+
+
 def random_strictly_feasible(seed, n=4, m=3):
     """Random SDP with interior points on both sides."""
     rng = np.random.default_rng(seed)

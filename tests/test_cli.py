@@ -38,7 +38,11 @@ def sdp_path(tmp_path, example_sdp):
 
 
 def test_reduce_reports_are_stable_across_runs():
-    for name in ("lp5x3", "sdp3"):
+    """The goldens: an orthant LP, the two-step SDP fixture, the bench's
+    orthant-beside-PSD instance (mixed0) and the order-3 staircase (the
+    SDP fixture's program) under a signed permutation, which takes the
+    two-step chain through other coordinates."""
+    for name in ("lp5x3", "sdp3", "mixed0", "staircase3"):
         problem = str(GOLDEN / f"{name}.dat-s")
         code1, out1 = run_cli(["reduce", problem])
         code2, out2 = run_cli(["reduce", problem])

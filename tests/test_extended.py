@@ -176,6 +176,25 @@ def test_variant_values_agree(example_sdp):
     assert all(abs(v) <= 1e-5 for v in vals.values())
 
 
+@pytest.mark.parametrize("seed", [0, 4])
+def test_padded_depth_keeps_the_identity_block_value(seed):
+    """Layers past the chain length are zero layers in front of the chain:
+    the identity-block variants answer the same value at every depth up to
+    the bound (padding behind the chain squared their rescale and failed
+    the point's check at depth 3 or 4 here)."""
+    p, _ = random_degenerate(seed)
+    lifted = lift_to_psd(p)
+    chain = run_facial_reduction(lifted)
+    assert chain.steps < chain.ell
+    for variant in ("primed", "ramana"):
+        ref, _, _ = solve_extended_dual(
+            build_extended_dual(p, variant, chain.steps, chain))
+        for ell in range(chain.steps + 1, chain.ell + 1):
+            val, _, _ = solve_extended_dual(
+                build_extended_dual(p, variant, ell, chain))
+            assert val == pytest.approx(ref, abs=1e-6), (variant, ell)
+
+
 def test_extraction_exposes_minimal_cone_dual(example_sdp):
     ext = build_extended_dual(example_sdp, "star")
     _, pt, _ = solve_extended_dual(ext)

@@ -5,11 +5,10 @@ from facred.faces import (FaceRep, conjugate_face, face_contains,
                           face_dual_membership, faces_equal, in_tangent_space,
                           intersect_with_hyperplane, longest_chain_length,
                           minimal_face, relative_interior_point,
-                          subspace_distance, tangent_membership_schur,
-                          tangent_space_basis)
+                          subspace_distance, tangent_membership_schur)
 from facred.model import ConeBlock, YElement
 
-from conftest import sym
+from conftest import face_case, random_element, sym
 
 ORTH5 = (ConeBlock("orthant", 5),)
 PSD3 = (ConeBlock("psd", 3),)
@@ -128,26 +127,43 @@ def test_intersection_result_contained_in_face():
         assert face_contains(face, point, 1e-9)
 
 
+def _tangent_units(u):
+    """The symmetric unit elements, in the eigenbasis of u, that both
+    tangent-space routines accept at u."""
+    n = u.shape[0]
+    q = np.linalg.eigh(u)[1][:, ::-1]
+    accepted = []
+    for k in range(n):
+        for l in range(k, n):
+            unit = np.zeros((n, n))
+            unit[k, l] = unit[l, k] = 1.0
+            v = q @ unit @ q.T
+            ok = in_tangent_space(u, v)
+            assert ok == tangent_membership_schur(u, v)[0]
+            if ok:
+                accepted.append(unit)
+    return accepted
+
+
 def test_tangent_basis_dimension_formula():
     for n in range(1, 7):
-        blocks = (ConeBlock("psd", n),)
         for r in range(0, n + 1):
-            u = YElement(blocks, [np.diag([1.0] * r + [0.0] * (n - r))])
-            dim = len(tangent_space_basis(u, blocks))
+            u = np.diag([1.0] * r + [0.0] * (n - r))
+            dim = len(_tangent_units(u))
             expected = n * (n + 1) // 2 - (n - r) * (n - r + 1) // 2
             assert dim == expected
 
 
 def test_tangent_basis_at_zero_is_trivial():
-    assert tangent_space_basis(YElement.zeros(PSD3), PSD3) == []
+    assert _tangent_units(np.zeros((3, 3))) == []
 
 
 def test_tangent_basis_pattern_for_running_sum():
-    u = YElement(PSD3, [np.diag([0.0, 2.0, 1.0])])
-    basis = tangent_space_basis(u, PSD3)
-    assert len(basis) == 5
-    for v in basis:
-        assert abs(v.parts[0][0, 0]) <= 1e-12
+    units = _tangent_units(np.diag([0.0, 2.0, 1.0]))
+    assert len(units) == 5
+    # Eigenbasis ordered by descending eigenvalue: the kernel e_1 comes last.
+    for unit in units:
+        assert unit[2, 2] == 0.0
 
 
 def test_tangent_membership_schur_fixture():
@@ -199,6 +215,42 @@ def test_relative_interior_points():
     face1 = minimal_face(YElement(PSD3, [np.diag([1.0, 1, 0])]), PSD3)
     np.testing.assert_allclose(relative_interior_point(face1).parts[0],
                                np.diag([1.0, 1.0, 0.0]), atol=1e-12)
+
+
+def _random_payloads(face, rng):
+    return [rng.normal(size=blk.size) if blk.kind == "orthant"
+            else sym(rng.normal(size=(blk.size, blk.size)))
+            for blk in face.kept_blocks]
+
+
+@pytest.mark.parametrize("case", ["orthant", "psd", "mixed"])
+def test_compress_inverts_embed_on_the_span(case):
+    face = face_case(case)
+    assert [blk.size for blk in face.kept_blocks] == \
+        [r for r in face.ranks if r]
+    payloads = _random_payloads(face, np.random.default_rng(1))
+    y = face.embed(payloads)
+    for blk, rep, part in zip(face.blocks, face.reps, y.parts):
+        if not rep.rank:
+            assert not np.any(part), blk
+    compressed = face.compress(y)
+    assert len(compressed) == len(face.kept_blocks)
+    for got, want in zip(compressed, payloads):
+        np.testing.assert_allclose(got, want, atol=1e-12)
+    assert (face.embed(compressed) - y).norm() <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["orthant", "psd", "mixed"])
+def test_compress_is_the_adjoint_of_embed(case):
+    face = face_case(case)
+    rng = np.random.default_rng(2)
+    for _ in range(3):
+        y = random_element(face.blocks, rng)
+        payloads = _random_payloads(face, rng)
+        lhs = sum(float(np.sum(a * b))
+                  for a, b in zip(face.compress(y), payloads))
+        assert lhs == pytest.approx(y.inner(face.embed(payloads)),
+                                    rel=1e-12, abs=1e-12)
 
 
 def test_longest_chain_length():

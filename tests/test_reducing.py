@@ -9,7 +9,7 @@ from facred.reducing import (AmbiguousOutcome, reduced_program,
 from facred.reduction import ReductionError
 from facred.solver import SolveStatus, solve_conic_lp
 
-from conftest import random_degenerate
+from conftest import face_case, random_degenerate, random_element, sym
 
 
 def test_sdp_first_step_finds_corner_certificate(example_sdp):
@@ -251,7 +251,7 @@ def _unit_images_reference(coords):
     from facred.linalg import unflatten_element
 
     p = coords.program
-    return [coords.compress(unflatten_element(e_j, p.blocks))
+    return [coords.face.compress(unflatten_element(e_j, p.blocks))
             for e_j in np.eye(p.ambient_dim)]
 
 
@@ -307,9 +307,37 @@ def test_closed_form_jacobian_matches_unit_elements(case, monkeypatch):
     coords = FaceCoordinates(p, face)
     want = _unit_images_reference(coords)
     got = _compressed_units(coords)
-    assert len(got) == len(coords.blocks_hat)
+    assert len(got) == len(coords.face.kept_blocks)
     for k, (first, images) in enumerate(got):
         for j, parts in enumerate(want):
             inside = first <= j < first + len(images)
             expect = images[j - first] if inside else 0.0
             assert np.max(np.abs(parts[k] - expect)) <= 1e-15, (k, j)
+
+
+@pytest.mark.parametrize("case", ["orthant", "psd", "mixed"])
+def test_outside_element_pairs_with_the_span_rows(case):
+    """<outside_element(lam), b - Ax> = lam . (eq_rhs - eq_matrix x): the
+    span rows and outside_element describe the same coordinates, and those
+    are orthogonal to the face's span."""
+    from facred.reducing import FaceCoordinates
+
+    face = face_case(case)
+    rng = np.random.default_rng(3)
+    a = [random_element(face.blocks, rng) for _ in range(3)]
+    inside = face.embed([rng.normal(size=blk.size) if blk.kind == "orthant"
+                         else sym(rng.normal(size=(blk.size, blk.size)))
+                         for blk in face.kept_blocks])
+    p = ConicProgram(face.blocks, a, inside + sum(
+        (xi * ai for xi, ai in zip(rng.normal(size=3), a)),
+        YElement.zeros(face.blocks)), np.zeros(3))
+    coords = FaceCoordinates(p, face)
+    assert coords.eq_matrix.shape == (len(coords.eq_rhs), 3)
+    for _ in range(3):
+        x = rng.normal(size=3)
+        lam = rng.normal(size=len(coords.eq_rhs))
+        outside = coords.outside_element(lam)
+        want = float(lam @ (coords.eq_rhs - coords.eq_matrix @ x))
+        assert outside.inner(p.b - p.apply(x)) == pytest.approx(
+            want, rel=1e-10, abs=1e-10)
+        assert abs(outside.inner(inside)) <= 1e-10
