@@ -4,7 +4,7 @@ Subcommands:
 
     reduce    run facial reduction on an SDPA problem, write a certificate
     dualize   build an extended dual (star/simple/primed/ramana) as SDPA;
-              --solve without --ell reduces first, one layer per step
+              --solve reduces first, one layer per step unless --ell is given
     verify    recheck a certificate file against a problem
     member    decide membership of a point in the problem's minimal cone
 
@@ -31,7 +31,8 @@ from .model import YElement
 from .reducing import AmbiguousOutcome
 from .reduction import (ReductionCertificate, ReductionError,
                         run_facial_reduction, verify_certificate_chain)
-from .solver import SolverError, SolverOptions
+from .solver import (SolverError, SolverOptions, solve_conic_lp,
+                     standard_dual)
 
 
 @dataclass
@@ -148,7 +149,7 @@ def cmd_dualize(args) -> int:
     options = SolverOptions(max_iter=args.max_iter, seed=args.seed)
     try:
         chain = run_facial_reduction(lift_to_psd(problem), options=options) \
-            if args.solve and args.ell is None else None
+            if args.solve else None
         ext = build_extended_dual(problem, args.variant, args.ell, chain)
     except (AmbiguousOutcome, ValueError, ReductionError, SolverError) as exc:
         return _failure(exc)
@@ -172,18 +173,21 @@ def cmd_dualize(args) -> int:
         report.extended_dual_value = value
         report.attained = check.ok
         report.extra.append(f"point_verified: {'yes' if check.ok else 'no'}")
-        try:
-            from .solver import solve_conic_lp, standard_dual
-
-            sd = standard_dual(problem)
-            res = solve_conic_lp(sd.program, options)
-            if res.optimal:
-                report.standard_dual_value = sd.value_of(res)
-            else:
-                report.extra.append(
-                    f"standard_dual: {res.status.value} ({res.message})")
-        except ValueError:
-            report.extra.append("standard_dual: infeasible")
+        if chain.steps == 0:
+            # x_strict is a Slater point: the ordinary dual is strong and
+            # attained, and the verified final layer solves it.
+            report.standard_dual_value = value
+        else:
+            try:
+                sd = standard_dual(problem)
+                res = solve_conic_lp(sd.program, options)
+                if res.optimal:
+                    report.standard_dual_value = sd.value_of(res)
+                else:
+                    report.extra.append(
+                        f"standard_dual: {res.status.value} ({res.message})")
+            except ValueError:
+                report.extra.append("standard_dual: infeasible")
     report.extra.append("status: ok")
     report.wall_time = time.perf_counter() - start
     _emit(report)

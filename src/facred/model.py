@@ -103,6 +103,16 @@ class YElement:
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "parts", tuple(clean))
 
+    @classmethod
+    def _trusted(cls, blocks, parts) -> "YElement":
+        """An element of payloads that are already read-only float arrays of
+        the blocks' shapes, exactly symmetric on PSD blocks: no checks, no
+        copies.  For readers that build such payloads themselves."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "blocks", tuple(blocks))
+        object.__setattr__(self, "parts", tuple(parts))
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("YElement is immutable")
 

@@ -111,7 +111,10 @@ class FaceCoordinates:
                     "face does not admit the affine constraints: the span "
                     f"equations are inconsistent (residual {resid:.3e})")
             self.x_particular = sol
-            u, s, vt = np.linalg.svd(self.eq_matrix)
+            # The thin V^T is square when rows >= m; with fewer rows it
+            # would drop null directions, so only then is V computed whole.
+            rows, m = self.eq_matrix.shape
+            _, s, vt = np.linalg.svd(self.eq_matrix, full_matrices=rows < m)
             rank = int(np.sum(s > 1e-10 * (s[0] if s.size else 1.0)))
             self.null_basis = vt[rank:].T
         else:

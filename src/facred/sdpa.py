@@ -141,8 +141,13 @@ def parse_sdpa(text) -> ConicProgram:
     if bad < len(rows):
         what = "entry needs 5 fields" if len(rows[bad]) != 5 else "could not parse entry"
         raise SdpaFormatError(f"{what}: {lines[bad]!r}")
-    b = YElement(blocks, [stack[0] for stack in stacks])
-    a = [YElement(blocks, [stack[k] for stack in stacks]) for k in range(1, m + 1)]
+    # Every entry was written to both triangles, so the payloads are exactly
+    # symmetric; read-only stacks make their slices read-only views.
+    for stack in stacks:
+        stack.flags.writeable = False
+    b = YElement._trusted(blocks, [stack[0] for stack in stacks])
+    a = [YElement._trusted(blocks, [stack[k] for stack in stacks])
+         for k in range(1, m + 1)]
     return ConicProgram(blocks, a, b, c, name=comments[0] if comments else "")
 
 

@@ -201,6 +201,65 @@ def test_dualize_reports_the_duality_gap(tmp_path, variant):
     assert "ell: 1" in lines
 
 
+def _count_standard_dual(monkeypatch, fail=False):
+    """Calls of the encoded ordinary dual through cli, which binds it; with
+    ``fail`` a call raises instead."""
+    from facred import solver
+
+    calls = []
+    original = solver.standard_dual
+
+    def counting(problem):
+        calls.append(problem.name)
+        if fail:
+            raise AssertionError("the encoded ordinary dual was built")
+        return original(problem)
+
+    monkeypatch.setattr(cli, "standard_dual", counting)
+    monkeypatch.setattr(solver, "standard_dual", counting)
+    return calls
+
+
+@pytest.mark.parametrize("ell", [[], ["--ell", "0"], ["--ell", "2"]])
+def test_a_slater_program_reads_the_ordinary_dual_off_the_point(
+        tmp_path, monkeypatch, ell):
+    """An empty chain proves Slater, so the ordinary dual is strong and
+    attained and the verified final layer solves it: its value is the
+    extended value, at every depth and variant, and the encoded ordinary
+    dual is never built."""
+    from conftest import random_strictly_feasible
+
+    path = tmp_path / "strict.dat-s"
+    path.write_text(emit_sdpa(random_strictly_feasible(4, n=4, m=3)[0]))
+    _count_standard_dual(monkeypatch, fail=True)
+    for variant in ("star", "simple", "primed", "ramana"):
+        code, out = run_cli(["dualize", str(path), "--variant", variant,
+                             "--solve"] + ell)
+        assert code == 0
+        lines = out.splitlines()
+        assert f"ell: {ell[1] if ell else 0}" in lines
+        assert "point_verified: yes" in lines
+        fields = dict(l.split(": ", 1) for l in lines if ": " in l)
+        assert fields["standard_dual_value"] == fields["extended_dual_value"]
+
+
+@pytest.mark.parametrize("variant", ["star", "ramana"])
+def test_one_step_chains_keep_the_encoded_ordinary_dual(tmp_path,
+                                                        monkeypatch, variant):
+    """A chain of length 1 leaves the ordinary dual weaker than the primal
+    (the gap SDP) or unrelated to the assembled point: it is still solved
+    through its encoding, once per run."""
+    calls = _count_standard_dual(monkeypatch)
+    test_dualize_reports_the_duality_gap(tmp_path, variant)
+    assert calls == ["gap"]
+    code, out = run_cli(["dualize", str(GOLDEN / "lp5x3.dat-s"),
+                         "--variant", variant, "--solve"])
+    assert code == 0
+    assert "ell: 1" in out.splitlines()
+    assert out == (GOLDEN / f"dualize_lp5x3_{variant}.txt").read_text()
+    assert len(calls) == 2
+
+
 def test_dualize_infeasible_dual_exits_one(tmp_path, capsys):
     """With a_2 = a_1 but c_1 != c_2 no y solves A* y = c."""
     from conftest import random_strictly_feasible

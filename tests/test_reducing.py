@@ -341,3 +341,28 @@ def test_outside_element_pairs_with_the_span_rows(case):
         assert outside.inner(p.b - p.apply(x)) == pytest.approx(
             want, rel=1e-10, abs=1e-10)
         assert abs(outside.inner(inside)) <= 1e-10
+
+
+@pytest.mark.parametrize("rank, m", [(1, 3), (3, 6)])
+def test_face_coordinates_null_basis_spans_the_kernel(rank, m):
+    """The span equations' null basis is an orthonormal basis of their
+    kernel, on a face with more equations than variables (a rank-1 face of
+    order 4: 9 rows, and two equal columns) and on one with fewer (rank 3:
+    4 rows for 6 variables)."""
+    from facred.faces import PsdFace
+    from facred.reducing import FaceCoordinates
+
+    rng = np.random.default_rng(rank)
+    blocks = (ConeBlock("psd", 4),)
+    q = np.linalg.qr(rng.normal(size=(4, 4)))[0][:, :rank]
+    face = FaceRep(blocks, [PsdFace(q)])
+    a = [random_element(blocks, rng) for _ in range(m - 1)]
+    p = ConicProgram(blocks, a + [a[0]], YElement(blocks, [q @ q.T]),
+                     np.zeros(m))
+    coords = FaceCoordinates(p, face)
+    rows = 10 - rank * (rank + 1) // 2
+    assert coords.eq_matrix.shape == (rows, m)
+    null = coords.null_basis
+    assert null.shape == (m, m - np.linalg.matrix_rank(coords.eq_matrix))
+    assert np.allclose(null.T @ null, np.eye(null.shape[1]), atol=1e-12)
+    assert np.max(np.abs(coords.eq_matrix @ null)) <= 1e-12

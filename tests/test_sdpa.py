@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from facred.sdpa import SdpaFormatError, emit_sdpa, parse_sdpa
 
 from conftest import sym
 from facred.model import ConeBlock, ConicProgram, YElement
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_example_round_trip_is_stable(example_sdp):
@@ -269,3 +273,25 @@ def test_commas_and_interleaved_comments():
     p = parse_sdpa(text)
     assert p.name == "note"
     assert p.b.parts[0][0, 1] == 3.0 and p.a[1].parts[0][1, 1] == 4.0
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.dat-s")))
+def test_read_elements_equal_the_validated_ones(name):
+    """The reader skips the constructor's symmetry check and copies; its
+    elements are bit for bit what the validating constructor makes of the
+    same payloads, and as read-only."""
+    p = parse_sdpa((GOLDEN / name).read_text())
+    for y in (p.b,) + p.a:
+        checked = YElement(y.blocks, y.parts)
+        for got, want in zip(y.parts, checked.parts):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+
+
+def test_the_public_constructor_still_rejects_asymmetry(example_sdp):
+    p = parse_sdpa(emit_sdpa(example_sdp))
+    part = p.a[0].parts[0].copy()
+    part[0, 1] += 1.0
+    with pytest.raises(ValueError, match="asymmetry"):
+        YElement(p.blocks, [part])

@@ -52,3 +52,28 @@ def test_commands_traced_after_an_untraced_call(tmp_path, example_sdp):
     names = [span[0] for span in trace.spans]
     assert names.count("cli.cmd_reduce") == 1
     assert "sdpa.parse_sdpa" in names
+
+
+def test_dualize_solve_counts(tmp_path):
+    """The IPM solves of one ``dualize --solve``, as the benchmark traces
+    them.  A strictly feasible program: the reducing pair and the full-face
+    solve; its ordinary dual is read off the verified point.  A one-step
+    degenerate program: two reducing pairs, the face-restricted solve and
+    the encoded ordinary dual."""
+    from conftest import random_degenerate, random_strictly_feasible
+
+    tracer = _load_tracer()
+    for gen, solves, encoded in ((random_strictly_feasible, 2, 0),
+                                 (random_degenerate, 4, 1)):
+        path = tmp_path / f"{gen.__name__}.dat-s"
+        path.write_text(emit_sdpa(gen(0)[0]))
+        trace = tracer.Tracer().install()
+        try:
+            trace.enabled = True
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert facred.cli.main(["dualize", str(path), "--solve"]) == 0
+        finally:
+            trace.uninstall()
+        names = [span[0] for span in trace.spans]
+        assert names.count("solver.solve_conic_lp") == solves, gen.__name__
+        assert names.count("solver.standard_dual") == encoded, gen.__name__
