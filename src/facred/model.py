@@ -105,9 +105,12 @@ class YElement:
 
     @classmethod
     def _trusted(cls, blocks, parts) -> "YElement":
-        """An element of payloads that are already read-only float arrays of
-        the blocks' shapes, exactly symmetric on PSD blocks: no checks, no
-        copies.  For readers that build such payloads themselves."""
+        """An element of float payloads of the blocks' shapes, exactly
+        symmetric on PSD blocks and not shared with a writer: no checks, no
+        copies, and the payloads are made read-only in place.  For readers
+        and arithmetic that build such payloads themselves."""
+        for part in parts:
+            part.flags.writeable = False
         self = object.__new__(cls)
         object.__setattr__(self, "blocks", tuple(blocks))
         object.__setattr__(self, "parts", tuple(parts))
@@ -128,19 +131,21 @@ class YElement:
         if self.blocks != other.blocks:
             raise StructureMismatchError("block structures differ")
 
+    # Sums and multiples of exactly symmetric payloads are exactly
+    # symmetric, so arithmetic skips the constructor's checks.
     def __add__(self, other: "YElement") -> "YElement":
         self._require_same_structure(other)
-        return YElement(self.blocks,
-                        [a + b for a, b in zip(self.parts, other.parts)])
+        return YElement._trusted(self.blocks,
+                                 [a + b for a, b in zip(self.parts, other.parts)])
 
     def __sub__(self, other: "YElement") -> "YElement":
         self._require_same_structure(other)
-        return YElement(self.blocks,
-                        [a - b for a, b in zip(self.parts, other.parts)])
+        return YElement._trusted(self.blocks,
+                                 [a - b for a, b in zip(self.parts, other.parts)])
 
     def __mul__(self, scalar: float) -> "YElement":
         s = float(scalar)
-        return YElement(self.blocks, [s * a for a in self.parts])
+        return YElement._trusted(self.blocks, [s * a for a in self.parts])
 
     __rmul__ = __mul__
 
@@ -222,7 +227,7 @@ class ConicProgram:
         for xi, ai in zip(x, self.a):
             for k, part in enumerate(ai.parts):
                 parts[k] = parts[k] + xi * part
-        return YElement(self.blocks, parts)
+        return YElement._trusted(self.blocks, parts)
 
 
 def inner_product(y1: YElement, y2: YElement) -> float:

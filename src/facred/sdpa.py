@@ -142,9 +142,7 @@ def parse_sdpa(text) -> ConicProgram:
         what = "entry needs 5 fields" if len(rows[bad]) != 5 else "could not parse entry"
         raise SdpaFormatError(f"{what}: {lines[bad]!r}")
     # Every entry was written to both triangles, so the payloads are exactly
-    # symmetric; read-only stacks make their slices read-only views.
-    for stack in stacks:
-        stack.flags.writeable = False
+    # symmetric.
     b = YElement._trusted(blocks, [stack[0] for stack in stacks])
     a = [YElement._trusted(blocks, [stack[k] for stack in stacks])
          for k in range(1, m + 1)]

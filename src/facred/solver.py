@@ -6,12 +6,16 @@ Solves the pair
     s.t. b - sum x_i a_i = z in K    s.t. <a_i, y> = c_i,  y in K
 
 by an infeasible-start predictor-corrector path-following method with
-Nesterov-Todd scaling on PSD blocks.  Each iteration works in the NT-scaled
-space: one Cholesky factor and one eigendecomposition per PSD block give
-the scaling root, Y^-1, the whitened step-length tests and the Mehrotra
-second-order term, and the Schur system is solved through one QR
-factorization of the stacked scaled data.  The same factor re-projects the
-dual direction onto the dual equations in the NT metric (Nesterov and Todd,
+Nesterov-Todd scaling on PSD blocks.  The iterate and the data are flat, as
+in SDPT3: orthant entries first, then each PSD block's n x n payload
+row-major, so residuals, objectives, A x, A* y and the Schur right-hand
+side are single products over the vectors x, z, y and one (m x D) data
+matrix.  Only the cone's own work is per block: one Cholesky factor and one
+eigendecomposition per PSD block give the scaling root (applied to the
+block's (m, n, n) data stack at once), Y^-1, the whitened step-length tests
+and the Mehrotra second-order term.  The Schur system is solved through one
+QR factorization of the scaled data; the same factor re-projects the dual
+direction onto the dual equations in the NT metric (Nesterov and Todd,
 SIOPT 1998), where the correction is small against the distance to the cone
 boundary, so the endgame does not stall.  Intended for desk-scale problems
 (ambient dimension up to a few thousand); no sparsity exploitation, no warm
@@ -24,6 +28,7 @@ optima are not attained; by default none is kept.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -139,28 +144,42 @@ def _max_step_whitened(basis, direction):
     return -1.0 / lam_min
 
 
+def _norm(vec):
+    """Euclidean norm, as np.linalg.norm computes it for a vector."""
+    return math.sqrt(vec @ vec)
+
+
 def _max_step_orthant(z, dz):
     neg = dz < 0
-    if not np.any(neg):
+    if not neg.any():
         return np.inf
-    return float(np.min(-z[neg] / dz[neg]))
+    return float((-z[neg] / dz[neg]).min())
 
 
-class _BlockData:
-    """Per-block stacked constraint data and scaling state."""
+class _Layout:
+    """Flat coordinates of a block structure: ``orth`` is the leading slice
+    of orthant entries (None without any), ``psd`` each PSD block's slice
+    and order."""
 
-    def __init__(self, kind, size, a_stack, b_part):
-        self.kind = kind
-        self.size = size
-        self.a = a_stack        # (m, n, n) or (m, d)
-        self.flat = a_stack.reshape(len(a_stack), b_part.size)
-        self.b = b_part
+    def __init__(self, blocks):
+        self.order = sorted(range(len(blocks)),
+                            key=lambda k: blocks[k].kind == "psd")
+        self.spans, self.psd, at = [None] * len(blocks), [], 0
+        for k in self.order:
+            n = blocks[k].size
+            shape = (n,) if blocks[k].kind == "orthant" else (n, n)
+            self.spans[k] = (slice(at, at + math.prod(shape)), shape)
+            at = self.spans[k][0].stop
+            if len(shape) == 2:
+                self.psd.append((self.spans[k][0], n))
+        n_orth = self.psd[0][0].start if self.psd else at
+        self.dim, self.orth = at, slice(0, n_orth) if n_orth else None
 
-    def apply(self, x):
-        return (x @ self.flat).reshape(self.b.shape)
+    def flatten(self, parts):
+        return np.concatenate([np.ravel(parts[k]) for k in self.order])
 
-    def adjoint(self, y_part):
-        return self.flat @ y_part.ravel()
+    def parts(self, vec):
+        return [vec[sl].reshape(shape) for sl, shape in self.spans]
 
 
 def _schur_solver(tmat):
@@ -186,33 +205,6 @@ def _schur_solver(tmat):
     return solve
 
 
-def _prepare_blocks(p: ConicProgram):
-    data = []
-    for k, blk in enumerate(p.blocks):
-        stack = (np.stack([ai.parts[k] for ai in p.a])
-                 if p.m else np.zeros((0,) + np.shape(blk.zero())))
-        data.append(_BlockData(blk.kind, blk.size, stack, np.array(p.b.parts[k])))
-    return data
-
-
-def _initial_point(p: ConicProgram, blocks_data):
-    nu = sum(bd.size for bd in blocks_data)
-    bscale = max(1.0, p.b.norm() / max(1.0, np.sqrt(nu)))
-    ascale = max([1.0] + [ai.norm() for ai in p.a])
-    cscale = max(1.0, float(np.linalg.norm(p.c)) / max(1.0, np.sqrt(max(p.m, 1))))
-    eta_p = max(1.0, bscale)
-    eta_d = max(1.0, cscale / ascale) if ascale > 0 else cscale
-    zs, ys = [], []
-    for bd in blocks_data:
-        if bd.kind == "orthant":
-            zs.append(eta_p * np.ones(bd.size))
-            ys.append(eta_d * np.ones(bd.size))
-        else:
-            zs.append(eta_p * np.eye(bd.size))
-            ys.append(eta_d * np.eye(bd.size))
-    return zs, ys
-
-
 def solve_conic_lp(p: ConicProgram, options: SolverOptions = None) -> SolveResult:
     """Solve a conic LP; deterministic for fixed options.
 
@@ -225,45 +217,45 @@ def solve_conic_lp(p: ConicProgram, options: SolverOptions = None) -> SolveResul
         options = SolverOptions()
     if not p.blocks:
         raise SolverError("program has no cone blocks")
-    bd = _prepare_blocks(p)
-    m = p.m
-    nu = sum(b.size for b in bd)
-    x = np.zeros(m)
-    zs, ys = _initial_point(p, bd)
+    lay = _Layout(p.blocks)
+    orth, m = lay.orth, p.m
+    nu = sum(blk.size for blk in p.blocks)
+    # The data, one row per variable: A x is x @ amat and A* y is amat @ y.
+    amat = np.array([lay.flatten(ai.parts) for ai in p.a]).reshape(m, lay.dim)
+    psd = [(sl, n, amat[:, sl].reshape(m, n, n)) for sl, n in lay.psd]
+    bvec, c = lay.flatten(p.b.parts), p.c
+    bnorm, cnorm = _norm(bvec), _norm(c)
 
-    bnorm = p.b.norm()
-    cnorm = float(np.linalg.norm(p.c))
-    tol = config.SOLVE_TOL
-    tau = STEP_FRACTION
+    # Initial point: scaled identities, sized to the data.
+    eta_p = max(1.0, bnorm / max(1.0, np.sqrt(nu)))
+    ascale = max([1.0, *np.linalg.norm(amat, axis=1)])
+    eta_d = max(1.0, cnorm / max(1.0, np.sqrt(max(m, 1))) / ascale)
+    unit = lay.flatten([blk.identity() for blk in p.blocks])
+    x, z, y = np.zeros(m), eta_p * unit, eta_d * unit
 
-    history = []
-    best = None
-    best_score = np.inf
-    stall = 0
-    no_progress = 0
-    status = None
-    message = ""
-    it = 0
+    tol, tau = config.SOLVE_TOL, STEP_FRACTION
+    history, best, best_score = [], None, np.inf
+    stall = no_progress = it = 0
+    status, message = None, ""
 
-    def pack(parts):
-        return YElement(p.blocks, parts)
+    def pack(vec):
+        return YElement(p.blocks, lay.parts(vec))
 
     for it in range(options.max_iter + 1):
-        rp = [b.b - b.apply(x) - z for b, z in zip(bd, zs)]
-        rd = p.c - sum((b.adjoint(y) for b, y in zip(bd, ys)),
-                       start=np.zeros(m))
-        gap = sum(float(np.sum(z * y)) for z, y in zip(zs, ys))
+        rp = bvec - x @ amat - z
+        ady = amat @ y
+        rd = c - ady
+        gap = float(z @ y)
         mu = gap / nu
-        pobj = float(np.dot(p.c, x))
-        dobj = sum(float(np.sum(b.b * y)) for b, y in zip(bd, ys))
-        rel_p = float(np.sqrt(sum(np.sum(r * r) for r in rp))) / (1.0 + bnorm)
-        rel_d = float(np.linalg.norm(rd)) / (1.0 + cnorm)
+        pobj = float(c @ x)
+        dobj = float(bvec @ y)
+        rel_p = _norm(rp) / (1.0 + bnorm)
+        rel_d = _norm(rd) / (1.0 + cnorm)
         rel_gap = abs(dobj - pobj) / (1.0 + abs(pobj) + abs(dobj))
         score = max(rel_p, rel_d, rel_gap)
 
         if options.keep_history:
-            history.append(Iterate(x.copy(), pack([z.copy() for z in zs]),
-                                   pack([y.copy() for y in ys]),
+            history.append(Iterate(x.copy(), pack(z), pack(y),
                                    pobj, dobj, rel_p, rel_d, mu))
         # Stall accounting only matters in the endgame; early iterations
         # routinely trade residual components back and forth.
@@ -273,9 +265,8 @@ def solve_conic_lp(p: ConicProgram, options: SolverOptions = None) -> SolveResul
             no_progress += 1
         if score < best_score:
             best_score = score
-            best = (x.copy(), [z.copy() for z in zs], [y.copy() for y in ys],
-                    pobj, dobj, {"primal": rel_p, "dual": rel_d,
-                                 "gap": rel_gap, "mu": mu})
+            best = (x.copy(), z.copy(), y.copy(), pobj, dobj,
+                    {"primal": rel_p, "dual": rel_d, "gap": rel_gap, "mu": mu})
 
         if score <= tol:
             break
@@ -284,21 +275,20 @@ def solve_conic_lp(p: ConicProgram, options: SolverOptions = None) -> SolveResul
             break
 
         # Infeasibility heuristics: scaled Farkas certificates.
-        ynorm = float(np.sqrt(sum(np.sum(y * y) for y in ys)))
+        ynorm = _norm(y)
         if ynorm > 1e8 and dobj < 0:
-            ady = float(np.linalg.norm(
-                sum((b.adjoint(y) for b, y in zip(bd, ys)), start=np.zeros(m))))
-            if ady <= 1e-7 * ynorm and dobj <= -1e-7 * ynorm:
+            if (_norm(ady) <= 1e-7 * ynorm
+                    and dobj <= -1e-7 * ynorm):
                 status = SolveStatus.PRIMAL_INFEASIBLE
                 message = "dual iterate certifies primal infeasibility"
                 break
-        xnorm = float(np.linalg.norm(x))
+        xnorm = _norm(x)
         if xnorm > 1e8 and pobj > 0:
-            ray = [-b.apply(x / xnorm) for b in bd]
-            ray_min = min(
-                float(np.min(r)) if b.kind == "orthant"
-                else float(np.linalg.eigvalsh(_sym(r))[0])
-                for b, r in zip(bd, ray))
+            ray = -(x / xnorm) @ amat
+            ray_min = float(np.min(ray[orth])) if orth else np.inf
+            for sl, n, _ in psd:
+                ray_min = min(ray_min, float(np.linalg.eigvalsh(
+                    _sym(ray[sl].reshape(n, n)))[0]))
             if ray_min >= -1e-7 and pobj >= 1e-7 * xnorm:
                 status = SolveStatus.UNBOUNDED
                 message = "primal ray certifies unboundedness (dual infeasible)"
@@ -309,78 +299,73 @@ def solve_conic_lp(p: ConicProgram, options: SolverOptions = None) -> SolveResul
             break
 
         # Nesterov-Todd scaling per block (see _psd_scaling).  The Schur
-        # complement is T^T T for the stacked scaled data T.
+        # complement is T^T T for the scaled data T, one row per variable.
         try:
+            tmat = np.empty_like(amat)
+            yinv = np.empty_like(y)
+            if orth:
+                if np.min(z[orth]) <= 0 or np.min(y[orth]) <= 0:
+                    raise np.linalg.LinAlgError("interior lost")
+                root = np.sqrt(y[orth] / z[orth])
+                tmat[:, orth] = amat[:, orth] * root
+                yinv[orth] = 1.0 / y[orth]
+                w_orth = root * root
             scal = []
-            for b, z, y in zip(bd, zs, ys):
-                if b.kind == "orthant":
-                    if np.min(z) <= 0 or np.min(y) <= 0:
-                        raise np.linalg.LinAlgError("interior lost")
-                    root = np.sqrt(y / z)
-                    scal.append({"root": root, "yinv": 1.0 / y,
-                                 "atil": b.flat * root})
-                else:
-                    s = _psd_scaling(z, y)
-                    s["atil"] = (s["root"] @ b.a @ s["root"].T).reshape(
-                        b.flat.shape)
-                    scal.append(s)
+            for sl, n, a3 in psd:
+                s = _psd_scaling(z[sl].reshape(n, n), y[sl].reshape(n, n))
+                tmat[:, sl] = (s["root"] @ a3 @ s["root"].T).reshape(m, n * n)
+                yinv[sl] = s["yinv"].ravel()
+                scal.append((sl, n, s))
+            schur_solve = _schur_solver(tmat.T)
 
-            schur_solve = _schur_solver(
-                np.concatenate([s["atil"] for s in scal], axis=1).T)
+            def scaled(v):  # R V R^T: the coordinates of the rows of T
+                out = np.empty_like(v)
+                if orth:
+                    out[orth] = root * v[orth]
+                for sl, n, s in scal:
+                    out[sl] = (s["root"] @ v[sl].reshape(n, n)
+                               @ s["root"].T).ravel()
+                return out
+
+            def metric(v):  # W^-1 V W^-1, formed as R^T (R V R^T) R
+                out = np.empty_like(v)
+                if orth:
+                    out[orth] = v[orth] * w_orth
+                for sl, n, s in scal:
+                    rt = s["root"]
+                    out[sl] = _sym(rt.T @ (rt @ v[sl].reshape(n, n) @ rt.T)
+                                   @ rt).ravel()
+                return out
 
             def directions(rc):
-                rhs = rd.copy()
-                for b, s, r, rcb in zip(bd, scal, rp, rc):
-                    if b.kind == "orthant":
-                        stil = s["root"] * (rcb - r)
-                    else:
-                        stil = s["root"] @ (rcb - r) @ s["root"].T
-                    rhs -= s["atil"] @ stil.ravel()
-                dx = schur_solve(rhs)
-                dzs, dys = [], []
-                for b, s, r, rcb in zip(bd, scal, rp, rc):
-                    adx = b.apply(dx)
-                    dzs.append(r - adx)
-                    if b.kind == "orthant":
-                        dys.append((rcb - r + adx) * (s["root"] * s["root"]))
-                    else:
-                        inner = s["root"] @ (rcb - r + adx) @ s["root"].T
-                        dys.append(_sym(s["root"].T @ inner @ s["root"]))
+                dx = schur_solve(rd - tmat @ scaled(rc - rp))
+                adx = dx @ amat
+                dy = metric(rc - rp + adx)
                 # Re-project dY onto A*(dY) = r_d, lost when W is
                 # ill-conditioned.  W^-1 A(lam) W^-1, (T^T T) lam = defect, is
                 # the least correction in the NT metric, where the distance to
                 # the boundary is measured; a Euclidean A(lam) leaves the cone.
                 if m:
-                    defect = rd - sum(
-                        (b.adjoint(dy) for b, dy in zip(bd, dys)),
-                        start=np.zeros(m))
-                    lam = schur_solve(defect)
-                    for k, (b, s) in enumerate(zip(bd, scal)):
-                        alam, rt = b.apply(lam), s["root"]
-                        dys[k] = dys[k] + (rt * rt * alam if b.kind == "orthant"
-                                           else _sym(rt.T @ (rt @ alam @ rt.T) @ rt))
-                return dx, dzs, dys
+                    dy = dy + metric(schur_solve(rd - amat @ dy) @ amat)
+                return dx, rp - adx, dy
 
-            def max_steps(dzs, dys):
+            def max_steps(dz, dy):
                 ap = ad = np.inf
-                for b, s, z, y, dz, dy in zip(bd, scal, zs, ys, dzs, dys):
-                    if b.kind == "orthant":
-                        ap = min(ap, _max_step_orthant(z, dz))
-                        ad = min(ad, _max_step_orthant(y, dy))
-                    else:
-                        ap = min(ap, _max_step_whitened(s["hz"], dz))
-                        ad = min(ad, _max_step_whitened(s["hy"], dy))
+                if orth:
+                    ap = _max_step_orthant(z[orth], dz[orth])
+                    ad = _max_step_orthant(y[orth], dy[orth])
+                for sl, n, s in scal:
+                    ap = min(ap, _max_step_whitened(s["hz"], dz[sl].reshape(n, n)))
+                    ad = min(ad, _max_step_whitened(s["hy"], dy[sl].reshape(n, n)))
                 return ap, ad
 
             # Predictor (affine scaling) direction.
-            rc_aff = [-z for z in zs]
-            dx_a, dz_a, dy_a = directions(rc_aff)
+            dx_a, dz_a, dy_a = directions(-z)
             ap_a, ad_a = max_steps(dz_a, dy_a)
             ap_a, ad_a = min(1.0, tau * ap_a), min(1.0, tau * ad_a)
-            gap_aff = sum(float(np.sum((z + ap_a * dz) * (y + ad_a * dy)))
-                          for z, y, dz, dy in zip(zs, ys, dz_a, dy_a))
-            sigma = float(np.clip((max(gap_aff, 0.0) / gap) ** 3,
-                                  1e-8, 0.999)) if gap > 0 else 0.1
+            gap_aff = float((z + ap_a * dz_a) @ (y + ad_a * dy_a))
+            sigma = min(max((max(gap_aff, 0.0) / gap) ** 3, 1e-8),
+                        0.999) if gap > 0 else 0.1
             # Recenter when progress stalls: a pure centering step restores the
             # proximity to the central path that cheap directions rely on.
             tau_eff = tau
@@ -388,22 +373,19 @@ def solve_conic_lp(p: ConicProgram, options: SolverOptions = None) -> SolveResul
                 sigma = max(sigma, 0.8)
                 tau_eff = min(tau, 0.9)
 
+            rc = sigma * mu * yinv - z
             if no_progress < 3:
-                rc = []
-                for b, s, z, dz, dy in zip(bd, scal, zs, dz_a, dy_a):
-                    if b.kind == "orthant":
-                        rc.append(sigma * mu * s["yinv"] - z
-                                  - dz * dy * s["yinv"])
-                    else:
-                        corr = _second_order_psd(s, dz, dy)
-                        if not np.all(np.isfinite(corr)):
-                            corr = np.zeros_like(corr)
-                        rc.append(sigma * mu * s["yinv"] - z - corr)
-            else:
-                rc = [sigma * mu * s["yinv"] - z for s, z in zip(scal, zs)]
+                corr = np.empty_like(z)
+                if orth:
+                    corr[orth] = dz_a[orth] * dy_a[orth] * yinv[orth]
+                for sl, n, s in scal:
+                    block = _second_order_psd(s, dz_a[sl].reshape(n, n),
+                                              dy_a[sl].reshape(n, n))
+                    corr[sl] = block.ravel() if np.isfinite(block).all() else 0.0
+                rc = rc - corr
 
-            dx, dzs, dys = directions(rc)
-            ap, ad = max_steps(dzs, dys)
+            dx, dz, dy = directions(rc)
+            ap, ad = max_steps(dz, dy)
             ap, ad = min(1.0, tau_eff * ap), min(1.0, tau_eff * ad)
             if no_progress >= 3:
                 ap = ad = min(ap, ad)
@@ -420,8 +402,8 @@ def solve_conic_lp(p: ConicProgram, options: SolverOptions = None) -> SolveResul
             stall = 0
 
         x = x + ap * dx
-        zs = [z + ap * dz for z, dz in zip(zs, dzs)]
-        ys = [y + ad * dy for y, dy in zip(ys, dys)]
+        z = z + ap * dz
+        y = y + ad * dy
 
     if best is None:
         raise SolverError("no iterate recorded")
@@ -434,8 +416,7 @@ def solve_conic_lp(p: ConicProgram, options: SolverOptions = None) -> SolveResul
         else:
             status = SolveStatus.NUMERICAL_FAILURE
             message = message or "did not reach the acceptance tolerance"
-    return SolveResult(status, np.asarray(bx),
-                       YElement(p.blocks, by), YElement(p.blocks, bz),
+    return SolveResult(status, bx, pack(by), pack(bz),
                        bpobj, bdobj, bres, it, history, message)
 
 

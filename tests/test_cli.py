@@ -284,6 +284,26 @@ def test_dualize_reports_match_the_goldens(name, variant):
     assert out == (GOLDEN / f"dualize_{name}_{variant}.txt").read_text()
 
 
+def test_dualize_prints_no_report_for_a_failing_point(monkeypatch, capsys,
+                                                    sdp_path):
+    """``attained: yes`` and ``point_verified: yes`` rest on the solve's
+    contract that a point failing its check raises: then the run exits 1
+    with an error and no report."""
+    from facred import extended
+
+    real = extended.check_extended_point
+
+    def failing(*args, **kwargs):
+        report = real(*args, **kwargs)
+        report.add("injected failure", False)
+        return report
+
+    monkeypatch.setattr(extended, "check_extended_point", failing)
+    code, out = run_cli(["dualize", sdp_path, "--solve"])
+    assert (code, out) == (1, "")
+    assert "injected failure" in capsys.readouterr().err
+
+
 def test_member_command(tmp_path, sdp_path):
     inside = tmp_path / "inside.pt"
     inside.write_text("1 0 0 0 0 0 0 0 0\n")

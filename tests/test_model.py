@@ -148,3 +148,29 @@ def test_psd_payload_symmetrized_and_checked():
     assert y.parts[0][0, 1] == y.parts[0][1, 0]
     with pytest.raises(ValueError):
         YElement(blocks, [np.array([[1.0, 2.0], [0.5, 3.0]])])
+
+
+def test_arithmetic_results_equal_the_validated_ones():
+    """Sums, differences, multiples and A x skip the constructor's
+    symmetry check: each payload is bit-identical to what the validating
+    constructor makes of the same arithmetic, and read-only.  The public
+    constructor still rejects asymmetric input."""
+    from conftest import random_element
+
+    rng = np.random.default_rng(5)
+    blocks = (ConeBlock("psd", 4), ConeBlock("orthant", 3), ConeBlock("psd", 2))
+    u, v = random_element(blocks, rng), random_element(blocks, rng)
+    x = rng.normal(size=2)
+    prog = ConicProgram(blocks, [u, v], u, [1.0, 2.0])
+    cases = [(u + v, [a + b for a, b in zip(u.parts, v.parts)]),
+             (u - v, [a - b for a, b in zip(u.parts, v.parts)]),
+             (-0.3 * u, [-0.3 * a for a in u.parts]),
+             (prog.apply(x), [(blk.zero() + x[0] * a) + x[1] * b
+                              for blk, a, b in zip(blocks, u.parts, v.parts)])]
+    for got, raw in cases:
+        want = YElement(blocks, raw)
+        for g, w in zip(got.parts, want.parts):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+            assert not g.flags.writeable
+    with pytest.raises(ValueError, match="asymmetry"):
+        YElement(blocks, [np.triu(np.ones((4, 4))), np.ones(3), np.eye(2)])

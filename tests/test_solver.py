@@ -46,7 +46,9 @@ def test_random_sdp_kkt(seed):
     assert kkt_residuals(p, res) <= 1e-7
 
 
-def test_mixed_block_program():
+def mixed_program():
+    """Five variables over an orthant block beside a PSD block, with
+    interior points on both sides."""
     rng = np.random.default_rng(7)
     blocks = (ConeBlock("orthant", 4), ConeBlock("psd", 3))
     a = [YElement(blocks, [rng.normal(size=4), sym(rng.normal(size=(3, 3)))])
@@ -61,7 +63,11 @@ def test_mixed_block_program():
                                 (lambda w: w @ w.T + 0.1 * np.eye(3))(
                                     rng.normal(size=(3, 3)))])
     c = np.array([a[i].inner(dual_pt) for i in range(5)])
-    res = solve_conic_lp(ConicProgram(blocks, a, b, c))
+    return ConicProgram(blocks, a, b, c)
+
+
+def test_mixed_block_program():
+    res = solve_conic_lp(mixed_program())
     assert res.optimal
 
 
@@ -103,23 +109,29 @@ def test_standard_dual_structure(example_sdp):
     assert sd.offset == pytest.approx(0.0, abs=1e-12)
 
 
-def test_primal_infeasible_detected():
+def infeasible_program():
     blocks = (ConeBlock("psd", 2),)
     a = [YElement(blocks, [np.array([[1.0, 0.0], [0.0, 0.0]])])]
     b = YElement(blocks, [-np.eye(2)])
-    res = solve_conic_lp(ConicProgram(blocks, a, b, [1.0]),
-                         SolverOptions(max_iter=100))
+    return ConicProgram(blocks, a, b, [1.0])
+
+
+def unbounded_program():
+    blocks = (ConeBlock("psd", 2),)
+    a = [YElement(blocks, [-np.eye(2)])]
+    b = YElement(blocks, [np.eye(2)])
+    return ConicProgram(blocks, a, b, [1.0])
+
+
+def test_primal_infeasible_detected():
+    res = solve_conic_lp(infeasible_program(), SolverOptions(max_iter=100))
     assert res.status in (SolveStatus.PRIMAL_INFEASIBLE,
                           SolveStatus.NUMERICAL_FAILURE)
     assert res.status is not SolveStatus.OPTIMAL
 
 
 def test_unbounded_detected():
-    blocks = (ConeBlock("psd", 2),)
-    a = [YElement(blocks, [-np.eye(2)])]
-    b = YElement(blocks, [np.eye(2)])
-    res = solve_conic_lp(ConicProgram(blocks, a, b, [1.0]),
-                         SolverOptions(max_iter=100))
+    res = solve_conic_lp(unbounded_program(), SolverOptions(max_iter=100))
     assert res.status in (SolveStatus.UNBOUNDED, SolveStatus.DUAL_INFEASIBLE)
 
 
@@ -237,3 +249,242 @@ def test_scaled_space_identities(seed):
     rhs = qv.T @ sym((wih @ dz @ wih) @ (wh @ dy @ wh)) @ qv
     u_c = qv @ (2.0 * rhs / np.add.outer(lv, lv)) @ qv.T
     assert _close(_second_order_psd(s, dz, dy), wh @ u_c @ wh)
+
+
+def _reference_solve(p, options=None):
+    """The interior-point loop as first written, one list of per-block
+    arrays per iterate and a zip over blocks for every residual, product
+    and step; kept to pin the flat kernel to the same iterates."""
+    from facred import config
+    from facred.solver import (STEP_FRACTION, SolveResult, _max_step_orthant,
+                               _max_step_whitened, _psd_scaling,
+                               _schur_solver, _second_order_psd, _sym)
+
+    options = options or SolverOptions()
+    m = p.m
+    bd = []  # per block: kind, size, (m, ...) data stack, (m, d) rows, b part
+    for k, blk in enumerate(p.blocks):
+        stack = (np.stack([ai.parts[k] for ai in p.a]) if m
+                 else np.zeros((0,) + np.shape(blk.zero())))
+        bd.append((blk.kind, blk.size, stack,
+                   stack.reshape(m, np.size(blk.zero())), np.array(p.b.parts[k])))
+
+    def apply(b, x):
+        return (x @ b[3]).reshape(b[4].shape)
+
+    def adjoint(b, y_part):
+        return b[3] @ y_part.ravel()
+
+    nu = sum(b[1] for b in bd)
+    bscale = max(1.0, p.b.norm() / max(1.0, np.sqrt(nu)))
+    ascale = max([1.0] + [ai.norm() for ai in p.a])
+    cscale = max(1.0, float(np.linalg.norm(p.c)) / max(1.0, np.sqrt(max(m, 1))))
+    eta_p, eta_d = max(1.0, bscale), max(1.0, cscale / ascale)
+    zs = [eta_p * (np.ones(b[1]) if b[0] == "orthant" else np.eye(b[1]))
+          for b in bd]
+    ys = [eta_d * (np.ones(b[1]) if b[0] == "orthant" else np.eye(b[1]))
+          for b in bd]
+    x = np.zeros(m)
+    bnorm, cnorm = p.b.norm(), float(np.linalg.norm(p.c))
+    tau = STEP_FRACTION
+    best, best_score, stall, no_progress = None, np.inf, 0, 0
+    status, message = None, ""
+    for it in range(options.max_iter + 1):
+        rp = [b[4] - apply(b, x) - z for b, z in zip(bd, zs)]
+        rd = p.c - sum((adjoint(b, y) for b, y in zip(bd, ys)),
+                       start=np.zeros(m))
+        gap = sum(float(np.sum(z * y)) for z, y in zip(zs, ys))
+        mu = gap / nu
+        pobj = float(np.dot(p.c, x))
+        dobj = sum(float(np.sum(b[4] * y)) for b, y in zip(bd, ys))
+        rel_p = float(np.sqrt(sum(np.sum(r * r) for r in rp))) / (1.0 + bnorm)
+        rel_d = float(np.linalg.norm(rd)) / (1.0 + cnorm)
+        rel_gap = abs(dobj - pobj) / (1.0 + abs(pobj) + abs(dobj))
+        score = max(rel_p, rel_d, rel_gap)
+        if score < 0.9 * best_score or best_score > 1e-4:
+            no_progress = 0
+        else:
+            no_progress += 1
+        if score < best_score:
+            best_score = score
+            best = (x.copy(), [z.copy() for z in zs], [y.copy() for y in ys],
+                    pobj, dobj, {"primal": rel_p, "dual": rel_d,
+                                 "gap": rel_gap, "mu": mu})
+        if score <= config.SOLVE_TOL:
+            break
+        if no_progress >= 10:
+            message = "progress stalled"
+            break
+        ynorm = float(np.sqrt(sum(np.sum(y * y) for y in ys)))
+        if ynorm > 1e8 and dobj < 0:
+            ady = float(np.linalg.norm(
+                sum((adjoint(b, y) for b, y in zip(bd, ys)), start=np.zeros(m))))
+            if ady <= 1e-7 * ynorm and dobj <= -1e-7 * ynorm:
+                status = SolveStatus.PRIMAL_INFEASIBLE
+                message = "dual iterate certifies primal infeasibility"
+                break
+        xnorm = float(np.linalg.norm(x))
+        if xnorm > 1e8 and pobj > 0:
+            ray = [-apply(b, x / xnorm) for b in bd]
+            ray_min = min(float(np.min(r)) if b[0] == "orthant"
+                          else float(np.linalg.eigvalsh(_sym(r))[0])
+                          for b, r in zip(bd, ray))
+            if ray_min >= -1e-7 and pobj >= 1e-7 * xnorm:
+                status = SolveStatus.UNBOUNDED
+                message = "primal ray certifies unboundedness (dual infeasible)"
+                break
+        if it == options.max_iter:
+            message = "iteration limit reached"
+            break
+        try:
+            scal = []
+            for b, z, y in zip(bd, zs, ys):
+                if b[0] == "orthant":
+                    if np.min(z) <= 0 or np.min(y) <= 0:
+                        raise np.linalg.LinAlgError("interior lost")
+                    root = np.sqrt(y / z)
+                    scal.append({"root": root, "yinv": 1.0 / y,
+                                 "atil": b[3] * root})
+                else:
+                    s = _psd_scaling(z, y)
+                    s["atil"] = (s["root"] @ b[2] @ s["root"].T).reshape(
+                        b[3].shape)
+                    scal.append(s)
+            schur_solve = _schur_solver(
+                np.concatenate([s["atil"] for s in scal], axis=1).T)
+
+            def directions(rc):
+                rhs = rd.copy()
+                for b, s, r, rcb in zip(bd, scal, rp, rc):
+                    if b[0] == "orthant":
+                        stil = s["root"] * (rcb - r)
+                    else:
+                        stil = s["root"] @ (rcb - r) @ s["root"].T
+                    rhs -= s["atil"] @ stil.ravel()
+                dx = schur_solve(rhs)
+                dzs, dys = [], []
+                for b, s, r, rcb in zip(bd, scal, rp, rc):
+                    adx = apply(b, dx)
+                    dzs.append(r - adx)
+                    if b[0] == "orthant":
+                        dys.append((rcb - r + adx) * (s["root"] * s["root"]))
+                    else:
+                        inner = s["root"] @ (rcb - r + adx) @ s["root"].T
+                        dys.append(_sym(s["root"].T @ inner @ s["root"]))
+                if m:
+                    defect = rd - sum((adjoint(b, dy) for b, dy in zip(bd, dys)),
+                                      start=np.zeros(m))
+                    lam = schur_solve(defect)
+                    for k, (b, s) in enumerate(zip(bd, scal)):
+                        alam, rt = apply(b, lam), s["root"]
+                        dys[k] = dys[k] + (rt * rt * alam if b[0] == "orthant"
+                                           else _sym(rt.T @ (rt @ alam @ rt.T) @ rt))
+                return dx, dzs, dys
+
+            def max_steps(dzs, dys):
+                ap = ad = np.inf
+                for b, s, z, y, dz, dy in zip(bd, scal, zs, ys, dzs, dys):
+                    if b[0] == "orthant":
+                        ap = min(ap, _max_step_orthant(z, dz))
+                        ad = min(ad, _max_step_orthant(y, dy))
+                    else:
+                        ap = min(ap, _max_step_whitened(s["hz"], dz))
+                        ad = min(ad, _max_step_whitened(s["hy"], dy))
+                return ap, ad
+
+            dx_a, dz_a, dy_a = directions([-z for z in zs])
+            ap_a, ad_a = max_steps(dz_a, dy_a)
+            ap_a, ad_a = min(1.0, tau * ap_a), min(1.0, tau * ad_a)
+            gap_aff = sum(float(np.sum((z + ap_a * dz) * (y + ad_a * dy)))
+                          for z, y, dz, dy in zip(zs, ys, dz_a, dy_a))
+            sigma = float(np.clip((max(gap_aff, 0.0) / gap) ** 3,
+                                  1e-8, 0.999)) if gap > 0 else 0.1
+            tau_eff = tau
+            if no_progress >= 3:
+                sigma = max(sigma, 0.8)
+                tau_eff = min(tau, 0.9)
+            if no_progress < 3:
+                rc = []
+                for b, s, z, dz, dy in zip(bd, scal, zs, dz_a, dy_a):
+                    if b[0] == "orthant":
+                        rc.append(sigma * mu * s["yinv"] - z
+                                  - dz * dy * s["yinv"])
+                    else:
+                        corr = _second_order_psd(s, dz, dy)
+                        if not np.all(np.isfinite(corr)):
+                            corr = np.zeros_like(corr)
+                        rc.append(sigma * mu * s["yinv"] - z - corr)
+            else:
+                rc = [sigma * mu * s["yinv"] - z for s, z in zip(scal, zs)]
+            dx, dzs, dys = directions(rc)
+            ap, ad = max_steps(dzs, dys)
+            ap, ad = min(1.0, tau_eff * ap), min(1.0, tau_eff * ad)
+            if no_progress >= 3:
+                ap = ad = min(ap, ad)
+        except np.linalg.LinAlgError as exc:
+            message = f"linear algebra breakdown: {exc}"
+            break
+        if max(ap, ad) < 1e-8:
+            stall += 1
+            if stall >= 3:
+                message = "step sizes collapsed"
+                break
+        else:
+            stall = 0
+        x = x + ap * dx
+        zs = [z + ap * dz for z, dz in zip(zs, dzs)]
+        ys = [y + ad * dy for y, dy in zip(ys, dys)]
+    bx, bz, by, bpobj, bdobj, bres = best
+    if status is None:
+        if best_score <= config.DEFAULT_TOL:
+            status = SolveStatus.OPTIMAL
+        else:
+            status = SolveStatus.NUMERICAL_FAILURE
+            message = message or "did not reach the acceptance tolerance"
+    return SolveResult(status, bx, YElement(p.blocks, by),
+                       YElement(p.blocks, bz), bpobj, bdobj, bres, it, [],
+                       message)
+
+
+def _no_variables_program():
+    """m = 0 over an orthant block beside a PSD block: b itself is the
+    slack, and the (empty) objective is 0."""
+    blocks = (ConeBlock("psd", 3), ConeBlock("orthant", 2))
+    b = YElement(blocks, [np.diag([1.0, 2.0, 0.5]), np.array([1.0, 3.0])])
+    return ConicProgram(blocks, [], b, [])
+
+
+def _random_lp(seed=3, n=6, m=3):
+    """An LP on one orthant block with interior points on both sides."""
+    rng = np.random.default_rng(seed)
+    blocks = (ConeBlock("orthant", n),)
+    cols = rng.normal(size=(m, n))
+    a = [YElement(blocks, [col]) for col in cols]
+    b = YElement(blocks, [rng.normal(size=m) @ cols + rng.random(n) + 0.2])
+    return ConicProgram(blocks, a, b, cols @ (rng.random(n) + 0.1))
+
+
+REFERENCE_CASES = (
+    [(f"strict-n{n}-s{seed}", lambda n=n, seed=seed: (
+        random_strictly_feasible(seed, n, max(3, n // 2))[0], None))
+     for n in (4, 8, 16) for seed in range(10)]
+    + [("mixed", lambda: (mixed_program(), None)),
+       ("lp-simple", lambda: (simple_lp(), None)),
+       ("lp-random", lambda: (_random_lp(), None)),
+       ("no-variables", lambda: (_no_variables_program(), None)),
+       ("infeasible", lambda: (infeasible_program(), SolverOptions(max_iter=100))),
+       ("unbounded", lambda: (unbounded_program(), SolverOptions(max_iter=100)))])
+
+
+@pytest.mark.parametrize("make", [case for _, case in REFERENCE_CASES],
+                         ids=[name for name, _ in REFERENCE_CASES])
+def test_flat_kernel_matches_the_reference(make):
+    """The flat kernel takes the reference loop's path: the same status
+    after the same number of iterations, at the same objectives and x."""
+    p, options = make()
+    got, want = solve_conic_lp(p, options), _reference_solve(p, options)
+    assert (got.status, got.iterations) == (want.status, want.iterations)
+    for g, w in ((got.primal_obj, want.primal_obj),
+                 (got.dual_obj, want.dual_obj)):
+        assert abs(g - w) <= 1e-9 * max(1.0, abs(w))
+    np.testing.assert_allclose(got.x, want.x, rtol=0, atol=1e-7)

@@ -54,6 +54,19 @@ def test_commands_traced_after_an_untraced_call(tmp_path, example_sdp):
     assert "sdpa.parse_sdpa" in names
 
 
+def _traced(argv):
+    """The bench tracer's record of one CLI call, which must exit 0."""
+    tracer = _load_tracer()
+    trace = tracer.Tracer().install()
+    try:
+        trace.enabled = True
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert facred.cli.main(argv) == 0
+    finally:
+        trace.uninstall()
+    return trace
+
+
 def test_dualize_solve_counts(tmp_path):
     """The IPM solves of one ``dualize --solve``, as the benchmark traces
     them.  A strictly feasible program: the reducing pair and the full-face
@@ -62,18 +75,39 @@ def test_dualize_solve_counts(tmp_path):
     the encoded ordinary dual."""
     from conftest import random_degenerate, random_strictly_feasible
 
-    tracer = _load_tracer()
     for gen, solves, encoded in ((random_strictly_feasible, 2, 0),
                                  (random_degenerate, 4, 1)):
         path = tmp_path / f"{gen.__name__}.dat-s"
         path.write_text(emit_sdpa(gen(0)[0]))
-        trace = tracer.Tracer().install()
-        try:
-            trace.enabled = True
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert facred.cli.main(["dualize", str(path), "--solve"]) == 0
-        finally:
-            trace.uninstall()
+        trace = _traced(["dualize", str(path), "--solve"])
         names = [span[0] for span in trace.spans]
         assert names.count("solver.solve_conic_lp") == solves, gen.__name__
         assert names.count("solver.standard_dual") == encoded, gen.__name__
+
+
+def test_solve_and_iteration_counts(tmp_path):
+    """IPM calls and their total iterations for one ``member`` call, on a
+    point inside the minimal cone and one outside it, and for one
+    ``reduce``, all on ``random_degenerate(0)``.  The counts repeat exactly,
+    so a kernel change that moves them fails here, not only in the bench."""
+    import numpy as np
+    from conftest import random_degenerate
+
+    p, xbar = random_degenerate(0)
+    prob, cert = tmp_path / "degen0.dat-s", tmp_path / "degen0.cert"
+    prob.write_text(emit_sdpa(p))
+    points = {"in": (p.b - p.apply(xbar)).parts[0],   # a feasible slack
+              "out": np.eye(p.blocks[0].size)}
+    runs = {"reduce": ["reduce", str(prob), "--cert", str(cert)]}
+    for side, point in points.items():
+        path = tmp_path / f"{side}.pt"
+        path.write_text(" ".join(f"{v:.17g}" for v in point.ravel()) + "\n")
+        runs["member-" + side] = ["member", str(prob), "--point", str(path)]
+    counts = {}
+    for name, argv in runs.items():
+        trace = _traced(argv)
+        counts[name] = ([span[0] for span in trace.spans]
+                        .count("solver.solve_conic_lp"),
+                        trace.counts["solver.solve_conic_lp.iters"])
+    assert counts == {"reduce": (2, 16), "member-in": (1, 10),
+                      "member-out": (1, 10)}
