@@ -22,8 +22,6 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import certfile, config, sdpa
 from .extended import (VARIANTS, build_extended_dual, fmin_membership,
                        lift_to_psd, solve_extended_dual)
@@ -31,8 +29,8 @@ from .model import YElement
 from .reducing import AmbiguousOutcome
 from .reduction import (ReductionCertificate, ReductionError,
                         run_facial_reduction, verify_certificate_chain)
-from .solver import (SolverError, SolverOptions, solve_conic_lp,
-                     standard_dual)
+from .solver import (SolverError, SolverOptions, dual_interior_direction,
+                     solve_conic_lp, standard_dual)
 
 
 @dataclass
@@ -147,8 +145,9 @@ def cmd_dualize(args) -> int:
         return 1
     report = RunReport("dualize", digest, args.seed, config.resolve_tol(args.tol))
     options = SolverOptions(max_iter=args.max_iter, seed=args.seed)
+    lifted = lift_to_psd(problem)
     try:
-        chain = run_facial_reduction(lift_to_psd(problem), options=options) \
+        chain = run_facial_reduction(lifted, options=options) \
             if args.solve else None
         ext = build_extended_dual(problem, args.variant, args.ell, chain)
     except (AmbiguousOutcome, ValueError, ReductionError, SolverError) as exc:
@@ -175,9 +174,12 @@ def cmd_dualize(args) -> int:
         report.extended_dual_value = value
         report.attained = True
         report.extra.append("point_verified: yes")
-        if chain.steps == 0:
-            # x_strict is a Slater point: the ordinary dual is strong and
-            # attained, and the verified final layer solves it.
+        if chain.steps == 0 or dual_interior_direction(
+                lifted, chain.ys[1]) is not None:
+            # Either x_strict is a Slater point of P, or the ordinary dual
+            # has one (see dual_interior_direction) and x_strict makes P
+            # feasible.  Either way the ordinary dual is strong: its value
+            # is the primal value, the verified point's objective.
             report.standard_dual_value = value
         else:
             try:

@@ -35,7 +35,7 @@ from enum import Enum
 import numpy as np
 
 from . import config
-from .linalg import flatten_element
+from .linalg import flatten_element, nullspace_basis, unflatten_element
 from .model import ConicProgram, YElement
 
 
@@ -461,14 +461,39 @@ def dual_affine_point(p: ConicProgram):
     return sol
 
 
+def dual_interior_direction(p: ConicProgram, ray: YElement):
+    """A certified y0 in int K with <a_i, y0> = 0 for all i, or None.
+
+    ``ray`` is a nonzero element of K with <a_i, ray> = 0 (a first reducing
+    certificate).  The candidate I + s ray, s = |I| / |ray|, is projected
+    onto the kernel of the flattened rows R of the a_i; the result is
+    accepted only when R has full row rank, so A* y = c is consistent, and
+    its smallest eigenvalue beats |R y0| / sigma_min(R), so by Weyl's
+    inequality the exact projection is interior too, with a relative margin
+    of 1e-8 for the eigensolver.  Then y_c + t y0 is a Slater point of the
+    ordinary dual for any solution y_c of A* y = c and t large.
+    """
+    unit = YElement.identity(p.blocks)
+    cand = flatten_element(unit + (unit.norm() / ray.norm()) * ray)
+    dist = 0.0  # bound on the distance to the exact projection
+    if p.m:
+        rows = np.vstack([flatten_element(ai) for ai in p.a])
+        _, sigma, vt = np.linalg.svd(rows, full_matrices=False)
+        if len(sigma) < p.m or sigma[-1] <= config.RANK_TOL * sigma[0]:
+            return None
+        cand = cand - vt.T @ (vt @ cand)
+        dist = np.linalg.norm(rows @ cand) / sigma[-1]
+    y0 = unflatten_element(cand, p.blocks)
+    lam = y0.min_eigenvalue()
+    return y0 if lam > dist and lam > 1e-8 * y0.norm() else None
+
+
 def standard_dual(p: ConicProgram) -> StandardDualForm:
     """Build the standard dual of ``p`` as a solvable ConicProgram.
 
     Raises ValueError when the dual equations <a_i, y> = c_i are
     inconsistent (the dual is infeasible on its affine part).
     """
-    from .linalg import nullspace_basis, unflatten_element
-
     sol = dual_affine_point(p)
     if sol is None:
         raise ValueError("dual affine equations are inconsistent")

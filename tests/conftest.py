@@ -35,6 +35,23 @@ def example_sdp():
     return ConicProgram(blocks, [a1, a2], b, [1.0, 0.0], name="sdp3")
 
 
+def gap_sdp():
+    """The duality-gap SDP: sup -x_1 with slack E33 + x_1 (E12 + E21 + E33)
+    + x_2 E22 pins x_1 = 0, so the primal value is 0, while the ordinary
+    dual, inf y_33 with y_22 = 0 and 2 y_12 + y_33 = 1, has value 1.  E11
+    is its first reducing certificate."""
+    blocks = (ConeBlock("psd", 3),)
+    unit = np.eye(3)
+
+    def e(i, j):
+        return np.outer(unit[i], unit[j])
+
+    a = [YElement(blocks, [-(e(0, 1) + e(1, 0) + e(2, 2))]),
+         YElement(blocks, [-e(1, 1)])]
+    return ConicProgram(blocks, a, YElement(blocks, [e(2, 2)]), [-1.0, 0.0],
+                        name="gap")
+
+
 def paper_chain_long(blocks):
     """The two-step reducing chain for the LP fixture."""
     return [YElement(blocks, [np.array([0.0, 0, 0, 1, 1])]),

@@ -174,22 +174,14 @@ def test_dualize_below_the_chain_length_is_refused(tmp_path, sdp_path,
 
 @pytest.mark.parametrize("variant", ["star", "ramana"])
 def test_dualize_reports_the_duality_gap(tmp_path, variant):
-    """The gap SDP: sup -x_1 with slack E33 + x_1 (E12 + E21 + E33) + x_2 E22
-    pins x_1 = 0, so the primal value is 0, while the ordinary dual,
-    inf y_33 with y_22 = 0 and 2 y_12 + y_33 = 1, has value 1.  The extended
+    """The gap SDP (conftest.gap_sdp): primal value 0, ordinary dual value
+    1, which its encoded solve reports, since every dual-feasible point has
+    y_22 = 0 and no Slater point certifies the ordinary dual.  The extended
     dual closes the gap with one layer."""
-    blocks = (ConeBlock("psd", 3),)
-    unit = np.eye(3)
+    from conftest import gap_sdp
 
-    def e(i, j):
-        return np.outer(unit[i], unit[j])
-
-    a = [YElement(blocks, [-(e(0, 1) + e(1, 0) + e(2, 2))]),
-         YElement(blocks, [-e(1, 1)])]
-    p = ConicProgram(blocks, a, YElement(blocks, [e(2, 2)]), [-1.0, 0.0],
-                     name="gap")
     path = tmp_path / "gap.dat-s"
-    path.write_text(emit_sdpa(p))
+    path.write_text(emit_sdpa(gap_sdp()))
     code, out = run_cli(["dualize", str(path), "--variant", variant,
                          "--solve"])
     assert code == 0
@@ -246,8 +238,9 @@ def test_a_slater_program_reads_the_ordinary_dual_off_the_point(
 @pytest.mark.parametrize("variant", ["star", "ramana"])
 def test_one_step_chains_keep_the_encoded_ordinary_dual(tmp_path,
                                                         monkeypatch, variant):
-    """A chain of length 1 leaves the ordinary dual weaker than the primal
-    (the gap SDP) or unrelated to the assembled point: it is still solved
+    """When no Slater point of the ordinary dual is certified, as on the
+    gap SDP (whose ordinary dual is weaker than the primal) and on the LP
+    fixture (whose dual pins y_1 = 0), the ordinary dual is still solved
     through its encoding, once per run."""
     calls = _count_standard_dual(monkeypatch)
     test_dualize_reports_the_duality_gap(tmp_path, variant)
@@ -421,15 +414,39 @@ def test_dualize_solves_a_regular_program(tmp_path, variant):
     assert "point_verified: yes" in out.splitlines()
 
 
-def test_dualize_flags_an_unconverged_standard_dual():
-    """The golden SDP's ordinary dual has the unattained infimum 0, so its
-    solve does not end optimal: no value is printed, the status is."""
+def test_dualize_reads_an_unattained_ordinary_dual_off_its_certificate():
+    """The golden SDP's ordinary dual has the unattained infimum 0, which no
+    solve of it reaches; it has a Slater point, so its value is the primal
+    value, and the report prints it without solving the encoded dual."""
     code, out = run_cli(["dualize", str(GOLDEN / "sdp3.dat-s"), "--solve"])
     assert code == 0
     lines = out.splitlines()
+    assert "standard_dual_value: 0.000000" in lines
+    assert "extended_dual_value: 0.000000" in lines
+    assert not any(l.startswith("standard_dual:") for l in lines)
+
+
+def test_dualize_flags_an_unconverged_standard_dual(tmp_path, monkeypatch):
+    """The gap SDP keeps the encoded ordinary dual; a solve of it that does
+    not end optimal prints its status and no value."""
+    from dataclasses import replace
+
+    from conftest import gap_sdp
+    from facred.solver import SolveStatus, solve_conic_lp
+
+    def stalled(program, options=None):
+        return replace(solve_conic_lp(program, options),
+                       status=SolveStatus.NUMERICAL_FAILURE,
+                       message="progress stalled")
+
+    monkeypatch.setattr(cli, "solve_conic_lp", stalled)
+    path = tmp_path / "gap.dat-s"
+    path.write_text(emit_sdpa(gap_sdp()))
+    code, out = run_cli(["dualize", str(path), "--solve"])
+    assert code == 0
+    lines = out.splitlines()
     assert not any(l.startswith("standard_dual_value:") for l in lines)
-    flag = next(l for l in lines if l.startswith("standard_dual:"))
-    assert flag.startswith("standard_dual: numerical_failure (")
+    assert "standard_dual: numerical_failure (progress stalled)" in lines
     assert "extended_dual_value: 0.000000" in lines
 
 

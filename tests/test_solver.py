@@ -1,11 +1,16 @@
+import functools
+
 import numpy as np
 import pytest
 
+from facred.extended import build_extended_dual, solve_extended_dual
 from facred.model import ConeBlock, ConicProgram, YElement, adjoint_apply
-from facred.solver import (SolverOptions, SolveStatus, solve_conic_lp,
-                           standard_dual)
+from facred.reduction import run_facial_reduction
+from facred.solver import (SolverOptions, SolveStatus, dual_interior_direction,
+                           solve_conic_lp, standard_dual)
 
-from conftest import random_strictly_feasible, sym
+from conftest import (gap_sdp, random_degenerate, random_strictly_feasible,
+                      sdp_chain, sym)
 
 
 def simple_lp():
@@ -107,6 +112,98 @@ def test_standard_dual_structure(example_sdp):
     assert sd.y0.parts[0][0, 1] == pytest.approx(0.5, abs=1e-12)
     assert len(sd.basis) == 4
     assert sd.offset == pytest.approx(0.0, abs=1e-12)
+
+
+def test_the_gap_sdp_gets_no_dual_certificate():
+    """Every dual-feasible point of the gap SDP has y_22 = 0, so no
+    interior direction exists, whatever the ray."""
+    p = gap_sdp()
+    e11 = YElement(p.blocks, [np.diag([1.0, 0.0, 0.0])])
+    assert dual_interior_direction(p, e11) is None
+
+
+def test_dependent_constraints_get_no_dual_certificate(example_sdp):
+    """With a_3 = a_1 (and c_3 = c_1) the rows of A are dependent, so their
+    computed smallest singular value is rounding noise: no certificate."""
+    p = ConicProgram(example_sdp.blocks, list(example_sdp.a) + [example_sdp.a[0]],
+                     example_sdp.b, [1.0, 0.0, 1.0])
+    assert dual_interior_direction(p, sdp_chain(p.blocks)[0]) is None
+
+
+def test_sdp3_gets_a_dual_certificate(example_sdp):
+    """The fixture's ordinary dual has Slater points (its infimum 0 is
+    unattained): I + s E33 projected onto ker A* is interior."""
+    y0 = dual_interior_direction(example_sdp, sdp_chain(example_sdp.blocks)[0])
+    assert y0 is not None
+    assert np.linalg.eigvalsh(y0.parts[0])[0] > 0.1
+    assert np.abs(adjoint_apply(example_sdp, y0)).max() < 1e-14
+
+
+def test_without_variables_the_candidate_is_the_certificate():
+    p = _no_variables_program()
+    ray = YElement(p.blocks, [np.diag([0.0, 0.0, 1.0]), np.array([0.0, 1.0])])
+    y0 = dual_interior_direction(p, ray)
+    assert y0 is not None and y0.min_eigenvalue() >= 1.0
+
+
+@functools.cache
+def _degenerate_cases():
+    """random_degenerate seeds 0-9 at n = 4, 5, 6 (m as on the bench's
+    dualize ladder): (n, seed, program, xbar, chain, certificate or None)."""
+    cases = []
+    for n in (4, 5, 6):
+        for seed in range(10):
+            p, xbar = random_degenerate(seed, n=n, m=max(3, 2 * n // 3))
+            chain = run_facial_reduction(p)
+            cases.append((n, seed, p, xbar, chain,
+                          dual_interior_direction(p, chain.ys[1])))
+    return cases
+
+
+def test_dual_certificates_give_slater_points():
+    """Each certificate, checked with plain numpy on the unflattened data:
+    y_c + t y0 with y_c the least-norm solution of A* y = c and
+    t = 1 + 2 |y_c| / lambda_min(y0) is positive definite and solves
+    A* y = c."""
+    found = 0
+    for n, seed, p, _, chain, y0 in _degenerate_cases():
+        assert chain.steps >= 1, (n, seed)
+        if y0 is None:
+            continue
+        found += 1
+        amat = np.array([ai.parts[0].ravel() for ai in p.a])
+        y_c = np.linalg.lstsq(amat, p.c, rcond=None)[0].reshape(n, n)
+        lam = np.linalg.eigvalsh(y0.parts[0])[0]
+        y = y_c + (1.0 + 2.0 * np.linalg.norm(y_c, 2) / lam) * y0.parts[0]
+        assert np.linalg.eigvalsh(y)[0] > 0, (n, seed)
+        assert np.abs(amat @ y.ravel() - p.c).max() < 1e-12, (n, seed)
+    assert found >= 25
+
+
+def test_certified_value_agrees_with_the_encoded_solve():
+    """Where the certificate holds, dualize prints the verified extended
+    value as the ordinary dual's.  It lies within 1e-7 (1 + |v|) of c xbar:
+    xbar is feasible and the verified point bounds the value from above, so
+    both pin it.  Wherever the encoded ordinary dual ends OPTIMAL, it agrees
+    within 1e-6 (1 + |v|), except on n = 5, seed 8: there the encoded solve
+    ends OPTIMAL at 0.402350, a feasible dual point 1.2e-4 above the value
+    0.402226, because its lower-bound side misses its equations by 4e-8."""
+    disagree = []
+    for n, seed, p, xbar, chain, y0 in _degenerate_cases():
+        if y0 is None:
+            continue
+        value, _, _ = solve_extended_dual(
+            build_extended_dual(p, "star", None, chain))
+        lower = float(p.c @ xbar)
+        assert abs(value - lower) <= 1e-7 * (1.0 + abs(lower)), (n, seed)
+        sd = standard_dual(p)
+        res = solve_conic_lp(sd.program)
+        if res.optimal:
+            encoded = sd.value_of(res)
+            assert encoded >= value - 1e-6 * (1.0 + abs(value)), (n, seed)
+            if abs(encoded - value) > 1e-6 * (1.0 + abs(value)):
+                disagree.append((n, seed))
+    assert disagree == [(5, 8)]
 
 
 def infeasible_program():

@@ -71,18 +71,22 @@ def test_dualize_solve_counts(tmp_path):
     """The IPM solves of one ``dualize --solve``, as the benchmark traces
     them.  A strictly feasible program: the reducing pair and the full-face
     solve; its ordinary dual is read off the verified point.  A one-step
-    degenerate program: two reducing pairs, the face-restricted solve and
-    the encoded ordinary dual."""
-    from conftest import random_degenerate, random_strictly_feasible
+    degenerate program: two reducing pairs and the face-restricted solve;
+    its ordinary dual has a certified Slater point, so it is read off the
+    point too.  The gap SDP, whose ordinary dual has no Slater point, adds
+    the encoded ordinary dual and its solve."""
+    from conftest import gap_sdp, random_degenerate, random_strictly_feasible
 
-    for gen, solves, encoded in ((random_strictly_feasible, 2, 0),
-                                 (random_degenerate, 4, 1)):
-        path = tmp_path / f"{gen.__name__}.dat-s"
-        path.write_text(emit_sdpa(gen(0)[0]))
+    for name, program, solves, encoded in (
+            ("strict", random_strictly_feasible(0)[0], 2, 0),
+            ("degenerate", random_degenerate(0)[0], 3, 0),
+            ("gap", gap_sdp(), 4, 1)):
+        path = tmp_path / f"{name}.dat-s"
+        path.write_text(emit_sdpa(program))
         trace = _traced(["dualize", str(path), "--solve"])
         names = [span[0] for span in trace.spans]
-        assert names.count("solver.solve_conic_lp") == solves, gen.__name__
-        assert names.count("solver.standard_dual") == encoded, gen.__name__
+        assert names.count("solver.solve_conic_lp") == solves, name
+        assert names.count("solver.standard_dual") == encoded, name
 
 
 def test_solve_and_iteration_counts(tmp_path):
