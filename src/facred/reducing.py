@@ -14,13 +14,15 @@ certificate polish go through it.
 
 The reducing pair decides whether F already is the minimal cone of the
 program (there is a slack in the relative interior of F) or produces a
-certificate y in F* and the nullspace that cuts F down; both come out of one
-interior-point solve of the bounded primal
+certificate y in F* and the nullspace that cuts F down.  One candidate point
+is checked first: a slack that lies in ri F by a clear margin proves
+F = F_min outright.  Otherwise one interior-point solve of the bounded
+primal
 
     sup t   s.t.  b - Ax - t f in F,  t <= 1,
 
-whose dual optimal solution at value 0 is exactly the certificate, after
-undoing the compression.
+decides, and its dual optimal solution at value 0 is exactly the
+certificate, after undoing the compression.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .faces import (FaceRep, _nearest_cone_point, _orthonormal_complement,
-                    face_dual_membership, relative_interior_point)
+from .faces import (FaceRep, _cone_margin, _nearest_cone_point,
+                    _orthonormal_complement, face_dual_membership,
+                    relative_interior_point)
 from .linalg import (_packed_index, _svec, flatten_element,
                      unflatten_element)
 from .model import ConeBlock, ConicProgram, YElement
@@ -58,7 +61,9 @@ class ReducingOutcome:
     minimal: bool
     y: YElement = None           # certificate, normalized <f, y> = 1
     x_strict: np.ndarray = None  # point with slack in ri F
-    value: float = 0.0           # optimal value of the reducing primal
+    # Optimal value of the reducing primal; for a face confirmed by a
+    # checked point, min(1, its interior margin), a lower bound on it.
+    value: float = 0.0
 
     @classmethod
     def reduced(cls, y, value):
@@ -309,15 +314,47 @@ def solve_restricted_to_face(p: ConicProgram, face: FaceRep,
     return res
 
 
-def _reducing_primal(coords: FaceCoordinates, f: YElement):
-    """sup t over the eliminated variables, slack in the compressed cone,
-    with the bounding row t <= 1."""
+def _strict_candidate(coords: FaceCoordinates, cols, slack0, tol):
+    """A point whose slack lies in the relative interior of the face by a
+    clear margin, or None.
+
+    Over the eliminated variables (``coords.eliminated()``), the candidate
+    fits the compressed slack to tau * I, tau = |slack0| / |I|, I the
+    compressed canonical interior point; its slack is then recomputed from
+    the program's data.  A margin mu (smallest compressed eigenvalue or
+    entry) makes t = min(1, mu) feasible for the reducing primal, so
+    accepting mu >= 100 tol (1 + largest entry) confirms only what its
+    solve would.  Returns (x, mu) or None.
+    """
+    p, face = coords.program, coords.face
+
+    def flat(parts):
+        return np.concatenate([part.ravel() for part in parts])
+
+    target = flat(slack0)
+    goal = flat([blk.identity() for blk in face.kept_blocks])
+    goal *= np.linalg.norm(target) / np.linalg.norm(goal)
+    x = coords.x_particular
+    if cols:
+        w, *_ = np.linalg.lstsq(np.column_stack([flat(col) for col in cols]),
+                                target - goal, rcond=None)
+        x = x + coords.null_basis @ w
+    s_hat = face.compress(p.b - p.apply(x))
+    margin = min(_cone_margin(part) for part in s_hat)
+    scale = max(float(np.max(np.abs(part))) for part in s_hat)
+    if margin >= 100.0 * tol * (1.0 + scale):
+        return x, margin
+    return None
+
+
+def _reducing_primal(coords: FaceCoordinates, f: YElement, cols, slack0):
+    """sup t over the eliminated variables (``coords.eliminated()``), slack
+    in the compressed cone, with the bounding row t <= 1."""
     blocks = coords.face.kept_blocks + (ConeBlock("orthant", 1),)
 
     def lift(parts_hat, cap_val):
         return YElement(blocks, list(parts_hat) + [np.array([cap_val])])
 
-    cols, slack0 = coords.eliminated()
     a_cols = [lift(col, 0.0) for col in cols]
     a_cols.append(lift(coords.face.compress(f), 1.0))
     c = np.zeros(len(cols) + 1)
@@ -337,8 +374,12 @@ def solve_reducing_pair(p: ConicProgram, face: FaceRep, tol: float = None,
     and combined with multipliers for the span equalities, is the
     certificate y in F* with (A,b)* y = 0 and <f, y> = 1.
 
-    Decision rungs: values below ``tol`` reduce, values above 100 * tol
-    confirm minimality, anything between raises AmbiguousOutcome.
+    Decision rungs: a checked point whose compressed slack has interior
+    margin at least 100 * tol * (1 + its largest entry) confirms minimality
+    without a solve (tried for the canonical interior point f only, whose
+    compression is the identity, so the margin bounds the value below).
+    Otherwise the solve decides: values below ``tol`` reduce, values above
+    100 * tol confirm minimality, anything between raises AmbiguousOutcome.
     """
     if tol is None:
         tol = config.DEFAULT_TOL
@@ -352,7 +393,14 @@ def solve_reducing_pair(p: ConicProgram, face: FaceRep, tol: float = None,
         # equations already certified.
         return ReducingOutcome.minimal_reached(coords.x_particular, 1.0)
 
-    prog = _reducing_primal(coords, f)
+    cols, slack0 = coords.eliminated()
+    if f_override is None:
+        found = _strict_candidate(coords, cols, slack0, tol)
+        if found is not None:
+            x_strict, margin = found
+            return ReducingOutcome.minimal_reached(x_strict, min(1.0, margin))
+
+    prog = _reducing_primal(coords, f, cols, slack0)
     res = solve_conic_lp(prog, options)
     if res.status not in (SolveStatus.OPTIMAL, SolveStatus.NUMERICAL_FAILURE) \
             or res.score > 1e-5:

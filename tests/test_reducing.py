@@ -9,7 +9,8 @@ from facred.reducing import (AmbiguousOutcome, reduced_program,
 from facred.reduction import ReductionError
 from facred.solver import SolveStatus, solve_conic_lp
 
-from conftest import face_case, random_degenerate, random_element, sym
+from conftest import (face_case, random_degenerate, random_element,
+                      random_strictly_feasible, sym)
 
 
 def test_sdp_first_step_finds_corner_certificate(example_sdp):
@@ -91,8 +92,6 @@ def test_restricted_solve_preserves_value(example_sdp):
 
 
 def test_restricted_solve_on_full_cone_matches_direct():
-    from conftest import random_strictly_feasible
-
     p, _ = random_strictly_feasible(2)
     direct = solve_conic_lp(p)
     onface = solve_restricted_to_face(p, FaceRep.full_cone(p.blocks))
@@ -366,3 +365,94 @@ def test_face_coordinates_null_basis_spans_the_kernel(rank, m):
     assert null.shape == (m, m - np.linalg.matrix_rank(coords.eq_matrix))
     assert np.allclose(null.T @ null, np.eye(null.shape[1]), atol=1e-12)
     assert np.max(np.abs(coords.eq_matrix @ null)) <= 1e-12
+
+
+def _chain_with_spy(monkeypatch, p, candidate_on=True):
+    """run_facial_reduction of ``p`` and what the checked-point candidate
+    returned at each reducing step (True: it confirmed the face).  With
+    ``candidate_on`` false the candidate is patched off, so every step runs
+    the reducing solve.  Returns (summary, certificate, candidate log); the
+    summary is the chain length, flags and face ranks, or the exception."""
+    from facred import reducing
+    from facred.reduction import run_facial_reduction
+
+    original = reducing._strict_candidate
+    log = []
+
+    def spy(*args):
+        found = original(*args) if candidate_on else None
+        log.append(found is not None)
+        return found
+
+    with monkeypatch.context() as patch:
+        patch.setattr(reducing, "_strict_candidate", spy)
+        try:
+            cert = run_facial_reduction(p)
+        except (AmbiguousOutcome, ReductionError) as exc:
+            return type(exc).__name__, None, log    # both must fail alike
+    ranks = tuple(tuple(face.ranks) for face in cert.faces)
+    return (len(cert.ys) - 1, tuple(cert.reducing_flags), ranks), cert, log
+
+
+def _golden_fixtures():
+    from pathlib import Path
+
+    from facred.sdpa import parse_sdpa
+
+    golden = Path(__file__).parent / "golden"
+    return [parse_sdpa((golden / f"{name}.dat-s").read_text())
+            for name in ("sdp3", "lp5x3", "mixed0", "staircase3")]
+
+
+@pytest.mark.parametrize("family, n", [("fixtures", None)] + [
+    (family, n) for family in ("degenerate psd", "degenerate orthant",
+                               "strict") for n in range(4, 9)])
+def test_checked_point_decides_as_the_solve_does(monkeypatch, family, n):
+    """The checked-point confirmation changes no decision: with it patched
+    off (every step solved), the chains agree in length, flags and face
+    ranks; each chain it ends passes verification; and it never confirms
+    the full cone of a degenerate program, which can still be reduced."""
+    from facred.reduction import verify_certificate_chain
+
+    if family == "fixtures":
+        programs = _golden_fixtures()
+    elif family == "strict":
+        programs = [random_strictly_feasible(seed, n=n)[0]
+                    for seed in range(6)]
+    else:
+        kind = family.split()[1]
+        programs = [random_degenerate(seed, n=n, kind=kind)[0]
+                    for seed in range(6)]
+    for p in programs:
+        solved, _, _ = _chain_with_spy(monkeypatch, p, candidate_on=False)
+        summary, cert, log = _chain_with_spy(monkeypatch, p)
+        assert summary == solved, p.name
+        if any(log):
+            assert verify_certificate_chain(p, cert).ok, p.name
+        if family.startswith("degenerate"):
+            assert log and not log[0], p.name
+
+
+@pytest.mark.parametrize("seed, n, m", [(5, 4, 3), (8, 4, 3), (5, 5, 3),
+                                        (1, 6, 4), (2, 6, 4)])
+def test_missed_candidate_falls_back_to_the_solve(monkeypatch, seed, n, m):
+    """Strictly feasible programs whose checked point misses the interior
+    (the bench's strict5_n4m3, strict8_n4m3, strict5_n5m3, strict1_n6m4
+    and strict2_n6m4): the reducing solve still confirms the full cone."""
+    from facred import reducing
+    from facred.reduction import verify_certificate_chain
+
+    p, _ = random_strictly_feasible(seed, n=n, m=m)
+    solves = []
+    original = reducing.solve_conic_lp
+
+    def counted(*args):
+        solves.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(reducing, "solve_conic_lp", counted)
+    summary, cert, log = _chain_with_spy(monkeypatch, p)
+    assert log == [False]
+    assert len(solves) == 1
+    assert summary == (0, (), ((n,),))
+    assert verify_certificate_chain(p, cert).ok

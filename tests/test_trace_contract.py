@@ -69,18 +69,20 @@ def _traced(argv):
 
 def test_dualize_solve_counts(tmp_path):
     """The IPM solves of one ``dualize --solve``, as the benchmark traces
-    them.  A strictly feasible program: the reducing pair and the full-face
-    solve; its ordinary dual is read off the verified point.  A one-step
-    degenerate program: two reducing pairs and the face-restricted solve;
-    its ordinary dual has a certified Slater point, so it is read off the
-    point too.  The gap SDP, whose ordinary dual has no Slater point, adds
-    the encoded ordinary dual and its solve."""
+    them.  The reducing pair that confirms the minimal face is settled by a
+    checked interior point, without a solve, on all three programs.  A
+    strictly feasible program: only the full-face solve; its ordinary dual
+    is read off the verified point.  A one-step degenerate program: the
+    reducing pair that cuts the face and the face-restricted solve; its
+    ordinary dual has a certified Slater point, so it is read off the point
+    too.  The gap SDP, whose ordinary dual has no Slater point, adds the
+    encoded ordinary dual and its solve."""
     from conftest import gap_sdp, random_degenerate, random_strictly_feasible
 
     for name, program, solves, encoded in (
-            ("strict", random_strictly_feasible(0)[0], 2, 0),
-            ("degenerate", random_degenerate(0)[0], 3, 0),
-            ("gap", gap_sdp(), 4, 1)):
+            ("strict", random_strictly_feasible(0)[0], 1, 0),
+            ("degenerate", random_degenerate(0)[0], 2, 0),
+            ("gap", gap_sdp(), 3, 1)):
         path = tmp_path / f"{name}.dat-s"
         path.write_text(emit_sdpa(program))
         trace = _traced(["dualize", str(path), "--solve"])
@@ -113,5 +115,5 @@ def test_solve_and_iteration_counts(tmp_path):
         counts[name] = ([span[0] for span in trace.spans]
                         .count("solver.solve_conic_lp"),
                         trace.counts["solver.solve_conic_lp.iters"])
-    assert counts == {"reduce": (2, 16), "member-in": (1, 10),
+    assert counts == {"reduce": (1, 9), "member-in": (1, 10),
                       "member-out": (1, 10)}
