@@ -11,15 +11,15 @@ from .extended import (VARIANTS, ExtendedDualPoint, ExtendedDualProgram,
                        assemble_optimal_point, build_extended_dual,
                        check_extended_point, fmin_membership, lift_to_psd,
                        solve_extended_dual)
-from .faces import (FaceRep, conjugate_face, face_dual_membership,
-                    faces_equal, in_tangent_space, intersect_with_hyperplane,
+from .faces import (FaceRep, face_dual_membership, faces_equal,
+                    in_tangent_space, intersect_with_hyperplane,
                     longest_chain_length, minimal_face,
                     relative_interior_point, subspace_distance,
                     tangent_membership_schur)
 from .linalg import (EigenDecomposition, numeric_rank, nullspace_basis,
                      sym_eig)
 from .model import (ConeBlock, ConicProgram, StructureMismatchError,
-                    YElement, adjoint_apply, inner_product, primal_slack)
+                    YElement, adjoint_apply, primal_slack)
 from .reducing import (AmbiguousOutcome, ReducingOutcome, reduced_program,
                        solve_reducing_pair, solve_restricted_to_face)
 from .reduction import (DecomposedChain, ReductionCertificate, ReductionError,

@@ -8,9 +8,12 @@ Subcommands:
     verify    recheck a certificate file against a problem
     member    decide membership of a point in the problem's minimal cone
 
-Reports are line-oriented and deterministic for a fixed seed; wall-clock
+Reports are line-oriented and deterministic: no step of a run is random,
+and --seed is only echoed on the report's ``seed:`` line.  Wall-clock
 timing goes to stderr so stdout is stable across runs.  Exit codes: 0 on
-success, 2 when a reduction ends ambiguously, 1 on parse or solver failure.
+success, 2 when a reduction ends ambiguously, 1 on parse or solver failure
+(a certificate accepted at a loose --tol that then fails the face cut
+included); a failure prints an ``error:`` line, never a traceback.
 """
 
 from __future__ import annotations
@@ -106,7 +109,7 @@ def cmd_reduce(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     tol = config.resolve_tol(args.tol)
-    options = SolverOptions(max_iter=args.max_iter, seed=args.seed)
+    options = SolverOptions(max_iter=args.max_iter)
     report = RunReport("reduce", digest, args.seed, tol)
     try:
         cert = run_facial_reduction(problem, tol, options)
@@ -144,7 +147,7 @@ def cmd_dualize(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report = RunReport("dualize", digest, args.seed, config.resolve_tol(args.tol))
-    options = SolverOptions(max_iter=args.max_iter, seed=args.seed)
+    options = SolverOptions(max_iter=args.max_iter)
     lifted = lift_to_psd(problem)
     try:
         chain = run_facial_reduction(lifted, options=options) \
@@ -182,16 +185,15 @@ def cmd_dualize(args) -> int:
             # is the primal value, the verified point's objective.
             report.standard_dual_value = value
         else:
-            try:
-                sd = standard_dual(problem)
-                res = solve_conic_lp(sd.program, options)
-                if res.optimal:
-                    report.standard_dual_value = sd.value_of(res)
-                else:
-                    report.extra.append(
-                        f"standard_dual: {res.status.value} ({res.message})")
-            except ValueError:
-                report.extra.append("standard_dual: infeasible")
+            # build_extended_dual has already refused an inconsistent
+            # A* y = c, so standard_dual does not raise here.
+            sd = standard_dual(problem)
+            res = solve_conic_lp(sd.program, options)
+            if res.optimal:
+                report.standard_dual_value = sd.value_of(res)
+            else:
+                report.extra.append(
+                    f"standard_dual: {res.status.value} ({res.message})")
     report.extra.append("status: ok")
     report.wall_time = time.perf_counter() - start
     _emit(report)
@@ -270,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None,
                        help="tolerance (default: FACRED_TOL env or 1e-7)")
         p.add_argument("--seed", type=int, default=0,
-                       help="seed for perturbation retries (default 0)")
+                       help="recorded in the report only; nothing in a "
+                            "run is random (default 0)")
         p.add_argument("--max-iter", type=int, default=200,
                        help="interior-point iteration limit")
 

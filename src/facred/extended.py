@@ -37,11 +37,14 @@ from functools import cached_property
 import numpy as np
 
 from . import config
-from .faces import in_tangent_space, split_on_face
+from .faces import (face_contains, in_tangent_space, split_on_face,
+                    tangent_membership_schur)
 from .linalg import _packed_index, _svec, flatten_element
 from .model import ConeBlock, ConicProgram, YElement, adjoint_apply
-from .reduction import (ReductionCertificate, VerificationReport,
-                        compute_ell)
+from .reducing import AmbiguousOutcome, solve_restricted_to_face
+from .reduction import (ReductionCertificate, ReductionError,
+                        VerificationReport, compute_ell,
+                        decompose_certificates, run_facial_reduction)
 from .solver import (SolverError, SolverOptions, SolveStatus,
                      dual_affine_point, solve_conic_lp)
 
@@ -343,7 +346,7 @@ def check_extended_point(p: ConicProgram, pt: ExtendedDualPoint,
     blocks = lifted.blocks
     if pt.us[0].blocks != blocks:
         raise ValueError("point structure differs from the (lifted) program")
-    depth = len(pt.us) - 2
+    depth = pt.depth
 
     report.add("layer 0 is zero",
                pt.us[0].norm() <= tol and pt.vs[0].norm() <= tol)
@@ -398,8 +401,6 @@ def _regularized_dual_solution(lifted, cert, options):
     """Optimal point of  inf <b, y> : A* y = c, y in (minimal cone)*  -
     attained because the face-restricted primal satisfies Slater's
     condition: the dual of the face-restricted solve."""
-    from .reducing import solve_restricted_to_face
-
     res = solve_restricted_to_face(lifted, cert.minimal_face, options)
     if res.status is not SolveStatus.OPTIMAL:
         raise SolverError("face-restricted solve did not reach optimality")
@@ -412,8 +413,6 @@ def _regularized_dual_solution(lifted, cert, options):
 
 def _tangent_witness(base_parts, v_parts, blocks):
     """Per-block certificate (w, beta) for v in the tangent space at base."""
-    from .faces import tangent_membership_schur
-
     ws, beta = [], 1.0
     for blk, base, v in zip(blocks, base_parts, v_parts):
         ok, wit = tangent_membership_schur(base, v, tol=1e-6)
@@ -441,8 +440,6 @@ def assemble_optimal_point(p: ConicProgram, variant: str = "star",
     chain length the chain does not fit and ValueError is raised.  The
     layers past the chain length are zero layers placed before the chain.
     """
-    from .reduction import decompose_certificates, run_facial_reduction
-
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     options = options or SolverOptions()
@@ -531,13 +528,17 @@ def solve_extended_dual(ext: ExtendedDualProgram,
 
 
 def fmin_membership(p: ConicProgram, s: YElement, tol: float = None) -> bool:
-    """Decide membership of ``s`` in the minimal cone of ``p`` without
-    running facial reduction: s belongs to it exactly when s is squeezed
-    between zero and a scaled feasible slack, which is a conic feasibility
-    problem in the original variables plus one scale.
+    """Decide membership of ``s`` in the minimal cone of ``p``.
 
-    Solved in a normalized form bounding the squeeze coefficient, so the
-    optimal value separates members (1) from non-members (0) cleanly.
+    First without facial reduction: s belongs to the minimal cone exactly
+    when s is squeezed between zero and a scaled feasible slack, a conic
+    feasibility problem in the original variables plus one scale, solved in
+    a normalized form bounding the squeeze coefficient so the optimal value
+    separates members (1) from non-members (0).  The squeeze program has no
+    interior when ``p`` has none, so its solve may stall or land between
+    the two; then s is tested against the minimal face of the program's own
+    reduction, and only when that reduction fails does the squeeze result
+    decide.
     """
     if tol is None:
         tol = config.DEFAULT_TOL
@@ -560,16 +561,9 @@ def fmin_membership(p: ConicProgram, s: YElement, tol: float = None) -> bool:
     prog = ConicProgram(blocks, a_cols, b_aug, c, name="membership")
     res = solve_conic_lp(prog, SolverOptions())
     if res.score > 1e-6 or 0.1 < res.primal_obj < 0.9:
-        # The squeeze program has no interior when the original program has
-        # none; regularize it with facial reduction and solve on its own
-        # minimal cone, where Slater's condition holds.
-        from .reducing import AmbiguousOutcome, solve_restricted_to_face
-        from .reduction import ReductionError, run_facial_reduction
-
         try:
-            cert = run_facial_reduction(prog)
-            res = solve_restricted_to_face(prog, cert.minimal_face)
-        except (SolverError, ReductionError, AmbiguousOutcome):
+            return face_contains(run_facial_reduction(p).minimal_face, s, tol)
+        except (ReductionError, AmbiguousOutcome):
             pass
     if res.status not in (SolveStatus.OPTIMAL, SolveStatus.NUMERICAL_FAILURE) \
             or res.score > 1e-4:

@@ -3,8 +3,8 @@
 A face is represented per block: an index support set for an orthant block,
 an orthonormal basis Q of the active subspace for a PSD block (the face is
 { Q z Q^T : z psd of order r }).  r = 0 encodes the trivial face {0},
-r = n the full cone.  Both block cones are self-dual and nice, so conjugate
-faces and tangent spaces have the explicit forms implemented here.
+r = n the full cone.  Both block cones are self-dual and nice, so face
+duals and tangent spaces have the explicit forms implemented here.
 
 FaceRep also owns the face's coordinates: ``compress`` maps an element to
 one payload per block of nonzero rank (the support entries of an orthant
@@ -191,19 +191,6 @@ def minimal_face(x: YElement, blocks, tol: float = None) -> FaceRep:
             r = numeric_rank(dec.eigenvalues, tol)
             reps.append(PsdFace(dec.eigenvectors[:, :r]))
     return FaceRep(blocks, reps)
-
-
-def conjugate_face(face: FaceRep) -> FaceRep:
-    """Conjugate face inside the (self-dual) cone: complementary support or
-    complementary subspace."""
-    reps = []
-    for blk, rep in zip(face.blocks, face.reps):
-        if blk.kind == "orthant":
-            comp = tuple(i for i in range(blk.size) if i not in rep.support)
-            reps.append(OrthantFace(comp))
-        else:
-            reps.append(PsdFace(_orthonormal_complement(rep.basis, blk.size)))
-    return FaceRep(face.blocks, reps)
 
 
 def _cone_margin(part: np.ndarray) -> float:

@@ -230,11 +230,6 @@ class ConicProgram:
         return YElement._trusted(self.blocks, parts)
 
 
-def inner_product(y1: YElement, y2: YElement) -> float:
-    """Inner product on the constraint space (trace product on PSD blocks)."""
-    return y1.inner(y2)
-
-
 def adjoint_apply(p: ConicProgram, y: YElement) -> np.ndarray:
     """Adjoint of the constraint map: the vector (<a_1, y>, ..., <a_m, y>)."""
     if y.blocks != p.blocks:

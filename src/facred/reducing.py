@@ -363,8 +363,7 @@ def _reducing_primal(coords: FaceCoordinates, f: YElement, cols, slack0):
 
 
 def solve_reducing_pair(p: ConicProgram, face: FaceRep, tol: float = None,
-                        options: SolverOptions = None,
-                        f_override: YElement = None) -> ReducingOutcome:
+                        options: SolverOptions = None) -> ReducingOutcome:
     """Decide whether ``face`` is the minimal cone of ``p`` or produce a
     reducing certificate.
 
@@ -372,21 +371,21 @@ def solve_reducing_pair(p: ConicProgram, face: FaceRep, tol: float = None,
     bounded reducing primal has value 0 exactly when the face can be cut
     further; in that case the interior-point dual solution, decompressed
     and combined with multipliers for the span equalities, is the
-    certificate y in F* with (A,b)* y = 0 and <f, y> = 1.
+    certificate y in F* with (A,b)* y = 0 and <f, y> = 1, f the face's
+    canonical interior point.
 
     Decision rungs: a checked point whose compressed slack has interior
     margin at least 100 * tol * (1 + its largest entry) confirms minimality
-    without a solve (tried for the canonical interior point f only, whose
-    compression is the identity, so the margin bounds the value below).
-    Otherwise the solve decides: values below ``tol`` reduce, values above
-    100 * tol confirm minimality, anything between raises AmbiguousOutcome.
+    without a solve (f compresses to the identity, so the margin bounds the
+    value below).  Otherwise the solve decides: values below ``tol``
+    reduce, values above 100 * tol confirm minimality, anything between
+    raises AmbiguousOutcome.
     """
     if tol is None:
         tol = config.DEFAULT_TOL
     if options is None:
         options = SolverOptions()
     coords = FaceCoordinates(p, face)
-    f = f_override if f_override is not None else relative_interior_point(face)
 
     if not face.kept_blocks:
         # The face is {0}: minimal iff b - Ax can vanish, which the span
@@ -394,12 +393,12 @@ def solve_reducing_pair(p: ConicProgram, face: FaceRep, tol: float = None,
         return ReducingOutcome.minimal_reached(coords.x_particular, 1.0)
 
     cols, slack0 = coords.eliminated()
-    if f_override is None:
-        found = _strict_candidate(coords, cols, slack0, tol)
-        if found is not None:
-            x_strict, margin = found
-            return ReducingOutcome.minimal_reached(x_strict, min(1.0, margin))
+    found = _strict_candidate(coords, cols, slack0, tol)
+    if found is not None:
+        x_strict, margin = found
+        return ReducingOutcome.minimal_reached(x_strict, min(1.0, margin))
 
+    f = relative_interior_point(face)
     prog = _reducing_primal(coords, f, cols, slack0)
     res = solve_conic_lp(prog, options)
     if res.status not in (SolveStatus.OPTIMAL, SolveStatus.NUMERICAL_FAILURE) \

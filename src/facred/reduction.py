@@ -87,15 +87,15 @@ def run_facial_reduction(p: ConicProgram, tol: float = None,
 
     Returns the full certificate chain, carrying the bound ``ell`` from
     compute_ell; raises ReductionError (with the partial chain attached)
-    when a reducing solve fails or the theoretical iteration bound is
-    exceeded, and propagates AmbiguousOutcome (partial chain attached) when
-    a reducing value falls between the decision rungs.
+    when a reducing solve fails, a certificate accepted at a loose ``tol``
+    fails the face cut's own dual-membership bound, or the theoretical
+    iteration bound is exceeded, and propagates AmbiguousOutcome (partial
+    chain attached) when a reducing value falls between the decision rungs.
     """
     if tol is None:
         tol = config.DEFAULT_TOL
     if options is None:
         options = SolverOptions()
-    rng = np.random.default_rng(options.seed)
 
     face = FaceRep.full_cone(p.blocks)
     ys = [YElement.zeros(p.blocks)]
@@ -106,54 +106,28 @@ def run_facial_reduction(p: ConicProgram, tol: float = None,
     def partial():
         return ReductionCertificate(ys, faces, flags, None, ell)
 
-    def solve(f_override=None):
+    for _ in range(ell + 1):
         try:
-            return solve_reducing_pair(p, face, tol, options,
-                                       f_override=f_override)
+            outcome = solve_reducing_pair(p, face, tol, options)
         except AmbiguousOutcome as exc:
             exc.partial_chain = partial()
             raise
         except SolverError as exc:
             raise ReductionError(str(exc), partial()) from exc
-
-    for _ in range(ell + 1):
-        outcome = solve()
         if outcome.minimal:
             return ReductionCertificate(ys, faces, flags, outcome.x_strict, ell)
-        new_face = intersect_with_hyperplane(face, outcome.y)
-        if faces_equal(new_face, face):
-            # A certificate that cuts nothing is numerical dust; retry once
-            # from a perturbed interior point before giving up.
-            outcome = solve(_perturbed_interior_point(face, rng))
-            if outcome.minimal:
-                return ReductionCertificate(ys, faces, flags, outcome.x_strict,
-                                            ell)
-            new_face = intersect_with_hyperplane(face, outcome.y)
-            if faces_equal(new_face, face):
-                raise AmbiguousOutcome(
-                    "reducing certificates repeatedly failed to cut the face",
-                    partial_chain=partial())
+        # The certificate passed its check at ``tol``; the cut re-tests
+        # face-dual membership at its own fixed bound.
+        try:
+            face = intersect_with_hyperplane(face, outcome.y)
+        except ValueError as exc:
+            raise ReductionError(f"step {len(ys)}: {exc}", partial()) from exc
         ys.append(outcome.y)
-        faces.append(new_face)
+        faces.append(face)
         flags.append(True)
-        face = new_face
 
     raise ReductionError(
         f"exceeded the bound of {ell} reducing iterations", partial())
-
-
-def _perturbed_interior_point(face: FaceRep, rng) -> YElement:
-    """The face's canonical interior point, each kept block jittered: support
-    entries by up to 20%, the compressed identity by a small symmetric w."""
-    parts = []
-    for blk in face.kept_blocks:
-        if blk.kind == "orthant":
-            parts.append(1.0 + 0.2 * rng.random(blk.size))
-        else:
-            w = rng.normal(size=(blk.size, blk.size))
-            parts.append(np.eye(blk.size)
-                         + 0.05 * (w + w.T) / max(1.0, np.linalg.norm(w)))
-    return face.embed(parts)
 
 
 @dataclass

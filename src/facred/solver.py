@@ -42,7 +42,6 @@ from .model import ConicProgram, YElement
 class SolveStatus(Enum):
     OPTIMAL = "optimal"
     PRIMAL_INFEASIBLE = "primal_infeasible"
-    DUAL_INFEASIBLE = "dual_infeasible"
     UNBOUNDED = "unbounded"
     NUMERICAL_FAILURE = "numerical_failure"
 
@@ -59,7 +58,6 @@ STEP_FRACTION = 0.98
 class SolverOptions:
     max_iter: int = 200
     keep_history: bool = False
-    seed: int = 0  # consumed by drivers that perturb, never by the solver itself
 
 
 @dataclass

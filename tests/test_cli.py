@@ -501,6 +501,57 @@ def test_seed_printed_in_report(sdp_path):
     assert "seed: 7" in out
 
 
+def staircase(n):
+    """b = E11, a_1 = E12 + E21, a_k = E1,k+1 + Ek+1,1 + Ekk, c = e_1: the
+    minimal face is rank 1 at e_1, n - 1 reducing steps down."""
+    blocks = (ConeBlock("psd", n),)
+    unit = np.eye(n)
+    mats = []
+    for k in range(1, n):
+        mat = np.outer(unit[0], unit[k]) + np.outer(unit[k], unit[0])
+        if k >= 2:
+            mat[k - 1, k - 1] = 1.0
+        mats.append(YElement(blocks, [mat]))
+    return ConicProgram(blocks, mats, YElement(blocks, [np.outer(unit[0],
+                                                                 unit[0])]),
+                        unit[0, :n - 1], name=f"staircase{n}")
+
+
+def test_loose_tol_reduction_fails_with_an_error_line(tmp_path, capsys):
+    """At --tol 1e-4 a certificate of the order-5 staircase passes its own
+    check but not the face cut's fixed bound: exit 1 with an error line."""
+    path = tmp_path / "staircase5.dat-s"
+    path.write_text(emit_sdpa(staircase(5)))
+    code, out = run_cli(["reduce", str(path), "--tol", "1e-4"])
+    assert (code, out) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_sweep_never_escapes(tmp_path, capsys):
+    """Every golden input and the order-5 staircase, under reduce,
+    dualize --solve and member at three tolerances: each run ends with
+    exit 0, 1 or 2 and no escaping exception, and only exit 0 prints
+    ``status: ok``."""
+    inputs = sorted(GOLDEN.glob("*.dat-s"))
+    inputs.append(tmp_path / "staircase5.dat-s")
+    inputs[-1].write_text(emit_sdpa(staircase(5)))
+    for problem in inputs:
+        point = tmp_path / (problem.stem + ".pt")
+        unit = YElement.identity(cli._read_problem(problem)[0].blocks)
+        point.write_text("".join(" ".join(map(str, part.ravel())) + "\n"
+                                 for part in unit.parts))
+        for command in (["reduce"], ["dualize", "--solve"],
+                        ["member", "--point", str(point)]):
+            for tol in ("1e-7", "1e-5", "1e-3"):
+                args = command[:1] + [str(problem)] + command[1:]
+                code, out = run_cli(args + ["--tol", tol])
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2), (args, tol)
+                assert "Traceback" not in err, (args, tol)
+                assert code == 0 or "status: ok" not in out, (args, tol)
+
+
 EXIT_CODES = [(AmbiguousOutcome("rungs"), 2), (ReductionError("bound", None), 1),
               (ValueError("tangent"), 1), (SolverError("stalled"), 1)]
 

@@ -6,7 +6,8 @@ from facred.extended import (VARIANTS, ExtendedDualPoint,
                              check_extended_point, fmin_membership,
                              lift_to_psd, solve_extended_dual)
 from facred.faces import tangent_membership_schur
-from facred.model import ConeBlock, ConicProgram, YElement, adjoint_apply
+from facred.model import (ConeBlock, ConicProgram, YElement, adjoint_apply,
+                          primal_slack)
 from facred.reduction import run_facial_reduction
 from facred.sdpa import emit_sdpa, parse_sdpa
 from facred.solver import (SolverError, SolverOptions, solve_conic_lp,
@@ -310,7 +311,6 @@ def test_fmin_membership_lets_bugs_through(example_sdp, monkeypatch):
     """Only solver and reduction failures fall back; a programming error in
     the facial-reduction fallback propagates."""
     import facred.extended
-    import facred.reduction
 
     def broken(*args, **kwargs):
         raise TypeError("injected")
@@ -321,10 +321,75 @@ def test_fmin_membership_lets_bugs_through(example_sdp, monkeypatch):
         return solve_conic_lp(prog, SolverOptions(max_iter=1))
 
     monkeypatch.setattr(facred.extended, "solve_conic_lp", unconverged)
-    monkeypatch.setattr(facred.reduction, "run_facial_reduction", broken)
+    monkeypatch.setattr(facred.extended, "run_facial_reduction", broken)
     with pytest.raises(TypeError, match="injected"):
         fmin_membership(example_sdp,
                         YElement(example_sdp.blocks, [np.diag([0.0, 1, 0])]))
+
+
+def _relabelled(p, seed):
+    """The program under a seeded signed permutation q (a cone automorphism
+    that keeps every entry exact), and the map y -> q y q^T it applies."""
+    rng = np.random.default_rng(seed)
+    n = p.blocks[0].size
+    q = np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], size=n)
+
+    def move(y):
+        return YElement(p.blocks, [q @ y.parts[0] @ q.T])
+
+    return ConicProgram(p.blocks, [move(ai) for ai in p.a], move(p.b),
+                        p.c), move
+
+
+def _planted_points(p, xbar, rng):
+    """A point inside the minimal face, spanned by the slack at the planted
+    feasible xbar, and the same point with rank-one mass outside it."""
+    lam, vec = np.linalg.eigh(primal_slack(p, xbar).parts[0])
+    r = int(np.sum(lam > 1e-9 * lam[-1]))
+    face, dead = vec[:, -r:], vec[:, :-r]
+    g = rng.normal(size=(r, r))
+    inside = face @ (g @ g.T + 0.5 * np.eye(r)) @ face.T
+    u = dead @ rng.normal(size=dead.shape[1])
+    return inside, inside + 0.5 * np.outer(u, u) / float(u @ u)
+
+
+@pytest.mark.parametrize("fallback", ["as needed", "always"])
+def test_fmin_membership_matches_the_planted_face(monkeypatch, fallback):
+    """Planted points inside and outside the minimal face of degenerate
+    programs, n = 4..12, under three relabellings each: every verdict is
+    the planted one.  With the squeeze solve reported unconverged, every
+    decision comes from the program's own reduction."""
+    import facred.extended
+
+    real_solve = facred.extended.solve_conic_lp
+    real_reduce = facred.extended.run_facial_reduction
+    reductions = []
+
+    def unconverged(prog, options=None):
+        res = real_solve(prog, options)
+        res.residuals = dict(res.residuals, primal=1.0)
+        return res
+
+    def counting(p, *args, **kwargs):
+        reductions.append(p.name)
+        return real_reduce(p, *args, **kwargs)
+
+    if fallback == "always":
+        monkeypatch.setattr(facred.extended, "solve_conic_lp", unconverged)
+    monkeypatch.setattr(facred.extended, "run_facial_reduction", counting)
+    decisions = 0
+    for n in range(4, 13):
+        p, xbar = random_degenerate(n, n=n, m=2 * n // 3)
+        inside, outside = _planted_points(p, xbar, np.random.default_rng(n))
+        for k in range(3):
+            moved, move = _relabelled(p, 100 * n + k)
+            for point, planted in ((inside, True), (outside, False)):
+                s = move(YElement(p.blocks, [point]))
+                assert fmin_membership(moved, s) is planted, (n, k, planted)
+                decisions += 1
+    assert decisions == 54
+    if fallback == "always":
+        assert len(reductions) == decisions
 
 
 @pytest.mark.parametrize("rotated", [False, True])

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from facred.faces import (FaceRep, conjugate_face, face_contains,
-                          face_dual_membership, faces_equal, in_tangent_space,
+from facred.faces import (FaceRep, face_contains, face_dual_membership,
+                          faces_equal, in_tangent_space,
                           intersect_with_hyperplane, longest_chain_length,
                           minimal_face, relative_interior_point,
                           subspace_distance, tangent_membership_schur)
@@ -36,28 +36,6 @@ def test_minimal_face_interior_gives_full_cone():
 def test_minimal_face_rejects_outside_point():
     with pytest.raises(ValueError):
         minimal_face(YElement(PSD3, [-np.eye(3)]), PSD3)
-
-
-def test_conjugate_of_rank_one_face():
-    face = minimal_face(YElement(PSD3, [np.diag([1.0, 0, 0])]), PSD3)
-    conj = conjugate_face(face)
-    assert conj.reps[0].rank == 2
-    assert subspace_distance(conj.reps[0].basis, np.eye(3)[:, 1:]) <= 1e-9
-
-
-def test_conjugate_of_full_cone_is_origin():
-    conj = conjugate_face(FaceRep.full_cone(PSD3))
-    assert conj.reps[0].rank == 0
-
-
-def test_conjugation_is_involution_on_random_faces():
-    rng = np.random.default_rng(6)
-    for _ in range(10):
-        r = rng.integers(0, 5)
-        q = np.linalg.qr(rng.normal(size=(4, 4)))[0][:, :r]
-        face = FaceRep((ConeBlock("psd", 4),), [type("R", (), {"basis": q})()])
-        double = conjugate_face(conjugate_face(face))
-        assert subspace_distance(double.reps[0].basis, q) <= 1e-9
 
 
 def test_face_dual_membership_fixture():

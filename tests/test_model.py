@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from facred.model import (ConeBlock, ConicProgram, StructureMismatchError,
-                          YElement, adjoint_apply, inner_product,
-                          primal_slack)
+                          YElement, adjoint_apply, primal_slack)
 
 from conftest import sym
 
@@ -11,12 +10,12 @@ from conftest import sym
 def test_inner_product_trace_on_psd_block():
     blocks = (ConeBlock("psd", 3),)
     d = YElement(blocks, [np.diag([1.0, 0, 0])])
-    assert inner_product(d, d) == pytest.approx(1.0)
+    assert d.inner(d) == pytest.approx(1.0)
 
 
 def test_inner_product_constraint_orthogonal_to_certificate(example_sdp):
     y1 = YElement(example_sdp.blocks, [np.diag([0.0, 0, 1])])
-    assert inner_product(example_sdp.a[0], y1) == pytest.approx(0.0)
+    assert example_sdp.a[0].inner(y1) == pytest.approx(0.0)
 
 
 def test_inner_product_matches_entrywise_sum():
@@ -25,7 +24,7 @@ def test_inner_product_matches_entrywise_sum():
     x = sym(rng.normal(size=(3, 3)))
     z = sym(rng.normal(size=(3, 3)))
     expected = sum(x[i, j] * z[i, j] for i in range(3) for j in range(3))
-    got = inner_product(YElement(blocks, [x]), YElement(blocks, [z]))
+    got = YElement(blocks, [x]).inner(YElement(blocks, [z]))
     assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -33,7 +32,7 @@ def test_inner_product_structure_mismatch():
     a = YElement((ConeBlock("orthant", 2),), [np.ones(2)])
     b = YElement((ConeBlock("orthant", 3),), [np.ones(3)])
     with pytest.raises(StructureMismatchError):
-        inner_product(a, b)
+        a.inner(b)
 
 
 def test_adjoint_kills_second_certificate(example_sdp):
@@ -74,7 +73,7 @@ def test_adjoint_identity_random():
         x = rng.normal(size=p.m)
         y = YElement(blocks, [sym(rng.normal(size=(4, 4))),
                               rng.normal(size=3)])
-        lhs = inner_product(p.apply(x), y)
+        lhs = p.apply(x).inner(y)
         rhs = float(np.dot(x, adjoint_apply(p, y)))
         assert lhs == pytest.approx(rhs, abs=1e-10)
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,12 @@ from facred.faces import (FaceRep, faces_equal, intersect_with_hyperplane,
                           subspace_distance)
 from facred.model import ConeBlock, ConicProgram, YElement, primal_slack
 from facred import reduction
-from facred.reducing import AmbiguousOutcome, ReducingOutcome
+from facred.reducing import AmbiguousOutcome
 from facred.reduction import (ReductionCertificate, ReductionError,
                               compute_ell, decompose_certificates,
                               reduced_program, run_facial_reduction,
                               verify_certificate_chain)
+from facred.sdpa import parse_sdpa
 from facred.solver import SolverError
 
 from conftest import (congruence, paper_chain_long, paper_chain_short,
@@ -225,25 +228,44 @@ def test_fra_bound_respected_on_random_instances():
         assert cert.reducing_count <= compute_ell(p)
 
 
+def _rank_corpus(family):
+    if family == "golden":
+        golden = Path(__file__).parent / "golden"
+        return [parse_sdpa(path.read_text())
+                for path in sorted(golden.glob("*.dat-s"))]
+    return [random_strictly_feasible(seed, n=n)[0] if family == "strict"
+            else random_degenerate(seed, n=n, kind=family)[0]
+            for n in range(4, 9) for seed in range(6)]
+
+
+@pytest.mark.parametrize("family", ["golden", "psd", "orthant", "strict"])
+def test_every_step_lowers_the_total_face_rank(family):
+    """A certificate y with <f, y> = 1 for the face's interior point f cuts
+    the face strictly, so every step of a chain drops the summed face
+    ranks by at least one."""
+    for p in _rank_corpus(family):
+        totals = [sum(face.ranks) for face in run_facial_reduction(p).faces]
+        assert all(before - after >= 1
+                   for before, after in zip(totals, totals[1:])), totals
+
+
 @pytest.mark.parametrize("failure, expected", [
     (SolverError("subsolver gave up"), ReductionError),
     (AmbiguousOutcome("between the rungs"), AmbiguousOutcome)])
 def test_failed_retry_keeps_the_partial_chain(example_sdp, monkeypatch,
                                               failure, expected):
-    # The first solve returns a certificate that cuts nothing, so the driver
-    # retries from a perturbed point; that retry fails.
+    # The first reducing solve fails; the error carries the empty chain and
+    # the run's bound, and nothing is solved again.
     calls = []
 
-    def fake_solve(p, face, tol, options, f_override=None):
-        calls.append(f_override)
-        if len(calls) == 1:
-            return ReducingOutcome.reduced(YElement.zeros(p.blocks), 0.0)
+    def fake_solve(p, face, tol, options):
+        calls.append(face)
         raise failure
 
     monkeypatch.setattr(reduction, "solve_reducing_pair", fake_solve)
     with pytest.raises(expected) as info:
         run_facial_reduction(example_sdp)
-    assert len(calls) == 2 and calls[1] is not None
+    assert len(calls) == 1
     chain = info.value.partial_chain
     assert chain is not None
     assert chain.steps == 0
