@@ -146,11 +146,12 @@ def cmd_dualize(args) -> int:
     except (OSError, sdpa.SdpaFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report = RunReport("dualize", digest, args.seed, config.resolve_tol(args.tol))
+    tol = config.resolve_tol(args.tol)
+    report = RunReport("dualize", digest, args.seed, tol)
     options = SolverOptions(max_iter=args.max_iter)
     lifted = lift_to_psd(problem)
     try:
-        chain = run_facial_reduction(lifted, options=options) \
+        chain = run_facial_reduction(lifted, tol, options) \
             if args.solve else None
         ext = build_extended_dual(problem, args.variant, args.ell, chain)
     except (AmbiguousOutcome, ValueError, ReductionError, SolverError) as exc:
@@ -242,7 +243,8 @@ def cmd_member(args) -> int:
     tol = config.resolve_tol(args.tol)
     report = RunReport("member", digest, args.seed, tol)
     try:
-        inside = fmin_membership(problem, point, tol)
+        inside = fmin_membership(problem, point, tol,
+                                 SolverOptions(max_iter=args.max_iter))
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

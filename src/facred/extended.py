@@ -31,7 +31,7 @@ the sup-form objective carries no constant whenever possible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -527,21 +527,38 @@ def solve_extended_dual(ext: ExtendedDualProgram,
     return report.objective, pt, report
 
 
-def fmin_membership(p: ConicProgram, s: YElement, tol: float = None) -> bool:
+def _squeeze_witness(p: ConicProgram, s: YElement, x) -> YElement:
+    """w = (alpha/t) b - A(x/t) - s at a point (x, alpha, t) of the squeeze
+    program, formed from the data of ``p``: when w lies in K, s is squeezed
+    between zero and a scaled feasible slack (or a recession slack), so it
+    lies in the minimal cone of a feasible ``p``."""
+    x_p, alpha, t = x[:p.m], x[p.m], x[p.m + 1]
+    return (alpha / t) * p.b - p.apply(x_p / t) - s
+
+
+def fmin_membership(p: ConicProgram, s: YElement, tol: float = None,
+                    options: SolverOptions = None) -> bool:
     """Decide membership of ``s`` in the minimal cone of ``p``.
 
     First without facial reduction: s belongs to the minimal cone exactly
     when s is squeezed between zero and a scaled feasible slack, a conic
     feasibility problem in the original variables plus one scale, solved in
     a normalized form bounding the squeeze coefficient so the optimal value
-    separates members (1) from non-members (0).  The squeeze program has no
-    interior when ``p`` has none, so its solve may stall or land between
-    the two; then s is tested against the minimal face of the program's own
-    reduction, and only when that reduction fails does the squeeze result
-    decide.
+    separates members (1) from non-members (0).  The solve stops with "yes"
+    at the first iterate with scale t >= 0.5 whose witness, formed from the
+    data so the iterate's infeasibility cannot help it, is in the cone to
+    ``tol`` (1 + |s|): a nearly feasible slack of a degenerate program can
+    carry mass outside the minimal cone far above its infeasibility
+    (Sturm, SIOPT 2000), so an early witness gets no looser bound.  The
+    squeeze program has no interior when ``p`` has none, so its solve may
+    stall or land between the two; then s is tested against the minimal
+    face of the program's own reduction, and only when that reduction fails
+    does the squeeze result decide.  ``options`` (iteration limit) apply to
+    the squeeze solve and to that reduction.
     """
     if tol is None:
         tol = config.DEFAULT_TOL
+    options = options or SolverOptions()
     if s.blocks != p.blocks:
         raise ValueError("point structure differs from program")
     if not s.in_cone(tol):
@@ -559,10 +576,23 @@ def fmin_membership(p: ConicProgram, s: YElement, tol: float = None) -> bool:
     c = np.zeros(p.m + 2)
     c[-1] = 1.0
     prog = ConicProgram(blocks, a_cols, b_aug, c, name="membership")
-    res = solve_conic_lp(prog, SolverOptions())
+    early_bound = -tol * (1.0 + s.norm())
+    witnessed = []
+
+    def witness_checks(x):
+        passed = x[-1] >= 0.5 and \
+            _squeeze_witness(p, s, x).min_eigenvalue() >= early_bound
+        if passed:
+            witnessed.append(x)
+        return passed
+
+    res = solve_conic_lp(prog, replace(options, stop=witness_checks))
+    if witnessed:
+        return True
     if res.score > 1e-6 or 0.1 < res.primal_obj < 0.9:
         try:
-            return face_contains(run_facial_reduction(p).minimal_face, s, tol)
+            return face_contains(
+                run_facial_reduction(p, options=options).minimal_face, s, tol)
         except (ReductionError, AmbiguousOutcome):
             pass
     if res.status not in (SolveStatus.OPTIMAL, SolveStatus.NUMERICAL_FAILURE) \
@@ -570,9 +600,8 @@ def fmin_membership(p: ConicProgram, s: YElement, tol: float = None) -> bool:
         raise SolverError(f"membership solve unusable: {res.status.value}")
     t_star = res.primal_obj
     if t_star >= 0.5:
-        x_star, alpha = res.x[:p.m], res.x[p.m]
-        witness = (alpha / t_star) * p.b - p.apply(x_star / t_star) - s
-        if witness.min_eigenvalue() >= -1e2 * tol * (1.0 + s.norm()):
+        if _squeeze_witness(p, s, res.x).min_eigenvalue() \
+                >= -1e2 * tol * (1.0 + s.norm()):
             return True
         raise SolverError("membership witness failed verification")
     if t_star <= 0.1:

@@ -23,7 +23,11 @@ starts.
 
 With ``SolverOptions(keep_history=True)`` every iterate is kept on the
 result, so callers can inspect how the solver approached problems whose
-optima are not attained; by default none is kept.
+optima are not attained; by default none is kept.  ``SolverOptions(stop=f)``
+ends the solve at the first iterate whose x passes the caller's test f(x),
+evaluated after each iterate's residuals unless that iterate already meets
+the solve tolerance; the result is then classified from the best iterate,
+as at any other exit.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -58,6 +63,7 @@ STEP_FRACTION = 0.98
 class SolverOptions:
     max_iter: int = 200
     keep_history: bool = False
+    stop: Callable[[np.ndarray], bool] | None = None
 
 
 @dataclass
@@ -267,6 +273,9 @@ def solve_conic_lp(p: ConicProgram, options: SolverOptions = None) -> SolveResul
                     {"primal": rel_p, "dual": rel_d, "gap": rel_gap, "mu": mu})
 
         if score <= tol:
+            break
+        if options.stop is not None and options.stop(x):
+            message = "stopped by the caller's test"
             break
         if no_progress >= 10:
             message = "progress stalled"

@@ -528,6 +528,40 @@ def test_loose_tol_reduction_fails_with_an_error_line(tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_dualize_solve_reduces_at_the_given_tol(tmp_path, capsys):
+    """dualize --solve reduces at --tol, as reduce does: at 1e-3 the
+    order-5 staircase fails the face cut in both, exit 1 with an error
+    line."""
+    path = tmp_path / "staircase5.dat-s"
+    path.write_text(emit_sdpa(staircase(5)))
+    for command in (["reduce"], ["dualize", "--solve"]):
+        args = command[:1] + [str(path)] + command[1:] + ["--tol", "1e-3"]
+        assert run_cli(args) == (1, ""), command
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, command
+
+
+def test_member_honours_max_iter(tmp_path, capsys):
+    """--max-iter bounds the squeeze solve and the fallback reduction: at
+    one iteration neither decides, so member exits 1 with an error line and
+    prints no verdict, for a point inside the minimal cone and one
+    outside it."""
+    from conftest import random_degenerate
+
+    p, xbar = random_degenerate(0)
+    prob = tmp_path / "degen0.dat-s"
+    prob.write_text(emit_sdpa(p))
+    for side, point in (("in", (p.b - p.apply(xbar)).parts[0]),
+                        ("out", np.eye(p.blocks[0].size))):
+        path = tmp_path / f"{side}.pt"
+        path.write_text(" ".join(f"{v:.17g}" for v in point.ravel()) + "\n")
+        args = ["member", str(prob), "--point", str(path)]
+        assert run_cli(args)[0] == 0, side
+        capsys.readouterr()
+        assert run_cli(args + ["--max-iter", "1"]) == (1, ""), side
+        assert capsys.readouterr().err.startswith("error: "), side
+
+
 def test_cli_sweep_never_escapes(tmp_path, capsys):
     """Every golden input and the order-5 staircase, under reduce,
     dualize --solve and member at three tolerances: each run ends with
@@ -574,7 +608,7 @@ def test_dualize_depth_reduction_failure_exit_codes(sdp_path, monkeypatch,
                                                     error, code):
     """The reduction that sets the depth of --solve fails with the same
     exit codes, before anything is built."""
-    def failing(program, options):
+    def failing(program, tol, options):
         raise error
 
     monkeypatch.setattr(cli, "run_facial_reduction", failing)

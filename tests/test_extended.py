@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -343,14 +345,14 @@ def _relabelled(p, seed):
 
 def _planted_points(p, xbar, rng):
     """A point inside the minimal face, spanned by the slack at the planted
-    feasible xbar, and the same point with rank-one mass outside it."""
+    feasible xbar, and a unit rank-one bump outside that face."""
     lam, vec = np.linalg.eigh(primal_slack(p, xbar).parts[0])
     r = int(np.sum(lam > 1e-9 * lam[-1]))
     face, dead = vec[:, -r:], vec[:, :-r]
     g = rng.normal(size=(r, r))
     inside = face @ (g @ g.T + 0.5 * np.eye(r)) @ face.T
     u = dead @ rng.normal(size=dead.shape[1])
-    return inside, inside + 0.5 * np.outer(u, u) / float(u @ u)
+    return inside, np.outer(u, u) / float(u @ u)
 
 
 @pytest.mark.parametrize("fallback", ["as needed", "always"])
@@ -365,8 +367,8 @@ def test_fmin_membership_matches_the_planted_face(monkeypatch, fallback):
     real_reduce = facred.extended.run_facial_reduction
     reductions = []
 
-    def unconverged(prog, options=None):
-        res = real_solve(prog, options)
+    def unconverged(prog, options):
+        res = real_solve(prog, replace(options, stop=None))
         res.residuals = dict(res.residuals, primal=1.0)
         return res
 
@@ -380,7 +382,8 @@ def test_fmin_membership_matches_the_planted_face(monkeypatch, fallback):
     decisions = 0
     for n in range(4, 13):
         p, xbar = random_degenerate(n, n=n, m=2 * n // 3)
-        inside, outside = _planted_points(p, xbar, np.random.default_rng(n))
+        inside, bump = _planted_points(p, xbar, np.random.default_rng(n))
+        outside = inside + 0.5 * bump
         for k in range(3):
             moved, move = _relabelled(p, 100 * n + k)
             for point, planted in ((inside, True), (outside, False)):
@@ -390,6 +393,23 @@ def test_fmin_membership_matches_the_planted_face(monkeypatch, fallback):
     assert decisions == 54
     if fallback == "always":
         assert len(reductions) == decisions
+
+
+def test_fmin_membership_sees_small_outside_mass():
+    """Planted points with outside mass delta = 1e-3, 1e-4, 1e-5 answer
+    "no" and the points inside the face "yes", n = 4..12 under three
+    relabellings.  The squeeze solve stops early only on a witness in the
+    cone to tol (1 + |s|); at the final check's 1e2 tol an early iterate of
+    the degenerate squeeze program passes most of these points."""
+    for n in range(4, 13):
+        p, xbar = random_degenerate(n, n=n, m=2 * n // 3)
+        inside, bump = _planted_points(p, xbar, np.random.default_rng(n))
+        for k in range(3):
+            moved, move = _relabelled(p, 100 * n + k)
+            assert fmin_membership(moved, move(YElement(p.blocks, [inside])))
+            for delta in (1e-3, 1e-4, 1e-5):
+                s = move(YElement(p.blocks, [inside + delta * bump]))
+                assert not fmin_membership(moved, s), (n, k, delta)
 
 
 @pytest.mark.parametrize("rotated", [False, True])

@@ -1,4 +1,5 @@
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -577,7 +578,9 @@ REFERENCE_CASES = (
                          ids=[name for name, _ in REFERENCE_CASES])
 def test_flat_kernel_matches_the_reference(make):
     """The flat kernel takes the reference loop's path: the same status
-    after the same number of iterations, at the same objectives and x."""
+    after the same number of iterations, at the same objectives and x.  A
+    caller's stop test that never passes sees each iterate's x and changes
+    no bit of the result."""
     p, options = make()
     got, want = solve_conic_lp(p, options), _reference_solve(p, options)
     assert (got.status, got.iterations) == (want.status, want.iterations)
@@ -585,3 +588,29 @@ def test_flat_kernel_matches_the_reference(make):
                  (got.dual_obj, want.dual_obj)):
         assert abs(g - w) <= 1e-9 * max(1.0, abs(w))
     np.testing.assert_allclose(got.x, want.x, rtol=0, atol=1e-7)
+    seen = []
+    same = solve_conic_lp(p, replace(options or SolverOptions(),
+                                     stop=lambda x: seen.append(x) or False))
+    assert len(seen) in (got.iterations, got.iterations + 1)
+    assert (same.status, same.iterations, same.message, same.primal_obj,
+            same.dual_obj, same.residuals) == \
+        (got.status, got.iterations, got.message, got.primal_obj,
+         got.dual_obj, got.residuals)
+    for a, b in [(same.x, got.x)] + list(zip(same.y.parts + same.z.parts,
+                                             got.y.parts + got.z.parts)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("k", [0, 1, 4, 9])
+def test_stop_ends_the_solve_at_its_iterate(k):
+    """A test that first passes at iteration k ends the solve there; the
+    result is the best iterate so far, classified as at any other exit."""
+    p = random_strictly_feasible(0, 8, 4)[0]
+    assert solve_conic_lp(p).iterations > k
+    calls = []
+    res = solve_conic_lp(p, SolverOptions(
+        keep_history=True, stop=lambda x: calls.append(x) or len(calls) > k))
+    assert res.iterations == k and len(res.iterates) == k + 1
+    assert res.status is SolveStatus.NUMERICAL_FAILURE
+    assert res.message == "stopped by the caller's test"
+    assert any(np.array_equal(res.x, rec.x) for rec in res.iterates)

@@ -92,10 +92,12 @@ def test_dualize_solve_counts(tmp_path):
 
 
 def test_solve_and_iteration_counts(tmp_path):
-    """IPM calls and their total iterations for one ``member`` call, on a
-    point inside the minimal cone and one outside it, and for one
-    ``reduce``, all on ``random_degenerate(0)``.  The counts repeat exactly,
-    so a kernel change that moves them fails here, not only in the bench."""
+    """IPM calls, their total iterations and the facial reductions for one
+    ``member`` call, on a point inside the minimal cone and one outside it,
+    and for one ``reduce``, all on ``random_degenerate(0)``.  The counts
+    repeat exactly, so a kernel change that moves them fails here, not only
+    in the bench.  The member-in call stops its squeeze solve at the first
+    iterate whose witness checks, without the fallback reduction."""
     import numpy as np
     from conftest import random_degenerate
 
@@ -112,8 +114,9 @@ def test_solve_and_iteration_counts(tmp_path):
     counts = {}
     for name, argv in runs.items():
         trace = _traced(argv)
-        counts[name] = ([span[0] for span in trace.spans]
-                        .count("solver.solve_conic_lp"),
-                        trace.counts["solver.solve_conic_lp.iters"])
-    assert counts == {"reduce": (1, 9), "member-in": (1, 10),
-                      "member-out": (1, 10)}
+        names = [span[0] for span in trace.spans]
+        counts[name] = (names.count("solver.solve_conic_lp"),
+                        trace.counts["solver.solve_conic_lp.iters"],
+                        names.count("reduction.run_facial_reduction"))
+    assert counts == {"reduce": (1, 9, 1), "member-in": (1, 5, 0),
+                      "member-out": (1, 10, 0)}
