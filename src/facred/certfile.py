@@ -55,11 +55,14 @@ def _element_lines(y: YElement):
 
 
 def _floats(text):
-    """A line of numbers as one float array."""
+    """A line of finite numbers as one float array."""
     try:
-        return np.array(text.split(), dtype=float)
+        vals = np.array(text.split(), dtype=float)
     except ValueError as exc:
         raise CertFormatError(f"could not parse numbers: {text!r}") from exc
+    if not np.isfinite(vals).all():
+        raise CertFormatError(f"non-finite number: {text!r}")
+    return vals
 
 
 def _read_element(blocks, lines, at):

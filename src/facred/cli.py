@@ -10,10 +10,12 @@ Subcommands:
 
 Reports are line-oriented and deterministic: no step of a run is random,
 and --seed is only echoed on the report's ``seed:`` line.  Wall-clock
-timing goes to stderr so stdout is stable across runs.  Exit codes: 0 on
-success, 2 when a reduction ends ambiguously, 1 on parse or solver failure
-(a certificate accepted at a loose --tol that then fails the face cut
-included); a failure prints an ``error:`` line, never a traceback.
+timing goes to stderr so stdout is stable across runs.  Each command
+returns its report and exit code: 0 on success, 1 when ``verify`` fails, 2
+with ``status: ambiguous`` when ``reduce`` ends between the decision rungs.
+Whatever a command raises, ``main`` turns into one ``error:`` line and no
+report: exit 2 for an ambiguous reduction, 1 for an unreadable or malformed
+input, a failed reduction or a failed solve; never a traceback.
 """
 
 from __future__ import annotations
@@ -28,12 +30,12 @@ from dataclasses import dataclass, field
 from . import certfile, config, sdpa
 from .extended import (VARIANTS, build_extended_dual, fmin_membership,
                        lift_to_psd, solve_extended_dual)
-from .model import YElement
-from .reducing import AmbiguousOutcome
+from .model import StructureMismatchError, YElement
+from .reducing import AmbiguousOutcome, solve_restricted_to_face
 from .reduction import (ReductionCertificate, ReductionError,
                         run_facial_reduction, verify_certificate_chain)
 from .solver import (SolverError, SolverOptions, dual_interior_direction,
-                     solve_conic_lp, standard_dual)
+                     standard_dual)
 
 
 @dataclass
@@ -51,7 +53,6 @@ class RunReport:
     standard_dual_value: float = None
     extended_dual_value: float = None
     attained: bool = None
-    wall_time: float = 0.0
     extra: list = field(default_factory=list)
 
     def lines(self):
@@ -82,97 +83,53 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
-def _digest(text) -> str:
-    if isinstance(text, str):
-        text = text.encode()
-    return hashlib.sha256(text).hexdigest()[:16]
-
-
 def _read_problem(path):
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
-    return sdpa.parse_sdpa(text), _digest(text)
+    return sdpa.parse_sdpa(text), hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _emit(report: RunReport, stream=None):
-    stream = stream or sys.stdout
-    for line in report.lines():
-        print(line, file=stream)
-    print(f"wall_time_s: {report.wall_time:.3f}", file=sys.stderr)
+def _start(args, command, path):
+    """The problem at ``path``, the report (with the tol) and the options."""
+    problem, digest = _read_problem(path)
+    report = RunReport(command, digest, args.seed, config.resolve_tol(args.tol))
+    return problem, report, SolverOptions(max_iter=args.max_iter)
 
 
-def cmd_reduce(args) -> int:
-    start = time.perf_counter()
+def cmd_reduce(args):
+    problem, report, options = _start(args, "reduce", args.input)
     try:
-        problem, digest = _read_problem(args.input)
-    except (OSError, sdpa.SdpaFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    tol = config.resolve_tol(args.tol)
-    options = SolverOptions(max_iter=args.max_iter)
-    report = RunReport("reduce", digest, args.seed, tol)
-    try:
-        cert = run_facial_reduction(problem, tol, options)
+        cert = run_facial_reduction(problem, report.tol, options)
     except AmbiguousOutcome as exc:
         report.ell = exc.partial_chain.ell
         report.extra.append(f"status: ambiguous ({exc})")
-        report.wall_time = time.perf_counter() - start
-        _emit(report)
-        return 2
-    except (ReductionError, SolverError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return report, 2
     report.ell = cert.ell
     report.reducing_iterations = cert.reducing_count
     report.f_min = cert.minimal_face.describe()
     if args.cert:
-        try:
-            with open(args.cert, "w", encoding="utf-8") as handle:
-                handle.write(certfile.write_certificate(cert))
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        with open(args.cert, "w", encoding="utf-8") as handle:
+            handle.write(certfile.write_certificate(cert))
         report.extra.append(f"certificate: {args.cert}")
     report.extra.append("status: ok")
-    report.wall_time = time.perf_counter() - start
-    _emit(report)
-    return 0
+    return report, 0
 
 
-def cmd_dualize(args) -> int:
-    start = time.perf_counter()
-    try:
-        problem, digest = _read_problem(args.input)
-    except (OSError, sdpa.SdpaFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    tol = config.resolve_tol(args.tol)
-    report = RunReport("dualize", digest, args.seed, tol)
-    options = SolverOptions(max_iter=args.max_iter)
+def cmd_dualize(args):
+    problem, report, options = _start(args, "dualize", args.input)
     lifted = lift_to_psd(problem)
-    try:
-        chain = run_facial_reduction(lifted, tol, options) \
-            if args.solve else None
-        ext = build_extended_dual(problem, args.variant, args.ell, chain)
-    except (AmbiguousOutcome, ValueError, ReductionError, SolverError) as exc:
-        return _failure(exc)
+    chain = run_facial_reduction(lifted, report.tol, options) \
+        if args.solve else None
+    ext = build_extended_dual(problem, args.variant, args.ell, chain)
     report.ell = ext.ell
     report.extra.append(f"variant: {ext.variant}")
     report.extra.append(f"objective_offset: {_fmt(ext.offset)}")
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(sdpa.emit_sdpa(ext.program))
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(sdpa.emit_sdpa(ext.program))
         report.extra.append(f"output: {args.out}")
     if args.solve:
-        try:
-            value, _, _ = solve_extended_dual(ext, options)
-        except (AmbiguousOutcome, ValueError, ReductionError,
-                SolverError) as exc:
-            return _failure(exc)
+        value, _, _ = solve_extended_dual(ext, options)
         # A value comes only from an assembled point that passed its check,
         # so the optimum is attained at a verified point.
         report.extended_dual_value = value
@@ -180,78 +137,65 @@ def cmd_dualize(args) -> int:
         report.extra.append("point_verified: yes")
         if chain.steps == 0 or dual_interior_direction(
                 lifted, chain.ys[1]) is not None:
-            # Either x_strict is a Slater point of P, or the ordinary dual
-            # has one (see dual_interior_direction) and x_strict makes P
-            # feasible.  Either way the ordinary dual is strong: its value
-            # is the primal value, the verified point's objective.
+            # x_strict is a Slater point of P, or the ordinary dual has one
+            # (see dual_interior_direction): either way it is strong, and its
+            # value is the primal value, the verified point's objective.
             report.standard_dual_value = value
         else:
-            # build_extended_dual has already refused an inconsistent
-            # A* y = c, so standard_dual does not raise here.
-            sd = standard_dual(problem)
-            res = solve_conic_lp(sd.program, options)
-            if res.optimal:
-                report.standard_dual_value = sd.value_of(res)
-            else:
-                report.extra.append(
-                    f"standard_dual: {res.status.value} ({res.message})")
+            report.standard_dual_value, reason = _reduced_standard_dual(
+                problem, value, report.tol, options)
+            if reason:
+                report.extra.append(f"standard_dual: {reason}")
     report.extra.append("status: ok")
-    report.wall_time = time.perf_counter() - start
-    _emit(report)
-    return 0
+    return report, 0
 
 
-def _failure(exc) -> int:
-    """Report a failed reduction or solve; its exit code."""
-    print(f"error: {exc}", file=sys.stderr)
-    return 2 if isinstance(exc, AmbiguousOutcome) else 1
-
-
-def cmd_verify(args) -> int:
-    start = time.perf_counter()
+def _reduced_standard_dual(problem, value, tol, options):
+    """(value or None, reason or None) of the ordinary dual D, by facial
+    reduction of D itself.  A verified empty chain is a Slater point of D,
+    so D is strong and has the primal ``value``; otherwise D is solved on
+    its minimal face, where it has one.  build_extended_dual has already
+    refused an inconsistent A* y = c, so standard_dual does not raise."""
+    sd = standard_dual(problem)
     try:
-        problem, digest = _read_problem(args.problem)
-        with open(args.certificate, "r", encoding="utf-8") as handle:
-            blocks, ys, flags, x_strict = certfile.read_certificate(handle.read())
-    except (OSError, sdpa.SdpaFormatError, certfile.CertFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    tol = config.resolve_tol(args.tol)
-    report = RunReport("verify", digest, args.seed, tol)
+        d_chain = run_facial_reduction(sd.program, tol, options)
+        if d_chain.steps == 0:
+            if verify_certificate_chain(sd.program, d_chain, tol).ok:
+                return value, None
+            return None, "its Slater point fails verification"
+        res = solve_restricted_to_face(sd.program, d_chain.minimal_face,
+                                       options)
+    except (AmbiguousOutcome, ReductionError, SolverError) as exc:
+        return None, f"reduction failed ({exc})"
+    if res.optimal:
+        return sd.value_of(res), None
+    return None, f"{res.status.value} ({res.message})"
+
+
+def cmd_verify(args):
+    problem, report, _ = _start(args, "verify", args.problem)
+    with open(args.certificate, "r", encoding="utf-8") as handle:
+        blocks, ys, flags, x_strict = certfile.read_certificate(handle.read())
     if tuple(blocks) != problem.blocks:
-        print("error: certificate block structure differs from problem",
-              file=sys.stderr)
-        return 1
+        raise StructureMismatchError(
+            "certificate block structure differs from problem")
+    if len(x_strict) != problem.m:
+        raise StructureMismatchError(f"x_strict has {len(x_strict)} entries, "
+                                     f"problem has {problem.m} variables")
     cert = ReductionCertificate(ys, None, flags, x_strict)
-    outcome = verify_certificate_chain(problem, cert, tol)
+    outcome = verify_certificate_chain(problem, cert, report.tol)
     report.extra.extend(outcome.lines())
     report.extra.append(f"result: {'pass' if outcome.ok else 'fail'}")
-    report.wall_time = time.perf_counter() - start
-    _emit(report)
-    return 0 if outcome.ok else 1
+    return report, 0 if outcome.ok else 1
 
 
-def cmd_member(args) -> int:
-    start = time.perf_counter()
-    try:
-        problem, digest = _read_problem(args.problem)
-        with open(args.point, "r", encoding="utf-8") as handle:
-            point = _read_point(handle.read(), problem.blocks)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    tol = config.resolve_tol(args.tol)
-    report = RunReport("member", digest, args.seed, tol)
-    try:
-        inside = fmin_membership(problem, point, tol,
-                                 SolverOptions(max_iter=args.max_iter))
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def cmd_member(args):
+    problem, report, options = _start(args, "member", args.problem)
+    with open(args.point, "r", encoding="utf-8") as handle:
+        point = _read_point(handle.read(), problem.blocks)
+    inside = fmin_membership(problem, point, report.tol, options)
     report.extra.append(f"member_of_minimal_cone: {'yes' if inside else 'no'}")
-    report.wall_time = time.perf_counter() - start
-    _emit(report)
-    return 0
+    return report, 0
 
 
 def _read_point(text, blocks) -> YElement:
@@ -311,9 +255,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command line; returns its exit code.  The parser is built once
-    per process; ``cmd_<name>`` is looked up at call time, so a rebinding runs."""
+    per process; ``cmd_<name>`` is looked up at call time, so a rebinding
+    runs.  What a command raises ends the run with one ``error:`` line."""
     args = build_parser().parse_args(argv)
-    return globals()[f"cmd_{args.command}"](args)
+    start = time.perf_counter()
+    try:
+        report, code = globals()[f"cmd_{args.command}"](args)
+    except (AmbiguousOutcome, OSError, ValueError, ReductionError,
+            SolverError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, AmbiguousOutcome) else 1
+    for line in report.lines():
+        print(line)
+    print(f"wall_time_s: {time.perf_counter() - start:.3f}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

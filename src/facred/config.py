@@ -5,6 +5,7 @@ rank cutoff is a correctness knob, not a cosmetic one.  It lives here as a
 process-wide default that callers may override per call.
 """
 
+import math
 import os
 
 # Relative eigenvalue cutoff used when deciding the rank of a PSD matrix.
@@ -20,10 +21,11 @@ SOLVE_TOL = 1e-8
 
 
 def resolve_tol(flag_value=None):
-    """Tolerance precedence: explicit flag > FACRED_TOL env var > default."""
-    if flag_value is not None:
-        return float(flag_value)
-    env = os.environ.get("FACRED_TOL")
-    if env is not None:
-        return float(env)
-    return DEFAULT_TOL
+    """Tolerance precedence: explicit flag > FACRED_TOL env var > default.
+    ValueError unless the value is positive and finite: below zero every
+    reducing value clears the minimality rung, so every face looks minimal."""
+    tol = float(flag_value if flag_value is not None
+                else os.environ.get("FACRED_TOL", DEFAULT_TOL))
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol:g}")
+    return tol

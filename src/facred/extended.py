@@ -544,17 +544,16 @@ def fmin_membership(p: ConicProgram, s: YElement, tol: float = None,
     when s is squeezed between zero and a scaled feasible slack, a conic
     feasibility problem in the original variables plus one scale, solved in
     a normalized form bounding the squeeze coefficient so the optimal value
-    separates members (1) from non-members (0).  The solve stops with "yes"
-    at the first iterate with scale t >= 0.5 whose witness, formed from the
-    data so the iterate's infeasibility cannot help it, is in the cone to
-    ``tol`` (1 + |s|): a nearly feasible slack of a degenerate program can
-    carry mass outside the minimal cone far above its infeasibility
-    (Sturm, SIOPT 2000), so an early witness gets no looser bound.  The
-    squeeze program has no interior when ``p`` has none, so its solve may
-    stall or land between the two; then s is tested against the minimal
-    face of the program's own reduction, and only when that reduction fails
-    does the squeeze result decide.  ``options`` (iteration limit) apply to
-    the squeeze solve and to that reduction.
+    separates members (1) from non-members (0).  The answer is "yes" at the
+    first iterate with scale t >= 0.5 whose witness, formed from the data so
+    the iterate's infeasibility cannot help it, is in the cone to ``tol``
+    (1 + |s|): a nearly feasible slack of a degenerate program can carry
+    mass outside the minimal cone far above its infeasibility (Sturm, SIOPT
+    2000).  It is "no" when the solve converges (score <= 1e-6) to
+    t* <= 0.1.  Anything else (the squeeze program has no interior when
+    ``p`` has none, so its solve may stall) is decided against the minimal
+    face of the program's own reduction at ``tol``; when that reduction
+    fails, SolverError.  ``options`` apply to the solve and the reduction.
     """
     if tol is None:
         tol = config.DEFAULT_TOL
@@ -589,21 +588,10 @@ def fmin_membership(p: ConicProgram, s: YElement, tol: float = None,
     res = solve_conic_lp(prog, replace(options, stop=witness_checks))
     if witnessed:
         return True
-    if res.score > 1e-6 or 0.1 < res.primal_obj < 0.9:
-        try:
-            return face_contains(
-                run_facial_reduction(p, options=options).minimal_face, s, tol)
-        except (ReductionError, AmbiguousOutcome):
-            pass
-    if res.status not in (SolveStatus.OPTIMAL, SolveStatus.NUMERICAL_FAILURE) \
-            or res.score > 1e-4:
-        raise SolverError(f"membership solve unusable: {res.status.value}")
-    t_star = res.primal_obj
-    if t_star >= 0.5:
-        if _squeeze_witness(p, s, res.x).min_eigenvalue() \
-                >= -1e2 * tol * (1.0 + s.norm()):
-            return True
-        raise SolverError("membership witness failed verification")
-    if t_star <= 0.1:
+    if res.score <= 1e-6 and res.primal_obj <= 0.1:
         return False
-    raise SolverError(f"membership value {t_star:.3e} is inconclusive")
+    try:
+        chain = run_facial_reduction(p, tol, options)
+    except (ReductionError, AmbiguousOutcome) as exc:
+        raise SolverError(f"membership undecided: {exc}") from exc
+    return face_contains(chain.minimal_face, s, tol)

@@ -48,9 +48,8 @@ _POLISH_STEPS = 12     # cap on polish's Gauss-Newton steps
 class AmbiguousOutcome(RuntimeError):
     """The reducing program's optimum falls between the decision rungs."""
 
-    def __init__(self, message, value=None, partial_chain=None):
+    def __init__(self, message, partial_chain=None):
         super().__init__(message)
-        self.value = value
         self.partial_chain = partial_chain
 
 
@@ -61,17 +60,14 @@ class ReducingOutcome:
     minimal: bool
     y: YElement = None           # certificate, normalized <f, y> = 1
     x_strict: np.ndarray = None  # point with slack in ri F
-    # Optimal value of the reducing primal; for a face confirmed by a
-    # checked point, min(1, its interior margin), a lower bound on it.
-    value: float = 0.0
 
     @classmethod
-    def reduced(cls, y, value):
-        return cls(False, y=y, value=value)
+    def reduced(cls, y):
+        return cls(False, y=y)
 
     @classmethod
-    def minimal_reached(cls, x_strict, value):
-        return cls(True, x_strict=np.asarray(x_strict, dtype=float), value=value)
+    def minimal_reached(cls, x_strict):
+        return cls(True, x_strict=np.asarray(x_strict, dtype=float))
 
 
 class FaceCoordinates:
@@ -324,7 +320,7 @@ def _strict_candidate(coords: FaceCoordinates, cols, slack0, tol):
     the program's data.  A margin mu (smallest compressed eigenvalue or
     entry) makes t = min(1, mu) feasible for the reducing primal, so
     accepting mu >= 100 tol (1 + largest entry) confirms only what its
-    solve would.  Returns (x, mu) or None.
+    solve would.  Returns x or None.
     """
     p, face = coords.program, coords.face
 
@@ -342,9 +338,7 @@ def _strict_candidate(coords: FaceCoordinates, cols, slack0, tol):
     s_hat = face.compress(p.b - p.apply(x))
     margin = min(_cone_margin(part) for part in s_hat)
     scale = max(float(np.max(np.abs(part))) for part in s_hat)
-    if margin >= 100.0 * tol * (1.0 + scale):
-        return x, margin
-    return None
+    return x if margin >= 100.0 * tol * (1.0 + scale) else None
 
 
 def _reducing_primal(coords: FaceCoordinates, f: YElement, cols, slack0):
@@ -390,13 +384,12 @@ def solve_reducing_pair(p: ConicProgram, face: FaceRep, tol: float = None,
     if not face.kept_blocks:
         # The face is {0}: minimal iff b - Ax can vanish, which the span
         # equations already certified.
-        return ReducingOutcome.minimal_reached(coords.x_particular, 1.0)
+        return ReducingOutcome.minimal_reached(coords.x_particular)
 
     cols, slack0 = coords.eliminated()
-    found = _strict_candidate(coords, cols, slack0, tol)
-    if found is not None:
-        x_strict, margin = found
-        return ReducingOutcome.minimal_reached(x_strict, min(1.0, margin))
+    x_strict = _strict_candidate(coords, cols, slack0, tol)
+    if x_strict is not None:
+        return ReducingOutcome.minimal_reached(x_strict)
 
     f = relative_interior_point(face)
     prog = _reducing_primal(coords, f, cols, slack0)
@@ -410,18 +403,18 @@ def solve_reducing_pair(p: ConicProgram, face: FaceRep, tol: float = None,
     x_cand = coords.x_particular + coords.null_basis @ res.x[:-1]
 
     if t_star >= 100.0 * tol:
-        return ReducingOutcome.minimal_reached(x_cand, t_star)
+        return ReducingOutcome.minimal_reached(x_cand)
 
     if t_star <= tol:
         y = _extract_certificate(coords, f, res)
         y = _purify_certificate(p, face, f, y)
         y = polish_certificate(coords, f, y, x_cand)
         _check_certificate(p, face, f, y, tol)
-        return ReducingOutcome.reduced(y, t_star)
+        return ReducingOutcome.reduced(y)
 
     raise AmbiguousOutcome(
         f"reducing value {t_star:.3e} lies between the decision rungs "
-        f"({tol:.1e}, {100 * tol:.1e})", value=t_star)
+        f"({tol:.1e}, {100 * tol:.1e})")
 
 
 def _extract_certificate(coords: FaceCoordinates, f: YElement, res) -> YElement:

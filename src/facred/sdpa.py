@@ -42,17 +42,18 @@ def _ints(line, what):
 
 def _entry_array(rows):
     """Tokenised entry lines as one (n, 5) float array; None when a line
-    lacks 5 fields, a token is no number, or an index token is not one that
-    int() reads too (of decimal digits, signs and underscores)."""
+    lacks 5 fields, a token is no finite number, or an index token is not
+    one that int() reads too (of decimal digits, signs and underscores)."""
     flat = list(chain.from_iterable(rows))
     index = "".join(flat[0::5] + flat[1::5] + flat[2::5] + flat[3::5])
     if set(map(len, rows)) - {5} or index and not index.translate(
             str.maketrans("", "", "+-_")).isdecimal():
         return None
     try:
-        return np.array(flat, dtype=float).reshape(-1, 5)
+        entries = np.array(flat, dtype=float).reshape(-1, 5)
     except ValueError:
         return None
+    return entries if np.isfinite(entries).all() else None
 
 
 def _entry_stacks(entries, rows, blocks, m):
@@ -125,6 +126,8 @@ def parse_sdpa(text) -> ConicProgram:
     try:
         c = np.array(lines[3].replace(",", " ").split() if m else [],
                      dtype=float)
+        if not np.isfinite(c).all():
+            raise ValueError("non-finite objective")
     except ValueError as exc:
         raise SdpaFormatError(f"could not parse objective line: {lines[3]!r}") from exc
     if len(c) != m:

@@ -11,7 +11,7 @@ from facred.model import ConeBlock, ConicProgram, YElement
 from facred.reducing import AmbiguousOutcome
 from facred.reduction import ReductionError
 from facred.sdpa import emit_sdpa
-from facred.solver import SolverError
+from facred.solver import SolverError, SolveStatus
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -427,19 +427,20 @@ def test_dualize_reads_an_unattained_ordinary_dual_off_its_certificate():
 
 
 def test_dualize_flags_an_unconverged_standard_dual(tmp_path, monkeypatch):
-    """The gap SDP keeps the encoded ordinary dual; a solve of it that does
-    not end optimal prints its status and no value."""
+    """The gap SDP's ordinary dual has a one-step chain; a solve of it on
+    its minimal face that does not end optimal prints its status and no
+    value."""
     from dataclasses import replace
 
     from conftest import gap_sdp
-    from facred.solver import SolveStatus, solve_conic_lp
+    from facred.reducing import solve_restricted_to_face
 
-    def stalled(program, options=None):
-        return replace(solve_conic_lp(program, options),
+    def stalled(program, face, options=None):
+        return replace(solve_restricted_to_face(program, face, options),
                        status=SolveStatus.NUMERICAL_FAILURE,
                        message="progress stalled")
 
-    monkeypatch.setattr(cli, "solve_conic_lp", stalled)
+    monkeypatch.setattr(cli, "solve_restricted_to_face", stalled)
     path = tmp_path / "gap.dat-s"
     path.write_text(emit_sdpa(gap_sdp()))
     code, out = run_cli(["dualize", str(path), "--solve"])
@@ -448,6 +449,24 @@ def test_dualize_flags_an_unconverged_standard_dual(tmp_path, monkeypatch):
     assert not any(l.startswith("standard_dual_value:") for l in lines)
     assert "standard_dual: numerical_failure (progress stalled)" in lines
     assert "extended_dual_value: 0.000000" in lines
+
+
+def test_route_c_never_prints_the_ill_posed_value(tmp_path, monkeypatch):
+    """With the Slater test of the ordinary dual patched off, this program's
+    ordinary dual goes to its own reduction: D has a Slater point (an empty
+    chain), so the report prints the verified extended value.  A solve of
+    the encoded D, which has no interior margin here, ends optimal 1.2e-4
+    above that value."""
+    from conftest import random_degenerate
+
+    monkeypatch.setattr(cli, "dual_interior_direction", lambda *args: None)
+    path = tmp_path / "degen8.dat-s"
+    path.write_text(emit_sdpa(random_degenerate(8, n=5, m=3)[0]))
+    code, out = run_cli(["dualize", str(path), "--solve"])
+    assert code == 0
+    fields = dict(l.split(": ", 1) for l in out.splitlines() if ": " in l)
+    assert fields["extended_dual_value"] == "0.402226"
+    assert fields.get("standard_dual_value", "0.402226") == "0.402226"
 
 
 def test_dualize_prints_an_optimal_standard_dual(lp_path):
@@ -493,6 +512,21 @@ def test_tol_precedence(tmp_path, sdp_path, monkeypatch):
     assert "tol: 1e-06" in out
     code, out = run_cli(["reduce", sdp_path, "--tol", "1e-8"])
     assert "tol: 1e-08" in out
+
+
+def test_a_tolerance_that_is_not_positive_and_finite_exits_one(
+        sdp_path, monkeypatch, capsys):
+    """At --tol -1 the reduction took every step as minimal and printed the
+    full cone with ``status: ok``; such a tolerance, from the flag or from
+    FACRED_TOL, is refused with one error line."""
+    for tol in ("-1", "0", "nan", "inf"):
+        assert run_cli(["reduce", sdp_path, "--tol", tol]) == (1, ""), tol
+        monkeypatch.setenv("FACRED_TOL", tol)
+        assert run_cli(["reduce", sdp_path]) == (1, ""), tol
+        monkeypatch.delenv("FACRED_TOL")
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: tolerance must be positive and finite, "
+                       f"got {tol}"] * 2, tol
 
 
 def test_seed_printed_in_report(sdp_path):
@@ -566,7 +600,9 @@ def test_cli_sweep_never_escapes(tmp_path, capsys):
     """Every golden input and the order-5 staircase, under reduce,
     dualize --solve and member at three tolerances: each run ends with
     exit 0, 1 or 2 and no escaping exception, and only exit 0 prints
-    ``status: ok``."""
+    ``status: ok``.  Malformed numbers are refused where they enter, with
+    exit 1 and one ``error:`` line: a non-finite SDPA entry, certificate
+    entry or point entry, and an x_strict of the wrong length."""
     inputs = sorted(GOLDEN.glob("*.dat-s"))
     inputs.append(tmp_path / "staircase5.dat-s")
     inputs[-1].write_text(emit_sdpa(staircase(5)))
@@ -584,6 +620,30 @@ def test_cli_sweep_never_escapes(tmp_path, capsys):
                 assert code in (0, 1, 2), (args, tol)
                 assert "Traceback" not in err, (args, tol)
                 assert code == 0 or "status: ok" not in out, (args, tol)
+
+    sdp3 = str(GOLDEN / "sdp3.dat-s")
+    cert = tmp_path / "sdp3.cert"
+    assert run_cli(["reduce", sdp3, "--cert", str(cert)])[0] == 0
+    text = cert.read_text()
+    first = text.index("step 1 reducing=1\n") + len("step 1 reducing=1\n")
+    (tmp_path / "nan.cert").write_text(
+        text[:first] + "nan" + text[text.index(" ", first):])
+    (tmp_path / "long.cert").write_text(text.rstrip("\n") + " 0\n")
+    (tmp_path / "nan.dat-s").write_text("1\n1\n2\n1.0\n0 1 1 1 nan\n1 1 1 2 1.0\n")
+    (tmp_path / "nan.pt").write_text("1 0 0 0 nan 0 0 0 0\n")
+    capsys.readouterr()
+    at = {name: str(tmp_path / name)
+          for name in ("nan.dat-s", "nan.cert", "long.cert", "nan.pt")}
+    for args, message in (
+            (["reduce", at["nan.dat-s"]], "could not parse entry: '0 1 1 1 nan'"),
+            (["verify", sdp3, at["nan.cert"]], "non-finite number"),
+            (["verify", sdp3, at["long.cert"]],
+             "x_strict has 3 entries, problem has 2 variables"),
+            (["member", sdp3, "--point", at["nan.pt"]], "non-finite number")):
+        assert run_cli(args) == (1, ""), args
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, args
+        assert len(err.splitlines()) == 1, args
 
 
 EXIT_CODES = [(AmbiguousOutcome("rungs"), 2), (ReductionError("bound", None), 1),
@@ -628,7 +688,8 @@ def test_calls_in_one_process_share_no_state(sdp_path, monkeypatch):
     assert code == 0 and "seed: 0" in plain and "tol: 1e-07" in plain
     seen = []
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "cmd_reduce", lambda args: seen.append(args) or 7)
+        patch.setattr(cli, "cmd_reduce",
+                      lambda args: seen.append(args) or (cli.RunReport("x"), 7))
         assert cli.main(["reduce", sdp_path, "--max-iter", "3"]) == 7
     assert seen[0].max_iter == 3 and seen[0].cert is None
     assert run_cli(["reduce", sdp_path])[1] == plain

@@ -310,8 +310,8 @@ def test_fmin_membership_rejects_points_outside_cone(example_sdp):
 
 
 def test_fmin_membership_lets_bugs_through(example_sdp, monkeypatch):
-    """Only solver and reduction failures fall back; a programming error in
-    the facial-reduction fallback propagates."""
+    """A failed reduction behind an undecided squeeze solve raises
+    SolverError; a programming error in it propagates."""
     import facred.extended
 
     def broken(*args, **kwargs):
@@ -327,6 +327,42 @@ def test_fmin_membership_lets_bugs_through(example_sdp, monkeypatch):
     with pytest.raises(TypeError, match="injected"):
         fmin_membership(example_sdp,
                         YElement(example_sdp.blocks, [np.diag([0.0, 1, 0])]))
+
+
+def test_fmin_membership_decides_an_unwitnessed_in_point_by_reduction(
+        monkeypatch):
+    """With the early stop disabled, the squeeze solve of a feasible slack
+    ends optimal at t* near 1 with no witness taken.  Neither "yes" by
+    witness nor "no" applies, so exactly one reduction decides, and the
+    answer is "yes"; when that reduction fails, SolverError."""
+    import facred.extended
+    from facred.reduction import ReductionError
+
+    real_solve = facred.extended.solve_conic_lp
+    real_reduce = facred.extended.run_facial_reduction
+    t_stars, reductions = [], []
+
+    def no_stop(prog, options):
+        res = real_solve(prog, replace(options, stop=None))
+        t_stars.append(res.primal_obj)
+        return res
+
+    def counting(*args, **kwargs):
+        reductions.append(1)
+        return real_reduce(*args, **kwargs)
+
+    monkeypatch.setattr(facred.extended, "solve_conic_lp", no_stop)
+    monkeypatch.setattr(facred.extended, "run_facial_reduction", counting)
+    p, xbar = random_degenerate(0)
+    assert fmin_membership(p, primal_slack(p, xbar))
+    assert t_stars[0] >= 0.5 and len(reductions) == 1
+
+    def failing(*args, **kwargs):
+        raise ReductionError("injected", None)
+
+    monkeypatch.setattr(facred.extended, "run_facial_reduction", failing)
+    with pytest.raises(SolverError, match="injected"):
+        fmin_membership(p, primal_slack(p, xbar))
 
 
 def _relabelled(p, seed):
@@ -399,8 +435,8 @@ def test_fmin_membership_sees_small_outside_mass():
     """Planted points with outside mass delta = 1e-3, 1e-4, 1e-5 answer
     "no" and the points inside the face "yes", n = 4..12 under three
     relabellings.  The squeeze solve stops early only on a witness in the
-    cone to tol (1 + |s|); at the final check's 1e2 tol an early iterate of
-    the degenerate squeeze program passes most of these points."""
+    cone to tol (1 + |s|); at 1e2 tol an early iterate of the degenerate
+    squeeze program would pass most of these points."""
     for n in range(4, 13):
         p, xbar = random_degenerate(n, n=n, m=2 * n // 3)
         inside, bump = _planted_points(p, xbar, np.random.default_rng(n))

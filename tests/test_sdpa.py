@@ -268,6 +268,18 @@ def test_index_tokens_read_as_strictly_as_int():
     assert p.a[0].parts[0][0, 1] == p.a[0].parts[0][1, 0] == -0.5
 
 
+def test_non_finite_numbers_rejected():
+    """nan and inf read as floats; the reader refuses them where they enter,
+    naming the line, in place of a solver failing on them later."""
+    for token in ("nan", "inf", "-inf"):
+        with pytest.raises(SdpaFormatError,
+                           match=f"could not parse entry: '1 1 1 1 {token}'"):
+            parse_sdpa(f"1\n1\n2\n1.0\n1 1 1 1 {token}\n")
+        with pytest.raises(SdpaFormatError,
+                           match=f"could not parse objective line: '{token}'"):
+            parse_sdpa(f"1\n1\n2\n{token}\n1 1 1 1 1.0\n")
+
+
 def test_commas_and_interleaved_comments():
     text = "2\n1\n2\n1.0, 2.0\n* note\n0, 1, 1, 2, 3.0\n\n\"x\n2 1 2 2 4.0\n"
     p = parse_sdpa(text)

@@ -75,20 +75,23 @@ def test_dualize_solve_counts(tmp_path):
     is read off the verified point.  A one-step degenerate program: the
     reducing pair that cuts the face and the face-restricted solve; its
     ordinary dual has a certified Slater point, so it is read off the point
-    too.  The gap SDP, whose ordinary dual has no Slater point, adds the
-    encoded ordinary dual and its solve."""
+    too.  The gap SDP, whose ordinary dual D has no Slater point, adds the
+    encoded D, its reduction (one reducing pair that cuts D's face) and its
+    solve on D's minimal face."""
     from conftest import gap_sdp, random_degenerate, random_strictly_feasible
 
-    for name, program, solves, encoded in (
-            ("strict", random_strictly_feasible(0)[0], 1, 0),
-            ("degenerate", random_degenerate(0)[0], 2, 0),
-            ("gap", gap_sdp(), 3, 1)):
+    for name, program, solves, encoded, reductions in (
+            ("strict", random_strictly_feasible(0)[0], 1, 0, 1),
+            ("degenerate", random_degenerate(0)[0], 2, 0, 1),
+            ("gap", gap_sdp(), 4, 1, 2)):
         path = tmp_path / f"{name}.dat-s"
         path.write_text(emit_sdpa(program))
         trace = _traced(["dualize", str(path), "--solve"])
         names = [span[0] for span in trace.spans]
         assert names.count("solver.solve_conic_lp") == solves, name
         assert names.count("solver.standard_dual") == encoded, name
+        assert names.count("reduction.run_facial_reduction") == reductions, \
+            name
 
 
 def test_solve_and_iteration_counts(tmp_path):
