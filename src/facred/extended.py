@@ -549,11 +549,12 @@ def fmin_membership(p: ConicProgram, s: YElement, tol: float = None,
     the iterate's infeasibility cannot help it, is in the cone to ``tol``
     (1 + |s|): a nearly feasible slack of a degenerate program can carry
     mass outside the minimal cone far above its infeasibility (Sturm, SIOPT
-    2000).  It is "no" when the solve converges (score <= 1e-6) to
-    t* <= 0.1.  Anything else (the squeeze program has no interior when
-    ``p`` has none, so its solve may stall) is decided against the minimal
-    face of the program's own reduction at ``tol``; when that reduction
-    fails, SolverError.  ``options`` apply to the solve and the reduction.
+    2000).  It is "no" at the first iterate, or the solve's best one, with
+    score <= 1e-6 and t <= 0.1.  Anything else (the squeeze program has no
+    interior when ``p`` has none, so its solve may stall) is decided
+    against the minimal face of the program's own reduction at ``tol``;
+    when that reduction fails, SolverError.  ``options`` apply to the solve
+    and the reduction.
     """
     if tol is None:
         tol = config.DEFAULT_TOL
@@ -576,18 +577,19 @@ def fmin_membership(p: ConicProgram, s: YElement, tol: float = None,
     c[-1] = 1.0
     prog = ConicProgram(blocks, a_cols, b_aug, c, name="membership")
     early_bound = -tol * (1.0 + s.norm())
-    witnessed = []
+    verdicts = []
 
-    def witness_checks(x):
-        passed = x[-1] >= 0.5 and \
-            _squeeze_witness(p, s, x).min_eigenvalue() >= early_bound
-        if passed:
-            witnessed.append(x)
-        return passed
+    def decides(x, score):
+        if x[-1] >= 0.5 and \
+                _squeeze_witness(p, s, x).min_eigenvalue() >= early_bound:
+            verdicts.append(True)
+        elif score <= 1e-6 and x[-1] <= 0.1:
+            verdicts.append(False)
+        return bool(verdicts)
 
-    res = solve_conic_lp(prog, replace(options, stop=witness_checks))
-    if witnessed:
-        return True
+    res = solve_conic_lp(prog, replace(options, stop=decides))
+    if verdicts:
+        return verdicts[0]
     if res.score <= 1e-6 and res.primal_obj <= 0.1:
         return False
     try:

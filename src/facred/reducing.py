@@ -27,7 +27,7 @@ certificate, after undoing the compression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -322,7 +322,7 @@ def _strict_candidate(coords: FaceCoordinates, cols, slack0, tol):
     accepting mu >= 100 tol (1 + largest entry) confirms only what its
     solve would.  Returns x or None.
     """
-    p, face = coords.program, coords.face
+    face = coords.face
 
     def flat(parts):
         return np.concatenate([part.ravel() for part in parts])
@@ -335,10 +335,16 @@ def _strict_candidate(coords: FaceCoordinates, cols, slack0, tol):
         w, *_ = np.linalg.lstsq(np.column_stack([flat(col) for col in cols]),
                                 target - goal, rcond=None)
         x = x + coords.null_basis @ w
-    s_hat = face.compress(p.b - p.apply(x))
+    return x if _has_margin(coords, x, tol) else None
+
+
+def _has_margin(coords: FaceCoordinates, x, tol) -> bool:
+    """Whether the slack of x, recomputed from the program's data, has
+    compressed interior margin at least 100 tol (1 + its largest entry)."""
+    s_hat = coords.face.compress(coords.program.b - coords.program.apply(x))
     margin = min(_cone_margin(part) for part in s_hat)
     scale = max(float(np.max(np.abs(part))) for part in s_hat)
-    return x if margin >= 100.0 * tol * (1.0 + scale) else None
+    return margin >= 100.0 * tol * (1.0 + scale)
 
 
 def _reducing_primal(coords: FaceCoordinates, f: YElement, cols, slack0):
@@ -371,7 +377,8 @@ def solve_reducing_pair(p: ConicProgram, face: FaceRep, tol: float = None,
     Decision rungs: a checked point whose compressed slack has interior
     margin at least 100 * tol * (1 + its largest entry) confirms minimality
     without a solve (f compresses to the identity, so the margin bounds the
-    value below).  Otherwise the solve decides: values below ``tol``
+    value below), and so does the first solve iterate whose x passes the
+    same check.  Otherwise the solve decides: values below ``tol``
     reduce, values above 100 * tol confirm minimality, anything between
     raises AmbiguousOutcome.
     """
@@ -393,7 +400,17 @@ def solve_reducing_pair(p: ConicProgram, face: FaceRep, tol: float = None,
 
     f = relative_interior_point(face)
     prog = _reducing_primal(coords, f, cols, slack0)
-    res = solve_conic_lp(prog, options)
+    confirmed = []
+
+    def checks(x, score):
+        point = coords.x_particular + coords.null_basis @ x[:-1]
+        if _has_margin(coords, point, tol):
+            confirmed.append(point)
+        return bool(confirmed)
+
+    res = solve_conic_lp(prog, replace(options, stop=checks))
+    if confirmed:
+        return ReducingOutcome.minimal_reached(confirmed[0])
     if res.status not in (SolveStatus.OPTIMAL, SolveStatus.NUMERICAL_FAILURE) \
             or res.score > 1e-5:
         raise SolverError(

@@ -6,28 +6,32 @@ Solves the pair
     s.t. b - sum x_i a_i = z in K    s.t. <a_i, y> = c_i,  y in K
 
 by an infeasible-start predictor-corrector path-following method with
-Nesterov-Todd scaling on PSD blocks.  The iterate and the data are flat, as
-in SDPT3: orthant entries first, then each PSD block's n x n payload
-row-major, so residuals, objectives, A x, A* y and the Schur right-hand
-side are single products over the vectors x, z, y and one (m x D) data
-matrix.  Only the cone's own work is per block: one Cholesky factor and one
-eigendecomposition per PSD block give the scaling root (applied to the
-block's (m, n, n) data stack at once), Y^-1, the whitened step-length tests
-and the Mehrotra second-order term.  The Schur system is solved through one
-QR factorization of the scaled data; the same factor re-projects the dual
-direction onto the dual equations in the NT metric (Nesterov and Todd,
-SIOPT 1998), where the correction is small against the distance to the cone
-boundary, so the endgame does not stall.  Intended for desk-scale problems
-(ambient dimension up to a few thousand); no sparsity exploitation, no warm
-starts.
+Nesterov-Todd scaling.  The iterate and the data are flat, as in SDPT3:
+orthant entries first, then each PSD block's n x n payload row-major, so
+residuals, objectives, A x, A* y and the Schur right-hand side are single
+products over the vectors x, z, y and one (m x D) data matrix.
+
+Each step is taken in the NT-scaled space (Todd, Toh and Tutuncu, SIOPT
+1998), where z and y both map to V = diag(v) per block and the NT metric is
+the identity.  A Cholesky factor and an eigendecomposition per PSD block
+give the scaling root R, which scales the data (T = R a_i R^T) and r_p once
+per iteration.  There the centring target sigma mu V^-1 - V is diagonal,
+the Mehrotra term and the step tests (eigenvalues of V^-1/2 sym(d) V^-1/2)
+are entrywise, and only the corrector is mapped back.  One QR factor of T
+solves the Schur system and re-projects the dual direction onto the dual
+equations: Euclidean here, so least in the NT metric (Nesterov and Todd,
+SIOPT 1998) and small against the distance to the cone boundary, so the
+endgame does not stall.  Intended for desk-scale problems (ambient
+dimension up to a few thousand); no sparsity exploitation, no warm starts.
 
 With ``SolverOptions(keep_history=True)`` every iterate is kept on the
 result, so callers can inspect how the solver approached problems whose
 optima are not attained; by default none is kept.  ``SolverOptions(stop=f)``
-ends the solve at the first iterate whose x passes the caller's test f(x),
-evaluated after each iterate's residuals unless that iterate already meets
-the solve tolerance; the result is then classified from the best iterate,
-as at any other exit.
+ends the solve at the first iterate that passes the caller's test
+f(x, score), score the iterate's ``SolveResult.score``, evaluated after
+each iterate's residuals unless that iterate already meets the solve
+tolerance; the result is then classified from the best iterate, as at any
+other exit.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ STEP_FRACTION = 0.98
 class SolverOptions:
     max_iter: int = 200
     keep_history: bool = False
-    stop: Callable[[np.ndarray], bool] | None = None
+    stop: Callable[[np.ndarray, float], bool] | None = None
 
 
 @dataclass
@@ -107,57 +111,36 @@ def _sym(mat):
 
 
 def _psd_scaling(z, y):
-    """Nesterov-Todd factors of one PSD block at the interior pair (Z, Y).
+    """Nesterov-Todd scaling root of one PSD block at the interior pair (Z, Y).
 
-    With Z = L L^T and L^T Y L = U diag(lam) U^T, the scaling root
+    With Z = L L^T and L^T Y L = U diag(lam) U^T, the root
     R = lam^1/4 U^T L^-1 satisfies W^-1 = R^T R and
-    R Z R^T = R^-T Y R^-1 = diag(v), v = lam^1/2, and R^-1 = g lam^-1/4
-    with g = L U.  Returns R ("root"), R^-1 ("rinv"), v, Y^-1 = g lam^-1 g^T
-    ("yinv") and the bases h = L^-T U ("hz") and g lam^-1/2 ("hy") with
-    h^T Z h = hy^T Y hy = I, which whiten the step-length tests.
+    R Z R^T = R^-T Y R^-1 = diag(v), v = lam^1/2.  Returns (R, v).
     """
     lz = np.linalg.cholesky(z)
     lam, u = np.linalg.eigh(_sym(lz.T @ y @ lz))
     if lam[0] <= 0:
         raise np.linalg.LinAlgError("scaling matrix not PD")
-    g = lz @ u
-    q = lam ** 0.25
-    v = np.sqrt(lam)
-    h = np.linalg.solve(lz.T, u)
-    return {"root": q[:, None] * h.T, "rinv": g / q, "v": v, "hz": h,
-            "hy": g / v, "yinv": _sym((g / lam) @ g.T)}
+    return lam[:, None] ** 0.25 * np.linalg.solve(lz.T, u).T, np.sqrt(lam)
 
 
-def _second_order_psd(scaling, dz, dy):
-    """Mehrotra's second-order term of one PSD block, formed where the
-    scaled point V = diag(v) is diagonal: the U with
-    sym(U V) = sym(R dZ R^T R^-T dY R^-1) is 2 sym(.)_ij / (v_i + v_j)
-    entrywise, mapped back as R^-1 U R^-T."""
-    root, rinv, v = scaling["root"], scaling["rinv"], scaling["v"]
-    dzt = root @ dz @ root.T
-    dyt = rinv.T @ dy @ rinv
-    return rinv @ (2.0 * _sym(dzt @ dyt) / np.add.outer(v, v)) @ rinv.T
+def _scaled_min_eig(direction, ww):
+    """Smallest eigenvalue of V^-1/2 sym(direction) V^-1/2, given
+    ww = w w^T with w = v^-1/2 (``direction`` flat or square): V + alpha
+    direction is psd exactly while alpha times it is at least -1."""
+    return float(np.linalg.eigvalsh(_sym(direction.reshape(ww.shape)) * ww)[0])
 
 
-def _max_step_whitened(basis, direction):
-    """Largest alpha with X + alpha * direction psd, given a basis with
-    basis^T X basis = I (so the test is on basis^T direction basis)."""
-    lam_min = float(np.linalg.eigvalsh(_sym(basis.T @ direction @ basis))[0])
-    if lam_min >= -1e-14:
-        return np.inf
-    return -1.0 / lam_min
+def _mehrotra_psd(dz, dy, v):
+    """Mehrotra's second-order term of one PSD block in the scaled space,
+    where V = diag(v): the U with sym(U V) = sym(dZ dY), that is
+    2 sym(dZ dY)_ij / (v_i + v_j) entrywise."""
+    return 2.0 * _sym(dz @ dy) / np.add.outer(v, v)
 
 
 def _norm(vec):
     """Euclidean norm, as np.linalg.norm computes it for a vector."""
     return math.sqrt(vec @ vec)
-
-
-def _max_step_orthant(z, dz):
-    neg = dz < 0
-    if not neg.any():
-        return np.inf
-    return float((-z[neg] / dz[neg]).min())
 
 
 class _Layout:
@@ -236,6 +219,8 @@ def solve_conic_lp(p: ConicProgram, options: SolverOptions = None) -> SolveResul
     eta_d = max(1.0, cnorm / max(1.0, np.sqrt(max(m, 1))) / ascale)
     unit = lay.flatten([blk.identity() for blk in p.blocks])
     x, z, y = np.zeros(m), eta_p * unit, eta_d * unit
+    # The scaled point V: v on the orthant entries and PSD diagonals.
+    diag, v_hat = np.flatnonzero(unit), np.zeros(lay.dim)
 
     tol, tau = config.SOLVE_TOL, STEP_FRACTION
     history, best, best_score = [], None, np.inf
@@ -274,7 +259,7 @@ def solve_conic_lp(p: ConicProgram, options: SolverOptions = None) -> SolveResul
 
         if score <= tol:
             break
-        if options.stop is not None and options.stop(x):
+        if options.stop is not None and options.stop(x, score):
             message = "stopped by the caller's test"
             break
         if no_progress >= 10:
@@ -305,72 +290,59 @@ def solve_conic_lp(p: ConicProgram, options: SolverOptions = None) -> SolveResul
             message = "iteration limit reached"
             break
 
-        # Nesterov-Todd scaling per block (see _psd_scaling).  The Schur
-        # complement is T^T T for the scaled data T, one row per variable.
+        # One step in the Nesterov-Todd scaled space, where z and y both
+        # map to V = diag(v) per block (orthant scaling root sqrt(y / z)).
+        # The Schur complement is T^T T for the scaled data T, one row per
+        # variable; rp_hat is the scaled primal residual R rp R^T.
         try:
-            tmat = np.empty_like(amat)
-            yinv = np.empty_like(y)
+            tmat, rp_hat = np.empty_like(amat), np.empty_like(rp)
+            v_parts, scal = [], []
             if orth:
                 if np.min(z[orth]) <= 0 or np.min(y[orth]) <= 0:
                     raise np.linalg.LinAlgError("interior lost")
                 root = np.sqrt(y[orth] / z[orth])
                 tmat[:, orth] = amat[:, orth] * root
-                yinv[orth] = 1.0 / y[orth]
-                w_orth = root * root
-            scal = []
+                rp_hat[orth] = root * rp[orth]
+                v_orth = np.sqrt(z[orth] * y[orth])
+                v_parts.append(v_orth)
             for sl, n, a3 in psd:
-                s = _psd_scaling(z[sl].reshape(n, n), y[sl].reshape(n, n))
-                tmat[:, sl] = (s["root"] @ a3 @ s["root"].T).reshape(m, n * n)
-                yinv[sl] = s["yinv"].ravel()
-                scal.append((sl, n, s))
+                rt, v = _psd_scaling(z[sl].reshape(n, n), y[sl].reshape(n, n))
+                tmat[:, sl] = (rt @ a3 @ rt.T).reshape(m, n * n)
+                rp_hat[sl] = (rt @ rp[sl].reshape(n, n) @ rt.T).ravel()
+                w = 1.0 / np.sqrt(v)
+                scal.append((sl, n, rt, v, np.outer(w, w)))
+                v_parts.append(v)
+            v_all = np.concatenate(v_parts)
+            v_hat[diag] = v_all
             schur_solve = _schur_solver(tmat.T)
 
-            def scaled(v):  # R V R^T: the coordinates of the rows of T
-                out = np.empty_like(v)
-                if orth:
-                    out[orth] = root * v[orth]
-                for sl, n, s in scal:
-                    out[sl] = (s["root"] @ v[sl].reshape(n, n)
-                               @ s["root"].T).ravel()
-                return out
-
-            def metric(v):  # W^-1 V W^-1, formed as R^T (R V R^T) R
-                out = np.empty_like(v)
-                if orth:
-                    out[orth] = v[orth] * w_orth
-                for sl, n, s in scal:
-                    rt = s["root"]
-                    out[sl] = _sym(rt.T @ (rt @ v[sl].reshape(n, n) @ rt.T)
-                                   @ rt).ravel()
-                return out
-
-            def directions(rc):
-                dx = schur_solve(rd - tmat @ scaled(rc - rp))
-                adx = dx @ amat
-                dy = metric(rc - rp + adx)
-                # Re-project dY onto A*(dY) = r_d, lost when W is
-                # ill-conditioned.  W^-1 A(lam) W^-1, (T^T T) lam = defect, is
-                # the least correction in the NT metric, where the distance to
-                # the boundary is measured; a Euclidean A(lam) leaves the cone.
+            def directions(rc_hat):
+                # dy_hat is re-projected onto T dy_hat = r_d, lost when W is
+                # ill-conditioned; a Euclidean correction here is the least
+                # one in the NT metric, where the boundary distance lives.
+                dx = schur_solve(rd - tmat @ (rc_hat - rp_hat))
+                tdx = dx @ tmat
+                dy_hat = rc_hat - rp_hat + tdx
                 if m:
-                    dy = dy + metric(schur_solve(rd - amat @ dy) @ amat)
-                return dx, rp - adx, dy
+                    dy_hat += schur_solve(rd - tmat @ dy_hat) @ tmat
+                return dx, rp_hat - tdx, dy_hat
 
-            def max_steps(dz, dy):
-                ap = ad = np.inf
+            def max_steps(dz_hat, dy_hat):
+                lo_p = lo_d = 0.0
                 if orth:
-                    ap = _max_step_orthant(z[orth], dz[orth])
-                    ad = _max_step_orthant(y[orth], dy[orth])
-                for sl, n, s in scal:
-                    ap = min(ap, _max_step_whitened(s["hz"], dz[sl].reshape(n, n)))
-                    ad = min(ad, _max_step_whitened(s["hy"], dy[sl].reshape(n, n)))
-                return ap, ad
+                    lo_p = min(lo_p, float(np.min(dz_hat[orth] / v_orth)))
+                    lo_d = min(lo_d, float(np.min(dy_hat[orth] / v_orth)))
+                for sl, _, _, _, ww in scal:
+                    lo_p = min(lo_p, _scaled_min_eig(dz_hat[sl], ww))
+                    lo_d = min(lo_d, _scaled_min_eig(dy_hat[sl], ww))
+                return tuple(np.inf if lo >= -1e-14 else -1.0 / lo
+                             for lo in (lo_p, lo_d))
 
-            # Predictor (affine scaling) direction.
-            dx_a, dz_a, dy_a = directions(-z)
+            # Predictor (affine scaling) direction: the target is -V.
+            dx_a, dz_a, dy_a = directions(-v_hat)
             ap_a, ad_a = max_steps(dz_a, dy_a)
             ap_a, ad_a = min(1.0, tau * ap_a), min(1.0, tau * ad_a)
-            gap_aff = float((z + ap_a * dz_a) @ (y + ad_a * dy_a))
+            gap_aff = float((v_hat + ap_a * dz_a) @ (v_hat + ad_a * dy_a))
             sigma = min(max((max(gap_aff, 0.0) / gap) ** 3, 1e-8),
                         0.999) if gap > 0 else 0.1
             # Recenter when progress stalls: a pure centering step restores the
@@ -380,22 +352,30 @@ def solve_conic_lp(p: ConicProgram, options: SolverOptions = None) -> SolveResul
                 sigma = max(sigma, 0.8)
                 tau_eff = min(tau, 0.9)
 
-            rc = sigma * mu * yinv - z
+            # Centring target sigma mu V^-1 - V, less Mehrotra's term.
+            rc_hat = np.zeros_like(z)
+            rc_hat[diag] = sigma * mu / v_all - v_all
             if no_progress < 3:
-                corr = np.empty_like(z)
                 if orth:
-                    corr[orth] = dz_a[orth] * dy_a[orth] * yinv[orth]
-                for sl, n, s in scal:
-                    block = _second_order_psd(s, dz_a[sl].reshape(n, n),
-                                              dy_a[sl].reshape(n, n))
-                    corr[sl] = block.ravel() if np.isfinite(block).all() else 0.0
-                rc = rc - corr
+                    rc_hat[orth] -= dz_a[orth] * dy_a[orth] / v_orth
+                for sl, n, _, v, _ in scal:
+                    block = _mehrotra_psd(dz_a[sl].reshape(n, n),
+                                          dy_a[sl].reshape(n, n), v)
+                    if np.isfinite(block).all():
+                        rc_hat[sl] -= block.ravel()
 
-            dx, dz, dy = directions(rc)
-            ap, ad = max_steps(dz, dy)
+            dx, dz_hat, dy_hat = directions(rc_hat)
+            ap, ad = max_steps(dz_hat, dy_hat)
             ap, ad = min(1.0, tau_eff * ap), min(1.0, tau_eff * ad)
             if no_progress >= 3:
                 ap = ad = min(ap, ad)
+            # Only the corrector is mapped back: dz = rp - A dx, and
+            # dy = R^T dy_hat R (root * dy_hat on the orthant).
+            dz, dy = rp - dx @ amat, np.empty_like(y)
+            if orth:
+                dy[orth] = root * dy_hat[orth]
+            for sl, n, rt, _, _ in scal:
+                dy[sl] = _sym(rt.T @ dy_hat[sl].reshape(n, n) @ rt).ravel()
         except np.linalg.LinAlgError as exc:
             message = f"linear algebra breakdown: {exc}"
             break

@@ -438,7 +438,8 @@ def test_checked_point_decides_as_the_solve_does(monkeypatch, family, n):
 def test_missed_candidate_falls_back_to_the_solve(monkeypatch, seed, n, m):
     """Strictly feasible programs whose checked point misses the interior
     (the bench's strict5_n4m3, strict8_n4m3, strict5_n5m3, strict1_n6m4
-    and strict2_n6m4): the reducing solve still confirms the full cone."""
+    and strict2_n6m4): the reducing solve still confirms the full cone, and
+    stops within 2 iterations, at the first iterate whose point checks."""
     from facred import reducing
     from facred.reduction import verify_certificate_chain
 
@@ -447,12 +448,14 @@ def test_missed_candidate_falls_back_to_the_solve(monkeypatch, seed, n, m):
     original = reducing.solve_conic_lp
 
     def counted(*args):
-        solves.append(args)
-        return original(*args)
+        solves.append(original(*args))
+        return solves[-1]
 
     monkeypatch.setattr(reducing, "solve_conic_lp", counted)
     summary, cert, log = _chain_with_spy(monkeypatch, p)
     assert log == [False]
     assert len(solves) == 1
+    assert solves[0].iterations <= 2
+    assert solves[0].message == "stopped by the caller's test"
     assert summary == (0, (), ((n,),))
     assert verify_certificate_chain(p, cert).ok

@@ -272,15 +272,15 @@ def test_linear_algebra_breakdown_ends_the_solve(monkeypatch):
     iterate so far instead of escaping the solver."""
     from facred import solver
 
-    real, calls = solver._max_step_whitened, []
+    real, calls = solver._scaled_min_eig, []
 
-    def flaky(basis, direction):
+    def flaky(direction, ww):
         calls.append(1)
         if len(calls) == 5:
             raise np.linalg.LinAlgError("injected")
-        return real(basis, direction)
+        return real(direction, ww)
 
-    monkeypatch.setattr(solver, "_max_step_whitened", flaky)
+    monkeypatch.setattr(solver, "_scaled_min_eig", flaky)
     p, _ = random_strictly_feasible(1)
     res = solve_conic_lp(p)
     assert res.status is SolveStatus.NUMERICAL_FAILURE
@@ -306,25 +306,23 @@ def _close(got, want, rel=1e-10):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_scaled_space_identities(seed):
-    """The Nesterov-Todd factors the iteration reads (scaling root, Y^-1,
-    step lengths, second-order term) agree with textbook formulas."""
-    from facred.solver import (_max_step_whitened, _psd_scaling,
-                               _second_order_psd)
+    """The per-block pieces of the scaled-space step (scaling root and v,
+    the step test, the second-order term) and the affine gap agree with
+    textbook formulas in the original coordinates."""
+    from facred.solver import _mehrotra_psd, _psd_scaling, _scaled_min_eig
 
     rng = np.random.default_rng(seed)
     n = 3 + seed % 4
     z, y = _spd(rng, n, 2 + seed % 3), _spd(rng, n, 1 + seed % 3)
-    s = _psd_scaling(z, y)
-    root, rinv, v = s["root"], s["rinv"], s["v"]
+    root, v = _psd_scaling(z, y)
+    rinv = np.linalg.inv(root)
     # W = Z^1/2 (Z^1/2 Y Z^1/2)^-1/2 Z^1/2 is the NT scaling: W Y W = Z.
     zh = _sqrtm(z)
     w = zh @ _sqrtm(zh @ y @ zh, -0.5) @ zh
     assert _close(w @ y @ w, z)
     assert _close(root.T @ root, np.linalg.inv(w))
-    assert _close(rinv, np.linalg.inv(root))
     assert _close(root @ z @ root.T, np.diag(v))
     assert _close(rinv.T @ y @ rinv, np.diag(v))
-    assert _close(s["yinv"], np.linalg.inv(y))
 
     def step(mat, d):
         low = np.linalg.cholesky(mat)
@@ -332,21 +330,86 @@ def test_scaled_space_identities(seed):
         lam_min = np.linalg.eigvalsh(li @ d @ li.T)[0]
         return np.inf if lam_min >= -1e-14 else -1.0 / lam_min
 
+    # z + alpha d stays psd exactly while V + alpha R d R^T does, and
+    # y + alpha d while V + alpha R^-T d R^-1 does.
+    ww = np.outer(v ** -0.5, v ** -0.5)
     for _ in range(3):
         d = sym(rng.normal(size=(n, n)))
-        for mat, basis in ((z, s["hz"]), (y, s["hy"])):
-            got, want = _max_step_whitened(basis, d), step(mat, d)
+        for mat, d_hat in ((z, root @ d @ root.T), (y, rinv.T @ d @ rinv)):
+            lam_min = _scaled_min_eig(d_hat, ww)
+            got = np.inf if lam_min >= -1e-14 else -1.0 / lam_min
+            want = step(mat, d)
             assert got == want or _close(got, want), (got, want)
 
     # Mehrotra's term in the W^1/2 form: V = W^-1/2 Z W^-1/2, solve
     # sym(U V) = sym(W^-1/2 dZ W^-1/2 W^1/2 dY W^1/2) in the eigenbasis of
-    # V and map back as W^1/2 U W^1/2.
+    # V and map back as W^1/2 U W^1/2.  The scaled term, mapped back as
+    # R^-1 U R^-T, is the same matrix.
     dz, dy = sym(rng.normal(size=(n, n))), sym(rng.normal(size=(n, n)))
+    dz_hat, dy_hat = root @ dz @ root.T, rinv.T @ dy @ rinv
     wh, wih = _sqrtm(w), _sqrtm(w, -0.5)
     lv, qv = np.linalg.eigh(wih @ z @ wih)
     rhs = qv.T @ sym((wih @ dz @ wih) @ (wh @ dy @ wh)) @ qv
     u_c = qv @ (2.0 * rhs / np.add.outer(lv, lv)) @ qv.T
-    assert _close(_second_order_psd(s, dz, dy), wh @ u_c @ wh)
+    assert _close(rinv @ _mehrotra_psd(dz_hat, dy_hat, v) @ rinv.T,
+                  wh @ u_c @ wh)
+
+    # The affine gap read in scaled coordinates, (V + a dZ^) . (V + b dY^),
+    # is <z + a dz, y + b dy>.
+    alpha, beta = rng.random(2)
+    got = np.sum((np.diag(v) + alpha * dz_hat) * (np.diag(v) + beta * dy_hat))
+    want = np.sum((z + alpha * dz) * (y + beta * dy))
+    assert _close(got, want)
+
+
+def _nt_factors(z, y):
+    """Nesterov-Todd factors of one PSD block at the interior pair (Z, Y),
+    as the reference loop reads them.
+
+    With Z = L L^T and L^T Y L = U diag(lam) U^T, the scaling root
+    R = lam^1/4 U^T L^-1 satisfies W^-1 = R^T R and
+    R Z R^T = R^-T Y R^-1 = diag(v), v = lam^1/2, and R^-1 = g lam^-1/4
+    with g = L U.  Returns R ("root"), R^-1 ("rinv"), v, Y^-1 = g lam^-1 g^T
+    ("yinv") and the bases h = L^-T U ("hz") and g lam^-1/2 ("hy") with
+    h^T Z h = hy^T Y hy = I, which whiten the step-length tests.
+    """
+    low = np.linalg.cholesky(z)
+    lam, u = np.linalg.eigh(sym(low.T @ y @ low))
+    if lam[0] <= 0:
+        raise np.linalg.LinAlgError("scaling matrix not PD")
+    g = low @ u
+    q = lam ** 0.25
+    v = np.sqrt(lam)
+    h = np.linalg.solve(low.T, u)
+    return {"root": q[:, None] * h.T, "rinv": g / q, "v": v, "hz": h,
+            "hy": g / v, "yinv": sym((g / lam) @ g.T)}
+
+
+def _second_order_psd(scaling, dz, dy):
+    """Mehrotra's second-order term of one PSD block, formed where the
+    scaled point V = diag(v) is diagonal: the U with
+    sym(U V) = sym(R dZ R^T R^-T dY R^-1) is 2 sym(.)_ij / (v_i + v_j)
+    entrywise, mapped back as R^-1 U R^-T."""
+    root, rinv, v = scaling["root"], scaling["rinv"], scaling["v"]
+    dzt = root @ dz @ root.T
+    dyt = rinv.T @ dy @ rinv
+    return rinv @ (2.0 * sym(dzt @ dyt) / np.add.outer(v, v)) @ rinv.T
+
+
+def _max_step_whitened(basis, direction):
+    """Largest alpha with X + alpha * direction psd, given a basis with
+    basis^T X basis = I (so the test is on basis^T direction basis)."""
+    lam_min = float(np.linalg.eigvalsh(sym(basis.T @ direction @ basis))[0])
+    if lam_min >= -1e-14:
+        return np.inf
+    return -1.0 / lam_min
+
+
+def _max_step_orthant(z, dz):
+    neg = dz < 0
+    if not neg.any():
+        return np.inf
+    return float((-z[neg] / dz[neg]).min())
 
 
 def _reference_solve(p, options=None):
@@ -354,9 +417,7 @@ def _reference_solve(p, options=None):
     arrays per iterate and a zip over blocks for every residual, product
     and step; kept to pin the flat kernel to the same iterates."""
     from facred import config
-    from facred.solver import (STEP_FRACTION, SolveResult, _max_step_orthant,
-                               _max_step_whitened, _psd_scaling,
-                               _schur_solver, _second_order_psd, _sym)
+    from facred.solver import STEP_FRACTION, SolveResult, _schur_solver, _sym
 
     options = options or SolverOptions()
     m = p.m
@@ -444,7 +505,7 @@ def _reference_solve(p, options=None):
                     scal.append({"root": root, "yinv": 1.0 / y,
                                  "atil": b[3] * root})
                 else:
-                    s = _psd_scaling(z, y)
+                    s = _nt_factors(z, y)
                     s["atil"] = (s["root"] @ b[2] @ s["root"].T).reshape(
                         b[3].shape)
                     scal.append(s)
@@ -562,6 +623,35 @@ def _random_lp(seed=3, n=6, m=3):
     return ConicProgram(blocks, a, b, cols @ (rng.random(n) + 0.1))
 
 
+def _reducing_case(seed, n):
+    """The reducing primal on the full cone of random_degenerate(seed, n):
+    a PSD block beside the 1-entry orthant of t <= 1, value 0."""
+    from facred.faces import FaceRep, relative_interior_point
+    from facred.reducing import FaceCoordinates, _reducing_primal
+
+    p, _ = random_degenerate(seed, n=n, m=2 * n // 3)
+    face = FaceRep.full_cone(p.blocks)
+    coords = FaceCoordinates(p, face)
+    return _reducing_primal(coords, relative_interior_point(face),
+                            *coords.eliminated())
+
+
+def _on_face_case(seed, n):
+    """The compressed program solve_restricted_to_face hands the solver on
+    the minimal face of random_degenerate(seed, n).  At the bench's m the
+    span equations pin x, so no variable is left and the compressed b is
+    the slack."""
+    from facred.reducing import FaceCoordinates
+
+    p, _ = random_degenerate(seed, n=n, m=2 * n // 3)
+    face = run_facial_reduction(p).minimal_face
+    coords = FaceCoordinates(p, face)
+    cols, slack0 = coords.eliminated()
+    blocks = face.kept_blocks
+    return ConicProgram(blocks, [YElement(blocks, col) for col in cols],
+                        YElement(blocks, slack0), coords.null_basis.T @ p.c)
+
+
 REFERENCE_CASES = (
     [(f"strict-n{n}-s{seed}", lambda n=n, seed=seed: (
         random_strictly_feasible(seed, n, max(3, n // 2))[0], None))
@@ -571,7 +661,10 @@ REFERENCE_CASES = (
        ("lp-random", lambda: (_random_lp(), None)),
        ("no-variables", lambda: (_no_variables_program(), None)),
        ("infeasible", lambda: (infeasible_program(), SolverOptions(max_iter=100))),
-       ("unbounded", lambda: (unbounded_program(), SolverOptions(max_iter=100)))])
+       ("unbounded", lambda: (unbounded_program(), SolverOptions(max_iter=100)))]
+    + [(f"{kind}-n{n}", lambda case=case, n=n: (case(0, n), None))
+       for kind, case in (("reducing", _reducing_case),
+                          ("on-face", _on_face_case)) for n in (4, 8)])
 
 
 @pytest.mark.parametrize("make", [case for _, case in REFERENCE_CASES],
@@ -590,7 +683,7 @@ def test_flat_kernel_matches_the_reference(make):
     np.testing.assert_allclose(got.x, want.x, rtol=0, atol=1e-7)
     seen = []
     same = solve_conic_lp(p, replace(options or SolverOptions(),
-                                     stop=lambda x: seen.append(x) or False))
+                                     stop=lambda x, _: seen.append(x) or False))
     assert len(seen) in (got.iterations, got.iterations + 1)
     assert (same.status, same.iterations, same.message, same.primal_obj,
             same.dual_obj, same.residuals) == \
@@ -609,7 +702,7 @@ def test_stop_ends_the_solve_at_its_iterate(k):
     assert solve_conic_lp(p).iterations > k
     calls = []
     res = solve_conic_lp(p, SolverOptions(
-        keep_history=True, stop=lambda x: calls.append(x) or len(calls) > k))
+        keep_history=True, stop=lambda x, _: calls.append(x) or len(calls) > k))
     assert res.iterations == k and len(res.iterates) == k + 1
     assert res.status is SolveStatus.NUMERICAL_FAILURE
     assert res.message == "stopped by the caller's test"

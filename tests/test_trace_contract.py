@@ -99,8 +99,9 @@ def test_solve_and_iteration_counts(tmp_path):
     ``member`` call, on a point inside the minimal cone and one outside it,
     and for one ``reduce``, all on ``random_degenerate(0)``.  The counts
     repeat exactly, so a kernel change that moves them fails here, not only
-    in the bench.  The member-in call stops its squeeze solve at the first
-    iterate whose witness checks, without the fallback reduction."""
+    in the bench.  Each member call stops its squeeze solve at the first
+    iterate that decides (a witness that checks, or a converged t <= 0.1),
+    without the fallback reduction."""
     import numpy as np
     from conftest import random_degenerate
 
@@ -122,4 +123,4 @@ def test_solve_and_iteration_counts(tmp_path):
                         trace.counts["solver.solve_conic_lp.iters"],
                         names.count("reduction.run_facial_reduction"))
     assert counts == {"reduce": (1, 9, 1), "member-in": (1, 5, 0),
-                      "member-out": (1, 10, 0)}
+                      "member-out": (1, 8, 0)}
