@@ -31,7 +31,8 @@ from . import certfile, config, sdpa
 from .extended import (VARIANTS, build_extended_dual, fmin_membership,
                        lift_to_psd, solve_extended_dual)
 from .model import StructureMismatchError, YElement
-from .reducing import AmbiguousOutcome, solve_restricted_to_face
+from .reducing import (AmbiguousOutcome, restricted_solve_failure,
+                       solve_restricted_to_face)
 from .reduction import (ReductionCertificate, ReductionError,
                         run_facial_reduction, verify_certificate_chain)
 from .solver import (SolverError, SolverOptions, dual_interior_direction,
@@ -154,8 +155,10 @@ def _reduced_standard_dual(problem, value, tol, options):
     """(value or None, reason or None) of the ordinary dual D, by facial
     reduction of D itself.  A verified empty chain is a Slater point of D,
     so D is strong and has the primal ``value``; otherwise D is solved on
-    its minimal face, where it has one.  build_extended_dual has already
-    refused an inconsistent A* y = c, so standard_dual does not raise."""
+    its minimal face, where it has one, and its value printed only when
+    that solve passes restricted_solve_failure's checks on D's own data.
+    build_extended_dual has already refused an inconsistent A* y = c, so
+    standard_dual does not raise."""
     sd = standard_dual(problem)
     try:
         d_chain = run_facial_reduction(sd.program, tol, options)
@@ -167,9 +170,12 @@ def _reduced_standard_dual(problem, value, tol, options):
                                        options)
     except (AmbiguousOutcome, ReductionError, SolverError) as exc:
         return None, f"reduction failed ({exc})"
-    if res.optimal:
-        return sd.value_of(res), None
-    return None, f"{res.status.value} ({res.message})"
+    if not res.optimal:
+        return None, f"{res.status.value} ({res.message})"
+    failure = restricted_solve_failure(sd.program, d_chain.minimal_face, res)
+    if failure:
+        return None, f"unverified ({failure})"
+    return sd.value_of(res), None
 
 
 def cmd_verify(args):

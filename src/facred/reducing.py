@@ -37,7 +37,7 @@ from .faces import (FaceRep, _cone_margin, _nearest_cone_point,
                     relative_interior_point)
 from .linalg import (_packed_index, _svec, flatten_element,
                      unflatten_element)
-from .model import ConeBlock, ConicProgram, YElement
+from .model import ConeBlock, ConicProgram, YElement, adjoint_apply
 from .solver import (SolveResult, SolverError, SolverOptions, SolveStatus,
                      solve_conic_lp)
 
@@ -278,25 +278,33 @@ def solve_restricted_to_face(p: ConicProgram, face: FaceRep,
     """Solve ``p`` with its cone replaced by ``face`` (value-preserving when
     the face contains the minimal cone).
 
-    The span equalities are eliminated exactly and the compressed program is
-    handed to the subsolver, so the returned point's slack lies in the face
-    itself.  Returns a SolveResult for the original program: ``x`` in its
-    variables, ``z`` the slack embedded in its blocks, and ``y`` a dual
-    element of its blocks with A* y = c (the compressed dual plus the span
-    multipliers).
+    The span equalities are eliminated exactly, so the returned point's
+    slack lies in the face itself.  The answer is closed form, with no
+    solve and 0 iterations, when the face is {0} or when the span equations
+    pin x (no variable is left) at a slack with a clear interior margin
+    (``_has_margin``): x is the particular solution and the compressed dual
+    is 0, so y is the span multipliers alone, which pair to zero with a
+    slack in the face's span and close the gap.  A pinned slack on the
+    face's boundary still goes to the subsolver, as does every program
+    with variables left, in compressed coordinates.  Returns a SolveResult
+    for the original program: ``x`` in its variables, ``z`` the slack
+    embedded in its blocks, and ``y`` a dual element of its blocks with
+    A* y = c (the compressed dual plus the span multipliers).
     """
     if options is None:
         options = SolverOptions()
     coords = FaceCoordinates(p, face)
     blocks = face.kept_blocks
-    if not blocks:
+    cols, slack0 = coords.eliminated()
+    if not blocks or (not cols and _has_margin(coords, coords.x_particular,
+                                               config.DEFAULT_TOL)):
         x = coords.x_particular
         obj = float(np.dot(p.c, x))
-        return SolveResult(SolveStatus.OPTIMAL, x, YElement.zeros(p.blocks),
-                           YElement.zeros(p.blocks), obj, obj,
+        y = coords.dual_point([blk.zero() for blk in blocks], p.c)
+        return SolveResult(SolveStatus.OPTIMAL, x, y, face.embed(slack0),
+                           obj, obj,
                            {"primal": 0.0, "dual": 0.0, "gap": 0.0, "mu": 0.0},
-                           0, [], "face is the zero cone")
-    cols, slack0 = coords.eliminated()
+                           0, [], "the span equations pin x")
     prog = ConicProgram(blocks, [YElement(blocks, col) for col in cols],
                         YElement(blocks, slack0), coords.null_basis.T @ p.c,
                         name=(p.name + " on-face").strip())
@@ -308,6 +316,30 @@ def solve_restricted_to_face(p: ConicProgram, face: FaceRep,
     res.primal_obj += shift
     res.dual_obj += shift
     return res
+
+
+def restricted_solve_failure(p: ConicProgram, face: FaceRep, res):
+    """The first check that ``res``, a solve of ``p`` restricted to
+    ``face``, fails on the program's own data, or None: A* y = c within
+    tol (1 + max |c|), compressed slack and compressed y in the face's cone
+    within tol (1 + their largest entry), and c x = <b, y> within
+    tol (1 + |c x|), tol the default tolerance."""
+    tol = config.DEFAULT_TOL
+    c = np.asarray(p.c, dtype=float)
+    adjoint = float(np.max(np.abs(adjoint_apply(p, res.y) - c), initial=0.0))
+    if adjoint > tol * (1.0 + float(np.max(np.abs(c), initial=0.0))):
+        return f"adjoint residual {adjoint:.2e}"
+    for name, elem in (("slack", p.b - p.apply(res.x)), ("dual", res.y)):
+        parts = face.compress(elem)
+        margin = min((_cone_margin(part) for part in parts), default=0.0)
+        scale = max((float(np.max(np.abs(part))) for part in parts),
+                    default=0.0)
+        if margin < -tol * (1.0 + scale):
+            return f"{name} cone margin {margin:.2e}"
+    primal, dual = float(np.dot(c, res.x)), p.b.inner(res.y)
+    if abs(primal - dual) > tol * (1.0 + abs(primal)):
+        return f"gap {abs(primal - dual):.2e}"
+    return None
 
 
 def _strict_candidate(coords: FaceCoordinates, cols, slack0, tol):

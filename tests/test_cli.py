@@ -451,6 +451,55 @@ def test_dualize_flags_an_unconverged_standard_dual(tmp_path, monkeypatch):
     assert "extended_dual_value: 0.000000" in lines
 
 
+def test_dualize_does_not_print_an_unverified_standard_dual(tmp_path,
+                                                           monkeypatch):
+    """The gap SDP's ordinary dual, solved on its minimal face: a result
+    that ends optimal but whose y misses D's adjoint equation prints why,
+    and no value."""
+    from dataclasses import replace
+
+    from conftest import gap_sdp
+    from facred.reducing import solve_restricted_to_face
+
+    def perturbed(program, face, options=None):
+        res = solve_restricted_to_face(program, face, options)
+        return replace(res, y=res.y + 1e-3 * YElement.identity(res.y.blocks))
+
+    monkeypatch.setattr(cli, "solve_restricted_to_face", perturbed)
+    path = tmp_path / "gap.dat-s"
+    path.write_text(emit_sdpa(gap_sdp()))
+    code, out = run_cli(["dualize", str(path), "--solve"])
+    assert code == 0
+    lines = out.splitlines()
+    assert not any(l.startswith("standard_dual_value:") for l in lines)
+    assert any(l.startswith("standard_dual: unverified (adjoint residual ")
+               for l in lines)
+    assert "extended_dual_value: 0.000000" in lines
+
+
+@pytest.mark.parametrize("c", [0.0, 1.0])
+@pytest.mark.parametrize("variant", ["star", "ramana"])
+def test_dualize_on_the_zero_cone(tmp_path, variant, c):
+    """slack = x diag(1, -1) pins x = 0, so the minimal cone is {0} and the
+    value is 0 for every c; the regularized dual must still solve
+    A* y = c, with the span multipliers alone."""
+    blocks = (ConeBlock("psd", 2),)
+    p = ConicProgram(blocks, [YElement(blocks, [np.diag([-1.0, 1.0])])],
+                     YElement.zeros(blocks), [c])
+    path = tmp_path / "zero.dat-s"
+    path.write_text(emit_sdpa(p))
+    code, out = run_cli(["reduce", str(path)])
+    assert code == 0
+    assert "F_min: block 1: psd rank 0 of 2" in out.splitlines()
+    code, out = run_cli(["dualize", str(path), "--variant", variant,
+                         "--solve"])
+    assert code == 0
+    lines = out.splitlines()
+    assert "extended_dual_value: 0.000000" in lines
+    assert "standard_dual_value: 0.000000" in lines
+    assert "point_verified: yes" in lines
+
+
 def test_route_c_never_prints_the_ill_posed_value(tmp_path, monkeypatch):
     """With the Slater test of the ordinary dual patched off, this program's
     ordinary dual goes to its own reduction: D has a Slater point (an empty

@@ -98,6 +98,60 @@ def test_restricted_solve_on_full_cone_matches_direct():
     assert onface.primal_obj == pytest.approx(direct.primal_obj, abs=1e-5)
 
 
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_pinned_face_solve_is_closed_form(seed, n):
+    """On the minimal face of a degenerate program the span equations pin
+    x at an interior slack: the face-restricted solve answers without an
+    iteration, as the interior-point solve of the eliminated program
+    (no variables) does, with a dual that solves A* y = c."""
+    from facred.reducing import FaceCoordinates
+    from facred.reduction import run_facial_reduction
+
+    p, xbar = random_degenerate(seed, n=n, m=2 * n // 3)
+    face = run_facial_reduction(p).minimal_face
+    res = solve_restricted_to_face(p, face)
+    assert res.status is SolveStatus.OPTIMAL
+    assert res.iterations == 0
+
+    coords = FaceCoordinates(p, face)
+    cols, slack0 = coords.eliminated()
+    assert not cols
+    blocks = face.kept_blocks
+    ipm = solve_conic_lp(ConicProgram(blocks, [], YElement(blocks, slack0),
+                                      np.zeros(0)))
+    assert ipm.status is SolveStatus.OPTIMAL and ipm.iterations > 0
+    value = float(np.dot(p.c, coords.x_particular)) + ipm.primal_obj
+    np.testing.assert_allclose(res.x, coords.x_particular, atol=1e-7)
+    np.testing.assert_allclose(res.x, xbar, atol=1e-7)
+    for obj in (res.primal_obj, res.dual_obj, p.b.inner(res.y)):
+        assert abs(obj - value) <= 1e-8 * (1.0 + abs(value))
+    c = np.asarray(p.c)
+    assert np.max(np.abs(adjoint_apply(p, res.y) - c)) \
+        <= 1e-9 * (1.0 + np.max(np.abs(c)))
+
+
+def test_pinned_slack_on_the_boundary_still_solves():
+    """With no variables, a slack on the boundary of the face fails the
+    margin test and goes to the interior-point solve; an interior one is
+    answered in closed form."""
+    blocks = (ConeBlock("psd", 2),)
+    face = FaceRep.full_cone(blocks)
+    edge = ConicProgram(blocks, [], YElement(blocks, [np.diag([1.0, 0.0])]),
+                        [])
+    res = solve_restricted_to_face(edge, face)
+    assert res.status is SolveStatus.OPTIMAL
+    assert res.iterations > 0
+    inner = ConicProgram(blocks, [], YElement(blocks, [np.diag([1.0, 0.5])]),
+                         [])
+    res = solve_restricted_to_face(inner, face)
+    assert res.status is SolveStatus.OPTIMAL
+    assert res.iterations == 0
+    assert res.message == "the span equations pin x"
+    np.testing.assert_allclose(res.z.parts[0], np.diag([1.0, 0.5]))
+    assert np.all(res.y.parts[0] == 0.0)
+
+
 def test_reduced_program_is_strictly_feasible(example_sdp):
     face = minimal_face(YElement(example_sdp.blocks, [np.diag([1.0, 0, 0])]),
                         example_sdp.blocks)

@@ -72,17 +72,18 @@ def test_dualize_solve_counts(tmp_path):
     them.  The reducing pair that confirms the minimal face is settled by a
     checked interior point, without a solve, on all three programs.  A
     strictly feasible program: only the full-face solve; its ordinary dual
-    is read off the verified point.  A one-step degenerate program: the
-    reducing pair that cuts the face and the face-restricted solve; its
-    ordinary dual has a certified Slater point, so it is read off the point
-    too.  The gap SDP, whose ordinary dual D has no Slater point, adds the
-    encoded D, its reduction (one reducing pair that cuts D's face) and its
-    solve on D's minimal face."""
+    is read off the verified point.  A one-step degenerate program: only
+    the reducing pair that cuts the face; the span equations of the minimal
+    face pin x at an interior slack, so the face-restricted solve is closed
+    form, and its ordinary dual has a certified Slater point, so it is read
+    off the point too.  The gap SDP, whose ordinary dual D has no Slater
+    point, adds the encoded D, its reduction (one reducing pair that cuts
+    D's face) and its solve on D's minimal face."""
     from conftest import gap_sdp, random_degenerate, random_strictly_feasible
 
     for name, program, solves, encoded, reductions in (
             ("strict", random_strictly_feasible(0)[0], 1, 0, 1),
-            ("degenerate", random_degenerate(0)[0], 2, 0, 1),
+            ("degenerate", random_degenerate(0)[0], 1, 0, 1),
             ("gap", gap_sdp(), 4, 1, 2)):
         path = tmp_path / f"{name}.dat-s"
         path.write_text(emit_sdpa(program))
