@@ -20,7 +20,7 @@ from .linalg import (EigenDecomposition, numeric_rank, nullspace_basis,
                      sym_eig)
 from .model import (ConeBlock, ConicProgram, StructureMismatchError,
                     YElement, adjoint_apply, primal_slack)
-from .reducing import (AmbiguousOutcome, ReducingOutcome, reduced_program,
+from .reducing import (AmbiguousOutcome, ReducingOutcome,
                        solve_reducing_pair, solve_restricted_to_face)
 from .reduction import (DecomposedChain, ReductionCertificate, ReductionError,
                         VerificationReport, compute_ell,

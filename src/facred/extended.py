@@ -21,25 +21,27 @@ The "ramana" variant additionally eliminates the v_i, writing every
 occurrence as w_i + w_i^T.  Layer 1 carries only u_1: the tangent space at
 zero is trivial, so v_1 = w_1 = 0 and they are not materialized.
 
-The dual is solved through an assembled point, built from a facial
-reduction chain and verified against the variant's system; the chain must
-fit in the layers.  For other solvers the dual is also encoded as a plain
-sup-form conic program (emit_sdpa): the equality constraints are eliminated
-by parameterizing the variable vector over their solution set, shifted so
-the sup-form objective carries no constant whenever possible.
+The system is written once, as one evaluator (_layered_system).  The dual
+is solved through an assembled point, built from a facial reduction chain
+(which must fit in the layers) and checked with the evaluator.  For other
+solvers it is also encoded as a plain sup-form conic program (emit_sdpa),
+from the evaluator on the unit vectors of the variable vector and at zero;
+the equalities are eliminated by an SVD, shifted so the objective carries
+no constant unless b lies in the span of the a_i (tested relative to |b|).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
 from . import config
 from .faces import (face_contains, in_tangent_space, split_on_face,
                     tangent_membership_schur)
-from .linalg import _packed_index, _svec, flatten_element
+from .linalg import _packed_index, flatten_element
 from .model import ConeBlock, ConicProgram, YElement, adjoint_apply
 from .reducing import AmbiguousOutcome, solve_restricted_to_face
 from .reduction import (ReductionCertificate, ReductionError,
@@ -82,43 +84,103 @@ class ExtendedDualPoint:
     def depth(self) -> int:
         return len(self.us) - 2
 
-    def final_dual_point(self) -> YElement:
-        return self.us[-1] + self.vs[-1]
+
+def _symmetric(vals, n):
+    """The symmetric n x n matrices whose plain upper triangles, row by row,
+    are the last axis of ``vals``, batched over its leading axes."""
+    k, l, _ = _packed_index(n, 1.0)
+    out = np.zeros(vals.shape[:-1] + (n, n))
+    out[..., k, l] = out[..., l, k] = vals
+    return out
 
 
-class _Layout:
-    """Index bookkeeping for the stacked variable vector."""
+@dataclass
+class _SystemValue:
+    """The layered system at a point of depth L, batched like the point.
 
-    def __init__(self):
-        self.slices = {}
-        self.size = 0
+    ``data[i - 1]`` is <a_1, y_i>, ..., <a_m, y_i>, <b, y_i> for y_i =
+    u_i + v_i, with c subtracted from the final layer's first m entries, so
+    ``data[-1][..., -1]`` is the objective.  ``recompose[i - 2][bi]`` is the
+    packed upper triangle of v_i - (w_i + w_i^T), ``bases[i - 1][bi]`` is
+    S_i, and the cone outputs are ``us[i - 1][bi]`` = u_i, then
+    ``bordered[i - 2][bi]`` = [[S_i, w_i], [w_i^T, D_i]]."""
 
-    def add(self, key, length):
-        self.slices[key] = slice(self.size, self.size + length)
-        self.size += length
+    data: list
+    recompose: list
+    bases: list
+    us: list
+    bordered: list
 
 
-# The builder's variables hold the plain upper-triangle entries of each
-# symmetric block (``_svec`` with off-diagonal weight 1); weight 2 turns a
-# matrix g into the functional <g, .> on that packing.
-def _packed_len(n):
-    return n * (n + 1) // 2
+def _bases(us, variant):
+    """S_1, ..., S_{L+1}, per block, of the layers us[0..L+1]:
+    u_1 + ... + u_{i-1} for "star" and u_{i-1} otherwise."""
+    bases, running = [], [np.zeros(u.shape[-2:]) for u in us[0]]
+    for i in range(1, len(us)):
+        bases.append(running if variant == "star" else us[i - 1])
+        running = [s + u for s, u in zip(running, us[i])]
+    return bases
+
+
+def _layered_system(lifted: ConicProgram, variant: str, us, vs, ws, betas,
+                    constants: bool = True) -> _SystemValue:
+    """Evaluate ``variant``'s layered system over ``lifted`` at a point.
+
+    us[i], vs[i] and ws[i] hold one square matrix per block and betas[i] a
+    scalar, i = 0..L+1, all batched over the same leading axes (or none).
+    S_i comes from _bases; D_i is beta_i I for "star" and "simple" and I
+    otherwise.  With ``constants`` false, c and the identity D_i are left
+    out: the value is then linear in the point.
+    """
+    depth = len(us) - 2
+    # Per block, a_1, ..., a_m, b stacked: one product per layer and block.
+    stacks = [np.stack([e.parts[bi] for e in (*lifted.a, lifted.b)])
+              for bi in range(len(lifted.blocks))]
+    data = [sum(np.sum(g * (u + v)[..., None, :, :], axis=(-2, -1))
+                for g, u, v in zip(stacks, us[i], vs[i]))
+            for i in range(1, depth + 2)]
+    if constants:
+        data[-1] = data[-1] - np.append(lifted.c, 0.0)
+    bases = _bases(us, variant)
+    recompose, bordered = [], []
+    for i in range(2, depth + 2):
+        recompose.append([])
+        bordered.append([])
+        for bi, blk in enumerate(lifted.blocks):
+            n, w, wt = blk.size, ws[i][bi], np.swapaxes(ws[i][bi], -1, -2)
+            k, l, _ = _packed_index(n, 1.0)
+            recompose[-1].append((vs[i][bi] - w - wt)[..., k, l])
+            lower = np.multiply.outer(betas[i], np.eye(n)) \
+                if variant in ("star", "simple") else np.eye(n) * constants
+            shape = np.broadcast_shapes(bases[i - 1][bi].shape, w.shape,
+                                        lower.shape)[:-2] + (2 * n, 2 * n)
+            out = np.empty(shape)
+            out[..., :n, :n], out[..., :n, n:] = bases[i - 1][bi], w
+            out[..., n:, :n], out[..., n:, n:] = wt, lower
+            bordered[-1].append(out)
+    return _SystemValue(data, recompose, bases, list(us[1:]), bordered)
+
+
+def _negligible(part, whole) -> bool:
+    """Whether ``part`` is rounding noise beside ``whole``: the test, made
+    twice, that b lies in the span of the a_i."""
+    return np.linalg.norm(part) <= 1e-10 * np.linalg.norm(whole)
 
 
 @dataclass
 class ExtendedDualProgram:
     """An extended dual, encoded as a solvable sup-form conic program.
 
-    The dual minimizes <b, u_{L+1} + v_{L+1}> over the layered system; after
-    eliminating the equality constraints via ``z = z_p + N s`` (N a basis of
-    their null space) the remaining cone constraints become the slack of
-    ``program`` at s.  The dual's value is ``offset - (sup value of program)``.
+    The dual minimizes <b, u_{L+1} + v_{L+1}> over the layered system in
+    the stacked variable vector z (``layout``, ``nz`` entries).  After the
+    equalities are eliminated via ``z = z_p + N s`` (N an SVD basis of their
+    null space), the cone outputs become the slack of ``program`` at s.  The
+    dual's value is ``offset - (sup value of program)``.
 
     build_extended_dual lays out the variables and computes ``offset``.  The
-    equalities, their elimination and the encoded ``program`` are built on
-    first read of ``program`` and then kept; solving through the assembled
-    point never reads it.  solve_extended_dual assembles its point from
-    ``chain`` when set.
+    encoded ``program`` is built on first read and then kept; solving
+    through the assembled point never reads it.  solve_extended_dual
+    assembles its point from ``chain`` when set.
     """
 
     variant: str
@@ -130,140 +192,87 @@ class ExtendedDualProgram:
     name: str                     # name of the encoded program
     chain: ReductionCertificate = None  # reduction of source, if given
 
-    def _equalities(self):
-        """The layered system's equality rows and right-hand side, and q with
-        <q, z> the dual objective."""
-        lifted, layout, nz, ell = self.source, self.layout, self.nz, self.ell
-        sizes = [blk.size for blk in lifted.blocks]
-        has_v = self.variant != "ramana"
-        rows, rhs = [], []
+    def _point(self, z):
+        """The layered point held by z, batched over z's leading axes, as
+        _layered_system reads it; "ramana" writes v_i as w_i + w_i^T."""
+        blocks, at = self.source.blocks, self.layout
+        zero = [np.zeros((blk.size, blk.size)) for blk in blocks]
+        us, vs, ws, betas = [zero], [zero, zero], [zero, zero], [0.0, 0.0]
+        for i in range(1, self.ell + 2):
+            us.append([_symmetric(z[..., at["u", i, bi]], blk.size)
+                       for bi, blk in enumerate(blocks)])
+            if i == 1:
+                continue
+            ws.append([z[..., at["w", i, bi]].reshape(z.shape[:-1] + (n, n))
+                       for bi, n in enumerate(blk.size for blk in blocks)])
+            vs.append([w + np.swapaxes(w, -1, -2) if self.variant == "ramana"
+                       else _symmetric(z[..., at["v", i, bi]], w.shape[-1])
+                       for bi, w in enumerate(ws[i])])
+            betas.append(z[..., at["beta", i].start]
+                         if ("beta", i) in at else 0.0)
+        return us, vs, ws, betas
 
-        def data_row(i, g_funcs, target):
-            """<g, u_i + v_i> = target, with v_i written through w_i when
-            eliminated."""
-            row = np.zeros(nz)
-            for bi, g in enumerate(g_funcs):
-                row[layout[("u", i, bi)]] += _svec(g, "psd", 2.0)
-                if i >= 2:
-                    if has_v:
-                        row[layout[("v", i, bi)]] += _svec(g, "psd", 2.0)
-                    else:
-                        row[layout[("w", i, bi)]] += 2.0 * g.reshape(-1)
-            rows.append(row)
-            rhs.append(target)
+    def _encoding(self):
+        """(eq, rhs, q, phi, phi0, sizes): ``eq z = rhs`` are the
+        equalities, <q, z> the objective and ``phi z + phi0`` the cone
+        outputs, of orders ``sizes``, flattened row-major.  The linear parts
+        are the system without constants on the unit vectors of z, the
+        constants the system at z = 0: nothing is computed as (x - c) + c."""
+        def parts(value):
+            rows = value.data[:-1] + [value.data[-1][..., :-1]]
+            if self.variant != "ramana":
+                rows += [r for layer in value.recompose for r in layer]
+            return (np.concatenate(rows, axis=-1),
+                    [x for layer in value.us + value.bordered for x in layer])
 
-        for i in range(1, ell + 1):
-            for r in range(lifted.m):
-                data_row(i, lifted.a[r].parts, 0.0)
-            data_row(i, lifted.b.parts, 0.0)
-        for r in range(lifted.m):
-            data_row(ell + 1, lifted.a[r].parts, lifted.c[r])
-
-        if has_v:
-            for i in range(2, ell + 2):
-                for bi, n in enumerate(sizes):
-                    # v_i = w_i + w_i^T, one row per packed entry of v_i.
-                    k, l, _ = _packed_index(n, 1.0)
-                    at = np.arange(k.size)
-                    block = np.zeros((k.size, nz))
-                    block[at, layout[("v", i, bi)].start + at] = 1.0
-                    block[at, layout[("w", i, bi)].start + k * n + l] -= 1.0
-                    block[at, layout[("w", i, bi)].start + l * n + k] -= 1.0
-                    rows.extend(block)
-                    rhs.extend([0.0] * k.size)
-
-        q = np.zeros(nz)
-        for bi, n in enumerate(sizes):
-            coeffs = _svec(lifted.b.parts[bi], "psd", 2.0)
-            q[layout[("u", ell + 1, bi)]] += coeffs
-            if ell + 1 >= 2:
-                if has_v:
-                    q[layout[("v", ell + 1, bi)]] += coeffs
-                else:
-                    q[layout[("w", ell + 1, bi)]] += \
-                        2.0 * np.asarray(lifted.b.parts[bi]).reshape(-1)
-        return np.array(rows).reshape(len(rows), nz), np.array(rhs), q
+        lin = _layered_system(self.source, self.variant,
+                              *self._point(np.eye(self.nz)), constants=False)
+        (eq, outs), (eq0, outs0) = parts(lin), parts(_layered_system(
+            self.source, self.variant, *self._point(np.zeros(self.nz))))
+        cols = [out.reshape(self.nz, -1).T for out in outs]
+        phi = np.concatenate(cols, out=np.empty((sum(map(len, cols)), self.nz)))
+        # 0 - x rather than -x keeps the zero rows +0.0.
+        return (np.ascontiguousarray(eq.T), 0.0 - eq0,
+                np.ascontiguousarray(lin.data[-1][..., -1]), phi,
+                np.concatenate([out.reshape(-1) for out in outs0]),
+                [out.shape[-1] for out in outs0])
 
     @cached_property
     def program(self) -> ConicProgram:
         """The encoded sup-form program: one PSD output per layer and block
         for u_i, and one bordered block per layer i >= 2 and block."""
-        sizes = [blk.size for blk in self.source.blocks]
-        layout, nz = self.layout, self.nz
-        eq, eq_rhs, q = self._equalities()
+        eq, eq_rhs, q, phi, phi0, sizes = self._encoding()
         if eq.shape[0]:
             z_p, *_ = np.linalg.lstsq(eq, eq_rhs, rcond=None)
             _, svals, vt = np.linalg.svd(eq)
             rank = int(np.sum(svals > 1e-11 * (svals[0] if svals.size else 1.0)))
             null = vt[rank:].T
         else:
-            z_p = np.zeros(nz)
-            null = np.eye(nz)
+            z_p = np.zeros(self.nz)
+            null = np.eye(self.nz)
+        # Shift z_p along the null space so the objective has no constant,
+        # unless <q, z> is constant on the affine set: then the constant is
+        # ``offset`` and null^T q is rounding noise.
         bn = null.T @ q
-        if bn.size and np.linalg.norm(bn) > 1e-12:
+        if bn.size and not _negligible(bn, q):
             z_p = z_p - null @ (float(q @ z_p) * bn / float(bn @ bn))
 
-        out_blocks, phi_rows, phi0_rows = [], [], []
-
-        def add_output(size):
-            """Linear part and constant of one square output, row-major."""
-            lin = np.zeros((size * size, nz))
-            const = np.zeros(size * size)
-            out_blocks.append(ConeBlock("psd", size))
-            phi_rows.append(lin)
-            phi0_rows.append(const)
-            return lin, const
-
-        def put_packed(lin, size, key, n):
-            """Add the packed symmetric variable ``key`` to the leading n x n
-            corner of a size x size output."""
-            cols = np.arange(layout[key].start, layout[key].stop)
-            k, l, _ = _packed_index(n, 1.0)
-            lin[k * size + l, cols] += 1.0
-            off = k != l
-            lin[l[off] * size + k[off], cols[off]] += 1.0
-
-        for i in range(1, self.ell + 2):
-            for bi, n in enumerate(sizes):
-                lin, _ = add_output(n)
-                put_packed(lin, n, ("u", i, bi), n)
-        for i in range(2, self.ell + 2):
-            for bi, n in enumerate(sizes):
-                size = 2 * n
-                lin, const = add_output(size)
-                uppers = range(1, i) if self.variant == "star" else [i - 1]
-                for j in uppers:
-                    put_packed(lin, size, ("u", j, bi), n)
-                # w_i fills the off-diagonal corners, w_i^T mirrored below.
-                k, l = np.divmod(np.arange(n * n), n)
-                wcols = layout[("w", i, bi)].start + k * n + l
-                lin[k * size + (n + l), wcols] += 1.0
-                lin[(n + l) * size + k, wcols] += 1.0
-                diag = (n + np.arange(n)) * (size + 1)
-                if ("beta", i) in layout:
-                    lin[diag, layout[("beta", i)].start] += 1.0
-                else:
-                    const[diag] += 1.0
-
-        phi = np.vstack(phi_rows)
-        phi0 = np.concatenate(phi0_rows)
+        out_blocks = tuple(ConeBlock("psd", size) for size in sizes)
         slack0 = phi0 + phi @ z_p
         cols = phi @ null
 
-        def as_parts(flat):
+        def element(flat):
             parts, at = [], 0
-            for blk in out_blocks:
-                d = blk.size * blk.size
-                parts.append(0.5 * (flat[at:at + d].reshape(blk.size, blk.size)
-                                    + flat[at:at + d].reshape(blk.size, blk.size).T))
-                at += d
-            return parts
+            for size in sizes:
+                mat = flat[at:at + size * size].reshape(size, size)
+                parts.append(0.5 * (mat + mat.T))
+                at += size * size
+            # 0.5 (M + M^T) is exactly symmetric: no check needed.
+            return YElement._trusted(out_blocks, parts)
 
-        b_prog = YElement(out_blocks, as_parts(slack0))
-        a_prog = [YElement(out_blocks, as_parts(-cols[:, j]))
-                  for j in range(null.shape[1])]
-        return ConicProgram(tuple(out_blocks), a_prog, b_prog, -(null.T @ q),
-                            name=self.name)
+        return ConicProgram(out_blocks,
+                            [element(-cols[:, j]) for j in range(null.shape[1])],
+                            element(slack0), -(null.T @ q), name=self.name)
 
 
 def build_extended_dual(p: ConicProgram, variant: str = "star",
@@ -295,20 +304,22 @@ def build_extended_dual(p: ConicProgram, variant: str = "star",
         raise SolverError("extended dual equalities are inconsistent; "
                           "the ordinary dual is infeasible")
 
-    layout = _Layout()
+    # The variables: plain upper triangles of u_i and v_i, w_i row-major.
+    keys, sizes = [], [blk.size for blk in lifted.blocks]
     for i in range(1, ell + 2):
-        for bi, blk in enumerate(lifted.blocks):
-            layout.add(("u", i, bi), _packed_len(blk.size))
+        keys += [(("u", i, bi), n * (n + 1) // 2) for bi, n in enumerate(sizes)]
         if i >= 2:
-            for bi, blk in enumerate(lifted.blocks):
-                layout.add(("w", i, bi), blk.size * blk.size)
+            for bi, n in enumerate(sizes):
+                keys.append((("w", i, bi), n * n))
                 if variant != "ramana":
-                    layout.add(("v", i, bi), _packed_len(blk.size))
+                    keys.append((("v", i, bi), n * (n + 1) // 2))
             if variant in ("star", "simple"):
-                layout.add(("beta", i), 1)
-
-    return ExtendedDualProgram(variant, ell, lifted, dict(layout.slices),
-                               layout.size, _objective_offset(lifted),
+                keys.append((("beta", i), 1))
+    ends = list(accumulate(length for _, length in keys))
+    layout = {key: slice(end - length, end)
+              for (key, length), end in zip(keys, ends)}
+    return ExtendedDualProgram(variant, ell, lifted, layout, ends[-1],
+                               _objective_offset(lifted),
                                f"{p.name} extended-{variant}".strip(), chain)
 
 
@@ -321,7 +332,7 @@ def _objective_offset(lifted: ConicProgram) -> float:
     rows = np.column_stack([flatten_element(ai) for ai in lifted.a])
     b = flatten_element(lifted.b)
     lam, *_ = np.linalg.lstsq(rows, b, rcond=None)
-    if np.linalg.norm(rows @ lam - b) > 1e-12:
+    if not _negligible(rows @ lam - b, b):
         return 0.0
     return float(lam @ lifted.c)
 
@@ -333,9 +344,11 @@ def check_extended_point(p: ConicProgram, pt: ExtendedDualPoint,
 
     Checks the zero start, cone membership of every u_i, the data
     orthogonality of the inner layers, the adjoint equation of the final
-    layer, tangent membership of every v_i (pattern test plus, when a
-    witness is present, the bordered-block certificate), and reports the
-    objective value and adjoint residual on the report object.
+    layer, tangent membership of every v_i (pattern test plus the
+    recomposition v_i = w_i + w_i^T and the bordered-block certificate),
+    and reports the objective value and adjoint residual on the report
+    object.  Residuals, cone blocks and the objective come from the
+    system's evaluator, the one the encoded program is built from.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -343,56 +356,45 @@ def check_extended_point(p: ConicProgram, pt: ExtendedDualPoint,
         tol = config.DEFAULT_TOL
     lifted = lift_to_psd(p)
     report = VerificationReport()
-    blocks = lifted.blocks
-    if pt.us[0].blocks != blocks:
+    if pt.us[0].blocks != lifted.blocks:
         raise ValueError("point structure differs from the (lifted) program")
     depth = pt.depth
+    ws = [[np.asarray(w) for w in layer] for layer in pt.ws]
+    system = _layered_system(lifted, variant, [u.parts for u in pt.us],
+                             [v.parts for v in pt.vs], ws, pt.betas)
 
     report.add("layer 0 is zero",
                pt.us[0].norm() <= tol and pt.vs[0].norm() <= tol)
     for i in range(1, depth + 2):
-        report.add(f"u_{i} in the dual cone",
-                   pt.us[i].min_eigenvalue() >= -tol,
-                   f"min eigenvalue {pt.us[i].min_eigenvalue():.2e}")
+        lam = min(float(np.linalg.eigvalsh(u)[0]) for u in system.us[i - 1])
+        report.add(f"u_{i} in the dual cone", lam >= -tol,
+                   f"min eigenvalue {lam:.2e}")
     for i in range(1, depth + 1):
-        y = pt.us[i] + pt.vs[i]
-        resid = float(np.max(np.abs(np.concatenate(
-            [adjoint_apply(lifted, y), [lifted.b.inner(y)]])), initial=0.0))
+        resid = float(np.max(np.abs(system.data[i - 1]), initial=0.0))
         report.add(f"layer {i} orthogonal to the data",
-                   resid <= tol * (1.0 + y.norm()), f"residual {resid:.2e}")
-    y_final = pt.final_dual_point()
-    adj_resid = float(np.max(np.abs(adjoint_apply(lifted, y_final) - lifted.c),
-                             initial=0.0))
+                   resid <= tol * (1.0 + (pt.us[i] + pt.vs[i]).norm()),
+                   f"residual {resid:.2e}")
+    adj_resid = float(np.max(np.abs(system.data[-1][:-1]), initial=0.0))
     report.add("final layer satisfies the adjoint equation",
                adj_resid <= tol * (1.0 + float(np.max(np.abs(lifted.c),
                                                       initial=0.0))),
                f"residual {adj_resid:.2e}")
 
-    running = YElement.zeros(blocks)
     for i in range(1, depth + 2):
-        base = running if variant == "star" else pt.us[i - 1]
-        for bi, blk in enumerate(blocks):
-            ok = in_tangent_space(base.parts[bi], pt.vs[i].parts[bi],
-                                  max(tol, 1e-8))
-            report.add(f"v_{i} tangent at block {bi + 1}", ok)
-        if pt.ws[i] is not None and i >= 2:
-            for bi, blk in enumerate(blocks):
-                n = blk.size
-                w = np.asarray(pt.ws[i][bi])
-                recomposed = float(np.max(np.abs(
-                    pt.vs[i].parts[bi] - w - w.T), initial=0.0))
-                report.add(f"w_{i} recomposes v_{i} at block {bi + 1}",
-                           recomposed <= 1e-10 * (1.0 + np.max(np.abs(w), initial=0.0)),
-                           f"residual {recomposed:.2e}")
-                lower = pt.betas[i] * np.eye(n) \
-                    if variant in ("star", "simple") else np.eye(n)
-                bordered = np.block([[base.parts[bi], w], [w.T, lower]])
-                lam = float(np.linalg.eigvalsh(bordered)[0])
-                report.add(f"bordered block {i}/{bi + 1} psd", lam >= -tol,
-                           f"min eigenvalue {lam:.2e}")
-        running = running + pt.us[i]
+        for bi, base in enumerate(system.bases[i - 1]):
+            report.add(f"v_{i} tangent at block {bi + 1}", in_tangent_space(
+                base, pt.vs[i].parts[bi], max(tol, 1e-8)))
+        for bi, w in enumerate(ws[i] if i >= 2 else []):
+            resid = float(np.max(np.abs(system.recompose[i - 2][bi]),
+                                 initial=0.0))
+            report.add(f"w_{i} recomposes v_{i} at block {bi + 1}",
+                       resid <= 1e-10 * (1.0 + np.max(np.abs(w), initial=0.0)),
+                       f"residual {resid:.2e}")
+            lam = float(np.linalg.eigvalsh(system.bordered[i - 2][bi])[0])
+            report.add(f"bordered block {i}/{bi + 1} psd", lam >= -tol,
+                       f"min eigenvalue {lam:.2e}")
 
-    report.objective = lifted.b.inner(y_final)
+    report.objective = float(system.data[-1][-1])
     report.adjoint_residual = adj_resid
     return report
 
@@ -470,18 +472,11 @@ def assemble_optimal_point(p: ConicProgram, variant: str = "star",
     vs = pad + vs + [v_fin]
 
     # Witnesses per layer (the certificate for v_i at the variant's base).
-    bases = []
-    running = zeros
-    for i in range(1, ell + 2):
-        bases.append(running if variant == "star" else us[i - 1])
-        running = running + us[i]
-    wit_list, beta_list = [[np.zeros((blk.size, blk.size)) for blk in blocks]], [0.0]
-    for i in range(1, ell + 2):
-        if i == 1:
-            wit_list.append([np.zeros((blk.size, blk.size)) for blk in blocks])
-            beta_list.append(0.0)
-            continue
-        w_i, beta_i = _tangent_witness(bases[i - 1].parts, vs[i].parts, blocks)
+    bases = _bases([u.parts for u in us], variant)
+    zero_w = [np.zeros((blk.size, blk.size)) for blk in blocks]
+    wit_list, beta_list = [zero_w, zero_w], [0.0, 0.0]
+    for i in range(2, ell + 2):
+        w_i, beta_i = _tangent_witness(bases[i - 1], vs[i].parts, blocks)
         wit_list.append(w_i)
         beta_list.append(beta_i)
 

@@ -116,9 +116,6 @@ class FaceRep:
     def ranks(self) -> tuple:
         return tuple(rep.rank for rep in self.reps)
 
-    def is_full(self) -> bool:
-        return all(rep.rank == blk.size for rep, blk in zip(self.reps, self.blocks))
-
     def describe(self) -> str:
         bits = []
         for k, (blk, rep) in enumerate(zip(self.blocks, self.reps)):

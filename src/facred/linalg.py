@@ -20,10 +20,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray   # descending
     eigenvectors: np.ndarray  # orthonormal columns, Q[:, k] pairs with eigenvalues[k]
 
-    def reconstruct(self) -> np.ndarray:
-        q, lam = self.eigenvectors, self.eigenvalues
-        return (q * lam) @ q.T
-
 
 def _fix_signs(q: np.ndarray) -> np.ndarray:
     q = q.copy()

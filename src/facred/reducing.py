@@ -260,19 +260,6 @@ def polish_certificate(coords: FaceCoordinates, f: YElement, y0: YElement,
     return (1.0 / scale) * refined
 
 
-def reduced_program(p: ConicProgram, face: FaceRep) -> ConicProgram:
-    """The program with its cone replaced by the face, in the face's
-    compressed coordinates (span equalities dropped)."""
-    FaceCoordinates(p, face)    # raises when the span equations fail
-    blocks = face.kept_blocks
-    if not blocks:
-        raise ValueError("face is the zero cone; nothing to compress")
-    a_hat = [YElement(blocks, face.compress(ai)) for ai in p.a]
-    b_hat = YElement(blocks, face.compress(p.b))
-    return ConicProgram(blocks, a_hat, b_hat, p.c,
-                        name=(p.name + " reduced").strip())
-
-
 def solve_restricted_to_face(p: ConicProgram, face: FaceRep,
                              options: SolverOptions = None):
     """Solve ``p`` with its cone replaced by ``face`` (value-preserving when

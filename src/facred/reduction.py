@@ -22,7 +22,7 @@ from .faces import (FaceRep, _cone_margin, face_contains,
 from .linalg import flatten_element
 from .model import ConicProgram, YElement, adjoint_apply, primal_slack
 from .reducing import (AmbiguousOutcome, ReducingOutcome, SolverError,
-                       reduced_program, solve_reducing_pair)
+                       solve_reducing_pair)
 from .solver import SolverOptions
 
 
@@ -268,6 +268,6 @@ def _verify_tangency(p, us, vs, tol):
 __all__ = [
     "AmbiguousOutcome", "DecomposedChain", "ReducingOutcome",
     "ReductionCertificate", "ReductionError", "VerificationReport",
-    "compute_ell", "decompose_certificates", "reduced_program",
-    "run_facial_reduction", "solve_reducing_pair", "verify_certificate_chain",
+    "compute_ell", "decompose_certificates", "run_facial_reduction",
+    "solve_reducing_pair", "verify_certificate_chain",
 ]

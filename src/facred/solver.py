@@ -424,17 +424,6 @@ class StandardDualForm:
     def value_of(self, res: SolveResult) -> float:
         return self.offset - res.primal_obj
 
-    def y_iterates(self, res: SolveResult):
-        """Cone-feasible dual iterates (the solver's slack trajectory).
-
-        Raises ValueError when the solve kept no iterates (solve with
-        ``SolverOptions(keep_history=True)``).
-        """
-        if not res.iterates:
-            raise ValueError("the solve kept no iterates; "
-                             "pass SolverOptions(keep_history=True)")
-        return [rec.z for rec in res.iterates]
-
 
 def dual_affine_point(p: ConicProgram):
     """A flattened least-squares solution of the dual equations

@@ -10,6 +10,43 @@ def sym(mat):
     return 0.5 * (mat + mat.T)
 
 
+def reconstruct(dec):
+    """The matrix Q diag(lambda) Q^T of an EigenDecomposition."""
+    q, lam = dec.eigenvectors, dec.eigenvalues
+    return (q * lam) @ q.T
+
+
+def is_full(face):
+    """Whether a FaceRep keeps every block whole."""
+    return all(rep.rank == blk.size
+               for rep, blk in zip(face.reps, face.blocks))
+
+
+def y_iterates(res):
+    """The cone-feasible dual iterates of a solve of a standard dual's
+    program (the solver's slack trajectory).  Raises ValueError when the
+    solve kept no iterates (solve with SolverOptions(keep_history=True))."""
+    if not res.iterates:
+        raise ValueError("the solve kept no iterates; "
+                         "pass SolverOptions(keep_history=True)")
+    return [rec.z for rec in res.iterates]
+
+
+def reduced_program(p, face):
+    """The program with its cone replaced by the face, in the face's
+    compressed coordinates (span equalities dropped)."""
+    from facred.reducing import FaceCoordinates
+
+    FaceCoordinates(p, face)    # raises when the span equations fail
+    blocks = face.kept_blocks
+    if not blocks:
+        raise ValueError("face is the zero cone; nothing to compress")
+    a_hat = [YElement(blocks, face.compress(ai)) for ai in p.a]
+    b_hat = YElement(blocks, face.compress(p.b))
+    return ConicProgram(blocks, a_hat, b_hat, p.c,
+                        name=(p.name + " reduced").strip())
+
+
 @pytest.fixture
 def example_lp():
     """Five-row linear system A x <= 0 whose minimal cone keeps only the

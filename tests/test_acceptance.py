@@ -23,13 +23,14 @@ from facred.faces import (FaceRep, face_contains, in_tangent_space,
                           tangent_membership_schur)
 from facred.model import ConeBlock, YElement, primal_slack
 from facred.reduction import (ReductionCertificate, compute_ell,
-                              decompose_certificates, reduced_program,
-                              run_facial_reduction, verify_certificate_chain)
+                              decompose_certificates, run_facial_reduction,
+                              verify_certificate_chain)
 from facred.sdpa import emit_sdpa
 from facred.solver import SolverOptions, solve_conic_lp, standard_dual
 
 from conftest import (paper_chain_long, paper_chain_short, random_degenerate,
-                      random_strictly_feasible, sdp_chain, sym)
+                      random_strictly_feasible, reduced_program, sdp_chain,
+                      sym, y_iterates)
 
 
 def run_cli(args):
@@ -95,7 +96,7 @@ def test_criterion_3_unattained_dual(example_sdp):
     sd = standard_dual(example_sdp)
     res = solve_conic_lp(sd.program,
                          SolverOptions(max_iter=150, keep_history=True))
-    iterates = sd.y_iterates(res)
+    iterates = y_iterates(res)
     assert all(y.parts[0][0, 0] > 0 for y in iterates)
     final = iterates[-1].parts[0]
     assert final[0, 0] <= 1e-3  # objective has drifted toward zero

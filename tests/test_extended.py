@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,13 +11,16 @@ from facred.extended import (VARIANTS, ExtendedDualPoint,
 from facred.faces import tangent_membership_schur
 from facred.model import (ConeBlock, ConicProgram, YElement, adjoint_apply,
                           primal_slack)
-from facred.reduction import run_facial_reduction
+from facred.reducing import AmbiguousOutcome, solve_restricted_to_face
+from facred.reduction import ReductionError, run_facial_reduction
 from facred.sdpa import emit_sdpa, parse_sdpa
-from facred.solver import (SolverError, SolverOptions, solve_conic_lp,
-                           standard_dual)
+from facred.solver import (SolverError, SolverOptions, SolveStatus,
+                           solve_conic_lp, standard_dual)
 
-from conftest import (congruence, random_degenerate,
+from conftest import (congruence, gap_sdp, random_degenerate,
                       random_strictly_feasible, sym)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_lift_embeds_orthant_blocks(example_lp):
@@ -48,21 +52,44 @@ def test_layout_round_trips_through_extraction(example_sdp):
             z[ext.layout[("v", i, 0)]] = pt.vs[i].parts[0][iu]
             z[ext.layout[("w", i, 0)]] = pt.ws[i][0].reshape(-1)
             z[ext.layout[("beta", i)]] = pt.betas[i]
-    eq, rhs, q = ext._equalities()
+    eq, rhs, q, *_ = ext._encoding()
     np.testing.assert_allclose(eq @ z, rhs, atol=1e-7)
     assert q @ z == pytest.approx(value, abs=1e-7)
-    assert pt.final_dual_point().inner(example_sdp.b) == pytest.approx(
+    assert (pt.us[-1] + pt.vs[-1]).inner(example_sdp.b) == pytest.approx(
         value, abs=1e-7)
 
 
-def _in_span_program():
+def _in_span_program(scale=1.0):
     """Two blocks with b = 2 a_1 - a_2, so the dual objective <b, y> is the
-    constant 2 c_1 - c_2 = 1.5 on the final layer's affine set."""
+    constant 2 c_1 - c_2 = 1.5 on the final layer's affine set; the data
+    a_i are multiplied by ``scale``, which leaves that value."""
     rng = np.random.default_rng(11)
     blocks = (ConeBlock("psd", 2), ConeBlock("orthant", 2))
-    a = [YElement(blocks, [sym(rng.normal(size=(2, 2))), rng.normal(size=2)])
+    a = [scale * YElement(blocks, [sym(rng.normal(size=(2, 2))),
+                                   rng.normal(size=2)])
          for _ in range(2)]
     return ConicProgram(blocks, a, 2.0 * a[0] - a[1], [1.0, 0.5], name="span")
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("scale", [1e-3, 1e3, 1e6])
+def test_span_offset_is_scale_free(scale, variant):
+    """Whether b lies in the span of the a_i is decided relative to the
+    size of b, and the objective shift relative to the size of the
+    objective, so the two agree at every scale: the offset is 1.5, and the
+    emitted program, solved directly, answers 1.5 or fails loudly.  With
+    absolute 1e-12 tests the offset read 0 at 1e3 beside an optimal solve
+    of value 0, and at 1e6 the shift divided by rounding noise and the
+    solve failed."""
+    ext = build_extended_dual(_in_span_program(scale), variant,
+                              ell_override=2)
+    assert ext.offset == pytest.approx(1.5, rel=1e-9)
+    try:
+        res = solve_conic_lp(ext.program)
+    except SolverError:
+        return
+    if res.optimal:
+        assert ext.offset - res.primal_obj == pytest.approx(1.5, abs=1e-6)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -201,7 +228,7 @@ def test_padded_depth_keeps_the_identity_block_value(seed):
 def test_extraction_exposes_minimal_cone_dual(example_sdp):
     ext = build_extended_dual(example_sdp, "star")
     _, pt, _ = solve_extended_dual(ext)
-    y = pt.final_dual_point().parts[0]
+    y = (pt.us[-1] + pt.vs[-1]).parts[0]
     assert abs(y[0, 0]) <= 1e-6
     assert 2 * y[0, 1] == pytest.approx(1.0, abs=1e-6)
 
@@ -276,13 +303,58 @@ def test_hand_certificate(example_sdp):
     assert rep.adjoint_residual <= 1e-12
 
 
-def test_extended_dual_emits_valid_sdpa(example_sdp):
-    ext = build_extended_dual(example_sdp, "primed", ell_override=2)
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("fixture", ["lp5x3", "mixed0", "sdp3", "staircase3"])
+def test_extended_dual_emits_valid_sdpa(fixture, variant):
+    p = parse_sdpa((GOLDEN / f"{fixture}.dat-s").read_text())
+    ext = build_extended_dual(p, variant, ell_override=2)
     text = emit_sdpa(ext.program)
     back = parse_sdpa(text)
     assert back.m == ext.program.m
+    assert back.blocks == ext.program.blocks
     assert (back.b - ext.program.b).norm() <= 1e-12
-    assert back.name == ext.program.name == "sdp3 extended-primed"
+    assert all((x - y).norm() <= 1e-12 for x, y in zip(back.a, ext.program.a))
+    np.testing.assert_array_equal(back.c, ext.program.c)
+    assert back.name == ext.program.name == f"{fixture} extended-{variant}"
+
+
+_SELF_CHECK = {
+    "gap": gap_sdp,
+    "lp5x3": lambda: parse_sdpa((GOLDEN / "lp5x3.dat-s").read_text()),
+    "sdp3": lambda: parse_sdpa((GOLDEN / "sdp3.dat-s").read_text()),
+    "degen0": lambda: random_degenerate(0)[0],
+    "degen1": lambda: random_degenerate(1)[0],
+    "rand0": lambda: random_strictly_feasible(0)[0],
+    "rand1": lambda: random_strictly_feasible(1)[0],
+}
+
+
+@pytest.mark.parametrize("variant", ["star", "ramana"])
+@pytest.mark.parametrize("name", list(_SELF_CHECK))
+def test_emitted_dual_value_is_right_or_loud(name, variant):
+    """facred checks the dual it emits: the encoded program, reduced by
+    facred and solved on its own minimal face, has the value of the
+    assembled point at the chain's depth.  An extended dual rarely has a
+    Slater point, so a direct solve will not do.  The contract is that the
+    value is right, or the solve is not OPTIMAL or raises; on sdp3 the
+    solve of its emitted dual ends numerical_failure, so only there a loud
+    failure passes."""
+    p = _SELF_CHECK[name]()
+    ext = build_extended_dual(p, variant,
+                              chain=run_facial_reduction(lift_to_psd(p)))
+    ref, _, _ = solve_extended_dual(ext)
+    prog = ext.program
+    try:
+        res = solve_restricted_to_face(
+            prog, run_facial_reduction(prog).minimal_face)
+    except (SolverError, ReductionError, AmbiguousOutcome):
+        assert name == "sdp3"
+        return
+    if res.status is not SolveStatus.OPTIMAL:
+        assert name == "sdp3", res.status
+        return
+    value = ext.offset - res.primal_obj
+    assert abs(value - ref) <= 1e-7 * (1.0 + abs(ref)), (value, ref)
 
 
 def test_build_rejects_bad_input(example_sdp, example_lp):

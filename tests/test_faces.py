@@ -8,7 +8,7 @@ from facred.faces import (FaceRep, face_contains, face_dual_membership,
                           subspace_distance, tangent_membership_schur)
 from facred.model import ConeBlock, YElement
 
-from conftest import face_case, random_element, sym
+from conftest import face_case, is_full, random_element, sym
 
 ORTH5 = (ConeBlock("orthant", 5),)
 PSD3 = (ConeBlock("psd", 3),)
@@ -30,7 +30,7 @@ def test_minimal_face_psd_rank_one():
 
 def test_minimal_face_interior_gives_full_cone():
     x = YElement(PSD3, [np.eye(3) + 0.1 * np.ones((3, 3))])
-    assert minimal_face(x, PSD3).is_full()
+    assert is_full(minimal_face(x, PSD3))
 
 
 def test_minimal_face_rejects_outside_point():

@@ -4,13 +4,13 @@ import pytest
 from facred.faces import FaceRep, intersect_with_hyperplane, minimal_face
 from facred.model import (ConeBlock, ConicProgram, YElement, adjoint_apply,
                           primal_slack)
-from facred.reducing import (AmbiguousOutcome, reduced_program,
-                             solve_reducing_pair, solve_restricted_to_face)
+from facred.reducing import (AmbiguousOutcome, solve_reducing_pair,
+                             solve_restricted_to_face)
 from facred.reduction import ReductionError
 from facred.solver import SolveStatus, solve_conic_lp
 
 from conftest import (face_case, random_degenerate, random_element,
-                      random_strictly_feasible, sym)
+                      random_strictly_feasible, reduced_program, sym)
 
 
 def test_sdp_first_step_finds_corner_certificate(example_sdp):

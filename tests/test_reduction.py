@@ -12,13 +12,13 @@ from facred import reduction
 from facred.reducing import AmbiguousOutcome
 from facred.reduction import (ReductionCertificate, ReductionError,
                               compute_ell, decompose_certificates,
-                              reduced_program, run_facial_reduction,
-                              verify_certificate_chain)
+                              run_facial_reduction, verify_certificate_chain)
 from facred.sdpa import parse_sdpa
 from facred.solver import SolverError
 
-from conftest import (congruence, paper_chain_long, paper_chain_short,
-                      random_degenerate, random_strictly_feasible, sdp_chain)
+from conftest import (congruence, is_full, paper_chain_long,
+                      paper_chain_short, random_degenerate,
+                      random_strictly_feasible, reduced_program, sdp_chain)
 
 
 def test_compute_ell_lp(example_lp):
@@ -95,7 +95,7 @@ def test_fra_strictly_feasible_is_a_no_op():
     p, _ = random_strictly_feasible(0)
     cert = run_facial_reduction(p)
     assert cert.reducing_count == 0
-    assert cert.minimal_face.is_full()
+    assert is_full(cert.minimal_face)
 
 
 def test_paper_chains_verify(example_lp):

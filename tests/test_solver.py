@@ -11,7 +11,7 @@ from facred.solver import (SolverOptions, SolveStatus, dual_interior_direction,
                            solve_conic_lp, standard_dual)
 
 from conftest import (gap_sdp, random_degenerate, random_strictly_feasible,
-                      sdp_chain, sym)
+                      sdp_chain, sym, y_iterates)
 
 
 def simple_lp():
@@ -100,7 +100,7 @@ def test_unattained_dual_iterates(example_sdp):
     sd = standard_dual(example_sdp)
     res = solve_conic_lp(sd.program,
                          SolverOptions(max_iter=150, keep_history=True))
-    iterates = sd.y_iterates(res)
+    iterates = y_iterates(res)
     assert len(iterates) > 5
     assert all(y.parts[0][0, 0] > 0 for y in iterates)
     assert iterates[-1].parts[0][0, 0] <= 1e-3
@@ -264,7 +264,7 @@ def test_history_off_by_default(example_sdp):
     res = solve_conic_lp(sd.program)
     assert res.iterates == []
     with pytest.raises(ValueError, match="kept no iterates"):
-        sd.y_iterates(res)
+        y_iterates(res)
 
 
 def test_linear_algebra_breakdown_ends_the_solve(monkeypatch):
