@@ -1,8 +1,8 @@
 """Global numeric configuration.
 
 Facial reduction decides ranks and face memberships from eigenvalues, so the
-rank cutoff is a correctness knob, not a cosmetic one.  It lives here as a
-process-wide default that callers may override per call.
+rank cutoff is a correctness knob, not a cosmetic one.  It lives here as one
+process-wide constant, and no caller overrides it.
 """
 
 import math

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import config
 from .linalg import numeric_rank, sym_eig
-from .model import ConeBlock, StructureMismatchError, YElement
+from .model import ConeBlock, StructureMismatchError, YElement, _freeze
 
 
 @dataclass(frozen=True)
@@ -41,12 +41,6 @@ class PsdFace:
     @property
     def rank(self) -> int:
         return self.basis.shape[1]
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.flags.writeable = False
-    return a
 
 
 class FaceRep:
@@ -71,7 +65,7 @@ class FaceRep:
                     raise ValueError("basis shape incompatible with block")
                 if q.shape[1] and np.linalg.norm(q.T @ q - np.eye(q.shape[1])) > 1e-10:
                     raise ValueError("basis columns not orthonormal")
-                clean.append(PsdFace(_frozen(q)))
+                clean.append(PsdFace(_freeze(q)))
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "reps", tuple(clean))
         # The cone of the compressed payloads: one block per nonzero rank.
@@ -106,6 +100,15 @@ class FaceRep:
         """Inverse of ``compress``: payloads placed back, zero outside."""
         return YElement(self.blocks, self._embed_parts(parts))
 
+    def margin(self, y: YElement):
+        """(cone margin, scale) of ``y`` in the face's coordinates: the
+        smallest compressed eigenvalue or entry, and the largest |compressed
+        entry|; (+inf, 0.0) on the zero face."""
+        parts = self.compress(y)
+        return (min((_cone_margin(part) for part in parts), default=np.inf),
+                max((float(np.max(np.abs(part))) for part in parts),
+                    default=0.0))
+
     @classmethod
     def full_cone(cls, blocks) -> "FaceRep":
         reps = [OrthantFace(tuple(range(blk.size))) if blk.kind == "orthant"
@@ -138,7 +141,7 @@ def subspace_distance(q1: np.ndarray, q2: np.ndarray) -> float:
     return float(np.linalg.norm(p1 - p2, 2)) if n else 0.0
 
 
-def faces_equal(f1: FaceRep, f2: FaceRep, tol: float = 1e-8) -> bool:
+def faces_equal(f1: FaceRep, f2: FaceRep) -> bool:
     if f1.blocks != f2.blocks:
         return False
     for blk, r1, r2 in zip(f1.blocks, f1.reps, f2.reps):
@@ -146,7 +149,7 @@ def faces_equal(f1: FaceRep, f2: FaceRep, tol: float = 1e-8) -> bool:
             if r1.support != r2.support:
                 return False
         else:
-            if r1.rank != r2.rank or subspace_distance(r1.basis, r2.basis) > tol:
+            if r1.rank != r2.rank or subspace_distance(r1.basis, r2.basis) > 1e-8:
                 return False
     return True
 
@@ -163,15 +166,14 @@ def _orthonormal_complement(q: np.ndarray, n: int) -> np.ndarray:
     return dec.eigenvectors[:, keep]
 
 
-def minimal_face(x: YElement, blocks, tol: float = None) -> FaceRep:
+def minimal_face(x: YElement, blocks) -> FaceRep:
     """The face of the cone containing ``x`` in its relative interior.
 
-    ``x`` must lie in the cone up to tolerance; orthant support keeps entries
-    above tol, PSD blocks keep eigenvectors of eigenvalues above the relative
-    rank cutoff.
+    ``x`` must lie in the cone up to the rank cutoff; orthant support keeps
+    entries above it, PSD blocks keep eigenvectors of eigenvalues above it
+    relative to the largest.
     """
-    if tol is None:
-        tol = config.RANK_TOL
+    tol = config.RANK_TOL
     if tuple(blocks) != x.blocks:
         raise StructureMismatchError("block structures differ")
     reps = []
@@ -230,19 +232,18 @@ def face_dual_membership(face: FaceRep, y: YElement, tol: float = 1e-7) -> bool:
     """Membership of ``y`` in the dual of the face, i.e. in K* + F^perp."""
     if y.blocks != face.blocks:
         raise StructureMismatchError("block structures differ")
-    return not any(_cone_margin(part) < -tol for part in face.compress(y))
+    return not face.margin(y)[0] < -tol
 
 
-def intersect_with_hyperplane(face: FaceRep, y: YElement, tol: float = None) -> FaceRep:
+def intersect_with_hyperplane(face: FaceRep, y: YElement) -> FaceRep:
     """The face cut out of ``face`` by the hyperplane orthogonal to ``y``.
 
-    ``y`` must belong to the dual of the face; the result is again a face of
-    the cone.  Orthant blocks drop support indices where y is positive, PSD
-    blocks keep the kernel of the compressed y.
+    ``y`` must belong to the dual of the face at the rank cutoff; the
+    result is again a face of the cone.  Orthant blocks drop support indices
+    where y is above the cutoff, PSD blocks keep the compressed y's kernel.
     """
-    if tol is None:
-        tol = config.RANK_TOL
-    if not face_dual_membership(face, y, max(tol, 1e-7)):
+    tol = config.RANK_TOL
+    if not face_dual_membership(face, y, tol):
         raise ValueError("certificate lies outside the face dual beyond tolerance")
     reps, compressed = [], iter(face.compress(y))
     for blk, rep in zip(face.blocks, face.reps):

@@ -31,18 +31,18 @@ def _fix_signs(q: np.ndarray) -> np.ndarray:
     return q
 
 
-def sym_eig(x: np.ndarray, tol: float = 1e-10) -> EigenDecomposition:
+def sym_eig(x: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix by LAPACK (numpy eigh) on
     its symmetric part, eigenvalues descending.
 
-    Rejects inputs whose asymmetry exceeds ``tol`` relative to the largest
+    Rejects inputs whose asymmetry exceeds 1e-10 relative to the largest
     entry.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError("square matrix required")
     asym = np.max(np.abs(x - x.T), initial=0.0)
-    if asym > tol * (1.0 + np.max(np.abs(x), initial=0.0)):
+    if asym > 1e-10 * (1.0 + np.max(np.abs(x), initial=0.0)):
         raise ValueError(f"matrix asymmetry {asym:.3e} beyond tolerance")
     lam, q = np.linalg.eigh(0.5 * (x + x.T))
     order = np.argsort(-lam, kind="stable")
@@ -77,24 +77,21 @@ def _packed_index(n: int, off_diag: float):
     return rows, cols, weights
 
 
-def _svec(part: np.ndarray, kind: str,
-          off_diag: float = np.sqrt(2.0)) -> np.ndarray:
+def _svec(part: np.ndarray, kind: str) -> np.ndarray:
     """Flatten a block payload's upper triangle row by row, off-diagonals
-    scaled by ``off_diag``: sqrt 2 makes the flattening isometric, 1 packs
-    the plain entries, 2 gives the functional of a symmetric matrix."""
+    scaled by sqrt 2, which makes the flattening isometric."""
     if kind == "orthant":
         return np.asarray(part, dtype=float).reshape(-1)
-    rows, cols, weights = _packed_index(part.shape[0], off_diag)
+    rows, cols, weights = _packed_index(part.shape[0], np.sqrt(2.0))
     return part[rows, cols] * weights
 
 
-def _unsvec(vec: np.ndarray, kind: str, size: int,
-            off_diag: float = np.sqrt(2.0)) -> np.ndarray:
-    """Inverse of :func:`_svec` with the same ``off_diag``."""
+def _unsvec(vec: np.ndarray, kind: str, size: int) -> np.ndarray:
+    """Inverse of :func:`_svec`."""
     if kind == "orthant":
         return np.asarray(vec, dtype=float).copy()
     mat = np.zeros((size, size))
-    rows, cols, weights = _packed_index(size, 1.0 / off_diag)
+    rows, cols, weights = _packed_index(size, 1.0 / np.sqrt(2.0))
     mat[rows, cols] = vec * weights
     mat = mat + mat.T - np.diag(np.diag(mat))
     return mat
@@ -117,17 +114,16 @@ def unflatten_element(vec: np.ndarray, blocks):
     return YElement(blocks, parts)
 
 
-def nullspace_basis(rows, tol: float = None):
+def nullspace_basis(rows):
     """Orthonormal basis of the joint orthogonal complement of ``rows``.
 
     ``rows`` is a list of YElements (typically the constraint elements plus
     the right-hand side).  The basis is computed from the eigendecomposition
     of the Gram matrix R^T R of the flattened rows, avoiding a general SVD;
-    eigenvectors with eigenvalue at or below the cutoff span the complement.
-    Returns a (possibly empty) list of YElements.
+    eigenvectors with eigenvalue at or below the squared rank cutoff span
+    the complement.  Returns a (possibly empty) list of YElements.
     """
-    if tol is None:
-        tol = config.RANK_TOL
+    tol = config.RANK_TOL
     if not rows:
         raise ValueError("at least one row required")
     blocks = rows[0].blocks

@@ -66,13 +66,6 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_symmetric(mat: np.ndarray, tol: float, what: str) -> np.ndarray:
-    asym = np.max(np.abs(mat - mat.T)) if mat.size else 0.0
-    if asym > tol * (1.0 + np.max(np.abs(mat), initial=0.0)):
-        raise ValueError(f"{what}: asymmetry {asym:.3e} beyond tolerance")
-    return 0.5 * (mat + mat.T)
-
-
 class YElement:
     """A point of the constraint space: per-block vectors / symmetric matrices.
 
@@ -82,7 +75,7 @@ class YElement:
 
     __slots__ = ("blocks", "parts")
 
-    def __init__(self, blocks, parts, _symmetry_tol=SYMMETRY_TOL):
+    def __init__(self, blocks, parts):
         blocks = tuple(blocks)
         if len(blocks) != len(parts):
             raise StructureMismatchError("one payload required per block")
@@ -98,7 +91,11 @@ class YElement:
                     raise StructureMismatchError(
                         f"psd payload shape {arr.shape}, expected "
                         f"({blk.size}, {blk.size})")
-                arr = _check_symmetric(arr, _symmetry_tol, "psd payload")
+                asym = np.max(np.abs(arr - arr.T))
+                if asym > SYMMETRY_TOL * (1.0 + np.max(np.abs(arr))):
+                    raise ValueError(
+                        f"psd payload: asymmetry {asym:.3e} beyond tolerance")
+                arr = 0.5 * (arr + arr.T)
             clean.append(_freeze(arr))
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "parts", tuple(clean))

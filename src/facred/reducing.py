@@ -32,9 +32,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import config
-from .faces import (FaceRep, _cone_margin, _nearest_cone_point,
-                    _orthonormal_complement, face_dual_membership,
-                    relative_interior_point)
+from .faces import (FaceRep, _nearest_cone_point, _orthonormal_complement,
+                    face_dual_membership, relative_interior_point)
 from .linalg import (_packed_index, _svec, flatten_element,
                      unflatten_element)
 from .model import ConeBlock, ConicProgram, YElement, adjoint_apply
@@ -253,11 +252,8 @@ def polish_certificate(coords: FaceCoordinates, f: YElement, y0: YElement,
         x = x + step[:m]
         yvec = yvec + step[m:]
 
-    refined = unflatten_element(best[1], p.blocks)
-    scale = f.inner(refined)
-    if abs(scale) < 1e-8:
-        raise SolverError("certificate polish collapsed the normalization")
-    return (1.0 / scale) * refined
+    return _normalized(f, unflatten_element(best[1], p.blocks),
+                       "certificate polish")
 
 
 def solve_restricted_to_face(p: ConicProgram, face: FaceRep,
@@ -317,10 +313,7 @@ def restricted_solve_failure(p: ConicProgram, face: FaceRep, res):
     if adjoint > tol * (1.0 + float(np.max(np.abs(c), initial=0.0))):
         return f"adjoint residual {adjoint:.2e}"
     for name, elem in (("slack", p.b - p.apply(res.x)), ("dual", res.y)):
-        parts = face.compress(elem)
-        margin = min((_cone_margin(part) for part in parts), default=0.0)
-        scale = max((float(np.max(np.abs(part))) for part in parts),
-                    default=0.0)
+        margin, scale = face.margin(elem)
         if margin < -tol * (1.0 + scale):
             return f"{name} cone margin {margin:.2e}"
     primal, dual = float(np.dot(c, res.x)), p.b.inner(res.y)
@@ -360,9 +353,8 @@ def _strict_candidate(coords: FaceCoordinates, cols, slack0, tol):
 def _has_margin(coords: FaceCoordinates, x, tol) -> bool:
     """Whether the slack of x, recomputed from the program's data, has
     compressed interior margin at least 100 tol (1 + its largest entry)."""
-    s_hat = coords.face.compress(coords.program.b - coords.program.apply(x))
-    margin = min(_cone_margin(part) for part in s_hat)
-    scale = max(float(np.max(np.abs(part))) for part in s_hat)
+    margin, scale = coords.face.margin(coords.program.b
+                                       - coords.program.apply(x))
     return margin >= 100.0 * tol * (1.0 + scale)
 
 
@@ -442,7 +434,8 @@ def solve_reducing_pair(p: ConicProgram, face: FaceRep, tol: float = None,
         return ReducingOutcome.minimal_reached(x_cand)
 
     if t_star <= tol:
-        y = _extract_certificate(coords, f, res)
+        y = _normalized(f, coords.dual_point(res.y.parts[:-1]),
+                        "certificate extraction")
         y = _purify_certificate(p, face, f, y)
         y = polish_certificate(coords, f, y, x_cand)
         _check_certificate(p, face, f, y, tol)
@@ -453,11 +446,12 @@ def solve_reducing_pair(p: ConicProgram, face: FaceRep, tol: float = None,
         f"({tol:.1e}, {100 * tol:.1e})")
 
 
-def _extract_certificate(coords: FaceCoordinates, f: YElement, res) -> YElement:
-    y = coords.dual_point(res.y.parts[:-1])
+def _normalized(f: YElement, y: YElement, stage: str) -> YElement:
+    """y scaled to <f, y> = 1 after one stage of a certificate's making;
+    SolverError when |<f, y>| < 1e-6."""
     scale = f.inner(y)
     if abs(scale) < 1e-6:
-        raise SolverError("degenerate certificate: normalization collapsed")
+        raise SolverError(f"{stage} collapsed the normalization")
     return (1.0 / scale) * y
 
 
@@ -505,22 +499,26 @@ def _purify_certificate(p: ConicProgram, face: FaceRep, f: YElement,
         if history[-1] <= 1e-13 * (1.0 + float(np.linalg.norm(vec_new))) \
                 or history[-1] > 0.5 * history[-4]:
             break
-    refined = unflatten_element(vec, p.blocks)
-    scale = f.inner(refined)
-    if abs(scale) < 1e-6:
-        raise SolverError("certificate cleanup collapsed the normalization")
-    return (1.0 / scale) * refined
+    return _normalized(f, unflatten_element(vec, p.blocks),
+                       "certificate cleanup")
+
+
+def step_test(p: ConicProgram, face: FaceRep, y: YElement, tol: float):
+    """The acceptance test of one facial-reduction step, made by the run
+    and again by verify: (residual, in_nullspace, in_face_dual), the
+    residual max |<a_i, y>|, |<b, y>| within tol (1 + |y|), and y in the
+    dual of ``face`` at tol."""
+    resid = float(np.max(np.abs(np.append(adjoint_apply(p, y), p.b.inner(y)))))
+    return (resid, resid <= tol * (1.0 + y.norm()),
+            face_dual_membership(face, y, tol))
 
 
 def _check_certificate(p: ConicProgram, face: FaceRep, f: YElement,
                        y: YElement, tol: float):
-    lin_resid = float(np.max(np.abs(
-        np.array([ai.inner(y) for ai in p.a] + [p.b.inner(y)])), initial=0.0))
+    resid, in_l, in_dual = step_test(p, face, y, tol)
     checks = [
-        (lin_resid <= 1e2 * tol * (1.0 + y.norm()),
-         f"certificate leaves the nullspace (residual {lin_resid:.2e})"),
-        (face_dual_membership(face, y, tol),
-         "certificate leaves the face dual"),
+        (in_l, f"certificate leaves the nullspace (residual {resid:.2e})"),
+        (in_dual, "certificate leaves the face dual"),
         (abs(f.inner(y) - 1.0) <= 1e-9, "certificate normalization drifted"),
     ]
     for ok, msg in checks:

@@ -231,6 +231,27 @@ def test_compress_is_the_adjoint_of_embed(case):
                                     rel=1e-12, abs=1e-12)
 
 
+def test_margin_is_the_smallest_compressed_coordinate():
+    """FaceRep.margin: (smallest compressed eigenvalue or entry, largest
+    |compressed entry|) over the kept blocks; (+inf, 0.0) on the zero face."""
+    from facred.faces import OrthantFace, PsdFace
+
+    rank_one = FaceRep(PSD3, [PsdFace(np.eye(3)[:, :1])])
+    y_psd = YElement(PSD3, [np.diag([-0.5, -9.0, 7.0])])
+    assert rank_one.margin(y_psd) == (-0.5, 0.5)
+    support = FaceRep(ORTH5, [OrthantFace((1, 3))])
+    y_orth = YElement(ORTH5, [np.array([9.0, -2.0, 9.0, 0.5, -9.0])])
+    assert support.margin(y_orth) == (-2.0, 2.0)
+    both = FaceRep(PSD3 + ORTH5, rank_one.reps + support.reps)
+    assert both.margin(YElement(PSD3 + ORTH5, y_psd.parts + y_orth.parts)) \
+        == (-2.0, 2.0)
+    zero = FaceRep(PSD3, [PsdFace(np.zeros((3, 0)))])
+    assert zero.margin(y_psd) == (np.inf, 0.0)
+    assert not face_dual_membership(rank_one, y_psd, tol=0.4)
+    assert face_dual_membership(rank_one, y_psd, tol=0.5)
+    assert face_dual_membership(zero, y_psd)
+
+
 def test_longest_chain_length():
     assert longest_chain_length(ORTH5) == 6
     assert longest_chain_length(PSD3) == 4

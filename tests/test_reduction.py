@@ -6,10 +6,10 @@ import pytest
 from facred.certfile import (CertFormatError, read_certificate,
                              write_certificate)
 from facred.faces import (FaceRep, faces_equal, intersect_with_hyperplane,
-                          subspace_distance)
+                          relative_interior_point, subspace_distance)
 from facred.model import ConeBlock, ConicProgram, YElement, primal_slack
 from facred import reduction
-from facred.reducing import AmbiguousOutcome
+from facred.reducing import AmbiguousOutcome, _check_certificate, step_test
 from facred.reduction import (ReductionCertificate, ReductionError,
                               compute_ell, decompose_certificates,
                               run_facial_reduction, verify_certificate_chain)
@@ -129,8 +129,8 @@ def test_corrupted_chain_fails_dual_membership(example_lp):
 
 
 def test_verification_recomputes_the_faces_a_chain_omits(example_sdp):
-    """Without faces the check reports each recomputed face and keeps it;
-    with faces it compares them against the recomputation."""
+    """Without faces the check reports each recomputed face; with faces it
+    compares them against the recomputation."""
     cert = run_facial_reduction(example_sdp)
     bare = ReductionCertificate(cert.ys, None, cert.reducing_flags,
                                 cert.x_strict)
@@ -140,15 +140,53 @@ def test_verification_recomputes_the_faces_a_chain_omits(example_sdp):
     assert "face 0 is the full cone" not in names
     assert [n for n in names if "recomputation" in n] == [
         f"face {i} recomputation" for i in range(1, len(cert.ys))]
-    assert all(faces_equal(a, b) for a, b in zip(report.faces, cert.faces))
-    assert len(report.faces) == len(cert.faces)
-    names = [c.name for c in verify_certificate_chain(example_sdp, cert).checks]
+    assert [c.detail for c in report.checks if "recomputation" in c.name] \
+        == [face.describe() for face in cert.faces[1:]]
+    full = verify_certificate_chain(example_sdp, cert)
+    assert full.ok
+    names = [c.name for c in full.checks]
     assert "face 0 is the full cone" in names
     assert "face 1 matches the recomputed intersection" in names
     wrong = ReductionCertificate(cert.ys, [cert.faces[0]] * len(cert.ys),
                                  cert.reducing_flags, cert.x_strict)
     failed = verify_certificate_chain(example_sdp, wrong).failures()
     assert failed[0].name == "face 1 matches the recomputed intersection"
+
+
+def _perturbed_lp_certificate(example_lp, bars):
+    """A certificate of the LP fixture's first step, normalized and in the
+    cone, moved off the data nullspace to ``bars`` times tol (1 + |y|)."""
+    face = FaceRep.full_cone(example_lp.blocks)
+    f = relative_interior_point(face)
+    exact = np.array([0.0, 1.0, 1.0, 1.0, 0.0]) / 3.0    # (A, b)* y = 0
+    eps = bars * 1e-7 * (1.0 + np.linalg.norm(exact))
+    y = YElement(example_lp.blocks,
+                 [(exact + eps * np.eye(5)[0]) / (1.0 + eps)])
+    return face, f, y
+
+
+@pytest.mark.parametrize("bars", [0.5, 10.0])
+def test_run_and_verify_accept_a_step_at_one_bar(example_lp, bars):
+    """The run's step test and verify's agree: a residual below
+    tol (1 + |y|) passes both, one between that bar and 100 times it (which
+    the run once accepted) fails both."""
+    face, f, y = _perturbed_lp_certificate(example_lp, bars)
+    resid, in_l, in_dual = step_test(example_lp, face, y, 1e-7)
+    assert in_dual and f.inner(y) == pytest.approx(1.0, abs=1e-12)
+    assert resid > 0.4 * 1e-7 * (1.0 + y.norm())
+    assert resid < 1e2 * 1e-7 * (1.0 + y.norm())
+    assert in_l == (bars < 1.0)
+    cert = ReductionCertificate([YElement.zeros(example_lp.blocks), y], None,
+                                [True], None)
+    checks = {c.name: c.ok
+              for c in verify_certificate_chain(example_lp, cert).checks}
+    assert checks["y_1 in the data nullspace"] == in_l
+    assert checks["y_1 in the dual of face 0"]
+    if in_l:
+        _check_certificate(example_lp, face, f, y, 1e-7)
+    else:
+        with pytest.raises(AmbiguousOutcome, match="leaves the nullspace"):
+            _check_certificate(example_lp, face, f, y, 1e-7)
 
 
 def test_certificate_payload_errors(example_sdp):
