@@ -123,4 +123,7 @@ def read_certificate(text):
     if at >= len(lines) or not lines[at].startswith("x_strict:"):
         raise CertFormatError("missing x_strict line")
     x_strict = _floats(lines[at].split(":", 1)[1])
+    if at + 1 < len(lines):
+        raise CertFormatError(f"unexpected line after x_strict: "
+                              f"{lines[at + 1]!r}")
     return blocks, ys, flags, x_strict

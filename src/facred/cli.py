@@ -92,6 +92,8 @@ def _read_problem(path):
 
 def _start(args, command, path):
     """The problem at ``path``, the report (with the tol) and the options."""
+    if args.max_iter < 0:
+        raise ValueError(f"--max-iter must be at least 0, got {args.max_iter}")
     problem, digest = _read_problem(path)
     report = RunReport(command, digest, args.seed, config.resolve_tol(args.tol))
     return problem, report, SolverOptions(max_iter=args.max_iter)
@@ -208,7 +210,10 @@ def _read_point(text, blocks) -> YElement:
     """Point files reuse the certificate element layout: one line per block."""
     lines = [ln for ln in text.splitlines() if ln.strip()
              and not ln.lstrip().startswith("#")]
-    element, _ = certfile._read_element(tuple(blocks), lines, 0)
+    element, at = certfile._read_element(tuple(blocks), lines, 0)
+    if at < len(lines):
+        raise certfile.CertFormatError(
+            f"unexpected line after the point: {lines[at]!r}")
     return element
 
 

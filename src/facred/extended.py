@@ -41,7 +41,7 @@ import numpy as np
 from . import config
 from .faces import (face_contains, in_tangent_space, split_on_face,
                     tangent_membership_schur)
-from .linalg import _packed_index, flatten_element
+from .linalg import _packed_index, _sym, flatten_element
 from .model import ConeBlock, ConicProgram, YElement
 from .reducing import AmbiguousOutcome, solve_restricted_to_face
 from .reduction import (ReductionCertificate, ReductionError,
@@ -88,7 +88,7 @@ class ExtendedDualPoint:
 def _symmetric(vals, n):
     """The symmetric n x n matrices whose plain upper triangles, row by row,
     are the last axis of ``vals``, batched over its leading axes."""
-    k, l, _ = _packed_index(n, 1.0)
+    k, l, *_ = _packed_index(n)
     out = np.zeros(vals.shape[:-1] + (n, n))
     out[..., k, l] = out[..., l, k] = vals
     return out
@@ -148,7 +148,7 @@ def _layered_system(lifted: ConicProgram, variant: str, us, vs, ws, betas,
         bordered.append([])
         for bi, blk in enumerate(lifted.blocks):
             n, w, wt = blk.size, ws[i][bi], np.swapaxes(ws[i][bi], -1, -2)
-            k, l, _ = _packed_index(n, 1.0)
+            k, l, *_ = _packed_index(n)
             recompose[-1].append((vs[i][bi] - w - wt)[..., k, l])
             lower = np.multiply.outer(betas[i], np.eye(n)) \
                 if variant in ("star", "simple") else np.eye(n) * constants
@@ -265,9 +265,9 @@ class ExtendedDualProgram:
             parts, at = [], 0
             for size in sizes:
                 mat = flat[at:at + size * size].reshape(size, size)
-                parts.append(0.5 * (mat + mat.T))
+                parts.append(_sym(mat))
                 at += size * size
-            # 0.5 (M + M^T) is exactly symmetric: no check needed.
+            # _sym(M) is exactly symmetric: no check needed.
             return YElement._trusted(out_blocks, parts)
 
         return ConicProgram(out_blocks,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .linalg import numeric_rank, sym_eig
+from .linalg import _sym, numeric_rank, sym_eig
 from .model import ConeBlock, StructureMismatchError, YElement, _freeze
 
 
@@ -154,18 +154,6 @@ def faces_equal(f1: FaceRep, f2: FaceRep) -> bool:
     return True
 
 
-def _orthonormal_complement(q: np.ndarray, n: int) -> np.ndarray:
-    """Deterministic orthonormal basis of range(q)^perp inside R^n."""
-    if q.shape[1] == 0:
-        return np.eye(n)
-    if q.shape[1] == n:
-        return np.zeros((n, 0))
-    proj = q @ q.T
-    dec = sym_eig(proj)
-    keep = dec.eigenvalues < 0.5
-    return dec.eigenvectors[:, keep]
-
-
 def minimal_face(x: YElement, blocks) -> FaceRep:
     """The face of the cone containing ``x`` in its relative interior.
 
@@ -206,7 +194,7 @@ def _nearest_cone_point(part: np.ndarray, cutoff: float = 0.0) -> np.ndarray:
     below cutoff * max(1, largest)."""
     if part.ndim == 1:
         return np.where(part > cutoff * max(1.0, np.max(part)), part, 0.0)
-    lam, w = np.linalg.eigh(0.5 * (part + part.T))
+    lam, w = np.linalg.eigh(_sym(part))
     return (w * np.where(lam > cutoff * max(1.0, lam[-1]), lam, 0.0)) @ w.T
 
 

@@ -31,6 +31,11 @@ def _fix_signs(q: np.ndarray) -> np.ndarray:
     return q
 
 
+def _sym(mats):
+    """0.5 (M + M^T) over the last two axes, which is exactly symmetric."""
+    return 0.5 * (mats + np.swapaxes(mats, -1, -2))
+
+
 def sym_eig(x: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix by LAPACK (numpy eigh) on
     its symmetric part, eigenvalues descending.
@@ -44,7 +49,7 @@ def sym_eig(x: np.ndarray) -> EigenDecomposition:
     asym = np.max(np.abs(x - x.T), initial=0.0)
     if asym > 1e-10 * (1.0 + np.max(np.abs(x), initial=0.0)):
         raise ValueError(f"matrix asymmetry {asym:.3e} beyond tolerance")
-    lam, q = np.linalg.eigh(0.5 * (x + x.T))
+    lam, q = np.linalg.eigh(_sym(x))
     order = np.argsort(-lam, kind="stable")
     return EigenDecomposition(lam[order], _fix_signs(q[:, order]))
 
@@ -66,24 +71,26 @@ def numeric_rank(eigenvalues: np.ndarray, tol: float = None) -> int:
 
 
 @lru_cache(maxsize=256)
-def _packed_index(n: int, off_diag: float):
-    """Row and column indices of the n x n upper triangle, row by row, and
-    the weight of each entry: 1 on the diagonal, ``off_diag`` off it.
-    Cached and read-only, shared by every packing of that shape."""
+def _packed_index(n: int):
+    """Row and column indices of the n x n upper triangle, row by row, the
+    svec weight of each entry (1 on the diagonal, sqrt 2 off it) and its
+    inverse.  Cached and read-only, shared by every packing of that shape."""
     rows, cols = np.triu_indices(n)
-    weights = np.where(rows == cols, 1.0, off_diag)
-    for arr in (rows, cols, weights):
+    weights = np.where(rows == cols, 1.0, np.sqrt(2.0))
+    inverse = np.where(rows == cols, 1.0, 1.0 / np.sqrt(2.0))
+    for arr in (rows, cols, weights, inverse):
         arr.flags.writeable = False
-    return rows, cols, weights
+    return rows, cols, weights, inverse
 
 
 def _svec(part: np.ndarray, kind: str) -> np.ndarray:
     """Flatten a block payload's upper triangle row by row, off-diagonals
-    scaled by sqrt 2, which makes the flattening isometric."""
+    scaled by sqrt 2, which makes the flattening isometric; a PSD payload
+    may carry leading batch axes."""
     if kind == "orthant":
         return np.asarray(part, dtype=float).reshape(-1)
-    rows, cols, weights = _packed_index(part.shape[0], np.sqrt(2.0))
-    return part[rows, cols] * weights
+    rows, cols, weights, _ = _packed_index(part.shape[-1])
+    return part[..., rows, cols] * weights
 
 
 def _unsvec(vec: np.ndarray, kind: str, size: int) -> np.ndarray:
@@ -91,9 +98,8 @@ def _unsvec(vec: np.ndarray, kind: str, size: int) -> np.ndarray:
     if kind == "orthant":
         return np.asarray(vec, dtype=float).copy()
     mat = np.zeros((size, size))
-    rows, cols, weights = _packed_index(size, 1.0 / np.sqrt(2.0))
-    mat[rows, cols] = vec * weights
-    mat = mat + mat.T - np.diag(np.diag(mat))
+    rows, cols, _, inverse = _packed_index(size)
+    mat[rows, cols] = mat[cols, rows] = vec * inverse
     return mat
 
 

@@ -7,9 +7,10 @@ equalities are eliminated by parameterizing x over their solution set, so
 the subsolver only ever sees orthant/PSD cones.
 
 The face's own coordinates (compress and embed) belong to FaceRep.
-FaceCoordinates adds what depends on the program: the span equalities,
-their elimination and the reconstruction of a full dual element from a
-compressed one.  Every face-restricted solve, the reducing pair and the
+FaceCoordinates reads the program through the face's basis Q alone: its
+compressed data, the span equalities (b - Ax less its part inside the span,
+svec-packed), their elimination by one SVD and the reconstruction of a full
+dual element.  Every face-restricted solve, the reducing pair and the
 certificate polish go through it.
 
 The reducing pair decides whether F already is the minimal cone of the
@@ -32,9 +33,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import config
-from .faces import (FaceRep, _nearest_cone_point, _orthonormal_complement,
-                    face_dual_membership, relative_interior_point)
-from .linalg import (_packed_index, _svec, flatten_element,
+from .faces import (FaceRep, _nearest_cone_point, face_dual_membership,
+                    relative_interior_point)
+from .linalg import (_packed_index, _svec, _sym, _unsvec, flatten_element,
                      unflatten_element)
 from .model import ConeBlock, ConicProgram, YElement, adjoint_apply
 from .solver import (SolveResult, SolverError, SolverOptions, SolveStatus,
@@ -70,69 +71,78 @@ class ReducingOutcome:
 
 
 class FaceCoordinates:
-    """A program on a face: the linear functionals of b - Ax that must
-    vanish for membership in the face's span, and their elimination."""
+    """A program on a face, read through the face's basis Q alone: per
+    block, a_1, ..., a_m, b split by the span {Y : Y = PYP}, P = Q Q^T,
+    into the part inside, kept compressed (Q^T Y Q symmetrized, or the
+    support entries), and the part outside (Y - PYP svec-packed, or the
+    entries off the support), which gives the span equations of b - Ax.
+    One SVD gives their particular solution, null basis and multipliers."""
 
     def __init__(self, p: ConicProgram, face: FaceRep):
         if p.blocks != face.blocks:
             raise ValueError("face structure differs from program")
-        self.program = p
-        self.face = face
-
-        # Equality rows: outside-of-span coordinates of b - Ax must vanish.
-        # Those are the entries off the support of an orthant block, and the
-        # entries (k, l), k <= l, l >= r, of V^T Y V for a PSD block of rank
-        # r, V = [Q, Q_perp]; weight 2 off the diagonal gives the functional.
-        self._outside = []    # per block: (V or None, index of the entries)
-        values = []           # per block: (m + 1) x rows, A then b
+        self.program, self.face = p, face
+        self.compressed_data = []    # per kept block: a_1..a_m, b stacked
+        values = [np.zeros((p.m + 1, 0))]    # per block: their span rows
         for bi, (blk, rep) in enumerate(zip(p.blocks, face.reps)):
-            data = [ai.parts[bi] for ai in p.a] + [p.b.parts[bi]]
+            data = np.array([ai.parts[bi] for ai in p.a] + [p.b.parts[bi]])
             if blk.kind == "orthant":
-                idx = np.delete(np.arange(blk.size), list(rep.support))
-                self._outside.append((None, (idx,)))
-                values.append(np.array(data)[:, idx])
+                inside = data[:, list(rep.support)]
+                values.append(np.delete(data, list(rep.support), axis=1))
             else:
-                v = np.hstack([rep.basis,
-                               _orthonormal_complement(rep.basis, blk.size)])
-                rows, cols, weights = _packed_index(blk.size, 2.0)
-                keep = cols >= rep.rank
-                self._outside.append((v, (rows[keep], cols[keep])))
-                values.append(np.array([v.T @ part @ v for part in data])
-                              [:, rows[keep], cols[keep]] * weights[keep])
+                inside = _sym(rep.basis.T @ data @ rep.basis)
+                if rep.rank < blk.size:
+                    values.append(_svec(data - rep.basis @ inside
+                                        @ rep.basis.T, "psd"))
+            if rep.rank:
+                self.compressed_data.append(inside)
         values = np.hstack(values)
         self.eq_matrix = np.ascontiguousarray(values[:-1].T)
         self.eq_rhs = values[-1]
 
-        if self.eq_matrix.shape[0]:
-            sol, *_ = np.linalg.lstsq(self.eq_matrix, self.eq_rhs, rcond=None)
-            resid = np.linalg.norm(self.eq_matrix @ sol - self.eq_rhs)
-            if resid > 1e-7 * (1.0 + np.linalg.norm(self.eq_rhs)):
-                raise SolverError(
-                    "face does not admit the affine constraints: the span "
-                    f"equations are inconsistent (residual {resid:.3e})")
-            self.x_particular = sol
-            # The thin V^T is square when rows >= m; with fewer rows it
-            # would drop null directions, so only then is V computed whole.
-            rows, m = self.eq_matrix.shape
-            _, s, vt = np.linalg.svd(self.eq_matrix, full_matrices=rows < m)
-            rank = int(np.sum(s > 1e-10 * (s[0] if s.size else 1.0)))
-            self.null_basis = vt[rank:].T
-        else:
-            self.x_particular = np.zeros(p.m)
-            self.null_basis = np.eye(p.m)
+        rows, m = self.eq_matrix.shape
+        if not rows:
+            self.x_particular, self.null_basis = np.zeros(m), np.eye(m)
+            self._pinv = np.zeros((m, 0))
+            return
+        # The thin V^T is square when rows >= m; with fewer rows it would
+        # drop null directions, so only then is V computed whole.
+        u, s, vt = np.linalg.svd(self.eq_matrix, full_matrices=rows < m)
+        rank = int(np.sum(s > 1e-10 * np.max(s, initial=0.0)))
+        # The pseudo-inverse V_r S_r^-1 U_r^T of the span matrix.
+        self._pinv = (vt[:rank].T / s[:rank]) @ u[:, :rank].T
+        x = self._pinv @ self.eq_rhs
+        resid = np.linalg.norm(self.eq_matrix @ x - self.eq_rhs)
+        if resid > 1e-7 * (1.0 + np.linalg.norm(self.eq_rhs)):
+            raise SolverError(
+                "face does not admit the affine constraints: the span "
+                f"equations are inconsistent (residual {resid:.3e})")
+        self.x_particular, self.null_basis = x, vt[rank:].T
+
+    def combine(self, coeffs) -> list:
+        """Per kept block, the sum of coeffs[..., i] times the compressed
+        i-th of a_1, ..., a_m, b, symmetrized; at coeffs = (-x, 1) the
+        compressed slack b - Ax."""
+        return [np.tensordot(coeffs, data, axes=1) if data.ndim == 2
+                else _sym(np.tensordot(coeffs, data, axes=1))
+                for data in self.compressed_data]
 
     def outside_element(self, coeffs) -> YElement:
-        """Linear combination of the outside-coordinate unit elements; the
-        piece of a dual certificate living in the face's orthocomplement."""
+        """The adjoint of the span rows: <outside_element(coeffs), b - Ax>
+        is coeffs . (eq_rhs - eq_matrix x).  A PSD block's part is the
+        unpacked coefficients less their part inside the face's span."""
         parts, at = [], 0
-        for blk, (v, index) in zip(self.program.blocks, self._outside):
-            coeff = coeffs[at:at + len(index[0])]
-            at += len(index[0])
+        for blk, rep in zip(self.program.blocks, self.face.reps):
             part = blk.zero()
-            part[index] = coeff
-            if v is not None:
-                part[index[::-1]] = coeff
-                part = v @ part @ v.T
+            if blk.kind == "orthant":
+                outside = np.delete(np.arange(blk.size), list(rep.support))
+                part[outside] = coeffs[at:at + len(outside)]
+                at += len(outside)
+            elif rep.rank < blk.size:
+                q, width = rep.basis, blk.ambient_dim
+                part = _unsvec(coeffs[at:at + width], "psd", blk.size)
+                part = part - q @ (q.T @ part @ q) @ q.T
+                at += width
             parts.append(part)
         return YElement(self.program.blocks, parts)
 
@@ -140,22 +150,18 @@ class FaceCoordinates:
         """The program with x = x_particular + null_basis @ s substituted,
         in compressed coordinates: the compressed parts of the image of
         every null-basis column, and the compressed slack at s = 0."""
-        p = self.program
-        cols = [self.face.compress(p.apply(self.null_basis[:, j]))
-                for j in range(self.null_basis.shape[1])]
-        slack0 = self.face.compress(p.b - p.apply(self.x_particular))
-        return cols, slack0
+        k = self.null_basis.shape[1]
+        images = self.combine(np.hstack([self.null_basis.T, np.zeros((k, 1))]))
+        return ([[image[j] for image in images] for j in range(k)],
+                self.combine(np.append(-self.x_particular, 1.0)))
 
     def dual_point(self, parts, c=0.0) -> YElement:
         """Full dual element y with A* y = c from a compressed dual element:
         embed it, then subtract the outside-coordinate multipliers that best
         cancel the adjoint's defect."""
         y_face = self.face.embed(parts)
-        if not self.eq_matrix.shape[0]:
-            return y_face
         target = np.array([ai.inner(y_face) for ai in self.program.a]) - c
-        lam, *_ = np.linalg.lstsq(self.eq_matrix.T, target, rcond=None)
-        return y_face - self.outside_element(lam)
+        return y_face - self.outside_element(self._pinv.T @ target)
 
 
 def _compressed_units(coords: FaceCoordinates):
@@ -169,8 +175,8 @@ def _compressed_units(coords: FaceCoordinates):
             g_hat.append((start, np.eye(blk.size)[:, list(rep.support)]))
         elif blk.kind == "psd" and rep.rank:
             q = rep.basis
-            rows, cols, weights = _packed_index(blk.size, 1.0 / np.sqrt(2.0))
-            half = np.where(rows == cols, 0.5, weights)[:, None, None]
+            rows, cols, _, inverse = _packed_index(blk.size)
+            half = np.where(rows == cols, 0.5, inverse)[:, None, None]
             g = half * q[rows][:, :, None] * q[cols][:, None, :]
             g_hat.append((start, g + g.transpose(0, 2, 1)))
         start += blk.ambient_dim
@@ -190,9 +196,8 @@ def polish_certificate(coords: FaceCoordinates, f: YElement, y0: YElement,
     a nearby exact solution; any exact solution cuts a valid face, so the
     residual norm is all that matters.  Its Jacobian in y is closed form.
     """
-    p = coords.program
-    dim = p.ambient_dim
-    m = p.m
+    p, face = coords.program, coords.face
+    dim, m = p.ambient_dim, p.m
     x = np.asarray(x0, dtype=float).copy()
     yvec = flatten_element(y0)
     data = np.vstack([flatten_element(e) for e in [*p.a, p.b, f]])
@@ -204,21 +209,18 @@ def polish_certificate(coords: FaceCoordinates, f: YElement, y0: YElement,
     # Complementarity lives in the face's compressed coordinates: both the
     # slack and the certificate are psd there, so orthogonality of the
     # inner product forces the compressed matrix product to vanish.
-    face = coords.face
     kinds = [blk.kind for blk in face.kept_blocks]
-    a_hat = [face.compress(ai) for ai in p.a]
     g_hat = _compressed_units(coords)
 
     def bilinear(kind, s_c, y_c):
         return s_c * y_c if kind == "orthant" else (s_c @ y_c).reshape(-1)
 
     def residual(x, yel):
-        s_hat = face.compress(p.b - p.apply(x))
+        s_hat = coords.combine(np.append(-x, 1.0))
         y_hat = face.compress(yel)
         parts = [data @ flatten_element(yel) - target]
         parts += [bilinear(*blk) for blk in zip(kinds, s_hat, y_hat)]
-        if span_rows.shape[0]:
-            parts.append(span_rows @ x - span_rhs)
+        parts.append(span_rows @ x - span_rhs)
         return np.concatenate(parts), s_hat, y_hat
 
     best = None
@@ -232,9 +234,9 @@ def polish_certificate(coords: FaceCoordinates, f: YElement, y0: YElement,
             break
         rows = [top]
         for k, (kind, s_c, y_c) in enumerate(zip(kinds, s_hat, y_hat)):
-            jx = np.zeros((s_c.size, m))
-            for i, a in enumerate(a_hat):
-                jx[:, i] = bilinear(kind, -a[k], y_c)
+            a_hat = coords.compressed_data[k][:m]
+            jx = -(a_hat * y_c if kind == "orthant" else a_hat @ y_c) \
+                .reshape(m, s_c.size).T
             first, g = g_hat[k]
             jy = np.zeros((s_c.size, dim))
             jy[:, first:first + len(g)] = (s_c * g).T if kind == "orthant" \
@@ -274,8 +276,6 @@ def solve_restricted_to_face(p: ConicProgram, face: FaceRep,
     embedded in its blocks, and ``y`` a dual element of its blocks with
     A* y = c (the compressed dual plus the span multipliers).
     """
-    if options is None:
-        options = SolverOptions()
     coords = FaceCoordinates(p, face)
     blocks = face.kept_blocks
     cols, slack0 = coords.eliminated()
@@ -334,13 +334,11 @@ def _strict_candidate(coords: FaceCoordinates, cols, slack0, tol):
     accepting mu >= 100 tol (1 + largest entry) confirms only what its
     solve would.  Returns x or None.
     """
-    face = coords.face
-
     def flat(parts):
         return np.concatenate([part.ravel() for part in parts])
 
     target = flat(slack0)
-    goal = flat([blk.identity() for blk in face.kept_blocks])
+    goal = flat([blk.identity() for blk in coords.face.kept_blocks])
     goal *= np.linalg.norm(target) / np.linalg.norm(goal)
     x = coords.x_particular
     if cols:
@@ -368,8 +366,7 @@ def _reducing_primal(coords: FaceCoordinates, f: YElement, cols, slack0):
 
     a_cols = [lift(col, 0.0) for col in cols]
     a_cols.append(lift(coords.face.compress(f), 1.0))
-    c = np.zeros(len(cols) + 1)
-    c[-1] = 1.0
+    c = np.append(np.zeros(len(cols)), 1.0)
     return ConicProgram(blocks, a_cols, lift(slack0, 1.0), c, name="reducing")
 
 

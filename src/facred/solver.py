@@ -44,7 +44,8 @@ from typing import Callable
 import numpy as np
 
 from . import config
-from .linalg import flatten_element, nullspace_basis, unflatten_element
+from .linalg import (_sym, flatten_element, nullspace_basis,
+                     unflatten_element)
 from .model import ConicProgram, YElement
 
 
@@ -104,10 +105,6 @@ class SolveResult:
         """Worst of the relative primal, dual and gap residuals."""
         return max(self.residuals["primal"], self.residuals["dual"],
                    self.residuals["gap"])
-
-
-def _sym(mat):
-    return 0.5 * (mat + mat.T)
 
 
 def _psd_scaling(z, y):
@@ -228,7 +225,10 @@ def solve_conic_lp(p: ConicProgram, options: SolverOptions = None) -> SolveResul
     status, message = None, ""
 
     def pack(vec):
-        return YElement(p.blocks, lay.parts(vec))
+        # Symmetrized without the constructor's check: rounding may fail it.
+        return YElement._trusted(p.blocks, [
+            _sym(part) if part.ndim == 2 else part.copy()
+            for part in lay.parts(vec)])
 
     for it in range(options.max_iter + 1):
         rp = bvec - x @ amat - z

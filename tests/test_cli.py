@@ -780,3 +780,60 @@ def test_bad_certificate_header_exits_one(tmp_path, sdp_path, capsys, old,
     assert code == 1
     assert out == ""
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_lines_after_a_certificate_exit_one(tmp_path, sdp_path, capsys):
+    """verify printed ``result: pass`` for a certificate with a further
+    step after its x_strict line; a line left over after the data is
+    refused."""
+    cert = tmp_path / "chain.cert"
+    assert run_cli(["reduce", sdp_path, "--cert", str(cert)])[0] == 0
+    cert.write_text(cert.read_text() + "step 9 reducing=1\n")
+    capsys.readouterr()
+    assert run_cli(["verify", sdp_path, str(cert)]) == (1, "")
+    assert capsys.readouterr().err == \
+        "error: unexpected line after x_strict: 'step 9 reducing=1'\n"
+
+
+def test_lines_after_a_point_exit_one(tmp_path, sdp_path, capsys):
+    """member read the first line per block and ignored the rest."""
+    point = tmp_path / "inside.pt"
+    point.write_text("1 0 0 0 0 0 0 0 0\n\n0 0 0 0 1 0 0 0 0\n")
+    assert run_cli(["member", sdp_path, "--point", str(point)]) == (1, "")
+    assert capsys.readouterr().err == \
+        "error: unexpected line after the point: '0 0 0 0 1 0 0 0 0'\n"
+
+
+def test_a_negative_iteration_limit_exits_one(tmp_path, sdp_path, capsys):
+    """--max-iter -3 ended with ``error: no iterate recorded``; the limit
+    is refused by name."""
+    point = tmp_path / "inside.pt"
+    point.write_text("1 0 0 0 0 0 0 0 0\n")
+    for args in (["reduce"], ["dualize", "--solve"],
+                 ["member", "--point", str(point)]):
+        args = args[:1] + [sdp_path] + args[1:] + ["--max-iter", "-3"]
+        command = args[0]
+        assert run_cli(args) == (1, ""), command
+        assert capsys.readouterr().err == \
+            "error: --max-iter must be at least 0, got -3\n", command
+
+
+def test_the_dual_of_an_emitted_dual_is_solved_or_refused(tmp_path,
+                                                          capsys):
+    """The ramana dual of sdp3, written out, then dualized and solved: the
+    subsolver's best iterate carried an asymmetry of 3e-10, which the
+    element constructor refused (exit 1) before any decision.  Its parts
+    are now symmetrized, so the run ends in a decision or a loud solver
+    failure."""
+    emitted = tmp_path / "D.dat-s"
+    code, _ = run_cli(["dualize", str(GOLDEN / "sdp3.dat-s"), "--variant",
+                       "ramana", "--solve", "--out", str(emitted)])
+    assert code == 0
+    capsys.readouterr()
+    code, out = run_cli(["dualize", str(emitted), "--solve"])
+    err = capsys.readouterr().err
+    assert "asymmetry" not in err
+    if code:
+        assert out == "" and err.startswith("error: ")
+    else:
+        assert "status: ok" in out

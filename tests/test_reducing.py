@@ -396,12 +396,12 @@ def test_outside_element_pairs_with_the_span_rows(case):
         assert abs(outside.inner(inside)) <= 1e-10
 
 
-@pytest.mark.parametrize("rank, m", [(1, 3), (3, 6)])
+@pytest.mark.parametrize("rank, m", [(1, 3), (3, 6), (3, 12)])
 def test_face_coordinates_null_basis_spans_the_kernel(rank, m):
     """The span equations' null basis is an orthonormal basis of their
-    kernel, on a face with more equations than variables (a rank-1 face of
-    order 4: 9 rows, and two equal columns) and on one with fewer (rank 3:
-    4 rows for 6 variables)."""
+    kernel.  A PSD block of order 4 below full rank gives 10 rows, the
+    svec packing of its part outside the face: more rows than variables
+    at m = 3 and 6 (with two equal columns), fewer at m = 12."""
     from facred.faces import PsdFace
     from facred.reducing import FaceCoordinates
 
@@ -413,12 +413,63 @@ def test_face_coordinates_null_basis_spans_the_kernel(rank, m):
     p = ConicProgram(blocks, a + [a[0]], YElement(blocks, [q @ q.T]),
                      np.zeros(m))
     coords = FaceCoordinates(p, face)
-    rows = 10 - rank * (rank + 1) // 2
-    assert coords.eq_matrix.shape == (rows, m)
+    assert coords.eq_matrix.shape == (10, m)
     null = coords.null_basis
     assert null.shape == (m, m - np.linalg.matrix_rank(coords.eq_matrix))
     assert np.allclose(null.T @ null, np.eye(null.shape[1]), atol=1e-12)
     assert np.max(np.abs(coords.eq_matrix @ null)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("case", ["psd", "mixed"])
+def test_span_equations_are_basis_free(case, seed):
+    """A face given by its basis Q and by Q R, R a random orthogonal
+    matrix, gives the same span equations and outside elements (1e-12
+    relative), the same particular solution and null projector (1e-10) and
+    the same face-restricted value (1e-8 (1 + |v|))."""
+    from facred.faces import PsdFace, relative_interior_point
+    from facred.linalg import flatten_element
+    from facred.reducing import FaceCoordinates
+
+    face = face_case(case)
+    rng = np.random.default_rng(seed)
+    turned = FaceRep(face.blocks, [
+        PsdFace(rep.basis @ np.linalg.qr(rng.normal(size=(rep.rank,) * 2))[0])
+        if blk.kind == "psd" and rep.rank else rep
+        for blk, rep in zip(face.blocks, face.reps)])
+
+    def inside():
+        return face.embed([rng.normal(size=blk.size) if blk.kind == "orthant"
+                           else sym(rng.normal(size=(blk.size, blk.size)))
+                           for blk in face.kept_blocks])
+
+    # One variable pinned by the span equations, two left to the solve.
+    a = [random_element(face.blocks, rng), inside(), inside()]
+    b = relative_interior_point(face) + sum(
+        (xi * ai for xi, ai in zip(rng.normal(size=3), a)),
+        YElement.zeros(face.blocks))
+    # c = A* I: the identity is dual feasible, so the value is finite.
+    unit = YElement.identity(face.blocks)
+    p = ConicProgram(face.blocks, a, b, [ai.inner(unit) for ai in a])
+    one, two = FaceCoordinates(p, face), FaceCoordinates(p, turned)
+
+    def relative(u, v):
+        return np.linalg.norm(u - v) / np.linalg.norm(u)
+
+    assert relative(one.eq_matrix, two.eq_matrix) <= 1e-12
+    assert relative(one.eq_rhs, two.eq_rhs) <= 1e-12
+    lam = rng.normal(size=len(one.eq_rhs))
+    assert relative(flatten_element(one.outside_element(lam)),
+                    flatten_element(two.outside_element(lam))) <= 1e-12
+    assert np.max(np.abs(one.x_particular - two.x_particular)) <= 1e-10
+    assert one.null_basis.shape == (3, 2)
+    assert np.max(np.abs(one.null_basis @ one.null_basis.T
+                         - two.null_basis @ two.null_basis.T)) <= 1e-10
+    res = [solve_restricted_to_face(p, f) for f in (face, turned)]
+    assert all(r.status is SolveStatus.OPTIMAL for r in res)
+    for v, w in ((res[0].primal_obj, res[1].primal_obj),
+                 (res[0].dual_obj, res[1].dual_obj)):
+        assert abs(v - w) <= 1e-8 * (1.0 + abs(v))
 
 
 def _chain_with_spy(monkeypatch, p, candidate_on=True):

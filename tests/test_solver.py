@@ -257,6 +257,32 @@ def test_history_recorded():
     assert res.iterates[-1].mu <= res.iterates[0].mu
 
 
+def test_iterates_come_back_exactly_symmetric(monkeypatch):
+    """An iterate's PSD parts may drift from symmetry by more than the
+    element constructor accepts (3e-10 on the emitted ramana dual of
+    sdp3); the solver returns their symmetric parts instead of raising.
+    The drift is planted as a skew 1e-9 added to every PSD part."""
+    from facred import solver
+
+    p = mixed_program()
+    plain = solve_conic_lp(p, SolverOptions(keep_history=True))
+    parts = solver._Layout.parts
+
+    def skewed(self, vec):
+        out = parts(self, vec)
+        return [part + 1e-9 * (np.triu(np.ones_like(part), 1)
+                               - np.tril(np.ones_like(part), -1))
+                if part.ndim == 2 else part for part in out]
+
+    monkeypatch.setattr(solver._Layout, "parts", skewed)
+    res = solve_conic_lp(p, SolverOptions(keep_history=True))
+    for got, want in ((res.y, plain.y), (res.z, plain.z),
+                      (res.iterates[-1].z, plain.iterates[-1].z)):
+        for part, ref in zip(got.parts, want.parts):
+            assert np.array_equal(part, part.T)
+            assert np.max(np.abs(part - ref)) <= 1e-12
+
+
 def test_history_off_by_default(example_sdp):
     """No iterate is kept unless asked for, and the dual trajectory of a
     solve without one is an error rather than a vacuously empty list."""
