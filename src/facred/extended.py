@@ -25,9 +25,12 @@ The system is written once, as one evaluator (_layered_system).  The dual
 is solved through an assembled point, built from a facial reduction chain
 (which must fit in the layers) and checked with the evaluator.  For other
 solvers it is also encoded as a plain sup-form conic program (emit_sdpa),
-from the evaluator on the unit vectors of the variable vector and at zero;
-the equalities are eliminated by an SVD, shifted so the objective carries
-no constant unless b lies in the span of the a_i (tested relative to |b|).
+from the evaluator on the unit vectors of the variable vector and at zero.
+Its equalities are eliminated as the ordinary dual's (solver.standard_dual)
+and a face's span equations are: one SVD (linalg.nullspace_basis), and the
+particular solution shifted so the objective carries no constant
+(linalg.shift_off_objective) unless b lies in the span of the a_i.  Both
+tests are relative, to |b| and to the size of the objective.
 """
 
 from __future__ import annotations
@@ -41,14 +44,15 @@ import numpy as np
 from . import config
 from .faces import (face_contains, in_tangent_space, split_on_face,
                     tangent_membership_schur)
-from .linalg import _packed_index, _sym, flatten_element
+from .linalg import (_packed_index, _sym, flatten_element, nullspace_basis,
+                     shift_off_objective)
 from .model import ConeBlock, ConicProgram, YElement
 from .reducing import AmbiguousOutcome, solve_restricted_to_face
 from .reduction import (ReductionCertificate, ReductionError,
                         VerificationReport, compute_ell,
                         decompose_certificates, run_facial_reduction)
-from .solver import (SolverError, SolverOptions, SolveStatus,
-                     dual_affine_point, solve_conic_lp)
+from .solver import (SolverError, SolverOptions, SolveStatus, dual_equations,
+                     solve_conic_lp)
 
 VARIANTS = ("star", "simple", "primed", "ramana")
 
@@ -161,21 +165,15 @@ def _layered_system(lifted: ConicProgram, variant: str, us, vs, ws, betas,
     return _SystemValue(data, recompose, bases, list(us[1:]), bordered)
 
 
-def _negligible(part, whole) -> bool:
-    """Whether ``part`` is rounding noise beside ``whole``: the test, made
-    twice, that b lies in the span of the a_i."""
-    return np.linalg.norm(part) <= 1e-10 * np.linalg.norm(whole)
-
-
 @dataclass
 class ExtendedDualProgram:
     """An extended dual, encoded as a solvable sup-form conic program.
 
     The dual minimizes <b, u_{L+1} + v_{L+1}> over the layered system in
     the stacked variable vector z (``layout``, ``nz`` entries).  After the
-    equalities are eliminated via ``z = z_p + N s`` (N an SVD basis of their
-    null space), the cone outputs become the slack of ``program`` at s.  The
-    dual's value is ``offset - (sup value of program)``.
+    equalities are eliminated via ``z = z_p + N s`` (linalg.nullspace_basis),
+    the cone outputs become the slack of ``program`` at s.  The dual's value
+    is ``offset - (sup value of program)``.
 
     build_extended_dual lays out the variables and computes ``offset``.  The
     encoded ``program`` is built on first read and then kept; solving
@@ -242,20 +240,8 @@ class ExtendedDualProgram:
         """The encoded sup-form program: one PSD output per layer and block
         for u_i, and one bordered block per layer i >= 2 and block."""
         eq, eq_rhs, q, phi, phi0, sizes = self._encoding()
-        if eq.shape[0]:
-            z_p, *_ = np.linalg.lstsq(eq, eq_rhs, rcond=None)
-            _, svals, vt = np.linalg.svd(eq)
-            rank = int(np.sum(svals > 1e-11 * (svals[0] if svals.size else 1.0)))
-            null = vt[rank:].T
-        else:
-            z_p = np.zeros(self.nz)
-            null = np.eye(self.nz)
-        # Shift z_p along the null space so the objective has no constant,
-        # unless <q, z> is constant on the affine set: then the constant is
-        # ``offset`` and null^T q is rounding noise.
-        bn = null.T @ q
-        if bn.size and not _negligible(bn, q):
-            z_p = z_p - null @ (float(q @ z_p) * bn / float(bn @ bn))
+        null, pinv = nullspace_basis(eq)
+        z_p = shift_off_objective(pinv @ eq_rhs, null, q)
 
         out_blocks = tuple(ConeBlock("psd", size) for size in sizes)
         slack0 = phi0 + phi @ z_p
@@ -300,9 +286,17 @@ def build_extended_dual(p: ConicProgram, variant: str = "star",
         raise ValueError("chain is not a reduction of the lifted program")
     ell = int(ell_override) if ell_override is not None else \
         chain.steps if chain is not None else compute_ell(lifted)
-    if dual_affine_point(lifted) is None:
+    rows, _, pinv, sol = dual_equations(lifted)
+    if sol is None:
         raise SolverError("extended dual equalities are inconsistent; "
                           "the ordinary dual is infeasible")
+    # The objective's constant.  The shift in .program removes it unless
+    # <b, .> is constant on the final layer's affine set, that is unless
+    # b = sum lam_i a_i (tested relative to |b|); then it is lam . c.
+    b = flatten_element(lifted.b)
+    lam = pinv.T @ b
+    in_span = np.linalg.norm(rows.T @ lam - b) <= 1e-10 * np.linalg.norm(b)
+    offset = float(lam @ lifted.c) if in_span else 0.0
 
     # The variables: plain upper triangles of u_i and v_i, w_i row-major.
     keys, sizes = [], [blk.size for blk in lifted.blocks]
@@ -318,23 +312,8 @@ def build_extended_dual(p: ConicProgram, variant: str = "star",
     ends = list(accumulate(length for _, length in keys))
     layout = {key: slice(end - length, end)
               for (key, length), end in zip(keys, ends)}
-    return ExtendedDualProgram(variant, ell, lifted, layout, ends[-1],
-                               _objective_offset(lifted),
+    return ExtendedDualProgram(variant, ell, lifted, layout, ends[-1], offset,
                                f"{p.name} extended-{variant}".strip(), chain)
-
-
-def _objective_offset(lifted: ConicProgram) -> float:
-    """The constant of the encoded program's objective.  The shift removes
-    it unless <b, .> is constant on the final layer's affine set, that is
-    unless b = sum lam_i a_i; then the dual objective is lam . c."""
-    if not lifted.m:
-        return 0.0
-    rows = np.column_stack([flatten_element(ai) for ai in lifted.a])
-    b = flatten_element(lifted.b)
-    lam, *_ = np.linalg.lstsq(rows, b, rcond=None)
-    if not _negligible(rows @ lam - b, b):
-        return 0.0
-    return float(lam @ lifted.c)
 
 
 def check_extended_point(p: ConicProgram, pt: ExtendedDualPoint,

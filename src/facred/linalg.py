@@ -120,25 +120,28 @@ def unflatten_element(vec: np.ndarray, blocks):
     return YElement(blocks, parts)
 
 
-def nullspace_basis(rows):
-    """Orthonormal basis of the joint orthogonal complement of ``rows``.
-
-    ``rows`` is a list of YElements (typically the constraint elements plus
-    the right-hand side).  The basis is computed from the eigendecomposition
-    of the Gram matrix R^T R of the flattened rows, avoiding a general SVD;
-    eigenvectors with eigenvalue at or below the squared rank cutoff span
-    the complement.  Returns a (possibly empty) list of YElements.
-    """
-    tol = config.RANK_TOL
+def nullspace_basis(mat: np.ndarray):
+    """(N, M^+) of a matrix M from one SVD: N an orthonormal basis of the
+    null space of M, as columns, and M^+ the pseudo-inverse V_r S_r^-1 U_r^T.
+    Singular values at or below 1e-10 times the largest count as zero.  So
+    {z : M z = r} is M^+ r + N s when it is not empty, and a matrix with no
+    rows gives N = I."""
+    rows, cols = mat.shape
     if not rows:
-        raise ValueError("at least one row required")
-    blocks = rows[0].blocks
-    r = np.vstack([flatten_element(y) for y in rows])
-    gram = r.T @ r
-    dec = sym_eig(gram)
-    lam, q = dec.eigenvalues, dec.eigenvectors
-    scale = max(1.0, float(lam[0])) if lam.size else 1.0
-    keep = lam <= (tol * tol) * scale
-    basis = [unflatten_element(q[:, k], blocks)
-             for k in range(q.shape[1]) if keep[k]]
-    return basis
+        return np.eye(cols), np.zeros((cols, 0))
+    # The thin V^T is square when rows >= cols; with fewer rows it would
+    # drop null directions, so only then is V computed whole.
+    u, s, vt = np.linalg.svd(mat, full_matrices=rows < cols)
+    rank = int(np.sum(s > 1e-10 * np.max(s, initial=0.0)))
+    return vt[rank:].T, (vt[:rank].T / s[:rank]) @ u[:, :rank].T
+
+
+def shift_off_objective(z_p: np.ndarray, null: np.ndarray, q: np.ndarray):
+    """z_p moved along the columns of ``null`` so that <q, z_p> = 0, which
+    leaves the objective <q, z_p + null s> with no constant.  When null^T q
+    is at most 1e-10 |q|, <q, .> is constant on the affine set up to
+    rounding, and z_p is returned unmoved."""
+    qn = null.T @ q
+    if np.linalg.norm(qn) <= 1e-10 * np.linalg.norm(q):
+        return z_p
+    return z_p - null @ (float(q @ z_p) * qn / float(qn @ qn))

@@ -36,7 +36,7 @@ from . import config
 from .faces import (FaceRep, _nearest_cone_point, face_dual_membership,
                     relative_interior_point)
 from .linalg import (_packed_index, _svec, _sym, _unsvec, flatten_element,
-                     unflatten_element)
+                     nullspace_basis, unflatten_element)
 from .model import ConeBlock, ConicProgram, YElement, adjoint_apply
 from .solver import (SolveResult, SolverError, SolverOptions, SolveStatus,
                      solve_conic_lp)
@@ -100,24 +100,14 @@ class FaceCoordinates:
         self.eq_matrix = np.ascontiguousarray(values[:-1].T)
         self.eq_rhs = values[-1]
 
-        rows, m = self.eq_matrix.shape
-        if not rows:
-            self.x_particular, self.null_basis = np.zeros(m), np.eye(m)
-            self._pinv = np.zeros((m, 0))
-            return
-        # The thin V^T is square when rows >= m; with fewer rows it would
-        # drop null directions, so only then is V computed whole.
-        u, s, vt = np.linalg.svd(self.eq_matrix, full_matrices=rows < m)
-        rank = int(np.sum(s > 1e-10 * np.max(s, initial=0.0)))
-        # The pseudo-inverse V_r S_r^-1 U_r^T of the span matrix.
-        self._pinv = (vt[:rank].T / s[:rank]) @ u[:, :rank].T
+        self.null_basis, self._pinv = nullspace_basis(self.eq_matrix)
         x = self._pinv @ self.eq_rhs
         resid = np.linalg.norm(self.eq_matrix @ x - self.eq_rhs)
         if resid > 1e-7 * (1.0 + np.linalg.norm(self.eq_rhs)):
             raise SolverError(
                 "face does not admit the affine constraints: the span "
                 f"equations are inconsistent (residual {resid:.3e})")
-        self.x_particular, self.null_basis = x, vt[rank:].T
+        self.x_particular = x
 
     def combine(self, coeffs) -> list:
         """Per kept block, the sum of coeffs[..., i] times the compressed

@@ -72,7 +72,10 @@ def compute_ell(p: ConicProgram) -> int:
     """Bound on reducing iterations and on the depth of extended duals:
     min(longest face chain of the cone - 1, dim of the nullspace of the
     stacked constraint data and right-hand side), the latter counted from
-    singular values with the cutoff of linalg.nullspace_basis."""
+    singular values at or below RANK_TOL max(1, sigma_max).  That cutoff is
+    coarser than linalg.nullspace_basis's on purpose: a direction with so
+    small a singular value passes a reducing step's residual test as a null
+    direction does, so a chain may use it, and the bound counts it."""
     rows = np.vstack([flatten_element(y) for y in list(p.a) + [p.b]])
     sigma = np.linalg.svd(rows, compute_uv=False)
     rank = int(np.sum(sigma > config.RANK_TOL * max(1.0, float(sigma[0]))))

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import config
 from .linalg import (_sym, flatten_element, nullspace_basis,
-                     unflatten_element)
+                     shift_off_objective, unflatten_element)
 from .model import ConicProgram, YElement
 
 
@@ -412,8 +412,12 @@ class StandardDualForm:
     """The dual program  inf <b, y> : <a_i, y> = c_i, y in K  re-expressed in
     primal (sup) form by parameterizing the affine set as y0 + span(basis).
 
-    The parameterization is shifted so that the sup-form objective carries no
-    constant: value_of(result) recovers the dual objective value.
+    The affine set is eliminated as the extended dual's encoding eliminates
+    its own: one SVD of the flattened a_i (linalg.nullspace_basis), and y0
+    shifted along the basis so that the sup-form objective carries no
+    constant (linalg.shift_off_objective), unless <b, .> is constant on the
+    affine set; that constant is then the offset.  value_of(result)
+    recovers the dual objective value.
     """
 
     program: ConicProgram
@@ -425,16 +429,18 @@ class StandardDualForm:
         return self.offset - res.primal_obj
 
 
-def dual_affine_point(p: ConicProgram):
-    """A flattened least-squares solution of the dual equations
-    <a_i, y> = c_i, or None when they are inconsistent."""
-    if not p.m:
-        return np.zeros(p.ambient_dim)
-    rows = np.vstack([flatten_element(ai) for ai in p.a])
-    sol, *_ = np.linalg.lstsq(rows, p.c, rcond=None)
+def dual_equations(p: ConicProgram):
+    """The dual equations <a_i, y> = c_i over the flattened y, eliminated
+    once: (R, N, R^+, y) with R the rows of the a_i, (N, R^+) =
+    nullspace_basis(R) and y = R^+ c, or y None when the equations are
+    inconsistent (|R y - c| above 1e-9 (1 + |c|))."""
+    rows = np.array([flatten_element(ai) for ai in p.a]).reshape(
+        p.m, p.ambient_dim)
+    null, pinv = nullspace_basis(rows)
+    sol = pinv @ p.c
     if np.linalg.norm(rows @ sol - p.c) > 1e-9 * (1.0 + np.linalg.norm(p.c)):
-        return None
-    return sol
+        sol = None
+    return rows, null, pinv, sol
 
 
 def dual_interior_direction(p: ConicProgram, ray: YElement):
@@ -470,19 +476,12 @@ def standard_dual(p: ConicProgram) -> StandardDualForm:
     Raises ValueError when the dual equations <a_i, y> = c_i are
     inconsistent (the dual is infeasible on its affine part).
     """
-    sol = dual_affine_point(p)
+    _, null, _, sol = dual_equations(p)
     if sol is None:
         raise ValueError("dual affine equations are inconsistent")
-    y0 = unflatten_element(sol, p.blocks)
-    basis = nullspace_basis(list(p.a)) if p.m else \
-        nullspace_basis([YElement.zeros(p.blocks)])
-    bn = np.array([p.b.inner(nj) for nj in basis])
-    offset = p.b.inner(y0)
-    if bn.size and np.linalg.norm(bn) > 1e-12:
-        shift = -offset * bn / float(np.dot(bn, bn))
-        for sj, nj in zip(shift, basis):
-            y0 = y0 + float(sj) * nj
-        offset = p.b.inner(y0)
-    dual_prog = ConicProgram(p.blocks, [-1.0 * nj for nj in basis], y0, -bn,
-                             name=(p.name + " dual").strip())
-    return StandardDualForm(dual_prog, y0, tuple(basis), float(offset))
+    b = flatten_element(p.b)
+    y0 = unflatten_element(shift_off_objective(sol, null, b), p.blocks)
+    basis = [unflatten_element(col, p.blocks) for col in null.T]
+    dual_prog = ConicProgram(p.blocks, [-1.0 * nj for nj in basis], y0,
+                             -(null.T @ b), name=(p.name + " dual").strip())
+    return StandardDualForm(dual_prog, y0, tuple(basis), p.b.inner(y0))

@@ -89,6 +89,12 @@ def gap_sdp():
                         name="gap")
 
 
+def scaled(p, a=1.0, b=1.0, c=1.0):
+    """``p`` with every a_i multiplied by ``a``, b by ``b`` and c by ``c``."""
+    return ConicProgram(p.blocks, [a * ai for ai in p.a], b * p.b, c * p.c,
+                        name=p.name)
+
+
 def paper_chain_long(blocks):
     """The two-step reducing chain for the LP fixture."""
     return [YElement(blocks, [np.array([0.0, 0, 0, 1, 1])]),

@@ -193,6 +193,34 @@ def test_dualize_reports_the_duality_gap(tmp_path, variant):
     assert "ell: 1" in lines
 
 
+@pytest.mark.parametrize("variant", ["star", "ramana"])
+@pytest.mark.parametrize("lam", [1e-5, 1e-6, 1e-7, 1e-8])
+def test_scaled_gap_reports_the_ordinary_dual_or_fails(tmp_path, variant,
+                                                       lam):
+    """With every a_i of the gap SDP multiplied by lam, the ordinary dual
+    has value 1/lam.  Its encoding keeps both equations at every scale (a
+    null basis of 4 in the 6 dimensions), so the report prints 1/lam, or
+    exits 1, or says why it has no value.  A rank cutoff that is absolute
+    on small data dropped both equations from lam = 1e-6 on, and the report
+    printed 0 beside status: ok."""
+    from conftest import gap_sdp, scaled
+    from facred.solver import standard_dual
+
+    p = scaled(gap_sdp(), a=lam)
+    assert len(standard_dual(p).basis) == 4
+    path = tmp_path / "gap.dat-s"
+    path.write_text(emit_sdpa(p))
+    code, out = run_cli(["dualize", str(path), "--variant", variant,
+                         "--solve"])
+    if code == 1:
+        return
+    assert code == 0
+    fields = dict(l.split(": ", 1) for l in out.splitlines() if ": " in l)
+    if "standard_dual" not in fields:
+        assert float(fields["standard_dual_value"]) == pytest.approx(
+            1.0 / lam, rel=1e-6)
+
+
 def _count_standard_dual(monkeypatch, fail=False):
     """Calls of the encoded ordinary dual through cli, which binds it; with
     ``fail`` a call raises instead."""

@@ -71,25 +71,30 @@ def _in_span_program(scale=1.0):
     return ConicProgram(blocks, a, 2.0 * a[0] - a[1], [1.0, 0.5], name="span")
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("dual", VARIANTS + ("standard",))
 @pytest.mark.parametrize("scale", [1e-3, 1e3, 1e6])
-def test_span_offset_is_scale_free(scale, variant):
+def test_span_offset_is_scale_free(scale, dual):
     """Whether b lies in the span of the a_i is decided relative to the
     size of b, and the objective shift relative to the size of the
-    objective, so the two agree at every scale: the offset is 1.5, and the
-    emitted program, solved directly, answers 1.5 or fails loudly.  With
-    absolute 1e-12 tests the offset read 0 at 1e3 beside an optimal solve
-    of value 0, and at 1e6 the shift divided by rounding noise and the
-    solve failed."""
-    ext = build_extended_dual(_in_span_program(scale), variant,
-                              ell_override=2)
-    assert ext.offset == pytest.approx(1.5, rel=1e-9)
+    objective, so the two agree at every scale, for each extended variant
+    and for the ordinary dual: the offset is 1.5, and the encoded program,
+    solved directly, answers 1.5 or fails loudly.  With absolute 1e-12
+    tests the offset read 0 at 1e3 beside an optimal solve of value 0, and
+    at 1e6 the shift divided by rounding noise and the solve failed."""
+    p = _in_span_program(scale)
+    if dual == "standard":
+        sd = standard_dual(p)
+        offset, program = sd.offset, sd.program
+    else:
+        ext = build_extended_dual(p, dual, ell_override=2)
+        offset, program = ext.offset, ext.program
+    assert offset == pytest.approx(1.5, rel=1e-9)
     try:
-        res = solve_conic_lp(ext.program)
+        res = solve_conic_lp(program)
     except SolverError:
         return
     if res.optimal:
-        assert ext.offset - res.primal_obj == pytest.approx(1.5, abs=1e-6)
+        assert offset - res.primal_obj == pytest.approx(1.5, abs=1e-6)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -62,13 +62,16 @@ def test_numeric_rank_requires_descending():
         numeric_rank(np.array([0.0, 1.0]), 1e-6)
 
 
+def _stacked(elements):
+    return np.vstack([flatten_element(y) for y in elements])
+
+
 def test_nullspace_of_lp_fixture(example_lp):
-    basis = nullspace_basis(list(example_lp.a) + [example_lp.b])
-    assert len(basis) == 2
-    span = np.vstack([flatten_element(v) for v in basis])
+    null, _ = nullspace_basis(_stacked(list(example_lp.a) + [example_lp.b]))
+    assert null.shape[1] == 2
     for y in paper_chain_long(example_lp.blocks):
         vec = flatten_element(y)
-        resid = vec - span.T @ (span @ vec)
+        resid = vec - null @ (null.T @ vec)
         assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(vec)
 
 
@@ -76,7 +79,8 @@ def test_nullspace_empty_when_rows_span():
     blocks = (ConeBlock("orthant", 2),)
     rows = [YElement(blocks, [np.array([1.0, 0.0])]),
             YElement(blocks, [np.array([0.0, 1.0])])]
-    assert nullspace_basis(rows) == []
+    null, _ = nullspace_basis(_stacked(rows))
+    assert null.shape == (2, 0)
 
 
 def test_nullspace_orthogonality_random():
@@ -84,13 +88,13 @@ def test_nullspace_orthogonality_random():
     blocks = (ConeBlock("psd", 3), ConeBlock("orthant", 2))
     rows = [YElement(blocks, [sym(rng.normal(size=(3, 3))),
                               rng.normal(size=2)]) for _ in range(3)]
-    basis = nullspace_basis(rows)
-    assert len(basis) == 8 - 3
-    mat = np.vstack([flatten_element(v) for v in basis])
-    assert np.linalg.norm(mat @ mat.T - np.eye(len(basis))) <= 1e-10
+    null, _ = nullspace_basis(_stacked(rows))
+    assert null.shape[1] == 8 - 3
+    assert np.linalg.norm(null.T @ null - np.eye(null.shape[1])) <= 1e-10
     for row in rows:
-        for v in basis:
-            assert abs(row.inner(v)) <= 1e-9 * (1 + row.norm())
+        for v in null.T:
+            assert abs(row.inner(unflatten_element(v, blocks))) \
+                <= 1e-9 * (1 + row.norm())
 
 
 def test_flatten_is_isometric():

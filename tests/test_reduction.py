@@ -49,11 +49,11 @@ def _generated_programs():
 
 def test_compute_ell_counts_the_nullspace_basis(example_lp, example_sdp,
                                                 monkeypatch):
-    """The singular-value count of compute_ell is the length of
+    """The singular-value count of compute_ell is the width of
     nullspace_basis of the stacked data, on the fixtures, the generators
     and their PSD lifts."""
     from facred.extended import lift_to_psd
-    from facred.linalg import nullspace_basis
+    from facred.linalg import flatten_element, nullspace_basis
 
     programs = [example_lp, example_sdp, *_generated_programs()]
     programs += [lift_to_psd(p) for p in programs]
@@ -61,7 +61,8 @@ def test_compute_ell_counts_the_nullspace_basis(example_lp, example_sdp,
     # Without the face-chain cap, compute_ell is the nullspace dimension.
     monkeypatch.setattr(reduction, "longest_chain_length", lambda blocks: 10**9)
     for p, bound in zip(programs, bounds):
-        dim_l = len(nullspace_basis(list(p.a) + [p.b]))
+        rows = np.vstack([flatten_element(y) for y in list(p.a) + [p.b]])
+        dim_l = nullspace_basis(rows)[0].shape[1]
         assert compute_ell(p) == dim_l
         assert bound == min(p.blocks[0].size, dim_l)
 
