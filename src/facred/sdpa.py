@@ -8,11 +8,14 @@ b and matrix i entries a_i encodes
 equivalently sum_i x_i a_i - b in -K.  Negative block sizes declare diagonal
 blocks, which map to orthant blocks.  Only the upper triangle of a symmetric
 entry needs to be given; it is mirrored on read.  Duplicate entries are
-rejected.
+rejected.  As in the SDPA manual's examples, the three count lines may end
+in an ``= annotation``, and braces or parentheses may enclose the block
+sizes and the objective.
 """
 
 from __future__ import annotations
 
+import warnings
 from itertools import chain
 
 import numpy as np
@@ -24,12 +27,21 @@ class SdpaFormatError(ValueError):
     """Malformed SDPA input."""
 
 
+# Braces and parentheses may enclose the block sizes and the objective.
+_BRACES = str.maketrans("{}()", "    ")
+
+
+def _title(line):
+    """A comment line's text; a title in double quotes loses both quotes."""
+    text = line.lstrip("*\" ")
+    return (text.removesuffix("\"") if line[0] == "\"" else text).strip()
+
+
 def _tokens(text):
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     lines = [line for line in map(str.strip, text.splitlines()) if line]
-    comments = [line.lstrip("*\" ").strip() for line in lines
-                if line[0] in "*\""]
+    comments = [_title(line) for line in lines if line[0] in "*\""]
     return [line for line in lines if line[0] not in "*\""], comments
 
 
@@ -96,11 +108,52 @@ def _entry_stacks(entries, rows, blocks, m):
     return stacks
 
 
+# One entry line: four indices, read as integers only, and the value.
+_ENTRY = np.dtype([("matno", np.int64), ("blkno", np.int64), ("i", np.int64),
+                   ("j", np.int64), ("value", np.float64)])
+
+
+def _loadtxt_stacks(lines, blocks, m):
+    """Each block's stacks from the entry lines read in one pass of numpy's
+    C text reader; None when it refuses them: loadtxt raises or warns (numpy
+    < 2 reads an index written 1.0 with a DeprecationWarning only, and no
+    lines warn too), a value is not finite, or an entry fails a check."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = np.loadtxt(lines, dtype=_ENTRY, comments=None, ndmin=1)
+        entries = np.column_stack([rec[name] for name in _ENTRY.names])
+        if not np.isfinite(entries[:, 4]).all():
+            return None
+        # The entries stand in for the token rows: a refusal's message is
+        # not shown, the token reader names the line.
+        return _entry_stacks(entries, entries, blocks, m)
+    except (ValueError, Warning):
+        return None
+
+
+def _token_stacks(lines, blocks, m):
+    """Each block's stacks from the entry lines, each split into tokens;
+    SdpaFormatError naming the first offending line."""
+    rows = [line.replace(",", " ").split() for line in lines]
+    entries, bad = _entry_array(rows), len(rows)
+    if entries is None:
+        bad = next(k for k, row in enumerate(rows) if _entry_array([row]) is None)
+        entries = _entry_array(rows[:bad])
+    # Below a bad line, the checks of the lines above it still come first.
+    stacks = _entry_stacks(entries, rows, blocks, m)
+    if bad < len(rows):
+        what = "entry needs 5 fields" if len(rows[bad]) != 5 else "could not parse entry"
+        raise SdpaFormatError(f"{what}: {lines[bad]!r}")
+    return stacks
+
+
 def parse_sdpa(text) -> ConicProgram:
-    """Parse SDPA sparse text (str or bytes) into a ConicProgram, reading
-    the entry lines as arrays: each line is split once, one conversion takes
-    all their tokens, and the checks and the fill are array operations.  A
-    malformed file raises SdpaFormatError naming its first offending line."""
+    """Parse SDPA sparse text (str or bytes) into a ConicProgram.  The entry
+    lines are read in one pass of numpy's C text reader, and the checks and
+    the fill are array operations.  A file that pass refuses is read again
+    token by token, which yields the same arrays or raises SdpaFormatError
+    naming the first offending line."""
     lines, comments = _tokens(text)
     if len(lines) < 3:
         raise SdpaFormatError("header requires at least three lines")
@@ -115,8 +168,7 @@ def parse_sdpa(text) -> ConicProgram:
     if len(nline) != 1 or nline[0] < 1:
         raise SdpaFormatError(f"bad block count line: {lines[1]!r}")
     nblocks = nline[0]
-    dims = _ints(lines[2].replace("{", " ").replace("}", " ").replace("(", " ")
-                 .replace(")", " "), "block sizes")
+    dims = _ints(lines[2].split("=")[0].translate(_BRACES), "block sizes")
     if len(dims) != nblocks:
         raise SdpaFormatError(f"expected {nblocks} block sizes, found {len(dims)}")
     if 0 in dims:
@@ -124,8 +176,8 @@ def parse_sdpa(text) -> ConicProgram:
     blocks = tuple(ConeBlock("orthant", -d) if d < 0 else ConeBlock("psd", d)
                    for d in dims)
     try:
-        c = np.array(lines[3].replace(",", " ").split() if m else [],
-                     dtype=float)
+        c = np.array(lines[3].translate(_BRACES).replace(",", " ").split()
+                     if m else [], dtype=float)
         if not np.isfinite(c).all():
             raise ValueError("non-finite objective")
     except ValueError as exc:
@@ -134,16 +186,9 @@ def parse_sdpa(text) -> ConicProgram:
         raise SdpaFormatError(f"objective has {len(c)} entries, expected {m}")
 
     lines = lines[head:]
-    rows = [line.replace(",", " ").split() for line in lines]
-    entries, bad = _entry_array(rows), len(rows)
-    if entries is None:
-        bad = next(k for k, row in enumerate(rows) if _entry_array([row]) is None)
-        entries = _entry_array(rows[:bad])
-    # Below a bad line, the checks of the lines above it still come first.
-    stacks = _entry_stacks(entries, rows, blocks, m)
-    if bad < len(rows):
-        what = "entry needs 5 fields" if len(rows[bad]) != 5 else "could not parse entry"
-        raise SdpaFormatError(f"{what}: {lines[bad]!r}")
+    stacks = _loadtxt_stacks(lines, blocks, m)
+    if stacks is None:
+        stacks = _token_stacks(lines, blocks, m)
     # Every entry was written to both triangles, so the payloads are exactly
     # symmetric.
     b = YElement._trusted(blocks, [stack[0] for stack in stacks])

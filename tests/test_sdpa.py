@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from facred import sdpa
 from facred.sdpa import SdpaFormatError, emit_sdpa, parse_sdpa
 
 from conftest import sym
@@ -93,6 +94,41 @@ def test_comment_lines_skipped():
 def test_braced_dimension_line():
     p = parse_sdpa("1\n2\n{-2, 2}\n0.5\n1 1 1 1 1.0\n")
     assert [blk.size for blk in p.blocks] == [2, 2]
+
+
+# example1.dat-s of the SDPA manual, header annotations and braces included.
+MANUAL_EXAMPLE1 = """\
+"Example 1: mDim = 3, nBLOCK = 1, {2}"
+   3 = mDIM
+   1 = nBOLCK
+   2 = bLOCKsTRUCT
+{48, -8, 20}
+0 1 1 1 -11
+0 1 2 2 23
+1 1 1 1 10
+1 1 1 2 4
+2 1 2 2 -8
+3 1 1 2 -8
+3 1 2 2 -2
+"""
+
+
+def test_sdpa_manual_example1_hand_parse():
+    p = parse_sdpa(MANUAL_EXAMPLE1)
+    assert p.blocks == (ConeBlock("psd", 2),)
+    assert p.c.tolist() == [48.0, -8.0, 20.0]
+    assert p.b.parts[0].tolist() == [[-11.0, 0.0], [0.0, 23.0]]
+    assert [a.parts[0].tolist() for a in p.a] == [
+        [[10.0, 4.0], [4.0, 0.0]],
+        [[0.0, 0.0], [0.0, -8.0]],
+        [[0.0, -8.0], [-8.0, -2.0]]]
+
+
+def test_quoted_title_loses_both_quotes():
+    p = parse_sdpa(MANUAL_EXAMPLE1)
+    assert p.name == "Example 1: mDim = 3, nBLOCK = 1, {2}"
+    assert emit_sdpa(p).splitlines()[0] == "* Example 1: mDim = 3, nBLOCK = 1, {2}"
+    assert parse_sdpa('" open title\n' + MIXED_SAMPLE).name == "open title"
 
 
 MALFORMED = [  # (text, label, the error it must raise)
@@ -222,10 +258,18 @@ def _parse_reference(text):
                         name=comments[0] if comments else "")
 
 
+def _number(rng, value):
+    """``value`` written one of the ways a .dat-s file may write it: 17
+    significant digits, an exponent, a sign, a leading +."""
+    form = ("{!r}", "{:.17g}", "{:.16e}", "{:+.17g}", "{:+.3E}")[rng.integers(5)]
+    return form.format(float(value * 10.0 ** rng.integers(-30, 31)))
+
+
 def _random_sdpa(rng, kinds, m):
     """SDPA text of a random program over blocks of the given kinds, with
-    about half of the entries zero, in shuffled order, some written as the
-    lower-triangle mirror."""
+    about half of the entries zero (but at least one written), in shuffled
+    order, some written as the lower-triangle mirror, fields apart by
+    spaces or tabs and indices with a leading + now and then."""
     blocks = tuple(ConeBlock(kind, int(rng.integers(1, 6))) for kind in kinds)
     out = ["* random", str(m), str(len(blocks)),
            " ".join(str(-b.size if b.kind == "orthant" else b.size)
@@ -238,24 +282,97 @@ def _random_sdpa(rng, kinds, m):
                 for j in range(i, blk.size + 1) if blk.kind == "psd" else [i]:
                     if rng.random() < 0.5:
                         a, b = (i, j) if rng.random() < 0.7 else (j, i)
-                        entries.append(f"{k} {bi} {a} {b} {rng.normal()!r}")
+                        fields = ["+" * (rng.random() < 0.2) + str(t)
+                                  for t in (k, bi, a, b)]
+                        fields.append(_number(rng, rng.normal()))
+                        entries.append("".join(
+                            f + rng.choice([" ", "\t", " \t ", "  "])
+                            for f in fields).rstrip())
     rng.shuffle(entries)
+    entries = entries or ["0 1 1 1 1.0"]
     return "\n".join(out[:4] + out[4:] * bool(m) + entries) + "\n"
+
+
+class TokenReaderCalled(AssertionError):
+    pass
+
+
+def _refuse(*args):
+    raise TokenReaderCalled("the C pass handed the file to the token reader")
+
+
+@pytest.fixture
+def c_pass_only(monkeypatch):
+    """For the length of a test, a file the C pass hands back fails."""
+    monkeypatch.setattr(sdpa, "_token_stacks", _refuse)
+
+
+def _assert_same(got, want):
+    assert got.blocks == want.blocks and got.name == want.name
+    assert np.array_equal(got.c, want.c)
+    for left, right in zip((got.b,) + got.a, (want.b,) + want.a):
+        for a, b in zip(left.parts, right.parts):
+            assert a.shape == b.shape and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("kinds", [("psd",), ("orthant",), ("orthant", "psd"),
                                    ("psd", "orthant", "psd")])
 @pytest.mark.parametrize("m", [0, 1, 4])
-def test_array_reader_matches_the_line_reader(kinds, m):
+def test_array_reader_matches_the_line_reader(kinds, m, c_pass_only):
+    """The C pass reads every seeded program, to the line reader's arrays
+    bit for bit."""
     rng = np.random.default_rng([m, len(kinds), kinds.count("psd")])
     for _ in range(5):
         text = _random_sdpa(rng, kinds, m)
-        got, want = parse_sdpa(text), _parse_reference(text)
-        assert got.blocks == want.blocks and got.name == want.name
-        assert np.array_equal(got.c, want.c)
-        for left, right in zip((got.b,) + got.a, (want.b,) + want.a):
-            for a, b in zip(left.parts, right.parts):
-                assert a.shape == b.shape and np.array_equal(a, b)
+        _assert_same(parse_sdpa(text), _parse_reference(text))
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.dat-s")))
+def test_the_c_pass_reads_every_golden_file(name, c_pass_only):
+    """With the token reader failing, every golden file still parses: a C
+    pass that hands files back (say, on an older numpy) fails here."""
+    text = (GOLDEN / name).read_text()
+    _assert_same(parse_sdpa(text), _parse_reference(text))
+
+
+HANDED_BACK = [  # (entry lines, label, the message parse_sdpa raises, or
+    # a_1's one entry (i, j, value) in its 10 x 10 block, None for none)
+    ("1 1 1 1 nan", "nan value", "could not parse entry: '1 1 1 1 nan'"),
+    ("1 1 1 1 inf", "inf value", "could not parse entry: '1 1 1 1 inf'"),
+    ("1 1 1.0 1 1.0", "index 1.0", "could not parse entry: '1 1 1.0 1 1.0'"),
+    ("1 1 1e0 1 1.0", "index 1e0", "could not parse entry: '1 1 1e0 1 1.0'"),
+    ("1 1 1_0 1 1.0", "index 1_0", (9, 0, 1.0)),  # int() reads 10
+    ("1 1 1 1 1_0", "value 1_0", (0, 0, 10.0)),  # float() reads 10.0
+    ("1 1 1 1 1.0 #", "hash token", "entry needs 5 fields: '1 1 1 1 1.0 #'"),
+    ("1 1 1 1 1.0 7\n1 1 2 2 1.0 7", "six fields",
+     "entry needs 5 fields: '1 1 1 1 1.0 7'"),
+    ("9007199254740993 1 1 1 1.0", "index above 2^53",
+     "matrix index 9007199254740993 out of range"),
+    ("", "no entries", None),
+]
+
+
+@pytest.mark.parametrize("lines, what, want", HANDED_BACK,
+                         ids=[what for _, what, _ in HANDED_BACK])
+def test_the_c_pass_hands_back(lines, what, want, monkeypatch):
+    """What the C pass refuses, the token reader reads as before."""
+    text = "1\n1\n10\n1.0\n" + lines + "\n"
+    with monkeypatch.context() as patch:
+        patch.setattr(sdpa, "_token_stacks", _refuse)
+        with pytest.raises(TokenReaderCalled):
+            parse_sdpa(text)
+    if isinstance(want, str):
+        with pytest.raises(SdpaFormatError) as info:
+            parse_sdpa(text)
+        assert str(info.value) == want
+        return
+    p = parse_sdpa(text)
+    _assert_same(p, _parse_reference(text))
+    expected = np.zeros((10, 10))
+    if want:
+        i, j, value = want
+        expected[i, j] = expected[j, i] = value
+    assert np.array_equal(p.a[0].parts[0], expected)
 
 
 def test_index_tokens_read_as_strictly_as_int():
