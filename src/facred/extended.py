@@ -44,9 +44,9 @@ import numpy as np
 from . import config
 from .faces import (face_contains, in_tangent_space, split_on_face,
                     tangent_membership_schur)
-from .linalg import (_packed_index, _sym, flatten_element, nullspace_basis,
+from .linalg import (_svec, _sym, _unsvec, flatten_element, nullspace_basis,
                      shift_off_objective)
-from .model import ConeBlock, ConicProgram, YElement
+from .model import ConeBlock, ConicProgram, YElement, cone_margin
 from .reducing import AmbiguousOutcome, solve_restricted_to_face
 from .reduction import (ReductionCertificate, ReductionError,
                         VerificationReport, compute_ell,
@@ -89,15 +89,6 @@ class ExtendedDualPoint:
         return len(self.us) - 2
 
 
-def _symmetric(vals, n):
-    """The symmetric n x n matrices whose plain upper triangles, row by row,
-    are the last axis of ``vals``, batched over its leading axes."""
-    k, l, *_ = _packed_index(n)
-    out = np.zeros(vals.shape[:-1] + (n, n))
-    out[..., k, l] = out[..., l, k] = vals
-    return out
-
-
 @dataclass
 class _SystemValue:
     """The layered system at a point of depth L, batched like the point.
@@ -105,9 +96,9 @@ class _SystemValue:
     ``data[i - 1]`` is <a_1, y_i>, ..., <a_m, y_i>, <b, y_i> for y_i =
     u_i + v_i, with c subtracted from the final layer's first m entries, so
     ``data[-1][..., -1]`` is the objective.  ``recompose[i - 2][bi]`` is the
-    packed upper triangle of v_i - (w_i + w_i^T), ``bases[i - 1][bi]`` is
-    S_i, and the cone outputs are ``us[i - 1][bi]`` = u_i, then
-    ``bordered[i - 2][bi]`` = [[S_i, w_i], [w_i^T, D_i]]."""
+    svec of v_i - (w_i + w_i^T), ``bases[i - 1][bi]`` is S_i, and the cone
+    outputs are ``us[i - 1][bi]`` = u_i, then ``bordered[i - 2][bi]`` =
+    [[S_i, w_i], [w_i^T, D_i]]."""
 
     data: list
     recompose: list
@@ -152,8 +143,7 @@ def _layered_system(lifted: ConicProgram, variant: str, us, vs, ws, betas,
         bordered.append([])
         for bi, blk in enumerate(lifted.blocks):
             n, w, wt = blk.size, ws[i][bi], np.swapaxes(ws[i][bi], -1, -2)
-            k, l, *_ = _packed_index(n)
-            recompose[-1].append((vs[i][bi] - w - wt)[..., k, l])
+            recompose[-1].append(_svec(vs[i][bi] - w - wt, "psd"))
             lower = np.multiply.outer(betas[i], np.eye(n)) \
                 if variant in ("star", "simple") else np.eye(n) * constants
             shape = np.broadcast_shapes(bases[i - 1][bi].shape, w.shape,
@@ -197,14 +187,14 @@ class ExtendedDualProgram:
         zero = [np.zeros((blk.size, blk.size)) for blk in blocks]
         us, vs, ws, betas = [zero], [zero, zero], [zero, zero], [0.0, 0.0]
         for i in range(1, self.ell + 2):
-            us.append([_symmetric(z[..., at["u", i, bi]], blk.size)
+            us.append([_unsvec(z[..., at["u", i, bi]], "psd", blk.size)
                        for bi, blk in enumerate(blocks)])
             if i == 1:
                 continue
             ws.append([z[..., at["w", i, bi]].reshape(z.shape[:-1] + (n, n))
                        for bi, n in enumerate(blk.size for blk in blocks)])
             vs.append([w + np.swapaxes(w, -1, -2) if self.variant == "ramana"
-                       else _symmetric(z[..., at["v", i, bi]], w.shape[-1])
+                       else _unsvec(z[..., at["v", i, bi]], "psd", w.shape[-1])
                        for bi, w in enumerate(ws[i])])
             betas.append(z[..., at["beta", i].start]
                          if ("beta", i) in at else 0.0)
@@ -298,7 +288,8 @@ def build_extended_dual(p: ConicProgram, variant: str = "star",
     in_span = np.linalg.norm(rows.T @ lam - b) <= 1e-10 * np.linalg.norm(b)
     offset = float(lam @ lifted.c) if in_span else 0.0
 
-    # The variables: plain upper triangles of u_i and v_i, w_i row-major.
+    # The variables: u_i and v_i svec-packed, as every internal flattening
+    # is (linalg._svec), and w_i row-major.
     keys, sizes = [], [blk.size for blk in lifted.blocks]
     for i in range(1, ell + 2):
         keys += [(("u", i, bi), n * (n + 1) // 2) for bi, n in enumerate(sizes)]
@@ -345,7 +336,7 @@ def check_extended_point(p: ConicProgram, pt: ExtendedDualPoint,
     report.add("layer 0 is zero",
                pt.us[0].norm() <= tol and pt.vs[0].norm() <= tol)
     for i in range(1, depth + 2):
-        lam = min(float(np.linalg.eigvalsh(u)[0]) for u in system.us[i - 1])
+        lam = min(map(cone_margin, system.us[i - 1]))
         report.add(f"u_{i} in the dual cone", lam >= -tol,
                    f"min eigenvalue {lam:.2e}")
     for i in range(1, depth + 1):
@@ -369,7 +360,7 @@ def check_extended_point(p: ConicProgram, pt: ExtendedDualPoint,
             report.add(f"w_{i} recomposes v_{i} at block {bi + 1}",
                        resid <= 1e-10 * (1.0 + np.max(np.abs(w), initial=0.0)),
                        f"residual {resid:.2e}")
-            lam = float(np.linalg.eigvalsh(system.bordered[i - 2][bi])[0])
+            lam = cone_margin(system.bordered[i - 2][bi])
             report.add(f"bordered block {i}/{bi + 1} psd", lam >= -tol,
                        f"min eigenvalue {lam:.2e}")
 
@@ -504,17 +495,19 @@ def fmin_membership(p: ConicProgram, s: YElement, tol: float = None,
                     options: SolverOptions = None) -> bool:
     """Decide membership of ``s`` in the minimal cone of ``p``.
 
-    First without facial reduction: s belongs to the minimal cone exactly
-    when s is squeezed between zero and a scaled feasible slack, a conic
-    feasibility problem in the original variables plus one scale, solved in
-    a normalized form bounding the squeeze coefficient so the optimal value
-    separates members (1) from non-members (0).  The answer is "yes" at the
-    first iterate with scale t >= 0.5 whose witness, formed from the data so
-    the iterate's infeasibility cannot help it, is in the cone to ``tol``
-    (1 + |s|): a nearly feasible slack of a degenerate program can carry
-    mass outside the minimal cone far above its infeasibility (Sturm, SIOPT
-    2000).  It is "no" at the first iterate, or the solve's best one, with
-    score <= 1e-6 and t <= 0.1.  Anything else (the squeeze program has no
+    A point whose cone margin is below -``tol`` (1 + |s|), the witness's
+    bar below, is outside.  Then without facial reduction: s belongs to
+    the minimal cone exactly when s is squeezed between zero and a scaled
+    feasible slack, a conic feasibility problem in the original variables
+    plus one scale, solved in a normalized form bounding the squeeze
+    coefficient so the optimal value separates members (1) from
+    non-members (0).  The answer is "yes" at the first iterate with scale
+    t >= 0.5 whose witness, formed from the data so the iterate's
+    infeasibility cannot help it, is in the cone to ``tol`` (1 + |s|): a
+    nearly feasible slack of a degenerate program can carry mass outside
+    the minimal cone far above its infeasibility (Sturm, SIOPT 2000).  It
+    is "no" at the first iterate, or the solve's best one, with score
+    <= 1e-6 and t <= 0.1.  Anything else (the squeeze program has no
     interior when ``p`` has none, so its solve may stall) is decided
     against the minimal face of the program's own reduction at ``tol``;
     when that reduction fails, SolverError.  ``options`` apply to the solve
@@ -525,7 +518,8 @@ def fmin_membership(p: ConicProgram, s: YElement, tol: float = None,
     options = options or SolverOptions()
     if s.blocks != p.blocks:
         raise ValueError("point structure differs from program")
-    if not s.in_cone(tol):
+    early_bound = -tol * (1.0 + s.norm())
+    if s.min_eigenvalue() < early_bound:
         return False
     extra = ConeBlock("orthant", 2)
     blocks = p.blocks + (extra,)
@@ -540,7 +534,6 @@ def fmin_membership(p: ConicProgram, s: YElement, tol: float = None,
     c = np.zeros(p.m + 2)
     c[-1] = 1.0
     prog = ConicProgram(blocks, a_cols, b_aug, c, name="membership")
-    early_bound = -tol * (1.0 + s.norm())
     verdicts = []
 
     def decides(x, score):

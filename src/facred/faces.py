@@ -22,7 +22,8 @@ import numpy as np
 
 from . import config
 from .linalg import _sym, numeric_rank, sym_eig
-from .model import ConeBlock, StructureMismatchError, YElement, _freeze
+from .model import (ConeBlock, StructureMismatchError, YElement, _freeze,
+                    cone_margin)
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,7 @@ class FaceRep:
         smallest compressed eigenvalue or entry, and the largest |compressed
         entry|; (+inf, 0.0) on the zero face."""
         parts = self.compress(y)
-        return (min((_cone_margin(part) for part in parts), default=np.inf),
+        return (min(map(cone_margin, parts), default=np.inf),
                 max((float(np.max(np.abs(part))) for part in parts),
                     default=0.0))
 
@@ -180,14 +181,6 @@ def minimal_face(x: YElement, blocks) -> FaceRep:
     return FaceRep(blocks, reps)
 
 
-def _cone_margin(part: np.ndarray) -> float:
-    """Cone margin of a compressed payload: the smallest entry of a vector
-    (orthant), the smallest eigenvalue of a matrix (PSD)."""
-    if part.ndim == 1:
-        return float(np.min(part))
-    return float(np.linalg.eigvalsh(part)[0])
-
-
 def _nearest_cone_point(part: np.ndarray, cutoff: float = 0.0) -> np.ndarray:
     """Nearest cone point of a compressed payload: negative entries or
     eigenvalues set to zero.  A positive ``cutoff`` also zeroes those at or
@@ -207,7 +200,7 @@ def face_contains(face: FaceRep, y: YElement, tol: float = 1e-9) -> bool:
               for part in y.parts]
     compressed = face.compress(y)
     kept_bounds = [bound for bound, rep in zip(bounds, face.reps) if rep.rank]
-    if any(_cone_margin(part) < -bound
+    if any(cone_margin(part) < -bound
            for part, bound in zip(compressed, kept_bounds)):
         return False
     outside = [part - inside for part, inside
@@ -242,8 +235,7 @@ def intersect_with_hyperplane(face: FaceRep, y: YElement) -> FaceRep:
                 i for i, v in zip(rep.support, next(compressed)) if v <= tol)))
         else:
             dec = sym_eig(next(compressed))
-            cutoff = tol * max(1.0, float(dec.eigenvalues[0]))
-            kernel = dec.eigenvectors[:, dec.eigenvalues <= cutoff]
+            kernel = dec.eigenvectors[:, numeric_rank(dec.eigenvalues, tol):]
             reps.append(PsdFace(rep.basis @ kernel))
     return FaceRep(face.blocks, reps)
 

@@ -94,12 +94,14 @@ def _svec(part: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _unsvec(vec: np.ndarray, kind: str, size: int) -> np.ndarray:
-    """Inverse of :func:`_svec`."""
+    """Inverse of :func:`_svec`: the symmetric matrix of a packed PSD
+    payload, batched over leading axes as _svec is.  Off the diagonal the
+    sqrt 2 scaling is undone to within one rounding, not bit for bit."""
     if kind == "orthant":
         return np.asarray(vec, dtype=float).copy()
-    mat = np.zeros((size, size))
     rows, cols, _, inverse = _packed_index(size)
-    mat[rows, cols] = mat[cols, rows] = vec * inverse
+    mat = np.zeros(vec.shape[:-1] + (size, size))
+    mat[..., rows, cols] = mat[..., cols, rows] = vec * inverse
     return mat
 
 

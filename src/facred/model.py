@@ -60,6 +60,14 @@ class ConeBlock:
         return np.zeros((self.size, self.size))
 
 
+def cone_margin(part: np.ndarray) -> float:
+    """Cone margin of a payload: the smallest entry of a vector (orthant),
+    the smallest eigenvalue of a matrix (PSD; its lower triangle is read)."""
+    if part.ndim == 1:
+        return float(np.min(part))
+    return float(np.linalg.eigvalsh(part)[0])
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.flags.writeable = False
@@ -159,16 +167,7 @@ class YElement:
 
     def min_eigenvalue(self) -> float:
         """Smallest orthant entry / PSD eigenvalue across blocks (cone margin)."""
-        worst = np.inf
-        for blk, part in zip(self.blocks, self.parts):
-            if blk.kind == "orthant":
-                worst = min(worst, float(np.min(part)))
-            else:
-                worst = min(worst, float(np.linalg.eigvalsh(part)[0]))
-        return worst
-
-    def in_cone(self, tol: float = 0.0) -> bool:
-        return self.min_eigenvalue() >= -tol
+        return min(map(cone_margin, self.parts), default=np.inf)
 
     def __repr__(self):
         desc = ", ".join(f"{b.kind}{b.size}" for b in self.blocks)

@@ -35,8 +35,8 @@ import numpy as np
 from . import config
 from .faces import (FaceRep, _nearest_cone_point, face_dual_membership,
                     relative_interior_point)
-from .linalg import (_packed_index, _svec, _sym, _unsvec, flatten_element,
-                     nullspace_basis, unflatten_element)
+from .linalg import (_svec, _sym, _unsvec, flatten_element, nullspace_basis,
+                     unflatten_element)
 from .model import ConeBlock, ConicProgram, YElement, adjoint_apply
 from .solver import (SolveResult, SolverError, SolverOptions, SolveStatus,
                      solve_conic_lp)
@@ -156,19 +156,15 @@ class FaceCoordinates:
 
 def _compressed_units(coords: FaceCoordinates):
     """Per kept block, its first ambient coordinate and the compressed image
-    of each of its unit elements: h_kl (q_k q_l^T + q_l q_k^T) for PSD
-    coordinate (k, l), q_k the k-th row of the kept basis, h 1/2 on the
-    diagonal and 1/sqrt 2 off it; the 0/1 support selection for an orthant."""
+    of each of its unit elements, in one batch: Q^T _unsvec(e_j) Q for a
+    PSD block, the support entries of e_j for an orthant."""
     g_hat, start = [], 0
     for blk, rep in zip(coords.face.blocks, coords.face.reps):
-        if blk.kind == "orthant" and rep.rank:
-            g_hat.append((start, np.eye(blk.size)[:, list(rep.support)]))
-        elif blk.kind == "psd" and rep.rank:
-            q = rep.basis
-            rows, cols, _, inverse = _packed_index(blk.size)
-            half = np.where(rows == cols, 0.5, inverse)[:, None, None]
-            g = half * q[rows][:, :, None] * q[cols][:, None, :]
-            g_hat.append((start, g + g.transpose(0, 2, 1)))
+        if rep.rank:
+            units = _unsvec(np.eye(blk.ambient_dim), blk.kind, blk.size)
+            g_hat.append((start, units[:, list(rep.support)]
+                          if blk.kind == "orthant"
+                          else rep.basis.T @ units @ rep.basis))
         start += blk.ambient_dim
     return g_hat
 
@@ -478,8 +474,7 @@ def _purify_certificate(p: ConicProgram, face: FaceRep, f: YElement,
         parts = [part + shift for part, shift
                  in zip(cur.parts, face._embed_parts(shifts))]
         parts = [0.5 * (part + part.T) for part in parts]
-        vec_new = np.concatenate([_svec(part, blk.kind)
-                                  for blk, part in zip(p.blocks, parts)])
+        vec_new = flatten_element(YElement._trusted(p.blocks, parts))
         vec = vec_new - row_vt.T @ (row_vt @ vec_new)
         null_resid = float(np.linalg.norm(vec_new - vec))
         history.append(max(change, null_resid))

@@ -38,8 +38,6 @@ def _title(line):
 
 
 def _tokens(text):
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     lines = [line for line in map(str.strip, text.splitlines()) if line]
     comments = [_title(line) for line in lines if line[0] in "*\""]
     return [line for line in lines if line[0] not in "*\""], comments
@@ -153,7 +151,9 @@ def parse_sdpa(text) -> ConicProgram:
     lines are read in one pass of numpy's C text reader, and the checks and
     the fill are array operations.  A file that pass refuses is read again
     token by token, which yields the same arrays or raises SdpaFormatError
-    naming the first offending line."""
+    naming the first offending line.  Commas read as spaces."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
     lines, comments = _tokens(text)
     if len(lines) < 3:
         raise SdpaFormatError("header requires at least three lines")
@@ -186,7 +186,9 @@ def parse_sdpa(text) -> ConicProgram:
         raise SdpaFormatError(f"objective has {len(c)} entries, expected {m}")
 
     lines = lines[head:]
-    stacks = _loadtxt_stacks(lines, blocks, m)
+    # The token reader is handed the lines as written, to quote them.
+    stacks = _loadtxt_stacks([line.replace(",", " ") for line in lines]
+                             if "," in text else lines, blocks, m)
     if stacks is None:
         stacks = _token_stacks(lines, blocks, m)
     # Every entry was written to both triangles, so the payloads are exactly

@@ -276,11 +276,7 @@ def solve_conic_lp(p: ConicProgram, options: SolverOptions = None) -> SolveResul
                 break
         xnorm = _norm(x)
         if xnorm > 1e8 and pobj > 0:
-            ray = -(x / xnorm) @ amat
-            ray_min = float(np.min(ray[orth])) if orth else np.inf
-            for sl, n, _ in psd:
-                ray_min = min(ray_min, float(np.linalg.eigvalsh(
-                    _sym(ray[sl].reshape(n, n)))[0]))
+            ray_min = pack(-(x / xnorm) @ amat).min_eigenvalue()
             if ray_min >= -1e-7 and pobj >= 1e-7 * xnorm:
                 status = SolveStatus.UNBOUNDED
                 message = "primal ray certifies unboundedness (dual infeasible)"

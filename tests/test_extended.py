@@ -9,6 +9,7 @@ from facred.extended import (VARIANTS, ExtendedDualPoint,
                              check_extended_point, fmin_membership,
                              lift_to_psd, solve_extended_dual)
 from facred.faces import tangent_membership_schur
+from facred.linalg import _svec
 from facred.model import (ConeBlock, ConicProgram, YElement, adjoint_apply,
                           primal_slack)
 from facred.reducing import AmbiguousOutcome, solve_restricted_to_face
@@ -43,13 +44,11 @@ def test_layout_round_trips_through_extraction(example_sdp):
     assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
 
     value, pt, _ = solve_extended_dual(ext)
-    n = example_sdp.blocks[0].size
-    iu = np.triu_indices(n)
     z = np.zeros(ext.nz)
     for i in range(1, ext.ell + 2):
-        z[ext.layout[("u", i, 0)]] = pt.us[i].parts[0][iu]
+        z[ext.layout[("u", i, 0)]] = _svec(pt.us[i].parts[0], "psd")
         if i >= 2:
-            z[ext.layout[("v", i, 0)]] = pt.vs[i].parts[0][iu]
+            z[ext.layout[("v", i, 0)]] = _svec(pt.vs[i].parts[0], "psd")
             z[ext.layout[("w", i, 0)]] = pt.ws[i][0].reshape(-1)
             z[ext.layout[("beta", i)]] = pt.betas[i]
     eq, rhs, q, *_ = ext._encoding()
@@ -384,6 +383,19 @@ def test_fmin_membership_fixtures(example_sdp):
 def test_fmin_membership_rejects_points_outside_cone(example_sdp):
     assert not fmin_membership(example_sdp,
                                YElement(example_sdp.blocks, [-np.eye(3)]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fmin_membership_keeps_scaled_points_of_the_minimal_cone(seed):
+    """A feasible slack scaled by 1e9 to 1e12 stays in the minimal cone:
+    the cone test before the solve is relative to |s|, as the witness test
+    is.  Its negative and a scaled identity stay outside."""
+    p, xbar = random_degenerate(seed)
+    s = primal_slack(p, xbar)
+    for scale in (1e9, 1e10, 1e12):
+        assert fmin_membership(p, scale * s), scale
+    assert not fmin_membership(p, -1.0 * s)
+    assert not fmin_membership(p, 1e10 * YElement.identity(p.blocks))
 
 
 def test_fmin_membership_lets_bugs_through(example_sdp, monkeypatch):

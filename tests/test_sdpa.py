@@ -397,11 +397,18 @@ def test_non_finite_numbers_rejected():
             parse_sdpa(f"1\n1\n2\n{token}\n1 1 1 1 1.0\n")
 
 
+COMMAS = "2\n1\n2\n1.0, 2.0\n* note\n0, 1, 1, 2, 3.0\n\n\"x\n2 1 2 2 4.0\n"
+
+
 def test_commas_and_interleaved_comments():
-    text = "2\n1\n2\n1.0, 2.0\n* note\n0, 1, 1, 2, 3.0\n\n\"x\n2 1 2 2 4.0\n"
-    p = parse_sdpa(text)
+    p = parse_sdpa(COMMAS)
     assert p.name == "note"
     assert p.b.parts[0][0, 1] == 3.0 and p.a[1].parts[0][1, 1] == 4.0
+
+
+def test_the_c_pass_reads_commas(c_pass_only):
+    """Comma-separated entry lines are read by the C pass too."""
+    _assert_same(parse_sdpa(COMMAS), _parse_reference(COMMAS))
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.dat-s")))
