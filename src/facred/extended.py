@@ -128,11 +128,9 @@ def _layered_system(lifted: ConicProgram, variant: str, us, vs, ws, betas,
     out: the value is then linear in the point.
     """
     depth = len(us) - 2
-    # Per block, a_1, ..., a_m, b stacked: one product per layer and block.
-    stacks = [np.stack([e.parts[bi] for e in (*lifted.a, lifted.b)])
-              for bi in range(len(lifted.blocks))]
+    # One product per layer and block with the stacked a_1, ..., a_m, b.
     data = [sum(np.sum(g * (u + v)[..., None, :, :], axis=(-2, -1))
-                for g, u, v in zip(stacks, us[i], vs[i]))
+                for g, u, v in zip(lifted.stacks, us[i], vs[i]))
             for i in range(1, depth + 2)]
     if constants:
         data[-1] = data[-1] - np.append(lifted.c, 0.0)
@@ -236,19 +234,19 @@ class ExtendedDualProgram:
         out_blocks = tuple(ConeBlock("psd", size) for size in sizes)
         slack0 = phi0 + phi @ z_p
         cols = phi @ null
-
-        def element(flat):
-            parts, at = [], 0
-            for size in sizes:
-                mat = flat[at:at + size * size].reshape(size, size)
-                parts.append(_sym(mat))
-                at += size * size
-            # _sym(M) is exactly symmetric: no check needed.
-            return YElement._trusted(out_blocks, parts)
-
-        return ConicProgram(out_blocks,
-                            [element(-cols[:, j]) for j in range(null.shape[1])],
-                            element(slack0), -(null.T @ q), name=self.name)
+        # Per block, the columns -cols[:, j] and then slack0 as symmetric
+        # matrices, stacked in C order, the layout of matrices made one by
+        # one (BLAS rounds a product by layout); _sym(M) is exactly
+        # symmetric: no check needed.
+        stacks, at = [], 0
+        for size in sizes:
+            rows = slice(at, at + size * size)
+            flat = np.vstack([-cols[rows].T, slack0[rows]])
+            stacks.append(np.ascontiguousarray(
+                _sym(flat.reshape(-1, size, size))))
+            at += size * size
+        return ConicProgram.from_stacks(out_blocks, stacks, -(null.T @ q),
+                                        name=self.name)
 
 
 def build_extended_dual(p: ConicProgram, variant: str = "star",

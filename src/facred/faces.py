@@ -67,12 +67,15 @@ class FaceRep:
                 if q.shape[1] and np.linalg.norm(q.T @ q - np.eye(q.shape[1])) > 1e-10:
                     raise ValueError("basis columns not orthonormal")
                 clean.append(PsdFace(_freeze(q)))
+        self._set(blocks, clean)
+
+    def _set(self, blocks, reps):
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "reps", tuple(clean))
+        object.__setattr__(self, "reps", tuple(reps))
         # The cone of the compressed payloads: one block per nonzero rank.
         object.__setattr__(self, "kept_blocks", tuple(
             ConeBlock(blk.kind, rep.rank)
-            for blk, rep in zip(blocks, clean) if rep.rank))
+            for blk, rep in zip(blocks, reps) if rep.rank))
 
     def __setattr__(self, name, value):
         raise AttributeError("FaceRep is immutable")
@@ -112,9 +115,13 @@ class FaceRep:
 
     @classmethod
     def full_cone(cls, blocks) -> "FaceRep":
-        reps = [OrthantFace(tuple(range(blk.size))) if blk.kind == "orthant"
-                else PsdFace(np.eye(blk.size)) for blk in blocks]
-        return cls(blocks, reps)
+        """The cone itself: full supports and identity bases, valid by
+        construction, so the constructor's checks are skipped."""
+        self = object.__new__(cls)
+        self._set(tuple(blocks), [
+            OrthantFace(tuple(range(blk.size))) if blk.kind == "orthant"
+            else PsdFace(_freeze(np.eye(blk.size))) for blk in blocks])
+        return self
 
     @property
     def ranks(self) -> tuple:
@@ -191,22 +198,30 @@ def _nearest_cone_point(part: np.ndarray, cutoff: float = 0.0) -> np.ndarray:
     return (w * np.where(lam > cutoff * max(1.0, lam[-1]), lam, 0.0)) @ w.T
 
 
-def face_contains(face: FaceRep, y: YElement, tol: float = 1e-9) -> bool:
-    """Membership of ``y`` in the face itself (not its dual): the compressed
-    payloads lie in their cones and nothing of y is left outside the span."""
+def containment(face: FaceRep, y: YElement, tol: float = 1e-9):
+    """(inside, margin) from one compression of ``y``: its membership in
+    the face itself (not its dual), as ``face_contains`` decides it, and
+    its compressed cone margin, ``face.margin(y)[0]``."""
     if y.blocks != face.blocks:
         raise StructureMismatchError("block structures differ")
     bounds = [tol * (1.0 + float(np.max(np.abs(part), initial=0.0)))
               for part in y.parts]
     compressed = face.compress(y)
+    margins = [cone_margin(part) for part in compressed]
     kept_bounds = [bound for bound, rep in zip(bounds, face.reps) if rep.rank]
-    if any(cone_margin(part) < -bound
-           for part, bound in zip(compressed, kept_bounds)):
-        return False
+    margin = min(margins, default=np.inf)
+    if any(lo < -bound for lo, bound in zip(margins, kept_bounds)):
+        return False, margin
     outside = [part - inside for part, inside
                in zip(y.parts, face._embed_parts(compressed))]
     return all(np.max(np.abs(part), initial=0.0) <= bound
-               for part, bound in zip(outside, bounds))
+               for part, bound in zip(outside, bounds)), margin
+
+
+def face_contains(face: FaceRep, y: YElement, tol: float = 1e-9) -> bool:
+    """Membership of ``y`` in the face itself (not its dual): the compressed
+    payloads lie in their cones and nothing of y is left outside the span."""
+    return containment(face, y, tol)[0]
 
 
 def face_dual_membership(face: FaceRep, y: YElement, tol: float = 1e-7) -> bool:
@@ -219,24 +234,30 @@ def face_dual_membership(face: FaceRep, y: YElement, tol: float = 1e-7) -> bool:
 def intersect_with_hyperplane(face: FaceRep, y: YElement) -> FaceRep:
     """The face cut out of ``face`` by the hyperplane orthogonal to ``y``.
 
-    ``y`` must belong to the dual of the face at the rank cutoff; the
-    result is again a face of the cone.  Orthant blocks drop support indices
-    where y is above the cutoff, PSD blocks keep the compressed y's kernel.
+    ``y`` must belong to the dual of the face at the rank cutoff, a verdict
+    read off the compressed y the cut is made from; the result is again a
+    face of the cone.  Orthant blocks drop support indices where y is above
+    the cutoff, PSD blocks keep the compressed y's kernel.
     """
     tol = config.RANK_TOL
-    if not face_dual_membership(face, y, tol):
-        raise ValueError("certificate lies outside the face dual beyond tolerance")
-    reps, compressed = [], iter(face.compress(y))
+    if y.blocks != face.blocks:
+        raise StructureMismatchError("block structures differ")
+    reps, margin, compressed = [], np.inf, iter(face.compress(y))
     for blk, rep in zip(face.blocks, face.reps):
         if not rep.rank:
             reps.append(rep)
         elif blk.kind == "orthant":
+            part = next(compressed)
+            margin = min(margin, float(np.min(part)))
             reps.append(OrthantFace(tuple(
-                i for i, v in zip(rep.support, next(compressed)) if v <= tol)))
+                i for i, v in zip(rep.support, part) if v <= tol)))
         else:
             dec = sym_eig(next(compressed))
+            margin = min(margin, float(dec.eigenvalues[-1]))
             kernel = dec.eigenvectors[:, numeric_rank(dec.eigenvalues, tol):]
             reps.append(PsdFace(rep.basis @ kernel))
+    if margin < -tol:
+        raise ValueError("certificate lies outside the face dual beyond tolerance")
     return FaceRep(face.blocks, reps)
 
 

@@ -22,13 +22,14 @@ class EigenDecomposition:
 
 
 def _fix_signs(q: np.ndarray) -> np.ndarray:
-    q = q.copy()
-    for k in range(q.shape[1]):
-        col = q[:, k]
-        nz = np.nonzero(np.abs(col) > 1e-12 * max(1.0, np.max(np.abs(col))))[0]
-        if nz.size and col[nz[0]] < 0:
-            q[:, k] = -col
-    return q
+    """q with every column whose first entry above 1e-12 max(1, max |col|)
+    in magnitude is negative flipped, in one pass over all columns."""
+    mag = np.abs(q)
+    big = mag > 1e-12 * np.maximum(1.0, mag.max(axis=0, initial=0.0))
+    if not big.shape[0]:
+        return q.copy()
+    first, cols = big.argmax(axis=0), np.arange(q.shape[1])
+    return np.where(big[first, cols] & (q[first, cols] < 0), -q, q)
 
 
 def _sym(mats):
@@ -85,10 +86,10 @@ def _packed_index(n: int):
 
 def _svec(part: np.ndarray, kind: str) -> np.ndarray:
     """Flatten a block payload's upper triangle row by row, off-diagonals
-    scaled by sqrt 2, which makes the flattening isometric; a PSD payload
-    may carry leading batch axes."""
+    scaled by sqrt 2, which makes the flattening isometric; a payload may
+    carry leading batch axes."""
     if kind == "orthant":
-        return np.asarray(part, dtype=float).reshape(-1)
+        return np.asarray(part, dtype=float)
     rows, cols, weights, _ = _packed_index(part.shape[-1])
     return part[..., rows, cols] * weights
 
@@ -110,6 +111,15 @@ def flatten_element(y) -> np.ndarray:
     return np.concatenate([_svec(part, blk.kind)
                            for blk, part in zip(y.blocks, y.parts)]) \
         if y.blocks else np.zeros(0)
+
+
+def flatten_data(p) -> np.ndarray:
+    """The isometric flattening of a program's data, read off its stacks:
+    one row for each of a_1, ..., a_m, b, in C order as rows stacked one
+    by one would be (a batched _svec comes out in another order, and BLAS
+    rounds a product differently by layout)."""
+    return np.ascontiguousarray(np.hstack([
+        _svec(stack, blk.kind) for blk, stack in zip(p.blocks, p.stacks)]))
 
 
 def unflatten_element(vec: np.ndarray, blocks):

@@ -16,7 +16,7 @@ threads; arithmetic returns new values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -179,7 +179,10 @@ class ConicProgram:
     """sup <c, x> subject to b - sum_i x_i a_i in K.
 
     ``a`` holds one YElement per scalar variable; ``b`` shares their block
-    structure; ``c`` is the objective vector.
+    structure; ``c`` is the objective vector.  The data is kept once, as
+    ``stacks``: per block, a_1, ..., a_m, b stacked on a leading axis
+    (m + 1 payloads), read-only, of which the a_i and b are views.  Every
+    reader of all the data at once takes it from there.
     """
 
     blocks: tuple
@@ -187,6 +190,7 @@ class ConicProgram:
     b: YElement
     c: np.ndarray
     name: str = ""
+    stacks: tuple = field(default=(), repr=False, compare=False)
 
     def __init__(self, blocks, a, b, c, name=""):
         blocks = tuple(blocks)
@@ -196,14 +200,35 @@ class ConicProgram:
                 raise StructureMismatchError("constraint element structure differs")
         if b.blocks != blocks:
             raise StructureMismatchError("right-hand side structure differs")
-        c = _freeze(np.asarray(c, dtype=float).reshape(-1))
-        if len(c) != len(a):
+        if len(np.ravel(c)) != len(a):
             raise ValueError("objective length must match variable count")
+        self._set(blocks, [np.array([ai.parts[k] for ai in a] + [b.parts[k]])
+                           for k in range(len(blocks))], c, name)
+
+    @classmethod
+    def from_stacks(cls, blocks, stacks, c, name="") -> "ConicProgram":
+        """The program of ``stacks``: per block, a float array of a_1, ...,
+        a_m, b stacked on a leading axis, of the block's payload shape,
+        exactly symmetric on PSD blocks and not shared with a writer (it is
+        made read-only in place)."""
+        self = object.__new__(cls)
+        self._set(tuple(blocks), stacks, c, name)
+        return self
+
+    def _set(self, blocks, stacks, c, name):
+        c = _freeze(np.asarray(c, dtype=float).reshape(-1))
+        for stack in stacks:
+            stack.flags.writeable = False
+        # One payload view per block for each of a_1, ..., a_m, b.
+        views = [YElement._trusted(blocks, list(parts))
+                 for parts in zip(*stacks)] or \
+            [YElement._trusted((), [])] * (len(c) + 1)
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "a", tuple(views[:-1]))
+        object.__setattr__(self, "b", views[-1])
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "name", name)
+        object.__setattr__(self, "stacks", tuple(stacks))
 
     @property
     def m(self) -> int:
@@ -215,14 +240,18 @@ class ConicProgram:
         return sum(blk.ambient_dim for blk in self.blocks)
 
     def apply(self, x) -> YElement:
-        """Evaluate the constraint map: sum_i x_i a_i."""
+        """Evaluate the constraint map: sum_i x_i a_i, added up term by
+        term in the order of i, as a loop over the a_i does, not by a BLAS
+        product, whose rounding depends on the memory layout."""
         x = np.asarray(x, dtype=float).reshape(-1)
         if len(x) != self.m:
             raise ValueError(f"x has length {len(x)}, program has {self.m} variables")
-        parts = [blk.zero() for blk in self.blocks]
-        for xi, ai in zip(x, self.a):
-            for k, part in enumerate(ai.parts):
-                parts[k] = parts[k] + xi * part
+        parts = []
+        for stack in self.stacks:
+            part = np.zeros(stack.shape[1:])
+            for term in x.reshape((-1,) + (1,) * (stack.ndim - 1)) * stack[:-1]:
+                part += term
+            parts.append(part)
         return YElement._trusted(self.blocks, parts)
 
 
@@ -230,7 +259,8 @@ def adjoint_apply(p: ConicProgram, y: YElement) -> np.ndarray:
     """Adjoint of the constraint map: the vector (<a_1, y>, ..., <a_m, y>)."""
     if y.blocks != p.blocks:
         raise StructureMismatchError("point structure differs from program")
-    return np.array([ai.inner(y) for ai in p.a])
+    return sum((np.sum(stack[:-1] * part, axis=tuple(range(1, stack.ndim)))
+                for stack, part in zip(p.stacks, y.parts)), np.zeros(p.m))
 
 
 def primal_slack(p: ConicProgram, x) -> YElement:

@@ -35,8 +35,8 @@ import numpy as np
 from . import config
 from .faces import (FaceRep, _nearest_cone_point, face_dual_membership,
                     relative_interior_point)
-from .linalg import (_svec, _sym, _unsvec, flatten_element, nullspace_basis,
-                     unflatten_element)
+from .linalg import (_svec, _sym, _unsvec, flatten_data, flatten_element,
+                     nullspace_basis, unflatten_element)
 from .model import ConeBlock, ConicProgram, YElement, adjoint_apply
 from .solver import (SolveResult, SolverError, SolverOptions, SolveStatus,
                      solve_conic_lp)
@@ -85,7 +85,7 @@ class FaceCoordinates:
         self.compressed_data = []    # per kept block: a_1..a_m, b stacked
         values = [np.zeros((p.m + 1, 0))]    # per block: their span rows
         for bi, (blk, rep) in enumerate(zip(p.blocks, face.reps)):
-            data = np.array([ai.parts[bi] for ai in p.a] + [p.b.parts[bi]])
+            data = p.stacks[bi]
             if blk.kind == "orthant":
                 inside = data[:, list(rep.support)]
                 values.append(np.delete(data, list(rep.support), axis=1))
@@ -150,7 +150,7 @@ class FaceCoordinates:
         embed it, then subtract the outside-coordinate multipliers that best
         cancel the adjoint's defect."""
         y_face = self.face.embed(parts)
-        target = np.array([ai.inner(y_face) for ai in self.program.a]) - c
+        target = adjoint_apply(self.program, y_face) - c
         return y_face - self.outside_element(self._pinv.T @ target)
 
 
@@ -186,7 +186,7 @@ def polish_certificate(coords: FaceCoordinates, f: YElement, y0: YElement,
     dim, m = p.ambient_dim, p.m
     x = np.asarray(x0, dtype=float).copy()
     yvec = flatten_element(y0)
-    data = np.vstack([flatten_element(e) for e in [*p.a, p.b, f]])
+    data = np.vstack([flatten_data(p), flatten_element(f)])
     target = np.r_[np.zeros(m + 1), 1.0]    # (A, b)* y = 0 and <f, y> = 1
     span_rows, span_rhs = coords.eq_matrix, coords.eq_rhs
     top = np.hstack([np.zeros((m + 2, m)), data])
@@ -451,8 +451,7 @@ def _purify_certificate(p: ConicProgram, face: FaceRep, f: YElement,
     stalls above half of its value three rounds earlier (it often settles
     at 1e-13 to 1e-10): polish then reaches 1e-13 in one or two steps.
     """
-    rows = np.vstack([flatten_element(ai) for ai in p.a]
-                     + [flatten_element(p.b)])
+    rows = flatten_data(p)
     # Nullspace projection v - V_r^T (V_r v), V_r the thin SVD's row space.
     _, svals, vt = np.linalg.svd(rows, full_matrices=False)
     row_vt = vt[:int(np.sum(svals > 1e-12 * (svals[0] if svals.size else 1.0)))]

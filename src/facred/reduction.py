@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config
-from .faces import (FaceRep, face_contains, faces_equal, in_tangent_space,
+from .faces import (FaceRep, containment, faces_equal, in_tangent_space,
                     intersect_with_hyperplane, longest_chain_length,
                     split_on_face)
-from .linalg import flatten_element
+from .linalg import flatten_data
 from .model import ConicProgram, YElement, primal_slack
 from .reducing import (AmbiguousOutcome, ReducingOutcome, SolverError,
                        solve_reducing_pair, step_test)
@@ -76,7 +76,7 @@ def compute_ell(p: ConicProgram) -> int:
     coarser than linalg.nullspace_basis's on purpose: a direction with so
     small a singular value passes a reducing step's residual test as a null
     direction does, so a chain may use it, and the bound counts it."""
-    rows = np.vstack([flatten_element(y) for y in list(p.a) + [p.b]])
+    rows = flatten_data(p)
     sigma = np.linalg.svd(rows, compute_uv=False)
     rank = int(np.sum(sigma > config.RANK_TOL * max(1.0, float(sigma[0]))))
     return min(longest_chain_length(p.blocks) - 1, rows.shape[1] - rank)
@@ -208,9 +208,7 @@ def verify_certificate_chain(p: ConicProgram, cert: ReductionCertificate,
     if cert.x_strict is None:
         report.add("strictly feasible point present", False)
         return report
-    slack = primal_slack(p, cert.x_strict)
-    inside = face_contains(face, slack, tol)
-    margin, _ = face.margin(slack)
+    inside, margin = containment(face, primal_slack(p, cert.x_strict), tol)
     report.add("slack of x_strict lies in the final face", inside)
     report.add("slack of x_strict is strictly interior", margin > tol,
                f"margin {margin:.2e}")

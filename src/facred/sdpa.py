@@ -20,7 +20,7 @@ from itertools import chain
 
 import numpy as np
 
-from .model import ConeBlock, ConicProgram, YElement
+from .model import ConeBlock, ConicProgram
 
 
 class SdpaFormatError(ValueError):
@@ -41,6 +41,28 @@ def _tokens(text):
     lines = [line for line in map(str.strip, text.splitlines()) if line]
     comments = [_title(line) for line in lines if line[0] in "*\""]
     return [line for line in lines if line[0] not in "*\""], comments
+
+
+def _header(text):
+    """(lines, comments, ends) of the text's first four non-blank lines that
+    are not comments, read one line at a time up to each '\n': the lines
+    stripped, the titles of the comment lines before the last of them, and
+    the offset just past each line.  Fewer lines at the end of the text.
+    None when a line holds another line break (a lone '\r', a form feed):
+    str.splitlines would split it, so the whole text must be split."""
+    lines, comments, ends, at = [], [], [], 0
+    while len(lines) < 4 and at < len(text):
+        end = text.find("\n", at) + 1 or len(text)
+        pieces = text[at:end].splitlines()
+        if len(pieces) > 1:
+            return None
+        line, at = pieces[0].strip() if pieces else "", end
+        if line and line[0] in "*\"":
+            comments.append(_title(line))
+        elif line:
+            lines.append(line)
+            ends.append(at)
+    return lines, comments, ends
 
 
 def _ints(line, what):
@@ -95,7 +117,8 @@ def _entry_stacks(entries, rows, blocks, m):
             f"entry index ({ii},{jj}) out of range",
             f"duplicate entry {(matno, blkno, min(ii, jj), max(ii, jj))}",
             "off-diagonal entry in a diagonal block")) if flag[k]))
-    ix = entries[:, :4].astype(np.intp) - (0, 1, 1, 1)
+    # Matrix 0, b, goes to index -1: a_1, ..., a_m, b in stack order.
+    ix = entries[:, :4].astype(np.intp) - 1
     stacks = [np.zeros((m + 1,) + blk.zero().shape) for blk in blocks]
     for bi, stack in enumerate(stacks):
         # One scatter per triangle; on a diagonal block both are (mat, i).
@@ -147,14 +170,17 @@ def _token_stacks(lines, blocks, m):
 
 
 def parse_sdpa(text) -> ConicProgram:
-    """Parse SDPA sparse text (str or bytes) into a ConicProgram.  The entry
-    lines are read in one pass of numpy's C text reader, and the checks and
-    the fill are array operations.  A file that pass refuses is read again
-    token by token, which yields the same arrays or raises SdpaFormatError
-    naming the first offending line.  Commas read as spaces."""
+    """Parse SDPA sparse text (str or bytes) into a ConicProgram.  Lines are
+    stripped and sorted into comments and data only up to the end of the
+    header; an entry body without a comment goes as written to one pass of
+    numpy's C text reader, and the checks and the fill are array
+    operations.  A body that pass refuses is read again token by token,
+    which yields the same arrays or raises SdpaFormatError naming the first
+    offending line.  Commas read as spaces."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    lines, comments = _tokens(text)
+    scan = _header(text)
+    lines, comments = _tokens(text) if scan is None else scan[:2]
     if len(lines) < 3:
         raise SdpaFormatError("header requires at least three lines")
     mline = _ints(lines[0].split("=")[0], "variable count")
@@ -185,18 +211,23 @@ def parse_sdpa(text) -> ConicProgram:
     if len(c) != m:
         raise SdpaFormatError(f"objective has {len(c)} entries, expected {m}")
 
-    lines = lines[head:]
-    # The token reader is handed the lines as written, to quote them.
-    stacks = _loadtxt_stacks([line.replace(",", " ") for line in lines]
-                             if "," in text else lines, blocks, m)
+    body = None if scan is None else text[scan[2][head - 1]:]
+    if body is None or "*" in body or "\"" in body:
+        # The scan gave up or a comment follows the header: the entries
+        # are the sorted lines past the header.
+        if scan is not None:
+            lines, comments = _tokens(text)
+        body = "\n".join(lines[head:])
+    stacks = _loadtxt_stacks(
+        (body.replace(",", " ") if "," in body else body).splitlines(),
+        blocks, m)
     if stacks is None:
-        stacks = _token_stacks(lines, blocks, m)
+        # The token reader quotes the lines stripped, commas kept.
+        stacks = _token_stacks(_tokens(body)[0], blocks, m)
     # Every entry was written to both triangles, so the payloads are exactly
     # symmetric.
-    b = YElement._trusted(blocks, [stack[0] for stack in stacks])
-    a = [YElement._trusted(blocks, [stack[k] for stack in stacks])
-         for k in range(1, m + 1)]
-    return ConicProgram(blocks, a, b, c, name=comments[0] if comments else "")
+    return ConicProgram.from_stacks(blocks, stacks, c,
+                                    name=comments[0] if comments else "")
 
 
 def emit_sdpa(p: ConicProgram) -> str:

@@ -44,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from . import config
-from .linalg import (_sym, flatten_element, nullspace_basis,
+from .linalg import (_sym, flatten_data, flatten_element, nullspace_basis,
                      shift_off_objective, unflatten_element)
 from .model import ConicProgram, YElement
 
@@ -205,7 +205,8 @@ def solve_conic_lp(p: ConicProgram, options: SolverOptions = None) -> SolveResul
     orth, m = lay.orth, p.m
     nu = sum(blk.size for blk in p.blocks)
     # The data, one row per variable: A x is x @ amat and A* y is amat @ y.
-    amat = np.array([lay.flatten(ai.parts) for ai in p.a]).reshape(m, lay.dim)
+    amat = np.concatenate([p.stacks[k][:m].reshape(m, p.stacks[k][0].size)
+                           for k in lay.order], axis=1)
     psd = [(sl, n, amat[:, sl].reshape(m, n, n)) for sl, n in lay.psd]
     bvec, c = lay.flatten(p.b.parts), p.c
     bnorm, cnorm = _norm(bvec), _norm(c)
@@ -430,8 +431,7 @@ def dual_equations(p: ConicProgram):
     once: (R, N, R^+, y) with R the rows of the a_i, (N, R^+) =
     nullspace_basis(R) and y = R^+ c, or y None when the equations are
     inconsistent (|R y - c| above 1e-9 (1 + |c|))."""
-    rows = np.array([flatten_element(ai) for ai in p.a]).reshape(
-        p.m, p.ambient_dim)
+    rows = flatten_data(p)[:p.m]
     null, pinv = nullspace_basis(rows)
     sol = pinv @ p.c
     if np.linalg.norm(rows @ sol - p.c) > 1e-9 * (1.0 + np.linalg.norm(p.c)):
@@ -455,7 +455,7 @@ def dual_interior_direction(p: ConicProgram, ray: YElement):
     cand = flatten_element(unit + (unit.norm() / ray.norm()) * ray)
     dist = 0.0  # bound on the distance to the exact projection
     if p.m:
-        rows = np.vstack([flatten_element(ai) for ai in p.a])
+        rows = flatten_data(p)[:p.m]
         _, sigma, vt = np.linalg.svd(rows, full_matrices=False)
         if len(sigma) < p.m or sigma[-1] <= config.RANK_TOL * sigma[0]:
             return None

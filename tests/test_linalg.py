@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from facred.linalg import (_svec, _unsvec, flatten_element, numeric_rank,
-                           nullspace_basis, sym_eig, unflatten_element)
+from facred.linalg import (_fix_signs, _svec, _unsvec, flatten_element,
+                           numeric_rank, nullspace_basis, sym_eig,
+                           unflatten_element)
 from facred.model import ConeBlock, YElement
 
 from conftest import paper_chain_long, reconstruct, sym
@@ -44,6 +45,50 @@ def test_sym_eig_sign_convention_deterministic():
         col = q1[:, k]
         first = col[np.nonzero(np.abs(col) > 1e-12)[0][0]]
         assert first > 0
+
+
+def _fix_signs_loop(q):
+    """The sign fix one column at a time, as first written."""
+    q = q.copy()
+    for k in range(q.shape[1]):
+        col = q[:, k]
+        nz = np.nonzero(np.abs(col) > 1e-12 * max(1.0, np.max(np.abs(col))))[0]
+        if nz.size and col[nz[0]] < 0:
+            q[:, k] = -col
+    return q
+
+
+def _sign_fix_cases():
+    rng = np.random.default_rng(7)
+    cases = [np.zeros((0, 0)), np.zeros((3, 3)), -np.eye(4)]
+    for n in range(1, 9):
+        x = sym(rng.normal(size=(n, n)))
+        low = rng.normal(size=(n, max(n // 2, 1)))
+        ties = np.diag(np.repeat([2.0, -1.0], n)[:n])
+        turn = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        for mat in (x, low @ low.T, turn @ ties @ turn.T, np.eye(n)):
+            cases.append(np.linalg.eigh(mat)[1])
+    # Leading entries at the cutoff 1e-12 max(1, max |col|): below, at and
+    # just above it, of both signs, on columns below and above norm 1, and
+    # a zero column beside them.
+    for top in (0.5, 1.0, 3.0, 1e6):
+        cut = 1e-12 * max(1.0, top)
+        for lead in (cut / 2, cut, np.nextafter(cut, np.inf)):
+            col = np.array([0.0, -lead, top])
+            cases.append(np.column_stack([col, -col, np.zeros(3), col[::-1]]))
+    return cases
+
+
+def test_the_sign_fix_matches_the_column_loop():
+    """The one-pass sign fix returns the column loop's matrix bit for bit
+    (signed zeros included) on eigenvector matrices of random,
+    rank-deficient and tied-eigenvalue matrices, on entries at the cutoff,
+    on zero columns and on a 0 x 0 input."""
+    for q in _sign_fix_cases():
+        got, want = _fix_signs(q), _fix_signs_loop(q)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert got is not q
 
 
 def test_sym_eig_rejects_asymmetric():

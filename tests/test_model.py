@@ -174,3 +174,70 @@ def test_arithmetic_results_equal_the_validated_ones():
             assert not g.flags.writeable
     with pytest.raises(ValueError, match="asymmetry"):
         YElement(blocks, [np.triu(np.ones((4, 4))), np.ones(3), np.eye(2)])
+
+
+def _stack_programs():
+    """Parsed programs (the golden files) and constructed ones, with and
+    without variables, over PSD and orthant blocks of sizes 1 up."""
+    from pathlib import Path
+
+    from conftest import random_element
+    from facred.sdpa import parse_sdpa
+
+    golden = Path(__file__).parent / "golden"
+    progs = [parse_sdpa(path.read_text())
+             for path in sorted(golden.glob("*.dat-s"))]
+    rng = np.random.default_rng(11)
+    blocks = (ConeBlock("psd", 4), ConeBlock("orthant", 3),
+              ConeBlock("psd", 1), ConeBlock("orthant", 1))
+    for m in (0, 1, 9):
+        progs.append(ConicProgram(
+            blocks, [random_element(blocks, rng) for _ in range(m)],
+            random_element(blocks, rng), rng.normal(size=m)))
+    return progs, rng
+
+
+def test_the_data_stacks_hold_the_elements():
+    """Per block, stacks[k] holds a_1, ..., a_m, b in that order, equal to
+    the elements' parts and read-only; a parsed program's elements are
+    views of its stacks."""
+    progs, _ = _stack_programs()
+    for p in progs:
+        assert len(p.stacks) == len(p.blocks)
+        for k, stack in enumerate(p.stacks):
+            assert stack.shape == (p.m + 1,) + p.blocks[k].zero().shape
+            for row, y in zip(stack, p.a + (p.b,)):
+                assert np.array_equal(row, y.parts[k])
+            assert not stack.flags.writeable
+            with pytest.raises(ValueError):
+                stack[0][...] = 0.0
+    for p in progs[:4]:
+        assert all(np.shares_memory(y.parts[k], p.stacks[k])
+                   for y in p.a + (p.b,) for k in range(len(p.blocks)))
+
+
+def test_stacked_maps_agree_with_the_element_loops():
+    """A x and A* y read off the stacks agree with sums over the elements
+    to 1e-15 relative to the sizes of the summed terms."""
+    from conftest import random_element
+
+    progs, rng = _stack_programs()
+    for p in progs:
+        for _ in range(5):
+            x = rng.normal(size=p.m) * 10.0 ** rng.integers(-3, 4)
+            got = p.apply(x)
+            for k, part in enumerate(got.parts):
+                terms = [xi * ai.parts[k] for xi, ai in zip(x, p.a)]
+                want = sum(terms, p.blocks[k].zero())
+                size = sum((np.abs(t) for t in terms), p.blocks[k].zero())
+                assert np.all(np.abs(part - want) <= 1e-15 * size)
+            y = random_element(p.blocks, rng)
+            loop = np.array([ai.inner(y) for ai in p.a])
+            size = np.array([sum(float(np.sum(np.abs(a * b)))
+                                 for a, b in zip(ai.parts, y.parts))
+                             for ai in p.a])
+            assert adjoint_apply(p, y).shape == (p.m,)
+            assert np.all(np.abs(adjoint_apply(p, y) - loop) <= 1e-15 * size)
+            slack = primal_slack(p, x)
+            assert all(np.array_equal(s, b - a) for s, b, a
+                       in zip(slack.parts, p.b.parts, got.parts))

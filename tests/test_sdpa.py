@@ -293,8 +293,35 @@ def _random_sdpa(rng, kinds, m):
     return "\n".join(out[:4] + out[4:] * bool(m) + entries) + "\n"
 
 
+def _laid_out(rng, text, comments):
+    """``text`` (no comment but its title line) rewritten with blank and
+    whitespace-only lines, spaces and tabs around lines and a CRLF ending
+    now and then, and comment lines where ``comments`` says: "header" puts
+    them before and inside the header, "body" also after the header and
+    between entries.  Returns the text and whether a comment follows the
+    header."""
+    lines = text.splitlines()
+    head = 5 if lines[1] != "0" else 4    # the title and the header
+    out, late = [], False
+    for k, line in enumerate(lines):
+        if k < head and comments and rng.random() < 0.5:
+            out.append(rng.choice(["* header note", '"quoted note', "*"]))
+        if rng.random() < 0.2:
+            out.append(rng.choice(["", " ", "\t", " \t  "]))
+        out.append(rng.choice(["", " ", "\t"]) + line
+                   + rng.choice(["", "  ", "\t"]))
+        if k >= head - 1 and comments == "body" and rng.random() < 0.3:
+            out.append(rng.choice(["* entry note", '"entry note"', " *"]))
+            late = True
+    ends = rng.choice(["\n", "\r\n"], size=len(out))
+    return "".join(line + end for line, end in zip(out, ends)), late
+
+
 class TokenReaderCalled(AssertionError):
     pass
+
+
+_TOKEN_STACKS = sdpa._token_stacks
 
 
 def _refuse(*args):
@@ -333,6 +360,74 @@ def test_the_c_pass_reads_every_golden_file(name, c_pass_only):
     pass that hands files back (say, on an older numpy) fails here."""
     text = (GOLDEN / name).read_text()
     _assert_same(parse_sdpa(text), _parse_reference(text))
+
+
+@pytest.fixture
+def line_sort_counted(monkeypatch):
+    """The calls of the whole-text line sort, counted: the header scan
+    makes none on a text whose entry body holds no comment."""
+    calls, real = [], sdpa._tokens
+
+    def counted(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(sdpa, "_tokens", counted)
+    return calls
+
+
+@pytest.mark.parametrize("comments", [None, "header", "body"])
+@pytest.mark.parametrize("kinds", [("psd",), ("orthant", "psd")])
+@pytest.mark.parametrize("m", [0, 1, 4])
+def test_the_header_scan_matches_the_line_reader(kinds, m, comments,
+                                                 c_pass_only,
+                                                 line_sort_counted):
+    """Blank and whitespace-only lines, CRLF endings, tabs and comments
+    anywhere leave the arrays and the title those of the line reader and
+    of the token reader.  Lines are sorted one by one only when a comment
+    follows the header, and the C pass reads every text."""
+    rng = np.random.default_rng([m, len(kinds), len(comments or "")])
+    for _ in range(5):
+        text, late = _laid_out(rng, _random_sdpa(rng, kinds, m), comments)
+        del line_sort_counted[:]
+        got = parse_sdpa(text)
+        _assert_same(got, _parse_reference(text))
+        assert bool(line_sort_counted) == late
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sdpa, "_loadtxt_stacks", lambda *args: None)
+            patch.setattr(sdpa, "_token_stacks", _TOKEN_STACKS)
+            _assert_same(parse_sdpa(text), got)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.dat-s")))
+def test_the_header_scan_reads_every_golden_file(name, c_pass_only,
+                                                 line_sort_counted):
+    """Every golden file has its comments above the entries: the header
+    scan and the C pass read it, and no line past the header is sorted."""
+    text = (GOLDEN / name).read_text()
+    _assert_same(parse_sdpa(text), _parse_reference(text))
+    assert line_sort_counted == []
+
+
+def test_a_line_break_in_the_header_sorts_every_line(line_sort_counted):
+    """A lone CR or a form feed in the header is a line break the
+    one-line-at-a-time scan does not cut at: the whole text is sorted,
+    and reads as before."""
+    for text in ("1\r1\r2\r1.0\r1 1 1 1 2.0\r", "1\n1\x0c2\n1.0\n1 1 1 1 2.0\n"):
+        del line_sort_counted[:]
+        p = parse_sdpa(text)
+        assert line_sort_counted == [text]
+        assert p.a[0].parts[0][0, 0] == 2.0
+
+
+def test_a_refused_raw_body_is_quoted_stripped():
+    """Lines the C pass refuses reach the token reader stripped, as before
+    the header scan: its message quotes them without their blanks and
+    CR."""
+    text = "1\r\n1\r\n10\r\n1.0\r\n\r\n  1 1 1 1 nan\t\r\n"
+    with pytest.raises(SdpaFormatError) as info:
+        parse_sdpa(text)
+    assert str(info.value) == "could not parse entry: '1 1 1 1 nan'"
 
 
 HANDED_BACK = [  # (entry lines, label, the message parse_sdpa raises, or
