@@ -62,16 +62,18 @@ def lift_to_psd(p: ConicProgram) -> ConicProgram:
     programs); the explicit tangent encodings are PSD-specific."""
     if all(blk.kind == "psd" for blk in p.blocks):
         return p
-    blocks = tuple(ConeBlock("psd", blk.size) for blk in p.blocks)
-
-    def lift(y):
-        parts = []
-        for blk, part in zip(p.blocks, y.parts):
-            parts.append(np.diag(part) if blk.kind == "orthant" else part)
-        return YElement(blocks, parts)
-
-    return ConicProgram(blocks, [lift(ai) for ai in p.a], lift(p.b), p.c,
-                        name=(p.name + " lifted").strip())
+    stacks = []
+    for blk, stack in zip(p.blocks, p.stacks):
+        if blk.kind == "orthant":
+            # Written onto the diagonal, so every other entry stays +0.0.
+            diag = np.arange(blk.size)
+            square = np.zeros(stack.shape + (blk.size,))
+            square[:, diag, diag] = stack
+            stack = square
+        stacks.append(stack)
+    return ConicProgram.from_stacks(
+        tuple(ConeBlock("psd", blk.size) for blk in p.blocks), stacks, p.c,
+        name=(p.name + " lifted").strip())
 
 
 @dataclass
@@ -519,19 +521,16 @@ def fmin_membership(p: ConicProgram, s: YElement, tol: float = None,
     early_bound = -tol * (1.0 + s.norm())
     if s.min_eigenvalue() < early_bound:
         return False
-    extra = ConeBlock("orthant", 2)
-    blocks = p.blocks + (extra,)
-
-    def widen(y, tail):
-        return YElement(blocks, list(y.parts) + [np.asarray(tail, dtype=float)])
-
-    a_cols = [widen(ai, [0.0, 0.0]) for ai in p.a]
-    a_cols.append(widen(-1.0 * p.b, [-1.0, 0.0]))   # alpha column
-    a_cols.append(widen(s, [0.0, 1.0]))             # t column
-    b_aug = widen(YElement.zeros(p.blocks), [0.0, 1.0])
-    c = np.zeros(p.m + 2)
-    c[-1] = 1.0
-    prog = ConicProgram(blocks, a_cols, b_aug, c, name="membership")
+    # Per block a_1, ..., a_m, the alpha column -b, the t column s and the
+    # right-hand side 0; the 2-entry orthant holds alpha >= 0 and t <= 1.
+    stacks = [np.concatenate([stack[:-1], -stack[-1:], part[None],
+                              np.zeros((1,) + part.shape)])
+              for stack, part in zip(p.stacks, s.parts)]
+    stacks.append(np.zeros((p.m + 3, 2)))
+    stacks[-1][-3:] = [[-1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]
+    prog = ConicProgram.from_stacks(p.blocks + (ConeBlock("orthant", 2),),
+                                    stacks, np.append(np.zeros(p.m + 1), 1.0),
+                                    name="membership")
     verdicts = []
 
     def decides(x, score):

@@ -207,10 +207,11 @@ class ConicProgram:
 
     @classmethod
     def from_stacks(cls, blocks, stacks, c, name="") -> "ConicProgram":
-        """The program of ``stacks``: per block, a float array of a_1, ...,
-        a_m, b stacked on a leading axis, of the block's payload shape,
+        """The program of ``stacks``: per block, a float64 array of a_1,
+        ..., a_m, b stacked on a leading axis, of the block's payload shape,
         exactly symmetric on PSD blocks and not shared with a writer (it is
-        made read-only in place)."""
+        made read-only in place); nothing is checked or copied.  Callers
+        outside the package use the validating constructor."""
         self = object.__new__(cls)
         self._set(tuple(blocks), stacks, c, name)
         return self

@@ -136,14 +136,15 @@ class FaceCoordinates:
             parts.append(part)
         return YElement(self.program.blocks, parts)
 
-    def eliminated(self):
+    def eliminated(self) -> list:
         """The program with x = x_particular + null_basis @ s substituted,
-        in compressed coordinates: the compressed parts of the image of
-        every null-basis column, and the compressed slack at s = 0."""
+        in compressed coordinates, as ``ConicProgram.from_stacks`` takes
+        it: per kept block, the images of the null-basis columns and then
+        the slack at s = 0, stacked."""
         k = self.null_basis.shape[1]
         images = self.combine(np.hstack([self.null_basis.T, np.zeros((k, 1))]))
-        return ([[image[j] for image in images] for j in range(k)],
-                self.combine(np.append(-self.x_particular, 1.0)))
+        slack0 = self.combine(np.append(-self.x_particular, 1.0))
+        return [np.concatenate([im, s[None]]) for im, s in zip(images, slack0)]
 
     def dual_point(self, parts, c=0.0) -> YElement:
         """Full dual element y with A* y = c from a compressed dual element:
@@ -264,19 +265,19 @@ def solve_restricted_to_face(p: ConicProgram, face: FaceRep,
     """
     coords = FaceCoordinates(p, face)
     blocks = face.kept_blocks
-    cols, slack0 = coords.eliminated()
-    if not blocks or (not cols and _has_margin(coords, coords.x_particular,
-                                               config.DEFAULT_TOL)):
+    stacks = coords.eliminated()
+    if not blocks or (not coords.null_basis.shape[1] and _has_margin(
+            coords, coords.x_particular, config.DEFAULT_TOL)):
         x = coords.x_particular
         obj = float(np.dot(p.c, x))
         y = coords.dual_point([blk.zero() for blk in blocks], p.c)
-        return SolveResult(SolveStatus.OPTIMAL, x, y, face.embed(slack0),
+        return SolveResult(SolveStatus.OPTIMAL, x, y,
+                           face.embed([stack[-1] for stack in stacks]),
                            obj, obj,
                            {"primal": 0.0, "dual": 0.0, "gap": 0.0, "mu": 0.0},
                            0, [], "the span equations pin x")
-    prog = ConicProgram(blocks, [YElement(blocks, col) for col in cols],
-                        YElement(blocks, slack0), coords.null_basis.T @ p.c,
-                        name=(p.name + " on-face").strip())
+    prog = ConicProgram.from_stacks(blocks, stacks, coords.null_basis.T @ p.c,
+                                    name=(p.name + " on-face").strip())
     res = solve_conic_lp(prog, options)
     shift = float(np.dot(p.c, coords.x_particular))
     res.x = coords.x_particular + coords.null_basis @ res.x
@@ -308,28 +309,25 @@ def restricted_solve_failure(p: ConicProgram, face: FaceRep, res):
     return None
 
 
-def _strict_candidate(coords: FaceCoordinates, cols, slack0, tol):
+def _strict_candidate(coords: FaceCoordinates, stacks, tol):
     """A point whose slack lies in the relative interior of the face by a
     clear margin, or None.
 
     Over the eliminated variables (``coords.eliminated()``), the candidate
-    fits the compressed slack to tau * I, tau = |slack0| / |I|, I the
+    fits the compressed slack to tau * I, tau = |slack| / |I|, I the
     compressed canonical interior point; its slack is then recomputed from
     the program's data.  A margin mu (smallest compressed eigenvalue or
     entry) makes t = min(1, mu) feasible for the reducing primal, so
     accepting mu >= 100 tol (1 + largest entry) confirms only what its
     solve would.  Returns x or None.
     """
-    def flat(parts):
-        return np.concatenate([part.ravel() for part in parts])
-
-    target = flat(slack0)
-    goal = flat([blk.identity() for blk in coords.face.kept_blocks])
-    goal *= np.linalg.norm(target) / np.linalg.norm(goal)
+    flat = np.hstack([stack.reshape(len(stack), -1) for stack in stacks])
+    goal = np.hstack([blk.identity().ravel()
+                      for blk in coords.face.kept_blocks])
+    goal *= np.linalg.norm(flat[-1]) / np.linalg.norm(goal)
     x = coords.x_particular
-    if cols:
-        w, *_ = np.linalg.lstsq(np.column_stack([flat(col) for col in cols]),
-                                target - goal, rcond=None)
+    if coords.null_basis.shape[1]:
+        w, *_ = np.linalg.lstsq(flat[:-1].T, flat[-1] - goal, rcond=None)
         x = x + coords.null_basis @ w
     return x if _has_margin(coords, x, tol) else None
 
@@ -342,18 +340,18 @@ def _has_margin(coords: FaceCoordinates, x, tol) -> bool:
     return margin >= 100.0 * tol * (1.0 + scale)
 
 
-def _reducing_primal(coords: FaceCoordinates, f: YElement, cols, slack0):
+def _reducing_primal(coords: FaceCoordinates, f: YElement, stacks):
     """sup t over the eliminated variables (``coords.eliminated()``), slack
     in the compressed cone, with the bounding row t <= 1."""
-    blocks = coords.face.kept_blocks + (ConeBlock("orthant", 1),)
-
-    def lift(parts_hat, cap_val):
-        return YElement(blocks, list(parts_hat) + [np.array([cap_val])])
-
-    a_cols = [lift(col, 0.0) for col in cols]
-    a_cols.append(lift(coords.face.compress(f), 1.0))
-    c = np.append(np.zeros(len(cols)), 1.0)
-    return ConicProgram(blocks, a_cols, lift(slack0, 1.0), c, name="reducing")
+    k = coords.null_basis.shape[1]
+    f_hat = [part if part.ndim == 1 else _sym(part)
+             for part in coords.face.compress(f)]
+    stacks = [np.concatenate([stack[:-1], f_c[None], stack[-1:]])
+              for stack, f_c in zip(stacks, f_hat)]
+    stacks.append(np.append(np.zeros(k), [1.0, 1.0]).reshape(-1, 1))
+    return ConicProgram.from_stacks(
+        coords.face.kept_blocks + (ConeBlock("orthant", 1),), stacks,
+        np.append(np.zeros(k), 1.0), name="reducing")
 
 
 def solve_reducing_pair(p: ConicProgram, face: FaceRep, tol: float = None,
@@ -387,13 +385,13 @@ def solve_reducing_pair(p: ConicProgram, face: FaceRep, tol: float = None,
         # equations already certified.
         return ReducingOutcome.minimal_reached(coords.x_particular)
 
-    cols, slack0 = coords.eliminated()
-    x_strict = _strict_candidate(coords, cols, slack0, tol)
+    stacks = coords.eliminated()
+    x_strict = _strict_candidate(coords, stacks, tol)
     if x_strict is not None:
         return ReducingOutcome.minimal_reached(x_strict)
 
     f = relative_interior_point(face)
-    prog = _reducing_primal(coords, f, cols, slack0)
+    prog = _reducing_primal(coords, f, stacks)
     confirmed = []
 
     def checks(x, score):

@@ -865,3 +865,87 @@ def test_the_dual_of_an_emitted_dual_is_solved_or_refused(tmp_path,
         assert out == "" and err.startswith("error: ")
     else:
         assert "status: ok" in out
+
+
+@pytest.mark.parametrize("tol, failed", [
+    ("1e-4", "FAIL  face 1 recomputation  (certificate lies outside the "
+             "face dual beyond tolerance)"),
+    ("1e-7", "FAIL  y_1 in the dual of face 0")])
+def test_verify_refuses_a_certificate_below_the_cut_bar(tmp_path, tol,
+                                                        failed):
+    """On lp5x3, y_1 = (0, 1, 1, 1, 0)/3 - 1e-5 (0, 0, 0, 1, 1) is in the
+    data nullspace and 1e-5 outside the orthant: at tol 1e-4 it passes the
+    step test and the cut refuses it at its bar, the rank cutoff 1e-6; at
+    tol 1e-7 the step test refuses it.  Verify stops at the failed check."""
+    from facred.certfile import write_certificate
+    from facred.reduction import ReductionCertificate
+
+    blocks = (ConeBlock("orthant", 5),)
+    y = YElement(blocks, [np.array([0.0, 1.0, 1.0, 1.0, 0.0]) / 3.0
+                          - 1e-5 * np.array([0.0, 0.0, 0.0, 1.0, 1.0])])
+    cert = tmp_path / "below.cert"
+    cert.write_text(write_certificate(ReductionCertificate(
+        [YElement.zeros(blocks), y], None, [True], np.zeros(3))))
+    code, out = run_cli(["verify", str(GOLDEN / "lp5x3.dat-s"), str(cert),
+                         "--tol", tol])
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[-2:] == [failed, "result: fail"]
+    assert [l for l in lines if l.startswith("FAIL")] == [failed]
+    assert any(l.startswith("pass  y_1 in the data nullspace") for l in lines)
+
+
+def test_dualize_exits_one_when_the_final_layer_solve_is_not_optimal(
+        monkeypatch, capsys):
+    """The face-restricted solve that gives the extended dual's final layer
+    ends short of optimal: no point, so one error line and no report."""
+    from dataclasses import replace
+
+    from facred import extended
+
+    real = extended.solve_restricted_to_face
+
+    def stalled(*args):
+        return replace(real(*args), status=SolveStatus.NUMERICAL_FAILURE)
+
+    monkeypatch.setattr(extended, "solve_restricted_to_face", stalled)
+    code, out = run_cli(["dualize", str(GOLDEN / "sdp3.dat-s"), "--solve"])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err.splitlines() == [
+        "error: face-restricted solve did not reach optimality"]
+
+
+@pytest.mark.parametrize("failure, line", [
+    ("raises", "standard_dual: reduction failed (injected)"),
+    ("empty chain", "standard_dual: its Slater point fails verification")])
+def test_dualize_says_why_the_reduced_ordinary_dual_has_no_value(
+        tmp_path, monkeypatch, failure, line):
+    """The gap SDP's ordinary dual D is reduced for its value.  A reduction
+    of D that raises, and an empty chain of D whose x_strict (0) has no
+    interior slack, since D has no Slater point, each print why on a
+    standard_dual: line and no value; the extended dual still answers."""
+    from conftest import gap_sdp
+    from facred.faces import FaceRep
+    from facred.reduction import ReductionCertificate
+
+    real = cli.run_facial_reduction
+
+    def patched(program, *args):
+        if not program.name.endswith(" dual"):
+            return real(program, *args)
+        if failure == "raises":
+            raise ReductionError("injected")
+        return ReductionCertificate([YElement.zeros(program.blocks)],
+                                    [FaceRep.full_cone(program.blocks)], [],
+                                    np.zeros(program.m))
+
+    monkeypatch.setattr(cli, "run_facial_reduction", patched)
+    path = tmp_path / "gap.dat-s"
+    path.write_text(emit_sdpa(gap_sdp()))
+    code, out = run_cli(["dualize", str(path), "--solve"])
+    assert code == 0
+    lines = out.splitlines()
+    assert not any(l.startswith("standard_dual_value:") for l in lines)
+    assert line in lines
+    assert "extended_dual_value: 0.000000" in lines
+    assert lines[-1] == "status: ok"

@@ -241,3 +241,145 @@ def test_stacked_maps_agree_with_the_element_loops():
             slack = primal_slack(p, x)
             assert all(np.array_equal(s, b - a) for s, b, a
                        in zip(slack.parts, p.b.parts, got.parts))
+
+
+# The element-list construction of the programs facred builds for itself,
+# as it was before they were built from stacks: the reference for
+# test_own_programs_match_the_element_construction.
+
+def _eliminated_elements(coords):
+    k = coords.null_basis.shape[1]
+    images = coords.combine(np.hstack([coords.null_basis.T, np.zeros((k, 1))]))
+    return ([[image[j] for image in images] for j in range(k)],
+            coords.combine(np.append(-coords.x_particular, 1.0)))
+
+
+def _on_face_reference(p, face):
+    from facred.reducing import FaceCoordinates
+
+    coords = FaceCoordinates(p, face)
+    blocks = face.kept_blocks
+    cols, slack0 = _eliminated_elements(coords)
+    return ConicProgram(blocks, [YElement(blocks, col) for col in cols],
+                        YElement(blocks, slack0), coords.null_basis.T @ p.c,
+                        name=(p.name + " on-face").strip())
+
+
+def _reducing_reference(p, face):
+    from facred.faces import relative_interior_point
+    from facred.reducing import FaceCoordinates
+
+    cols, slack0 = _eliminated_elements(FaceCoordinates(p, face))
+    blocks = face.kept_blocks + (ConeBlock("orthant", 1),)
+
+    def lift(parts_hat, cap_val):
+        return YElement(blocks, list(parts_hat) + [np.array([cap_val])])
+
+    a_cols = [lift(col, 0.0) for col in cols]
+    a_cols.append(lift(face.compress(relative_interior_point(face)), 1.0))
+    c = np.append(np.zeros(len(cols)), 1.0)
+    return ConicProgram(blocks, a_cols, lift(slack0, 1.0), c, name="reducing")
+
+
+def _membership_reference(p, s):
+    blocks = p.blocks + (ConeBlock("orthant", 2),)
+
+    def widen(y, tail):
+        return YElement(blocks, list(y.parts) + [np.asarray(tail, dtype=float)])
+
+    a_cols = [widen(ai, [0.0, 0.0]) for ai in p.a]
+    a_cols.append(widen(-1.0 * p.b, [-1.0, 0.0]))
+    a_cols.append(widen(s, [0.0, 1.0]))
+    c = np.zeros(p.m + 2)
+    c[-1] = 1.0
+    return ConicProgram(blocks, a_cols,
+                        widen(YElement.zeros(p.blocks), [0.0, 1.0]), c,
+                        name="membership")
+
+
+def _lift_reference(p):
+    blocks = tuple(ConeBlock("psd", blk.size) for blk in p.blocks)
+
+    def lift(y):
+        return YElement(blocks, [np.diag(part) if blk.kind == "orthant"
+                                 else part
+                                 for blk, part in zip(p.blocks, y.parts)])
+
+    return ConicProgram(blocks, [lift(ai) for ai in p.a], lift(p.b), p.c,
+                        name=(p.name + " lifted").strip())
+
+
+class _Built(Exception):
+    def __init__(self, program):
+        super().__init__(program.name)
+        self.program = program
+
+
+def _built(monkeypatch, module, call):
+    """The program ``call`` hands to ``module.solve_conic_lp``, stopped
+    before it is solved; None when ``call`` asks for no solve."""
+    def capture(program, options=None):
+        raise _Built(program)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "solve_conic_lp", capture)
+        try:
+            call()
+        except _Built as built:
+            return built.program
+    return None
+
+
+def _assert_same_program(got, want):
+    assert got.blocks == want.blocks and got.name == want.name
+    assert len(got.stacks) == len(want.stacks)
+    for g, w in zip((got.c,) + got.stacks, (want.c,) + want.stacks):
+        assert g.dtype == np.float64
+        assert np.array_equal(g, w)
+        assert np.array_equal(np.signbit(g), np.signbit(w))
+    for stack in got.stacks:
+        assert stack.flags.c_contiguous and not stack.flags.writeable
+
+
+def test_own_programs_match_the_element_construction(monkeypatch):
+    """The on-face program, the reducing primal, the squeeze program of a
+    member point and the PSD lift, built from stacks, equal the
+    element-list construction bit for bit, signs of zeros included, on
+    every face of the chains of the golden files and of degenerate
+    programs, at the slack of each chain's x_strict."""
+    from pathlib import Path
+
+    from conftest import random_degenerate
+    from facred import extended, reducing
+    from facred.extended import fmin_membership, lift_to_psd
+    from facred.reduction import run_facial_reduction
+    from facred.sdpa import parse_sdpa
+
+    golden = Path(__file__).parent / "golden"
+    progs = [parse_sdpa(path.read_text())
+             for path in sorted(golden.glob("*.dat-s"))]
+    progs += [random_degenerate(seed, n=n, m=2 * n // 3, kind=kind)[0]
+              for seed in range(3) for n in (4, 6)
+              for kind in ("psd", "orthant")]
+    built = {"on-face": 0, "reducing": 0, "membership": 0, "lifted": 0}
+    for p in progs:
+        cert = run_facial_reduction(p)
+        for face in cert.faces:
+            for name, call, reference in (
+                    ("on-face", reducing.solve_restricted_to_face,
+                     _on_face_reference),
+                    ("reducing", reducing.solve_reducing_pair,
+                     _reducing_reference)):
+                got = _built(monkeypatch, reducing, lambda: call(p, face))
+                if got is not None:
+                    _assert_same_program(got, reference(p, face))
+                    built[name] += 1
+        s = primal_slack(p, cert.x_strict)
+        _assert_same_program(
+            _built(monkeypatch, extended, lambda: fmin_membership(p, s)),
+            _membership_reference(p, s))
+        built["membership"] += 1
+        if any(blk.kind == "orthant" for blk in p.blocks):
+            _assert_same_program(lift_to_psd(p), _lift_reference(p))
+            built["lifted"] += 1
+    assert min(built.values()) >= 5, built

@@ -115,11 +115,9 @@ def test_pinned_face_solve_is_closed_form(seed, n):
     assert res.iterations == 0
 
     coords = FaceCoordinates(p, face)
-    cols, slack0 = coords.eliminated()
-    assert not cols
-    blocks = face.kept_blocks
-    ipm = solve_conic_lp(ConicProgram(blocks, [], YElement(blocks, slack0),
-                                      np.zeros(0)))
+    assert not coords.null_basis.shape[1]
+    ipm = solve_conic_lp(ConicProgram.from_stacks(
+        face.kept_blocks, coords.eliminated(), np.zeros(0)))
     assert ipm.status is SolveStatus.OPTIMAL and ipm.iterations > 0
     value = float(np.dot(p.c, coords.x_particular)) + ipm.primal_obj
     np.testing.assert_allclose(res.x, coords.x_particular, atol=1e-7)
@@ -564,3 +562,58 @@ def test_missed_candidate_falls_back_to_the_solve(monkeypatch, seed, n, m):
     assert solves[0].message == "stopped by the caller's test"
     assert summary == (0, (), ((n,),))
     assert verify_certificate_chain(p, cert).ok
+
+
+@pytest.mark.parametrize("a", [[], [np.diag([1.0, 0.0])]], ids=["m0", "m1"])
+def test_a_small_reducing_value_confirms_at_the_minimality_rung(
+        tmp_path, monkeypatch, capsys, a):
+    """b = diag(10, 5e-5), with no variable or with a_1 = diag(1, 0): the
+    checked point and every iterate miss the margin bar, 5e-5 below
+    100 tol (1 + 10), and the reducing value t* = 5e-5 clears the
+    minimality rung 100 tol, which confirms the full cone."""
+    from dataclasses import replace
+
+    from facred import cli, reducing
+    from facred.reduction import run_facial_reduction
+    from facred.sdpa import emit_sdpa
+
+    blocks = (ConeBlock("psd", 2),)
+    p = ConicProgram(blocks, [YElement(blocks, [ai]) for ai in a],
+                     YElement(blocks, [np.diag([10.0, 5e-5])]),
+                     np.zeros(len(a)))
+    candidates, stops, solves = [], [], []
+    strict, solve = reducing._strict_candidate, reducing.solve_conic_lp
+
+    def candidate(*args):
+        candidates.append(strict(*args))
+        return candidates[-1]
+
+    def solved(prog, options):
+        def stop(x, score):
+            stops.append(options.stop(x, score))
+            return stops[-1]
+
+        solves.append(solve(prog, replace(options, stop=stop)))
+        return solves[-1]
+
+    monkeypatch.setattr(reducing, "_strict_candidate", candidate)
+    monkeypatch.setattr(reducing, "solve_conic_lp", solved)
+    cert = run_facial_reduction(p)
+    assert cert.steps == 0
+    assert cert.minimal_face.describe() == "block 1: psd rank 2 of 2"
+    assert candidates == [None]
+    assert stops and not any(stops)
+    assert len(solves) == 1
+    assert solves[0].primal_obj >= 100 * 1e-7
+    assert solves[0].primal_obj == pytest.approx(5e-5, rel=1e-3)
+
+    path, cert_path = tmp_path / "p.dat-s", str(tmp_path / "p.cert")
+    path.write_text(emit_sdpa(p))
+    assert cli.main(["reduce", str(path), "--cert", cert_path]) == 0
+    assert "F_min: block 1: psd rank 2 of 2" in capsys.readouterr().out
+    assert cli.main(["verify", str(path), cert_path]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "result: pass" in out
+    if not a:
+        assert "pass  slack of x_strict is strictly interior  " \
+            "(margin 5.00e-05)" in out

@@ -659,7 +659,7 @@ def _reducing_case(seed, n):
     face = FaceRep.full_cone(p.blocks)
     coords = FaceCoordinates(p, face)
     return _reducing_primal(coords, relative_interior_point(face),
-                            *coords.eliminated())
+                            coords.eliminated())
 
 
 def _on_face_case(seed, n):
@@ -672,10 +672,8 @@ def _on_face_case(seed, n):
     p, _ = random_degenerate(seed, n=n, m=2 * n // 3)
     face = run_facial_reduction(p).minimal_face
     coords = FaceCoordinates(p, face)
-    cols, slack0 = coords.eliminated()
-    blocks = face.kept_blocks
-    return ConicProgram(blocks, [YElement(blocks, col) for col in cols],
-                        YElement(blocks, slack0), coords.null_basis.T @ p.c)
+    return ConicProgram.from_stacks(face.kept_blocks, coords.eliminated(),
+                                    coords.null_basis.T @ p.c)
 
 
 REFERENCE_CASES = (
