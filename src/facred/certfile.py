@@ -17,6 +17,8 @@ the chain on verification, so they are not stored.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .model import ConeBlock, YElement
@@ -48,10 +50,8 @@ def _parse_blocks(line):
 
 
 def _element_lines(y: YElement):
-    lines = []
-    for blk, part in zip(y.blocks, y.parts):
-        lines.append(" ".join(f"{v:.17g}" for v in np.asarray(part).reshape(-1)))
-    return lines
+    return [" ".join(f"{v:.17g}" for v in np.asarray(part).reshape(-1))
+            for part in y.parts]
 
 
 def _floats(text):
@@ -72,9 +72,9 @@ def _read_element(blocks, lines, at):
             raise CertFormatError("unexpected end of file inside an element")
         vals = _floats(lines[at])
         at += 1
-        if len(vals) != blk.zero().size:
+        if len(vals) != math.prod(blk.shape):
             raise CertFormatError(f"{blk.kind} payload length mismatch")
-        parts.append(vals.reshape(blk.zero().shape))
+        parts.append(vals.reshape(blk.shape))
     return YElement(blocks, parts), at
 
 

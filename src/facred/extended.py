@@ -44,14 +44,15 @@ import numpy as np
 from . import config
 from .faces import (face_contains, in_tangent_space, split_on_face,
                     tangent_membership_schur)
-from .linalg import (_svec, _sym, _unsvec, flatten_element, nullspace_basis,
+from .linalg import (_sym, flatten_element, nullspace_basis,
                      shift_off_objective)
 from .model import ConeBlock, ConicProgram, YElement, cone_margin
-from .reducing import AmbiguousOutcome, solve_restricted_to_face
+from .reducing import (AmbiguousOutcome, restricted_solve_failure,
+                       solve_restricted_to_face)
 from .reduction import (ReductionCertificate, ReductionError,
                         VerificationReport, compute_ell,
                         decompose_certificates, run_facial_reduction)
-from .solver import (SolverError, SolverOptions, SolveStatus, dual_equations,
+from .solver import (SolverError, SolverOptions, dual_equations,
                      solve_conic_lp)
 
 VARIANTS = ("star", "simple", "primed", "ramana")
@@ -143,7 +144,7 @@ def _layered_system(lifted: ConicProgram, variant: str, us, vs, ws, betas,
         bordered.append([])
         for bi, blk in enumerate(lifted.blocks):
             n, w, wt = blk.size, ws[i][bi], np.swapaxes(ws[i][bi], -1, -2)
-            recompose[-1].append(_svec(vs[i][bi] - w - wt, "psd"))
+            recompose[-1].append(blk.svec(vs[i][bi] - w - wt))
             lower = np.multiply.outer(betas[i], np.eye(n)) \
                 if variant in ("star", "simple") else np.eye(n) * constants
             shape = np.broadcast_shapes(bases[i - 1][bi].shape, w.shape,
@@ -184,18 +185,18 @@ class ExtendedDualProgram:
         """The layered point held by z, batched over z's leading axes, as
         _layered_system reads it; "ramana" writes v_i as w_i + w_i^T."""
         blocks, at = self.source.blocks, self.layout
-        zero = [np.zeros((blk.size, blk.size)) for blk in blocks]
+        zero = [blk.zero() for blk in blocks]
         us, vs, ws, betas = [zero], [zero, zero], [zero, zero], [0.0, 0.0]
         for i in range(1, self.ell + 2):
-            us.append([_unsvec(z[..., at["u", i, bi]], "psd", blk.size)
+            us.append([blk.unsvec(z[..., at["u", i, bi]])
                        for bi, blk in enumerate(blocks)])
             if i == 1:
                 continue
             ws.append([z[..., at["w", i, bi]].reshape(z.shape[:-1] + (n, n))
                        for bi, n in enumerate(blk.size for blk in blocks)])
             vs.append([w + np.swapaxes(w, -1, -2) if self.variant == "ramana"
-                       else _unsvec(z[..., at["v", i, bi]], "psd", w.shape[-1])
-                       for bi, w in enumerate(ws[i])])
+                       else blk.unsvec(z[..., at["v", i, bi]])
+                       for bi, (blk, w) in enumerate(zip(blocks, ws[i]))])
             betas.append(z[..., at["beta", i].start]
                          if ("beta", i) in at else 0.0)
         return us, vs, ws, betas
@@ -289,15 +290,16 @@ def build_extended_dual(p: ConicProgram, variant: str = "star",
     offset = float(lam @ lifted.c) if in_span else 0.0
 
     # The variables: u_i and v_i svec-packed, as every internal flattening
-    # is (linalg._svec), and w_i row-major.
-    keys, sizes = [], [blk.size for blk in lifted.blocks]
+    # is (ConeBlock.svec), and w_i row-major.
+    keys = []
     for i in range(1, ell + 2):
-        keys += [(("u", i, bi), n * (n + 1) // 2) for bi, n in enumerate(sizes)]
+        keys += [(("u", i, bi), blk.ambient_dim)
+                 for bi, blk in enumerate(lifted.blocks)]
         if i >= 2:
-            for bi, n in enumerate(sizes):
-                keys.append((("w", i, bi), n * n))
+            for bi, blk in enumerate(lifted.blocks):
+                keys.append((("w", i, bi), blk.size ** 2))
                 if variant != "ramana":
-                    keys.append((("v", i, bi), n * (n + 1) // 2))
+                    keys.append((("v", i, bi), blk.ambient_dim))
             if variant in ("star", "simple"):
                 keys.append((("beta", i), 1))
     ends = list(accumulate(length for _, length in keys))
@@ -397,6 +399,8 @@ def assemble_optimal_point(p: ConicProgram, variant: str = "star",
     here when not given.  ``ell`` defaults to the chain's bound; below the
     chain length the chain does not fit and ValueError is raised.  The
     layers past the chain length are zero layers placed before the chain.
+    A final-layer solve that is not optimal, or that fails
+    restricted_solve_failure, raises SolverError naming why.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -412,10 +416,15 @@ def assemble_optimal_point(p: ConicProgram, variant: str = "star",
             f"the extended dual needs at least one layer per reducing step")
     dec = decompose_certificates(lifted, cert)
     # The final layer, the attained optimum of the dual regularized by the
-    # minimal cone; check_extended_point tests its adjoint equation.
+    # minimal cone, checked on the program's own data: a feasible y whose
+    # <b, y> is not c x would print a value above the primal value.
     res = solve_restricted_to_face(lifted, cert.minimal_face, options)
-    if res.status is not SolveStatus.OPTIMAL:
-        raise SolverError("face-restricted solve did not reach optimality")
+    if not res.optimal:
+        raise SolverError("face-restricted solve did not reach optimality: "
+                          f"{res.status.value} ({res.message})")
+    failure = restricted_solve_failure(lifted, cert.minimal_face, res)
+    if failure:
+        raise SolverError(f"face-restricted solve unverified ({failure})")
     u_fin, v_fin = split_on_face(cert.minimal_face, res.y)
 
     blocks = lifted.blocks
@@ -433,7 +442,7 @@ def assemble_optimal_point(p: ConicProgram, variant: str = "star",
 
     # Witnesses per layer (the certificate for v_i at the variant's base).
     bases = _bases([u.parts for u in us], variant)
-    zero_w = [np.zeros((blk.size, blk.size)) for blk in blocks]
+    zero_w = [blk.zero() for blk in blocks]
     wit_list, beta_list = [zero_w, zero_w], [0.0, 0.0]
     for i in range(2, ell + 2):
         w_i, beta_i = _tangent_witness(bases[i - 1], vs[i].parts, blocks)

@@ -1,17 +1,23 @@
 """Face algebra for products of orthant and PSD cones.
 
-A face is represented per block: an index support set for an orthant block,
-an orthonormal basis Q of the active subspace for a PSD block (the face is
-{ Q z Q^T : z psd of order r }).  r = 0 encodes the trivial face {0},
-r = n the full cone.  Both block cones are self-dual and nice, so face
-duals and tangent spaces have the explicit forms implemented here.
+A face is represented per block by a face component that owns the face's
+coordinates on that block: an OrthantFace, the index support set of an
+orthant block, or a PsdFace, an orthonormal basis Q of the active subspace
+of a PSD block (the face is { Q z Q^T : z psd of order r }).  r = 0 encodes
+the trivial face {0}, r = n the full cone.  Both block cones are self-dual
+and nice, so face duals and tangent spaces have the explicit forms
+implemented here.  A component compresses a payload to the face's
+coordinates (the support entries, or Q^T Y Q) and embeds one back, zero
+outside; it splits data into that compressed part and the span rows
+outside, finds the minimal face of a payload, cuts itself by a hyperplane
+and describes itself.  ``_FACES`` is the one place that picks a
+component's class by the block's kind.
 
-FaceRep also owns the face's coordinates: ``compress`` maps an element to
-one payload per block of nonzero rank (the support entries of an orthant
-block, Q^T Y Q of a PSD block) and ``embed`` maps payloads back, zero
-outside the face.  Membership in F, in F* and in ri F are statements about
-those payloads: a vector payload lives in an orthant, a matrix payload in a
-PSD cone.
+FaceRep holds one component per block and maps whole elements:
+``compress`` gives one payload per block of nonzero rank and ``embed``
+maps payloads back.  Membership in F, in F* and in ri F are statements
+about those payloads: a vector payload lives in an orthant, a matrix
+payload in a PSD cone.
 """
 
 from __future__ import annotations
@@ -29,19 +35,123 @@ from .model import (ConeBlock, StructureMismatchError, YElement, _freeze,
 @dataclass(frozen=True)
 class OrthantFace:
     support: tuple  # strictly increasing 0-based indices
+    product = np.multiply   # the complementarity product s . y
 
     @property
     def rank(self) -> int:
         return len(self.support)
 
+    @classmethod
+    def checked(cls, rep, blk) -> "OrthantFace":
+        support = tuple(sorted(set(int(i) for i in rep.support)))
+        if support and (support[0] < 0 or support[-1] >= blk.size):
+            raise ValueError("support index out of range")
+        return cls(support)
+
+    @classmethod
+    def full(cls, blk) -> "OrthantFace":
+        return cls(tuple(range(blk.size)))
+
+    @classmethod
+    def of(cls, part, tol) -> "OrthantFace":
+        if np.min(part, initial=0.0) < -tol:
+            raise ValueError("point outside the cone beyond tolerance")
+        return cls(tuple(np.nonzero(part > tol)[0]))
+
+    def compress(self, part):
+        return part[..., list(self.support)]
+
+    def embed(self, z, blk):
+        part = np.zeros(np.shape(z)[:-1] + blk.shape)
+        part[..., list(self.support)] = z
+        return part
+
+    def split(self, data, blk):
+        return (self.compress(data),
+                np.delete(data, list(self.support), axis=-1))
+
+    def outside_adjoint(self, coeffs, blk):
+        outside = np.delete(np.arange(blk.size), list(self.support))
+        part = blk.zero()
+        part[outside] = coeffs[:len(outside)]
+        return part, len(outside)
+
+    def cut(self, part, tol):
+        return (OrthantFace(tuple(i for i, v in zip(self.support, part)
+                                  if v <= tol)), float(np.min(part)))
+
+    def same(self, other) -> bool:
+        return self.support == other.support
+
+    def describe(self, blk) -> str:
+        inside = ",".join(str(i + 1) for i in self.support)
+        return f"orthant support {{{inside}}}"
+
 
 @dataclass(frozen=True)
 class PsdFace:
     basis: np.ndarray  # n x r, orthonormal columns
+    product = np.matmul    # the complementarity product S Y
 
     @property
     def rank(self) -> int:
         return self.basis.shape[1]
+
+    @classmethod
+    def checked(cls, rep, blk) -> "PsdFace":
+        q = np.asarray(rep.basis, dtype=float)
+        if q.ndim != 2 or q.shape[0] != blk.size or q.shape[1] > blk.size:
+            raise ValueError("basis shape incompatible with block")
+        if q.shape[1] and np.linalg.norm(q.T @ q - np.eye(q.shape[1])) > 1e-10:
+            raise ValueError("basis columns not orthonormal")
+        return cls(_freeze(q))
+
+    @classmethod
+    def full(cls, blk) -> "PsdFace":
+        return cls(_freeze(np.eye(blk.size)))
+
+    @classmethod
+    def of(cls, part, tol) -> "PsdFace":
+        dec = sym_eig(part)
+        if dec.eigenvalues.size and dec.eigenvalues[-1] < -tol * max(
+                1.0, float(dec.eigenvalues[0])):
+            raise ValueError("point outside the cone beyond tolerance")
+        return cls(dec.eigenvectors[:, :numeric_rank(dec.eigenvalues, tol)])
+
+    def compress(self, part):
+        return self.basis.T @ part @ self.basis
+
+    def embed(self, z, blk):
+        return self.basis @ z @ self.basis.T
+
+    def split(self, data, blk):
+        """The span rows Y - Q (Q^T Y Q) Q^T are all n(n+1)/2 packed
+        entries below full rank, whatever the rank, and none at it."""
+        inside = _sym(self.compress(data))
+        if self.rank == blk.size:
+            return inside, np.zeros(data.shape[:-2] + (0,))
+        return inside, blk.svec(data - self.embed(inside, blk))
+
+    def outside_adjoint(self, coeffs, blk):
+        if self.rank == blk.size:
+            return blk.zero(), 0
+        part = blk.unsvec(coeffs[:blk.ambient_dim])
+        return part - self.embed(self.compress(part), blk), blk.ambient_dim
+
+    def cut(self, part, tol):
+        dec = sym_eig(part)
+        kernel = dec.eigenvectors[:, numeric_rank(dec.eigenvalues, tol):]
+        return PsdFace(self.basis @ kernel), float(dec.eigenvalues[-1])
+
+    def same(self, other) -> bool:
+        return self.rank == other.rank and \
+            subspace_distance(self.basis, other.basis) <= 1e-8
+
+    def describe(self, blk) -> str:
+        return f"psd rank {self.rank} of {blk.size}"
+
+
+_FACES = {"orthant": OrthantFace, "psd": PsdFace}
 
 
 class FaceRep:
@@ -53,21 +163,8 @@ class FaceRep:
         blocks = tuple(blocks)
         if len(blocks) != len(reps):
             raise StructureMismatchError("one face component required per block")
-        clean = []
-        for blk, rep in zip(blocks, reps):
-            if blk.kind == "orthant":
-                support = tuple(sorted(set(int(i) for i in rep.support)))
-                if support and (support[0] < 0 or support[-1] >= blk.size):
-                    raise ValueError("support index out of range")
-                clean.append(OrthantFace(support))
-            else:
-                q = np.asarray(rep.basis, dtype=float)
-                if q.ndim != 2 or q.shape[0] != blk.size or q.shape[1] > blk.size:
-                    raise ValueError("basis shape incompatible with block")
-                if q.shape[1] and np.linalg.norm(q.T @ q - np.eye(q.shape[1])) > 1e-10:
-                    raise ValueError("basis columns not orthonormal")
-                clean.append(PsdFace(_freeze(q)))
-        self._set(blocks, clean)
+        self._set(blocks, [_FACES[blk.kind].checked(rep, blk)
+                           for blk, rep in zip(blocks, reps)])
 
     def _set(self, blocks, reps):
         object.__setattr__(self, "blocks", blocks)
@@ -83,22 +180,14 @@ class FaceRep:
     def compress(self, y: YElement) -> list:
         """Payloads of ``y`` in the face's coordinates, one per kept block:
         the support entries of an orthant block, Q^T Y Q of a PSD block."""
-        return [part[list(rep.support)] if blk.kind == "orthant"
-                else rep.basis.T @ part @ rep.basis
-                for blk, rep, part in zip(self.blocks, self.reps, y.parts)
+        return [rep.compress(part) for rep, part in zip(self.reps, y.parts)
                 if rep.rank]
 
     def _embed_parts(self, parts) -> list:
         """Per-block arrays of ``embed`` before the symmetric check."""
-        full, kept = [], iter(parts)
-        for blk, rep in zip(self.blocks, self.reps):
-            part = blk.zero()
-            if rep.rank and blk.kind == "orthant":
-                part[list(rep.support)] = next(kept)
-            elif rep.rank:
-                part = rep.basis @ next(kept) @ rep.basis.T
-            full.append(part)
-        return full
+        kept = iter(parts)
+        return [rep.embed(next(kept), blk) if rep.rank else blk.zero()
+                for blk, rep in zip(self.blocks, self.reps)]
 
     def embed(self, parts) -> YElement:
         """Inverse of ``compress``: payloads placed back, zero outside."""
@@ -118,9 +207,8 @@ class FaceRep:
         """The cone itself: full supports and identity bases, valid by
         construction, so the constructor's checks are skipped."""
         self = object.__new__(cls)
-        self._set(tuple(blocks), [
-            OrthantFace(tuple(range(blk.size))) if blk.kind == "orthant"
-            else PsdFace(_freeze(np.eye(blk.size))) for blk in blocks])
+        self._set(tuple(blocks), [_FACES[blk.kind].full(blk)
+                                  for blk in blocks])
         return self
 
     @property
@@ -128,14 +216,9 @@ class FaceRep:
         return tuple(rep.rank for rep in self.reps)
 
     def describe(self) -> str:
-        bits = []
-        for k, (blk, rep) in enumerate(zip(self.blocks, self.reps)):
-            if blk.kind == "orthant":
-                inside = ",".join(str(i + 1) for i in rep.support)
-                bits.append(f"block {k + 1}: orthant support {{{inside}}}")
-            else:
-                bits.append(f"block {k + 1}: psd rank {rep.rank} of {blk.size}")
-        return "; ".join(bits)
+        return "; ".join(f"block {k + 1}: {rep.describe(blk)}"
+                         for k, (blk, rep)
+                         in enumerate(zip(self.blocks, self.reps)))
 
     def __repr__(self):
         return f"FaceRep({self.describe()})"
@@ -150,16 +233,8 @@ def subspace_distance(q1: np.ndarray, q2: np.ndarray) -> float:
 
 
 def faces_equal(f1: FaceRep, f2: FaceRep) -> bool:
-    if f1.blocks != f2.blocks:
-        return False
-    for blk, r1, r2 in zip(f1.blocks, f1.reps, f2.reps):
-        if blk.kind == "orthant":
-            if r1.support != r2.support:
-                return False
-        else:
-            if r1.rank != r2.rank or subspace_distance(r1.basis, r2.basis) > 1e-8:
-                return False
-    return True
+    return f1.blocks == f2.blocks and all(
+        r1.same(r2) for r1, r2 in zip(f1.reps, f2.reps))
 
 
 def minimal_face(x: YElement, blocks) -> FaceRep:
@@ -169,23 +244,10 @@ def minimal_face(x: YElement, blocks) -> FaceRep:
     entries above it, PSD blocks keep eigenvectors of eigenvalues above it
     relative to the largest.
     """
-    tol = config.RANK_TOL
     if tuple(blocks) != x.blocks:
         raise StructureMismatchError("block structures differ")
-    reps = []
-    for blk, part in zip(blocks, x.parts):
-        if blk.kind == "orthant":
-            if np.min(part, initial=0.0) < -tol:
-                raise ValueError("point outside the cone beyond tolerance")
-            reps.append(OrthantFace(tuple(np.nonzero(part > tol)[0])))
-        else:
-            dec = sym_eig(part)
-            if dec.eigenvalues.size and dec.eigenvalues[-1] < -tol * max(
-                    1.0, float(dec.eigenvalues[0])):
-                raise ValueError("point outside the cone beyond tolerance")
-            r = numeric_rank(dec.eigenvalues, tol)
-            reps.append(PsdFace(dec.eigenvectors[:, :r]))
-    return FaceRep(blocks, reps)
+    return FaceRep(blocks, [_FACES[blk.kind].of(part, config.RANK_TOL)
+                            for blk, part in zip(blocks, x.parts)])
 
 
 def _nearest_cone_point(part: np.ndarray, cutoff: float = 0.0) -> np.ndarray:
@@ -243,19 +305,11 @@ def intersect_with_hyperplane(face: FaceRep, y: YElement) -> FaceRep:
     if y.blocks != face.blocks:
         raise StructureMismatchError("block structures differ")
     reps, margin, compressed = [], np.inf, iter(face.compress(y))
-    for blk, rep in zip(face.blocks, face.reps):
-        if not rep.rank:
-            reps.append(rep)
-        elif blk.kind == "orthant":
-            part = next(compressed)
-            margin = min(margin, float(np.min(part)))
-            reps.append(OrthantFace(tuple(
-                i for i, v in zip(rep.support, part) if v <= tol)))
-        else:
-            dec = sym_eig(next(compressed))
-            margin = min(margin, float(dec.eigenvalues[-1]))
-            kernel = dec.eigenvectors[:, numeric_rank(dec.eigenvalues, tol):]
-            reps.append(PsdFace(rep.basis @ kernel))
+    for rep in face.reps:
+        if rep.rank:
+            rep, low = rep.cut(next(compressed), tol)
+            margin = min(margin, low)
+        reps.append(rep)
     if margin < -tol:
         raise ValueError("certificate lies outside the face dual beyond tolerance")
     return FaceRep(face.blocks, reps)
@@ -288,9 +342,15 @@ def _tangent_range(x, v, tol: float):
 
 
 def in_tangent_space(x: np.ndarray, v: np.ndarray, tol: float = 1e-8) -> bool:
-    """Pattern test for v in the tangent space of the PSD cone at x: the
-    component of v on the kernel-by-kernel block of x must vanish."""
-    return _tangent_range(x, np.asarray(v, dtype=float), tol)[2]
+    """Pattern test for v in the tangent space of the cone at x: the
+    component of v on the kernel-by-kernel block of a PSD x, or on the dead
+    entries of an orthant x (those at or below RANK_TOL), must vanish."""
+    v = np.asarray(v, dtype=float)
+    if np.ndim(x) == 2:
+        return _tangent_range(x, v, tol)[2]
+    dead = np.asarray(x, dtype=float) <= config.RANK_TOL
+    scale = 1.0 + float(np.max(np.abs(v), initial=0.0))
+    return float(np.max(np.abs(v[dead]), initial=0.0)) <= tol * scale
 
 
 def tangent_membership_schur(x: np.ndarray, v: np.ndarray, tol: float = 1e-8):
@@ -322,12 +382,6 @@ def tangent_membership_schur(x: np.ndarray, v: np.ndarray, tol: float = 1e-8):
 
 
 def longest_chain_length(blocks) -> int:
-    """Length of the longest chain of faces of the product cone.
-
-    Each orthant or PSD block of size n contributes a chain of n + 1 faces;
-    chains of a product interleave, giving the sum minus (blocks - 1).
-    """
-    blocks = tuple(blocks)
-    if not blocks:
-        return 1
-    return sum(blk.size + 1 for blk in blocks) - (len(blocks) - 1)
+    """Length of the longest chain of faces of the product cone: each
+    orthant or PSD block of size n adds n steps to the chain {0} < ... < K."""
+    return 1 + sum(blk.size for blk in blocks)

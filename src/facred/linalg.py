@@ -8,7 +8,6 @@ eigenvector signs so repeated runs are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -71,44 +70,9 @@ def numeric_rank(eigenvalues: np.ndarray, tol: float = None) -> int:
     return int(np.sum(lam > cutoff))
 
 
-@lru_cache(maxsize=256)
-def _packed_index(n: int):
-    """Row and column indices of the n x n upper triangle, row by row, the
-    svec weight of each entry (1 on the diagonal, sqrt 2 off it) and its
-    inverse.  Cached and read-only, shared by every packing of that shape."""
-    rows, cols = np.triu_indices(n)
-    weights = np.where(rows == cols, 1.0, np.sqrt(2.0))
-    inverse = np.where(rows == cols, 1.0, 1.0 / np.sqrt(2.0))
-    for arr in (rows, cols, weights, inverse):
-        arr.flags.writeable = False
-    return rows, cols, weights, inverse
-
-
-def _svec(part: np.ndarray, kind: str) -> np.ndarray:
-    """Flatten a block payload's upper triangle row by row, off-diagonals
-    scaled by sqrt 2, which makes the flattening isometric; a payload may
-    carry leading batch axes."""
-    if kind == "orthant":
-        return np.asarray(part, dtype=float)
-    rows, cols, weights, _ = _packed_index(part.shape[-1])
-    return part[..., rows, cols] * weights
-
-
-def _unsvec(vec: np.ndarray, kind: str, size: int) -> np.ndarray:
-    """Inverse of :func:`_svec`: the symmetric matrix of a packed PSD
-    payload, batched over leading axes as _svec is.  Off the diagonal the
-    sqrt 2 scaling is undone to within one rounding, not bit for bit."""
-    if kind == "orthant":
-        return np.asarray(vec, dtype=float).copy()
-    rows, cols, _, inverse = _packed_index(size)
-    mat = np.zeros(vec.shape[:-1] + (size, size))
-    mat[..., rows, cols] = mat[..., cols, rows] = vec * inverse
-    return mat
-
-
 def flatten_element(y) -> np.ndarray:
     """Isometric flattening of a YElement: inner products become dot products."""
-    return np.concatenate([_svec(part, blk.kind)
+    return np.concatenate([blk.svec(part)
                            for blk, part in zip(y.blocks, y.parts)]) \
         if y.blocks else np.zeros(0)
 
@@ -116,10 +80,10 @@ def flatten_element(y) -> np.ndarray:
 def flatten_data(p) -> np.ndarray:
     """The isometric flattening of a program's data, read off its stacks:
     one row for each of a_1, ..., a_m, b, in C order as rows stacked one
-    by one would be (a batched _svec comes out in another order, and BLAS
+    by one would be (a batched svec comes out in another order, and BLAS
     rounds a product differently by layout)."""
     return np.ascontiguousarray(np.hstack([
-        _svec(stack, blk.kind) for blk, stack in zip(p.blocks, p.stacks)]))
+        blk.svec(stack) for blk, stack in zip(p.blocks, p.stacks)]))
 
 
 def unflatten_element(vec: np.ndarray, blocks):
@@ -127,7 +91,7 @@ def unflatten_element(vec: np.ndarray, blocks):
     parts, at = [], 0
     for blk in blocks:
         d = blk.ambient_dim
-        parts.append(_unsvec(vec[at:at + d], blk.kind, blk.size))
+        parts.append(blk.unsvec(vec[at:at + d]))
         at += d
     return YElement(blocks, parts)
 

@@ -17,6 +17,7 @@ threads; arithmetic returns new values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,10 +28,25 @@ class StructureMismatchError(ValueError):
     """Operands do not share the same block structure."""
 
 
+@lru_cache(maxsize=256)
+def _packed_index(n: int):
+    """Row and column indices of the n x n upper triangle, row by row, the
+    svec weight of each entry (1 on the diagonal, sqrt 2 off it) and its
+    inverse.  Cached and read-only, shared by every packing of that shape."""
+    rows, cols = np.triu_indices(n)
+    weights = np.where(rows == cols, 1.0, np.sqrt(2.0))
+    inverse = np.where(rows == cols, 1.0, 1.0 / np.sqrt(2.0))
+    for arr in (rows, cols, weights, inverse):
+        arr.flags.writeable = False
+    return rows, cols, weights, inverse
+
+
 @dataclass(frozen=True)
 class ConeBlock:
     """One factor of the cone: ``orthant`` of a given dimension or ``psd``
-    matrices of a given order."""
+    matrices of a given order.  The block owns the facts of its kind: the
+    payload shape, the ambient dimension, the canonical interior point and
+    the isometric packing."""
 
     kind: str  # "orthant" | "psd"
     size: int
@@ -42,22 +58,42 @@ class ConeBlock:
             raise ValueError("block size must be >= 1")
 
     @property
+    def shape(self) -> tuple:
+        n = self.size
+        return (n,) if self.kind == "orthant" else (n, n)
+
+    @property
     def ambient_dim(self) -> int:
         """Dimension of the block's ambient vector space."""
-        if self.kind == "orthant":
-            return self.size
-        return self.size * (self.size + 1) // 2
+        n = self.size
+        return n if self.kind == "orthant" else n * (n + 1) // 2
 
     def identity(self) -> np.ndarray:
         """Canonical interior point: all-ones vector or identity matrix."""
-        if self.kind == "orthant":
-            return np.ones(self.size)
-        return np.eye(self.size)
+        n = self.size
+        return np.ones(n) if self.kind == "orthant" else np.eye(n)
 
     def zero(self) -> np.ndarray:
+        return np.zeros(self.shape)
+
+    def svec(self, part: np.ndarray) -> np.ndarray:
+        """Flatten a payload, batched over leading axes: a PSD payload's
+        upper triangle row by row, off-diagonals scaled by sqrt 2, which
+        makes the flattening isometric."""
         if self.kind == "orthant":
-            return np.zeros(self.size)
-        return np.zeros((self.size, self.size))
+            return np.asarray(part, dtype=float)
+        rows, cols, weights, _ = _packed_index(self.size)
+        return part[..., rows, cols] * weights
+
+    def unsvec(self, vec: np.ndarray) -> np.ndarray:
+        """Inverse of ``svec``, batched as it is.  Off the diagonal the
+        sqrt 2 scaling is undone to within one rounding, not bit for bit."""
+        if self.kind == "orthant":
+            return np.asarray(vec, dtype=float).copy()
+        rows, cols, _, inverse = _packed_index(self.size)
+        mat = np.zeros(vec.shape[:-1] + self.shape)
+        mat[..., rows, cols] = mat[..., cols, rows] = vec * inverse
+        return mat
 
 
 def cone_margin(part: np.ndarray) -> float:
@@ -90,15 +126,10 @@ class YElement:
         clean = []
         for blk, part in zip(blocks, parts):
             arr = np.asarray(part, dtype=float)
-            if blk.kind == "orthant":
-                if arr.shape != (blk.size,):
-                    raise StructureMismatchError(
-                        f"orthant payload shape {arr.shape}, expected ({blk.size},)")
-            else:
-                if arr.shape != (blk.size, blk.size):
-                    raise StructureMismatchError(
-                        f"psd payload shape {arr.shape}, expected "
-                        f"({blk.size}, {blk.size})")
+            if arr.shape != blk.shape:
+                raise StructureMismatchError(f"{blk.kind} payload shape "
+                                             f"{arr.shape}, expected {blk.shape}")
+            if arr.ndim == 2:
                 asym = np.max(np.abs(arr - arr.T))
                 if asym > SYMMETRY_TOL * (1.0 + np.max(np.abs(arr))):
                     raise ValueError(

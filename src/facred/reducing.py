@@ -35,8 +35,8 @@ import numpy as np
 from . import config
 from .faces import (FaceRep, _nearest_cone_point, face_dual_membership,
                     relative_interior_point)
-from .linalg import (_svec, _sym, _unsvec, flatten_data, flatten_element,
-                     nullspace_basis, unflatten_element)
+from .linalg import (_sym, flatten_data, flatten_element, nullspace_basis,
+                     unflatten_element)
 from .model import ConeBlock, ConicProgram, YElement, adjoint_apply
 from .solver import (SolveResult, SolverError, SolverOptions, SolveStatus,
                      solve_conic_lp)
@@ -84,16 +84,9 @@ class FaceCoordinates:
         self.program, self.face = p, face
         self.compressed_data = []    # per kept block: a_1..a_m, b stacked
         values = [np.zeros((p.m + 1, 0))]    # per block: their span rows
-        for bi, (blk, rep) in enumerate(zip(p.blocks, face.reps)):
-            data = p.stacks[bi]
-            if blk.kind == "orthant":
-                inside = data[:, list(rep.support)]
-                values.append(np.delete(data, list(rep.support), axis=1))
-            else:
-                inside = _sym(rep.basis.T @ data @ rep.basis)
-                if rep.rank < blk.size:
-                    values.append(_svec(data - rep.basis @ inside
-                                        @ rep.basis.T, "psd"))
+        for blk, rep, data in zip(p.blocks, face.reps, p.stacks):
+            inside, rows = rep.split(data, blk)
+            values.append(rows)
             if rep.rank:
                 self.compressed_data.append(inside)
         values = np.hstack(values)
@@ -123,17 +116,9 @@ class FaceCoordinates:
         unpacked coefficients less their part inside the face's span."""
         parts, at = [], 0
         for blk, rep in zip(self.program.blocks, self.face.reps):
-            part = blk.zero()
-            if blk.kind == "orthant":
-                outside = np.delete(np.arange(blk.size), list(rep.support))
-                part[outside] = coeffs[at:at + len(outside)]
-                at += len(outside)
-            elif rep.rank < blk.size:
-                q, width = rep.basis, blk.ambient_dim
-                part = _unsvec(coeffs[at:at + width], "psd", blk.size)
-                part = part - q @ (q.T @ part @ q) @ q.T
-                at += width
+            part, read = rep.outside_adjoint(coeffs[at:], blk)
             parts.append(part)
+            at += read
         return YElement(self.program.blocks, parts)
 
     def eliminated(self) -> list:
@@ -157,15 +142,12 @@ class FaceCoordinates:
 
 def _compressed_units(coords: FaceCoordinates):
     """Per kept block, its first ambient coordinate and the compressed image
-    of each of its unit elements, in one batch: Q^T _unsvec(e_j) Q for a
-    PSD block, the support entries of e_j for an orthant."""
+    of each of its unit elements, in one batch."""
     g_hat, start = [], 0
     for blk, rep in zip(coords.face.blocks, coords.face.reps):
         if rep.rank:
-            units = _unsvec(np.eye(blk.ambient_dim), blk.kind, blk.size)
-            g_hat.append((start, units[:, list(rep.support)]
-                          if blk.kind == "orthant"
-                          else rep.basis.T @ units @ rep.basis))
+            units = blk.unsvec(np.eye(blk.ambient_dim))
+            g_hat.append((start, rep.compress(units)))
         start += blk.ambient_dim
     return g_hat
 
@@ -196,17 +178,15 @@ def polish_certificate(coords: FaceCoordinates, f: YElement, y0: YElement,
     # Complementarity lives in the face's compressed coordinates: both the
     # slack and the certificate are psd there, so orthogonality of the
     # inner product forces the compressed matrix product to vanish.
-    kinds = [blk.kind for blk in face.kept_blocks]
+    kept = [rep for rep in face.reps if rep.rank]
     g_hat = _compressed_units(coords)
-
-    def bilinear(kind, s_c, y_c):
-        return s_c * y_c if kind == "orthant" else (s_c @ y_c).reshape(-1)
 
     def residual(x, yel):
         s_hat = coords.combine(np.append(-x, 1.0))
         y_hat = face.compress(yel)
         parts = [data @ flatten_element(yel) - target]
-        parts += [bilinear(*blk) for blk in zip(kinds, s_hat, y_hat)]
+        parts += [rep.product(s_c, y_c).reshape(-1)
+                  for rep, s_c, y_c in zip(kept, s_hat, y_hat)]
         parts.append(span_rows @ x - span_rhs)
         return np.concatenate(parts), s_hat, y_hat
 
@@ -220,14 +200,13 @@ def polish_certificate(coords: FaceCoordinates, f: YElement, y0: YElement,
         if norm <= 1e-13 * (1.0 + float(np.linalg.norm(yvec))):
             break
         rows = [top]
-        for k, (kind, s_c, y_c) in enumerate(zip(kinds, s_hat, y_hat)):
+        for k, (rep, s_c, y_c) in enumerate(zip(kept, s_hat, y_hat)):
             a_hat = coords.compressed_data[k][:m]
-            jx = -(a_hat * y_c if kind == "orthant" else a_hat @ y_c) \
-                .reshape(m, s_c.size).T
+            jx = -rep.product(a_hat, y_c).reshape(m, s_c.size).T
             first, g = g_hat[k]
             jy = np.zeros((s_c.size, dim))
-            jy[:, first:first + len(g)] = (s_c * g).T if kind == "orthant" \
-                else (s_c @ g).reshape(len(g), -1).T
+            jy[:, first:first + len(g)] = \
+                rep.product(s_c, g).reshape(len(g), -1).T
             rows.append(np.hstack([jx, jy]))
         jac = np.vstack(rows + [bottom])
         # Truncate tiny singular values and cap the step: the certificate

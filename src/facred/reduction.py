@@ -234,19 +234,10 @@ def decompose_certificates(p: ConicProgram,
 def _verify_tangency(p, us, vs, tol):
     running = YElement.zeros(p.blocks)
     for i in range(1, len(us)):
-        for bi, blk in enumerate(p.blocks):
-            vpart = vs[i].parts[bi]
-            wpart = running.parts[bi]
-            scale = 1.0 + float(np.max(np.abs(vpart), initial=0.0))
-            if blk.kind == "orthant":
-                dead = wpart <= config.RANK_TOL
-                if np.max(np.abs(vpart[dead]), initial=0.0) > tol * scale:
-                    raise ValueError(
-                        f"tangent part of step {i} leaves the tangent space")
-            else:
-                if not in_tangent_space(wpart, vpart, tol):
-                    raise ValueError(
-                        f"tangent part of step {i} leaves the tangent space")
+        if not all(in_tangent_space(w, v, tol)
+                   for w, v in zip(running.parts, vs[i].parts)):
+            raise ValueError(
+                f"tangent part of step {i} leaves the tangent space")
         running = running + us[i]
 
 

@@ -95,7 +95,7 @@ def _entry_stacks(entries, rows, blocks, m):
     entry in a diagonal block, checked in that order."""
     # Block numbers 0 and nb + 1 stand for all bad ones: order 0.
     sizes = np.array([0] + [blk.size for blk in blocks] + [0])
-    psd = np.array([False] + [blk.kind == "psd" for blk in blocks] + [False])
+    psd = np.array([False] + [len(blk.shape) == 2 for blk in blocks] + [False])
     mat, blk, i, j = entries[:, :4].T
     b = blk.clip(0, len(blocks) + 1).astype(np.intp)
     lo, hi = np.minimum(i, j), np.maximum(i, j)
@@ -238,8 +238,8 @@ def emit_sdpa(p: ConicProgram) -> str:
                  for blk in p.blocks),
         " ".join(f"{v:.17g}" for v in p.c)]
     for matno, y in enumerate((p.b,) + p.a):
-        for bi, (blk, part) in enumerate(zip(p.blocks, y.parts), start=1):
-            full = np.triu(part) if blk.kind == "psd" else np.diag(part)
+        for bi, part in enumerate(y.parts, start=1):
+            full = np.triu(part) if part.ndim == 2 else np.diag(part)
             i, j = np.nonzero(full)
             out.extend(f"{matno} {bi} {r} {c} {v:.17g}" for r, c, v in zip(
                 (i + 1).tolist(), (j + 1).tolist(), full[i, j].tolist()))

@@ -147,15 +147,14 @@ class _Layout:
 
     def __init__(self, blocks):
         self.order = sorted(range(len(blocks)),
-                            key=lambda k: blocks[k].kind == "psd")
+                            key=lambda k: len(blocks[k].shape))
         self.spans, self.psd, at = [None] * len(blocks), [], 0
         for k in self.order:
-            n = blocks[k].size
-            shape = (n,) if blocks[k].kind == "orthant" else (n, n)
+            shape = blocks[k].shape
             self.spans[k] = (slice(at, at + math.prod(shape)), shape)
             at = self.spans[k][0].stop
             if len(shape) == 2:
-                self.psd.append((self.spans[k][0], n))
+                self.psd.append((self.spans[k][0], shape[0]))
         n_orth = self.psd[0][0].start if self.psd else at
         self.dim, self.orth = at, slice(0, n_orth) if n_orth else None
 

@@ -792,22 +792,50 @@ def test_unreadable_certificate_number_exits_one(tmp_path, sdp_path, capsys):
     assert "could not parse numbers" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("old, new", [("steps: 2", "steps: two"),
-                                      ("blocks: psd 3", "blocks: psd three"),
-                                      ("blocks: psd 3", "blocks: cone 3"),
-                                      ("blocks: psd 3", "blocks: psd 0")])
+CERT_REWRITES = [  # (pattern, replacement, the error verify must print)
+    ("steps: 2", "steps: two", "bad steps line: 'steps: two'"),
+    ("blocks: psd 3", "blocks: psd three",
+     "bad block descriptor 'psd three': invalid literal for int() with "
+     "base 10: 'three'"),
+    ("blocks: psd 3", "blocks: cone 3",
+     "bad block descriptor 'cone 3': unknown block kind 'cone'"),
+    ("blocks: psd 3", "blocks: psd 0",
+     "bad block descriptor 'psd 0': block size must be >= 1"),
+    ("facred-cert v1\n", "", "missing header line 'facred-cert v1'"),
+    ("blocks: psd 3\n", "", "missing blocks line"),
+    ("blocks: psd 3", "blocks: psd 3 3",
+     "bad block descriptor 'psd 3 3': expected a kind and a size"),
+    ("steps: 2\n", "", "missing steps line"),
+    ("step 1 reducing=1\n", "", "missing step 1 marker"),
+    ("reducing=1", "reducing=2", "bad step marker: 'step 1 reducing=2'"),
+    # Everything after the second step's marker cut off.
+    ("(step 2 reducing=1\n).*", r"\1",
+     "unexpected end of file inside an element"),
+    ("x_strict: ", "", "missing x_strict line"),
+    # The payload length fits, so the structure is checked against the
+    # problem's.
+    ("blocks: psd 3", "blocks: orthant 9",
+     "certificate block structure differs from problem")]
+
+
+@pytest.mark.parametrize("old, new, message", CERT_REWRITES,
+                         ids=[f"{old}-{new}" for old, new, _ in CERT_REWRITES])
 def test_bad_certificate_header_exits_one(tmp_path, sdp_path, capsys, old,
-                                          new):
+                                          new, message):
+    """Each rewrite of a certificate (a regular expression, replaced once)
+    is refused with one error line naming what is wrong."""
+    import re
+
     cert = tmp_path / "chain.cert"
     assert run_cli(["reduce", sdp_path, "--cert", str(cert)])[0] == 0
     text = cert.read_text()
-    assert old in text
-    cert.write_text(text.replace(old, new))
+    assert re.search(old, text)
+    cert.write_text(re.sub(old, new, text, count=1, flags=re.DOTALL))
     capsys.readouterr()
     code, out = run_cli(["verify", sdp_path, str(cert)])
     assert code == 1
     assert out == ""
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_lines_after_a_certificate_exit_one(tmp_path, sdp_path, capsys):
@@ -912,7 +940,41 @@ def test_dualize_exits_one_when_the_final_layer_solve_is_not_optimal(
     code, out = run_cli(["dualize", str(GOLDEN / "sdp3.dat-s"), "--solve"])
     assert (code, out) == (1, "")
     assert capsys.readouterr().err.splitlines() == [
-        "error: face-restricted solve did not reach optimality"]
+        "error: face-restricted solve did not reach optimality: "
+        "numerical_failure (the span equations pin x)"]
+
+
+def test_dualize_refuses_a_final_layer_whose_value_is_not_attained(
+        tmp_path, monkeypatch, capsys):
+    """The final layer's y shifted by w, I projected onto ker A*, stays
+    dual feasible with the solve still OPTIMAL, but <b, w> > 0 lifts its
+    value above the primal value.  The check on the program's own data
+    finds the gap, so no value is printed."""
+    from dataclasses import replace
+
+    from conftest import random_strictly_feasible
+    from facred import extended
+    from facred.linalg import flatten_element, unflatten_element
+
+    p = random_strictly_feasible(0, n=4, m=2)[0]
+    path = tmp_path / "strict.dat-s"
+    path.write_text(emit_sdpa(p))
+    rows = np.array([flatten_element(ai) for ai in p.a])
+    eye = flatten_element(YElement.identity(p.blocks))
+    w = unflatten_element(eye - rows.T @ np.linalg.solve(rows @ rows.T,
+                                                         rows @ eye), p.blocks)
+    assert w.min_eigenvalue() > 0 and p.b.inner(w) > 1.0
+    real = extended.solve_restricted_to_face
+
+    def shifted(*args):
+        res = real(*args)
+        return replace(res, y=res.y + w)
+
+    monkeypatch.setattr(extended, "solve_restricted_to_face", shifted)
+    code, out = run_cli(["dualize", str(path), "--solve"])
+    assert (code, out) == (1, "")
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("error: face-restricted solve unverified (gap ")
 
 
 @pytest.mark.parametrize("failure, line", [

@@ -9,7 +9,6 @@ from facred.extended import (VARIANTS, ExtendedDualPoint,
                              check_extended_point, fmin_membership,
                              lift_to_psd, solve_extended_dual)
 from facred.faces import tangent_membership_schur
-from facred.linalg import _svec
 from facred.model import (ConeBlock, ConicProgram, YElement, adjoint_apply,
                           primal_slack)
 from facred.reducing import AmbiguousOutcome, solve_restricted_to_face
@@ -44,11 +43,11 @@ def test_layout_round_trips_through_extraction(example_sdp):
     assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
 
     value, pt, _ = solve_extended_dual(ext)
-    z = np.zeros(ext.nz)
+    z, blk = np.zeros(ext.nz), ext.source.blocks[0]
     for i in range(1, ext.ell + 2):
-        z[ext.layout[("u", i, 0)]] = _svec(pt.us[i].parts[0], "psd")
+        z[ext.layout[("u", i, 0)]] = blk.svec(pt.us[i].parts[0])
         if i >= 2:
-            z[ext.layout[("v", i, 0)]] = _svec(pt.vs[i].parts[0], "psd")
+            z[ext.layout[("v", i, 0)]] = blk.svec(pt.vs[i].parts[0])
             z[ext.layout[("w", i, 0)]] = pt.ws[i][0].reshape(-1)
             z[ext.layout[("beta", i)]] = pt.betas[i]
     eq, rhs, q, *_ = ext._encoding()

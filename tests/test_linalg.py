@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from facred.linalg import (_fix_signs, _svec, _unsvec, flatten_element,
-                           numeric_rank, nullspace_basis, sym_eig,
-                           unflatten_element)
+from facred.linalg import (_fix_signs, flatten_element, numeric_rank,
+                           nullspace_basis, sym_eig, unflatten_element)
 from facred.model import ConeBlock, YElement
 
 from conftest import paper_chain_long, reconstruct, sym
@@ -108,22 +107,23 @@ def test_numeric_rank_requires_descending():
 
 
 def test_unsvec_undoes_svec():
-    """_unsvec(_svec(X)) is X bit for bit on orthant payloads and on the
+    """unsvec(svec(X)) is X bit for bit on orthant payloads and on the
     diagonal; off it, undoing the sqrt 2 scaling in floating point is exact
     only to one unit in the last place.  A batch of PSD payloads unpacks bit
     for bit as its payloads do one at a time."""
     rng = np.random.default_rng(4)
     gens = rng.normal(size=(3, 5, 5))
     batch = gens @ np.swapaxes(gens, -1, -2)
-    back = _unsvec(_svec(batch, "psd"), "psd", 5)
+    psd, orthant = ConeBlock("psd", 5), ConeBlock("orthant", 4)
+    back = psd.unsvec(psd.svec(batch))
     assert back.shape == batch.shape
     for got, x in zip(back, batch):
-        single = _unsvec(_svec(x, "psd"), "psd", 5)
+        single = psd.unsvec(psd.svec(x))
         assert np.array_equal(got, single) and np.array_equal(single, single.T)
         assert np.array_equal(np.diag(single), np.diag(x))
         assert np.all(np.abs(single - x) <= np.spacing(np.abs(x)))
     vec = rng.normal(size=4)
-    assert np.array_equal(_unsvec(_svec(vec, "orthant"), "orthant", 4), vec)
+    assert np.array_equal(orthant.unsvec(orthant.svec(vec)), vec)
 
 
 def _stacked(elements):

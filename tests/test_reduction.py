@@ -5,6 +5,7 @@ import pytest
 
 from facred.certfile import (CertFormatError, read_certificate,
                              write_certificate)
+from facred.extended import lift_to_psd
 from facred.faces import (FaceRep, faces_equal, intersect_with_hyperplane,
                           relative_interior_point, subspace_distance)
 from facred.model import ConeBlock, ConicProgram, YElement, primal_slack
@@ -19,6 +20,8 @@ from facred.solver import SolverError
 from conftest import (congruence, is_full, paper_chain_long,
                       paper_chain_short, random_degenerate,
                       random_strictly_feasible, reduced_program, sdp_chain)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_compute_ell_lp(example_lp):
@@ -244,6 +247,56 @@ def test_decompose_random_chains_recompose():
         for i in range(len(cert.ys)):
             resid = (dec.us[i] + dec.vs[i] - cert.ys[i]).norm()
             assert resid <= 1e-10 * (1 + cert.ys[i].norm())
+
+
+def _orthant_programs(sizes=(4, 6), seeds=range(5)):
+    """The golden programs with orthant blocks, then generated degenerate
+    LPs at m = 3, 2n/3 and n - 1."""
+    progs = [parse_sdpa((GOLDEN / f"{name}.dat-s").read_text())
+             for name in ("mixed0", "lp5x3")]
+    return progs + [random_degenerate(seed, n=n, m=m, kind="orthant")[0]
+                    for n in sizes for m in sorted({3, 2 * n // 3, n - 1})
+                    for seed in seeds]
+
+
+def test_decompose_orthant_chains(example_lp):
+    """On orthant blocks each split is exact, u_i + v_i = y_i.  A tangent
+    part may only live where the running sum of the u_j is positive: the
+    LP's long paper chain has v_2 = -e_5 on u_1's support, and one more
+    unit of v_2 on the first entry, which u_1 leaves dead, is refused."""
+    for p in _orthant_programs(sizes=(6,), seeds=range(2)):
+        cert = run_facial_reduction(p)
+        dec = decompose_certificates(p, cert)
+        for y, u, v in zip(cert.ys, dec.us, dec.vs):
+            for blk, *parts in zip(p.blocks, y.parts, u.parts, v.parts):
+                if blk.kind == "orthant":
+                    assert np.array_equal(parts[1] + parts[2], parts[0])
+    cert = hand_cert(example_lp, paper_chain_long(example_lp.blocks),
+                     [-1.0, 0, 0])
+    dec = decompose_certificates(example_lp, cert)
+    assert np.array_equal(dec.vs[2].parts[0], [0.0, 0, 0, 0, -1])
+    vs = dec.vs[:2] + [dec.vs[2] + YElement(example_lp.blocks, [np.eye(5)[0]])]
+    with pytest.raises(ValueError, match="step 2 leaves the tangent space"):
+        reduction._verify_tangency(example_lp, dec.us, vs, 1e-8)
+
+
+def test_an_orthant_block_reduces_as_the_diagonal_of_a_psd_block():
+    """An orthant block is the diagonal of a PSD block (lift_to_psd).  The
+    program and its lift reduce to faces of equal ranks, and the lifted
+    face's projector Q Q^T is the 0/1 diagonal of the native support (on a
+    PSD block, the native projector)."""
+    for p in _orthant_programs():
+        native = run_facial_reduction(p).minimal_face
+        lifted = run_facial_reduction(lift_to_psd(p)).minimal_face
+        assert native.ranks == lifted.ranks, p.name
+        for blk, rep, lrep in zip(p.blocks, native.reps, lifted.reps):
+            if blk.kind == "orthant":
+                want = np.diag(np.isin(np.arange(blk.size), rep.support)
+                               .astype(float))
+            else:
+                want = rep.basis @ rep.basis.T
+            np.testing.assert_allclose(lrep.basis @ lrep.basis.T, want,
+                                       atol=1e-8, err_msg=p.name)
 
 
 def test_certificate_file_round_trip(example_sdp):

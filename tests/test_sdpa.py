@@ -135,6 +135,11 @@ MALFORMED = [  # (text, label, the error it must raise)
     ("1\n1\n", "truncated header", "header requires at least three lines"),
     ("1\n1\n2\n", "objective line missing", "header requires an objective line"),
     ("x\n1\n2\n1.0\n", "bad m", "could not parse variable count: 'x'"),
+    ("1 2\n1\n2\n1.0\n", "two variable counts",
+     "bad variable count line: '1 2'"),
+    ("1\n0\n2\n1.0\n", "no blocks", "bad block count line: '0'"),
+    ("1\n2\n2\n1.0\n", "too few block sizes",
+     "expected 2 block sizes, found 1"),
     ("1\n1\n0\n1.0\n", "zero block", "zero block size"),
     ("1\n1\n2\n1.0 2.0\n", "objective length", "objective has 2 entries, expected 1"),
     ("1\n1\n2\n1.0\n1 1 3 3 1.0\n", "index out of range",
@@ -209,12 +214,21 @@ def _parse_reference(text):
             lines.append(line)
     if len(lines) < 3:
         raise SdpaFormatError("header requires at least three lines")
-    m = _ints(lines[0].split("=")[0], "variable count")[0]
+    mline = _ints(lines[0].split("=")[0], "variable count")
+    if len(mline) != 1 or mline[0] < 0:
+        raise SdpaFormatError(f"bad variable count line: {lines[0]!r}")
+    m = mline[0]
     head = 4 if m else 3
     if len(lines) < head:
         raise SdpaFormatError("header requires an objective line")
+    nline = _ints(lines[1].split("=")[0], "block count")
+    if len(nline) != 1 or nline[0] < 1:
+        raise SdpaFormatError(f"bad block count line: {lines[1]!r}")
     dims = _ints(lines[2].replace("{", " ").replace("}", " ").replace("(", " ")
                  .replace(")", " "), "block sizes")
+    if len(dims) != nline[0]:
+        raise SdpaFormatError(
+            f"expected {nline[0]} block sizes, found {len(dims)}")
     if 0 in dims:
         raise SdpaFormatError("zero block size")
     blocks = tuple(ConeBlock("orthant", -d) if d < 0 else ConeBlock("psd", d)
