@@ -107,6 +107,8 @@ def read_certificate(text):
         nsteps = int(lines[2].split(":", 1)[1])
     except ValueError as exc:
         raise CertFormatError(f"bad steps line: {lines[2]!r}") from exc
+    if nsteps < 0:
+        raise CertFormatError(f"bad steps line: {lines[2]!r}")
     ys = [YElement.zeros(blocks)]
     flags = []
     at = 3

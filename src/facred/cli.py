@@ -123,7 +123,7 @@ def cmd_dualize(args):
     lifted = lift_to_psd(problem)
     chain = run_facial_reduction(lifted, report.tol, options) \
         if args.solve else None
-    ext = build_extended_dual(problem, args.variant, args.ell, chain)
+    ext = build_extended_dual(problem, args.variant, args.ell, chain, lifted)
     report.ell = ext.ell
     report.extra.append(f"variant: {ext.variant}")
     report.extra.append(f"objective_offset: {_fmt(ext.offset)}")
@@ -168,8 +168,7 @@ def _reduced_standard_dual(problem, value, tol, options):
             if verify_certificate_chain(sd.program, d_chain, tol).ok:
                 return value, None
             return None, "its Slater point fails verification"
-        res = solve_restricted_to_face(sd.program, d_chain.minimal_face,
-                                       options)
+        res = solve_restricted_to_face(sd.program, d_chain.frame, options)
     except (AmbiguousOutcome, ReductionError, SolverError) as exc:
         return None, f"reduction failed ({exc})"
     if not res.optimal:

@@ -254,11 +254,12 @@ class ExtendedDualProgram:
 
 def build_extended_dual(p: ConicProgram, variant: str = "star",
                         ell_override: int = None,
-                        chain: ReductionCertificate = None
-                        ) -> ExtendedDualProgram:
+                        chain: ReductionCertificate = None,
+                        lifted: ConicProgram = None) -> ExtendedDualProgram:
     """Construct the chosen extended-dual variant of ``p``.
 
-    Orthant blocks are lifted to diagonal PSD blocks first.  ``chain``, a
+    Orthant blocks are lifted to diagonal PSD blocks first, unless the
+    caller passes that lift as ``lifted``.  ``chain``, a
     run_facial_reduction of the lifted program, is kept for
     solve_extended_dual.  The layer count is ``ell_override``, else the
     chain's length (one layer per reducing step suffices), else compute_ell
@@ -272,7 +273,8 @@ def build_extended_dual(p: ConicProgram, variant: str = "star",
         raise ValueError(f"unknown variant {variant!r}")
     if ell_override is not None and ell_override < 0:
         raise ValueError("layer count must be nonnegative")
-    lifted = lift_to_psd(p)
+    if lifted is None:
+        lifted = lift_to_psd(p)
     if chain is not None and chain.ys[0].blocks != lifted.blocks:
         raise ValueError("chain is not a reduction of the lifted program")
     ell = int(ell_override) if ell_override is not None else \
@@ -417,8 +419,11 @@ def assemble_optimal_point(p: ConicProgram, variant: str = "star",
     dec = decompose_certificates(lifted, cert)
     # The final layer, the attained optimum of the dual regularized by the
     # minimal cone, checked on the program's own data: a feasible y whose
-    # <b, y> is not c x would print a value above the primal value.
-    res = solve_restricted_to_face(lifted, cert.minimal_face, options)
+    # <b, y> is not c x would print a value above the primal value.  The
+    # run's frame of that face is reused.
+    res = solve_restricted_to_face(lifted, cert.minimal_face
+                                   if cert.frame is None else cert.frame,
+                                   options)
     if not res.optimal:
         raise SolverError("face-restricted solve did not reach optimality: "
                           f"{res.status.value} ({res.message})")
@@ -542,7 +547,7 @@ def fmin_membership(p: ConicProgram, s: YElement, tol: float = None,
                                     name="membership")
     verdicts = []
 
-    def decides(x, score):
+    def decides(x, score, *_):
         if x[-1] >= 0.5 and \
                 _squeeze_witness(p, s, x).min_eigenvalue() >= early_bound:
             verdicts.append(True)

@@ -56,7 +56,7 @@ class OrthantFace:
     def of(cls, part, tol) -> "OrthantFace":
         if np.min(part, initial=0.0) < -tol:
             raise ValueError("point outside the cone beyond tolerance")
-        return cls(tuple(np.nonzero(part > tol)[0]))
+        return cls(tuple(np.flatnonzero(part > tol).tolist()))
 
     def compress(self, part):
         return part[..., list(self.support)]
@@ -116,7 +116,8 @@ class PsdFace:
         if dec.eigenvalues.size and dec.eigenvalues[-1] < -tol * max(
                 1.0, float(dec.eigenvalues[0])):
             raise ValueError("point outside the cone beyond tolerance")
-        return cls(dec.eigenvectors[:, :numeric_rank(dec.eigenvalues, tol)])
+        return cls(_freeze(
+            dec.eigenvectors[:, :numeric_rank(dec.eigenvalues, tol)]))
 
     def compress(self, part):
         return self.basis.T @ part @ self.basis
@@ -141,7 +142,8 @@ class PsdFace:
     def cut(self, part, tol):
         dec = sym_eig(part)
         kernel = dec.eigenvectors[:, numeric_rank(dec.eigenvalues, tol):]
-        return PsdFace(self.basis @ kernel), float(dec.eigenvalues[-1])
+        return PsdFace(_freeze(self.basis @ kernel)), \
+            float(dec.eigenvalues[-1])
 
     def same(self, other) -> bool:
         return self.rank == other.rank and \
@@ -203,13 +205,20 @@ class FaceRep:
                     default=0.0))
 
     @classmethod
-    def full_cone(cls, blocks) -> "FaceRep":
-        """The cone itself: full supports and identity bases, valid by
-        construction, so the constructor's checks are skipped."""
+    def _trusted(cls, blocks, reps) -> "FaceRep":
+        """A face of components made by this module (sorted supports,
+        orthonormal bases from sym_eig), valid by construction, so the
+        constructor's checks are skipped; caller-supplied reps go through
+        the constructor."""
         self = object.__new__(cls)
-        self._set(tuple(blocks), [_FACES[blk.kind].full(blk)
-                                  for blk in blocks])
+        self._set(tuple(blocks), reps)
         return self
+
+    @classmethod
+    def full_cone(cls, blocks) -> "FaceRep":
+        """The cone itself: full supports and identity bases."""
+        return cls._trusted(blocks, [_FACES[blk.kind].full(blk)
+                                     for blk in blocks])
 
     @property
     def ranks(self) -> tuple:
@@ -246,8 +255,8 @@ def minimal_face(x: YElement, blocks) -> FaceRep:
     """
     if tuple(blocks) != x.blocks:
         raise StructureMismatchError("block structures differ")
-    return FaceRep(blocks, [_FACES[blk.kind].of(part, config.RANK_TOL)
-                            for blk, part in zip(blocks, x.parts)])
+    return FaceRep._trusted(blocks, [_FACES[blk.kind].of(part, config.RANK_TOL)
+                                     for blk, part in zip(blocks, x.parts)])
 
 
 def _nearest_cone_point(part: np.ndarray, cutoff: float = 0.0) -> np.ndarray:
@@ -312,7 +321,7 @@ def intersect_with_hyperplane(face: FaceRep, y: YElement) -> FaceRep:
         reps.append(rep)
     if margin < -tol:
         raise ValueError("certificate lies outside the face dual beyond tolerance")
-    return FaceRep(face.blocks, reps)
+    return FaceRep._trusted(face.blocks, reps)
 
 
 def split_on_face(face: FaceRep, y: YElement):

@@ -87,13 +87,15 @@ def flatten_data(p) -> np.ndarray:
 
 
 def unflatten_element(vec: np.ndarray, blocks):
+    """Inverse of ``flatten_element``.  Each ``unsvec`` payload is a new
+    array and exactly symmetric, so the element is built unchecked."""
     from .model import YElement
     parts, at = [], 0
     for blk in blocks:
         d = blk.ambient_dim
         parts.append(blk.unsvec(vec[at:at + d]))
         at += d
-    return YElement(blocks, parts)
+    return YElement._trusted(blocks, parts)
 
 
 def nullspace_basis(mat: np.ndarray):

@@ -55,19 +55,23 @@ class AmbiguousOutcome(RuntimeError):
 
 @dataclass(frozen=True)
 class ReducingOutcome:
-    """Either a reducing certificate or the confirmation of minimality."""
+    """Either a reducing certificate or the confirmation of minimality;
+    the latter carries the face's frame on the program (FaceCoordinates),
+    so a face-restricted solve on the minimal face need not rebuild it."""
 
     minimal: bool
     y: YElement = None           # certificate, normalized <f, y> = 1
     x_strict: np.ndarray = None  # point with slack in ri F
+    frame: FaceCoordinates = None
 
     @classmethod
     def reduced(cls, y):
         return cls(False, y=y)
 
     @classmethod
-    def minimal_reached(cls, x_strict):
-        return cls(True, x_strict=np.asarray(x_strict, dtype=float))
+    def minimal_reached(cls, x_strict, frame):
+        return cls(True, x_strict=np.asarray(x_strict, dtype=float),
+                   frame=frame)
 
 
 class FaceCoordinates:
@@ -105,10 +109,15 @@ class FaceCoordinates:
     def combine(self, coeffs) -> list:
         """Per kept block, the sum of coeffs[..., i] times the compressed
         i-th of a_1, ..., a_m, b, symmetrized; at coeffs = (-x, 1) the
-        compressed slack b - Ax."""
-        return [np.tensordot(coeffs, data, axes=1) if data.ndim == 2
-                else _sym(np.tensordot(coeffs, data, axes=1))
-                for data in self.compressed_data]
+        compressed slack b - Ax.  One product per block over the data
+        flattened behind its first axis, as np.tensordot forms it."""
+        k = np.shape(coeffs)[-1]
+        lead, shape = np.reshape(coeffs, (-1, k)), np.shape(coeffs)[:-1]
+        out = []
+        for data in self.compressed_data:
+            part = (lead @ data.reshape(k, -1)).reshape(shape + data.shape[1:])
+            out.append(part if data.ndim == 2 else _sym(part))
+        return out
 
     def outside_element(self, coeffs) -> YElement:
         """The adjoint of the span rows: <outside_element(coeffs), b - Ax>
@@ -224,10 +233,12 @@ def polish_certificate(coords: FaceCoordinates, f: YElement, y0: YElement,
                        "certificate polish")
 
 
-def solve_restricted_to_face(p: ConicProgram, face: FaceRep,
+def solve_restricted_to_face(p: ConicProgram, face,
                              options: SolverOptions = None):
     """Solve ``p`` with its cone replaced by ``face`` (value-preserving when
-    the face contains the minimal cone).
+    the face contains the minimal cone).  ``face`` is a FaceRep, or its
+    frame on a program with the data of ``p`` (a FaceCoordinates, as a
+    reduction chain carries for its minimal face), which is not rebuilt.
 
     The span equalities are eliminated exactly, so the returned point's
     slack lies in the face itself.  The answer is closed form, with no
@@ -242,8 +253,8 @@ def solve_restricted_to_face(p: ConicProgram, face: FaceRep,
     embedded in its blocks, and ``y`` a dual element of its blocks with
     A* y = c (the compressed dual plus the span multipliers).
     """
-    coords = FaceCoordinates(p, face)
-    blocks = face.kept_blocks
+    coords = _frame(p, face)
+    face, blocks = coords.face, coords.face.kept_blocks
     stacks = coords.eliminated()
     if not blocks or (not coords.null_basis.shape[1] and _has_margin(
             coords, coords.x_particular, config.DEFAULT_TOL)):
@@ -265,6 +276,20 @@ def solve_restricted_to_face(p: ConicProgram, face: FaceRep,
     res.primal_obj += shift
     res.dual_obj += shift
     return res
+
+
+def _frame(p: ConicProgram, face) -> FaceCoordinates:
+    """The frame of ``face`` on ``p``, built from a FaceRep.  A frame given
+    as ``face`` is used as it is when its program's blocks and stacks equal
+    those of ``p`` (c is not part of a frame), and refused with ValueError
+    otherwise."""
+    if not isinstance(face, FaceCoordinates):
+        return FaceCoordinates(p, face)
+    other = face.program
+    if other.blocks != p.blocks or not all(
+            map(np.array_equal, other.stacks, p.stacks)):
+        raise ValueError("face frame belongs to a program with other data")
+    return face
 
 
 def restricted_solve_failure(p: ConicProgram, face: FaceRep, res):
@@ -362,18 +387,23 @@ def solve_reducing_pair(p: ConicProgram, face: FaceRep, tol: float = None,
     if not face.kept_blocks:
         # The face is {0}: minimal iff b - Ax can vanish, which the span
         # equations already certified.
-        return ReducingOutcome.minimal_reached(coords.x_particular)
+        return ReducingOutcome.minimal_reached(coords.x_particular, coords)
 
     stacks = coords.eliminated()
     x_strict = _strict_candidate(coords, stacks, tol)
     if x_strict is not None:
-        return ReducingOutcome.minimal_reached(x_strict)
+        return ReducingOutcome.minimal_reached(x_strict, coords)
 
     f = relative_interior_point(face)
     prog = _reducing_primal(coords, f, stacks)
     confirmed = []
 
-    def checks(x, score):
+    def checks(x, score, dual_obj, rel_dual):
+        # Weak duality: at a dual feasible iterate <b, y> >= t*, and an x
+        # that passes makes t = min(1, margin) >= min(1, 100 tol) feasible,
+        # so no x can pass while the dual objective is below that bar.
+        if rel_dual <= 1e-12 and dual_obj < min(1.0, 100.0 * tol):
+            return False
         point = coords.x_particular + coords.null_basis @ x[:-1]
         if _has_margin(coords, point, tol):
             confirmed.append(point)
@@ -381,7 +411,7 @@ def solve_reducing_pair(p: ConicProgram, face: FaceRep, tol: float = None,
 
     res = solve_conic_lp(prog, replace(options, stop=checks))
     if confirmed:
-        return ReducingOutcome.minimal_reached(confirmed[0])
+        return ReducingOutcome.minimal_reached(confirmed[0], coords)
     if res.status not in (SolveStatus.OPTIMAL, SolveStatus.NUMERICAL_FAILURE) \
             or res.score > 1e-5:
         raise SolverError(
@@ -391,7 +421,7 @@ def solve_reducing_pair(p: ConicProgram, face: FaceRep, tol: float = None,
     x_cand = coords.x_particular + coords.null_basis @ res.x[:-1]
 
     if t_star >= 100.0 * tol:
-        return ReducingOutcome.minimal_reached(x_cand)
+        return ReducingOutcome.minimal_reached(x_cand, coords)
 
     if t_star <= tol:
         y = _normalized(f, coords.dual_point(res.y.parts[:-1]),

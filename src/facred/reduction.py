@@ -21,8 +21,8 @@ from .faces import (FaceRep, containment, faces_equal, in_tangent_space,
                     split_on_face)
 from .linalg import flatten_data
 from .model import ConicProgram, YElement, primal_slack
-from .reducing import (AmbiguousOutcome, ReducingOutcome, SolverError,
-                       solve_reducing_pair, step_test)
+from .reducing import (AmbiguousOutcome, FaceCoordinates, ReducingOutcome,
+                       SolverError, solve_reducing_pair, step_test)
 from .solver import SolverOptions
 
 
@@ -38,13 +38,17 @@ class ReductionError(RuntimeError):
 class ReductionCertificate:
     """Chain y_0 .. y_t (y_0 = 0) with faces F_0 .. F_t (or None), per-step
     reducing flags, a point whose slack is strictly inside the final face,
-    and the iteration bound ``ell`` of the run (None when not from a run)."""
+    and the iteration bound ``ell`` of the run (None when not from a run).
+    A run also keeps the final face's frame on the reduced program
+    (``frame``, a FaceCoordinates), which solve_restricted_to_face takes in
+    place of the face; it is neither compared nor printed."""
 
     ys: list
     faces: list
     reducing_flags: list
     x_strict: np.ndarray
     ell: int = None
+    frame: FaceCoordinates = field(default=None, compare=False, repr=False)
 
     @property
     def steps(self) -> int:
@@ -116,7 +120,8 @@ def run_facial_reduction(p: ConicProgram, tol: float = None,
         except SolverError as exc:
             raise ReductionError(str(exc), partial()) from exc
         if outcome.minimal:
-            return ReductionCertificate(ys, faces, flags, outcome.x_strict, ell)
+            return ReductionCertificate(ys, faces, flags, outcome.x_strict,
+                                        ell, outcome.frame)
         # The certificate passed its check at ``tol``; the cut re-tests
         # face-dual membership at its own fixed bound.
         try:

@@ -28,7 +28,10 @@ With ``SolverOptions(keep_history=True)`` every iterate is kept on the
 result, so callers can inspect how the solver approached problems whose
 optima are not attained; by default none is kept.  ``SolverOptions(stop=f)``
 ends the solve at the first iterate that passes the caller's test
-f(x, score), score the iterate's ``SolveResult.score``, evaluated after
+f(x, score, dual_obj, rel_dual): x the iterate's primal point, score its
+``SolveResult.score``, dual_obj its dual objective <b, y> and rel_dual its
+relative dual residual |c - A* y| / (1 + |c|), which together bound the
+value from above once the dual is feasible.  The test is evaluated after
 each iterate's residuals unless that iterate already meets the solve
 tolerance; the result is then classified from the best iterate, as at any
 other exit.
@@ -68,7 +71,8 @@ STEP_FRACTION = 0.98
 class SolverOptions:
     max_iter: int = 200
     keep_history: bool = False
-    stop: Callable[[np.ndarray, float], bool] | None = None
+    # f(x, score, dual_obj, rel_dual): see the module docstring.
+    stop: Callable[[np.ndarray, float, float, float], bool] | None = None
 
 
 @dataclass
@@ -121,18 +125,29 @@ def _psd_scaling(z, y):
     return lam[:, None] ** 0.25 * np.linalg.solve(lz.T, u).T, np.sqrt(lam)
 
 
+def _step_min_eig(direction, hww):
+    """Smallest eigenvalue of V^-1/2 sym(direction) V^-1/2, given the
+    half-weights hww = 0.5 w w^T with w = v^-1/2 (``direction`` flat or
+    square), as that of (direction + direction^T) * hww: halving is exact,
+    so this is sym(direction) * w w^T bit for bit.  V + alpha direction is
+    psd exactly while alpha times it is at least -1."""
+    d = direction.reshape(hww.shape)
+    return np.linalg.eigvalsh((d + d.T) * hww)[0]
+
+
 def _scaled_min_eig(direction, ww):
-    """Smallest eigenvalue of V^-1/2 sym(direction) V^-1/2, given
-    ww = w w^T with w = v^-1/2 (``direction`` flat or square): V + alpha
-    direction is psd exactly while alpha times it is at least -1."""
-    return float(np.linalg.eigvalsh(_sym(direction.reshape(ww.shape)) * ww)[0])
+    """The step test of ``_step_min_eig`` given the full weights
+    ww = w w^T."""
+    return float(_step_min_eig(direction, 0.5 * ww))
 
 
 def _mehrotra_psd(dz, dy, v):
     """Mehrotra's second-order term of one PSD block in the scaled space,
     where V = diag(v): the U with sym(U V) = sym(dZ dY), that is
-    2 sym(dZ dY)_ij / (v_i + v_j) entrywise."""
-    return 2.0 * _sym(dz @ dy) / np.add.outer(v, v)
+    2 sym(dZ dY)_ij / (v_i + v_j), computed as (P + P^T)_ij / (v_i + v_j)
+    with P = dZ dY, which is the same bit for bit."""
+    prod = dz @ dy
+    return (prod + prod.T) / np.add.outer(v, v)
 
 
 def _norm(vec):
@@ -206,7 +221,10 @@ def solve_conic_lp(p: ConicProgram, options: SolverOptions = None) -> SolveResul
     # The data, one row per variable: A x is x @ amat and A* y is amat @ y.
     amat = np.concatenate([p.stacks[k][:m].reshape(m, p.stacks[k][0].size)
                            for k in lay.order], axis=1)
-    psd = [(sl, n, amat[:, sl].reshape(m, n, n)) for sl, n in lay.psd]
+    # Per PSD block: its slice, order, data and the flat positions of its
+    # diagonal, where V = diag(v) lives.
+    psd = [(sl, n, amat[:, sl].reshape(m, n, n),
+            sl.start + np.arange(n) * (n + 1)) for sl, n in lay.psd]
     bvec, c = lay.flatten(p.b.parts), p.c
     bnorm, cnorm = _norm(bvec), _norm(c)
 
@@ -259,7 +277,7 @@ def solve_conic_lp(p: ConicProgram, options: SolverOptions = None) -> SolveResul
 
         if score <= tol:
             break
-        if options.stop is not None and options.stop(x, score):
+        if options.stop is not None and options.stop(x, score, dobj, rel_d):
             message = "stopped by the caller's test"
             break
         if no_progress >= 10:
@@ -291,25 +309,22 @@ def solve_conic_lp(p: ConicProgram, options: SolverOptions = None) -> SolveResul
         # The Schur complement is T^T T for the scaled data T, one row per
         # variable; rp_hat is the scaled primal residual R rp R^T.
         try:
-            tmat, rp_hat = np.empty_like(amat), np.empty_like(rp)
-            v_parts, scal = [], []
+            tmat, rp_hat, scal = np.empty_like(amat), np.empty_like(rp), []
             if orth:
-                if np.min(z[orth]) <= 0 or np.min(y[orth]) <= 0:
+                if z[orth].min() <= 0 or y[orth].min() <= 0:
                     raise np.linalg.LinAlgError("interior lost")
                 root = np.sqrt(y[orth] / z[orth])
                 tmat[:, orth] = amat[:, orth] * root
                 rp_hat[orth] = root * rp[orth]
-                v_orth = np.sqrt(z[orth] * y[orth])
-                v_parts.append(v_orth)
-            for sl, n, a3 in psd:
+                v_orth = v_hat[orth] = np.sqrt(z[orth] * y[orth])
+            for sl, n, a3, pos in psd:
                 rt, v = _psd_scaling(z[sl].reshape(n, n), y[sl].reshape(n, n))
                 tmat[:, sl] = (rt @ a3 @ rt.T).reshape(m, n * n)
                 rp_hat[sl] = (rt @ rp[sl].reshape(n, n) @ rt.T).ravel()
+                v_hat[pos] = v
                 w = 1.0 / np.sqrt(v)
-                scal.append((sl, n, rt, v, np.outer(w, w)))
-                v_parts.append(v)
-            v_all = np.concatenate(v_parts)
-            v_hat[diag] = v_all
+                scal.append((sl, n, rt, v, 0.5 * np.outer(w, w)))
+            v_all = v_hat[diag]
             schur_solve = _schur_solver(tmat.T)
 
             def directions(rc_hat):
@@ -326,11 +341,11 @@ def solve_conic_lp(p: ConicProgram, options: SolverOptions = None) -> SolveResul
             def max_steps(dz_hat, dy_hat):
                 lo_p = lo_d = 0.0
                 if orth:
-                    lo_p = min(lo_p, float(np.min(dz_hat[orth] / v_orth)))
-                    lo_d = min(lo_d, float(np.min(dy_hat[orth] / v_orth)))
-                for sl, _, _, _, ww in scal:
-                    lo_p = min(lo_p, _scaled_min_eig(dz_hat[sl], ww))
-                    lo_d = min(lo_d, _scaled_min_eig(dy_hat[sl], ww))
+                    lo_p = min(lo_p, (dz_hat[orth] / v_orth).min())
+                    lo_d = min(lo_d, (dy_hat[orth] / v_orth).min())
+                for sl, _, _, _, hww in scal:
+                    lo_p = min(lo_p, _step_min_eig(dz_hat[sl], hww))
+                    lo_d = min(lo_d, _step_min_eig(dy_hat[sl], hww))
                 return tuple(np.inf if lo >= -1e-14 else -1.0 / lo
                              for lo in (lo_p, lo_d))
 

@@ -783,6 +783,22 @@ def test_verify_reports_each_recomputed_face(tmp_path, sdp_path):
                      "pass  face 2 recomputation  (block 1: psd rank 1 of 3)"]
 
 
+def test_reduce_of_a_strongly_infeasible_orthant_program_exits_one(
+        tmp_path, capsys):
+    """diag(-1 - x, -1 + x) >= 0 has no solution, and (1, 1) certifies
+    it.  No nonzero y >= 0 is orthogonal to both a_1 and b, so cleaning the
+    reducing solve's certificate collapses <f, y>: one error line and
+    exit 1."""
+    blocks = (ConeBlock("orthant", 2),)
+    p = ConicProgram(blocks, [YElement(blocks, [np.array([1.0, -1.0])])],
+                     YElement(blocks, [np.array([-1.0, -1.0])]), [0.0])
+    path = tmp_path / "infeasible.dat-s"
+    path.write_text(emit_sdpa(p))
+    assert run_cli(["reduce", str(path)]) == (1, "")
+    assert capsys.readouterr().err == \
+        "error: certificate cleanup collapsed the normalization\n"
+
+
 def test_unreadable_certificate_number_exits_one(tmp_path, sdp_path, capsys):
     cert = tmp_path / "chain.cert"
     assert run_cli(["reduce", sdp_path, "--cert", str(cert)])[0] == 0
@@ -794,6 +810,9 @@ def test_unreadable_certificate_number_exits_one(tmp_path, sdp_path, capsys):
 
 CERT_REWRITES = [  # (pattern, replacement, the error verify must print)
     ("steps: 2", "steps: two", "bad steps line: 'steps: two'"),
+    # A negative count with no steps after it, once read as zero steps.
+    ("(?s)steps: 2\n.*(x_strict: )", r"steps: -1\n\1",
+     "bad steps line: 'steps: -1'"),
     ("blocks: psd 3", "blocks: psd three",
      "bad block descriptor 'psd three': invalid literal for int() with "
      "base 10: 'three'"),

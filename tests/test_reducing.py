@@ -1,13 +1,21 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from facred.faces import FaceRep, intersect_with_hyperplane, minimal_face
+from facred import reducing
+from facred.extended import lift_to_psd
+from facred.faces import (FaceRep, OrthantFace, intersect_with_hyperplane,
+                          minimal_face, relative_interior_point)
 from facred.model import (ConeBlock, ConicProgram, YElement, adjoint_apply,
                           primal_slack)
-from facred.reducing import (AmbiguousOutcome, solve_reducing_pair,
+from facred.reducing import (AmbiguousOutcome, FaceCoordinates,
+                             polish_certificate, solve_reducing_pair,
                              solve_restricted_to_face)
-from facred.reduction import ReductionError
-from facred.solver import SolveStatus, solve_conic_lp
+from facred.reduction import ReductionError, run_facial_reduction
+from facred.sdpa import parse_sdpa
+from facred.solver import SolverError, SolveStatus, solve_conic_lp
 
 from conftest import (face_case, random_degenerate, random_element,
                       random_strictly_feasible, reduced_program, sym)
@@ -589,8 +597,8 @@ def test_a_small_reducing_value_confirms_at_the_minimality_rung(
         return candidates[-1]
 
     def solved(prog, options):
-        def stop(x, score):
-            stops.append(options.stop(x, score))
+        def stop(*iterate):
+            stops.append(options.stop(*iterate))
             return stops[-1]
 
         solves.append(solve(prog, replace(options, stop=stop)))
@@ -617,3 +625,119 @@ def test_a_small_reducing_value_confirms_at_the_minimality_rung(
     if not a:
         assert "pass  slack of x_strict is strictly interior  " \
             "(margin 5.00e-05)" in out
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _frame_programs():
+    """The golden problems and generated PSD and orthant programs, degenerate
+    and strictly feasible, at several seeds; those with orthant blocks also
+    lifted to PSD, as dualize reduces them."""
+    progs = [parse_sdpa((GOLDEN / f"{name}.dat-s").read_text())
+             for name in ("lp5x3", "mixed0", "sdp3", "staircase3")]
+    for seed in range(3):
+        progs += [random_degenerate(seed)[0],
+                  random_degenerate(seed, n=6, m=4)[0],
+                  random_degenerate(seed, n=6, m=3, kind="orthant")[0],
+                  random_strictly_feasible(seed)[0]]
+    return progs + [lift_to_psd(p) for p in progs
+                    if any(blk.kind == "orthant" for blk in p.blocks)]
+
+
+def _bits(res):
+    return (res.status, res.iterations, res.message,
+            [a.tobytes() for a in (res.x,) + res.y.parts + res.z.parts])
+
+
+def test_the_chain_frame_solves_as_a_fresh_frame():
+    """The frame a reduction run keeps for its minimal face gives the
+    face-restricted solve the status, x, y and z a frame built afresh
+    gives, bit for bit."""
+    for p in _frame_programs():
+        chain = run_facial_reduction(p)
+        assert isinstance(chain.frame, FaceCoordinates)
+        assert chain.frame.face is chain.minimal_face
+        assert _bits(solve_restricted_to_face(p, chain.frame)) == \
+            _bits(solve_restricted_to_face(p, chain.minimal_face)), p.name
+
+
+def test_a_frame_serves_only_programs_with_its_data(example_sdp):
+    """A frame reads a_1, ..., a_m, b and not c: a program with the same
+    data and another objective takes it, and solves as with a fresh frame;
+    a program with other data is refused."""
+    chain = run_facial_reduction(example_sdp)
+    twin = ConicProgram(example_sdp.blocks, example_sdp.a, example_sdp.b,
+                        [0.0, 1.0])
+    assert _bits(solve_restricted_to_face(twin, chain.frame)) == \
+        _bits(solve_restricted_to_face(twin, chain.minimal_face))
+    other = ConicProgram(example_sdp.blocks, example_sdp.a,
+                         2.0 * example_sdp.b, example_sdp.c)
+    with pytest.raises(ValueError, match="other data"):
+        solve_restricted_to_face(other, chain.frame)
+
+
+def test_the_dual_bound_skips_only_iterates_that_fail_the_margin(
+        monkeypatch):
+    """Every iterate of a reducing solve whose margin test the dual bound
+    skips fails that test when it is made anyway, so the skip changes no
+    outcome."""
+    frames, skipped = [], []
+    margin, solve = reducing._has_margin, reducing.solve_conic_lp
+
+    def has_margin(coords, x, tol):
+        frames.append((coords, tol))
+        return margin(coords, x, tol)
+
+    def solved(prog, options):
+        def stop(x, *rest):
+            made = len(frames)
+            verdict = options.stop(x, *rest)
+            if len(frames) == made:
+                coords, tol = frames[-1]
+                point = coords.x_particular + coords.null_basis @ x[:-1]
+                skipped.append(margin(coords, point, tol))
+            return verdict
+
+        return solve(prog, replace(options, stop=stop))
+
+    monkeypatch.setattr(reducing, "_has_margin", has_margin)
+    monkeypatch.setattr(reducing, "solve_conic_lp", solved)
+    for p in _frame_programs():
+        run_facial_reduction(p)
+    assert skipped and not any(skipped)
+
+
+def test_polish_caps_its_steps(example_sdp, monkeypatch):
+    """From x0 = (50, -30), far from sdp3's feasible set {0}, one full
+    Gauss-Newton step would land on it.  The cap 1 + 0.1 |y| = 1.1 holds
+    every step to that length, so the step norms fall by 1.1 a step, all
+    12 steps are taken, and the certificate, exact from the start, comes
+    back unchanged."""
+    face = FaceRep.full_cone(example_sdp.blocks)
+    coords = FaceCoordinates(example_sdp, face)
+    y0 = YElement(example_sdp.blocks, [np.diag([0.0, 0.0, 1.0])])
+    norms, lstsq = [], np.linalg.lstsq
+
+    def spy(*args, **kwargs):
+        out = lstsq(*args, **kwargs)
+        norms.append(np.linalg.norm(out[0]))
+        return out
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    y = polish_certificate(coords, relative_interior_point(face), y0,
+                           np.array([50.0, -30.0]))
+    assert len(norms) == 12 and norms[0] > 1.1
+    np.testing.assert_allclose(np.diff(norms), -1.1, rtol=1e-9)
+    np.testing.assert_allclose(y.parts[0], y0.parts[0], rtol=0, atol=1e-12)
+
+
+def test_a_face_off_the_span_equations_is_refused():
+    """b = (1, 1) with no variable has its second entry off the face with
+    support {1}: the span equation b_2 = 0 has no solution, so the face's
+    frame, and with it the face-restricted solve, is refused."""
+    blocks = (ConeBlock("orthant", 2),)
+    p = ConicProgram(blocks, [], YElement(blocks, [np.ones(2)]), np.zeros(0))
+    face = FaceRep(blocks, [OrthantFace((0,))])
+    with pytest.raises(SolverError, match="span equations are inconsistent"):
+        solve_restricted_to_face(p, face)

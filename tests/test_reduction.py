@@ -95,6 +95,17 @@ def test_fra_sdp(example_sdp):
     assert verify_certificate_chain(example_sdp, cert).ok
 
 
+def test_a_chain_longer_than_the_bound_is_refused(example_sdp, monkeypatch):
+    """No input is known to outrun compute_ell's bound.  With the bound set
+    to 1, sdp3's two reducing steps take both of the ell + 1 solves, and
+    the run fails with both steps on its partial chain."""
+    monkeypatch.setattr(reduction, "compute_ell", lambda p: 1)
+    with pytest.raises(ReductionError, match="exceeded the bound of 1 "
+                       "reducing iterations") as exc:
+        run_facial_reduction(example_sdp)
+    assert exc.value.partial_chain.steps == 2
+
+
 def test_fra_strictly_feasible_is_a_no_op():
     p, _ = random_strictly_feasible(0)
     cert = run_facial_reduction(p)

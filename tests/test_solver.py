@@ -298,19 +298,31 @@ def test_linear_algebra_breakdown_ends_the_solve(monkeypatch):
     iterate so far instead of escaping the solver."""
     from facred import solver
 
-    real, calls = solver._scaled_min_eig, []
+    real, calls = solver._step_min_eig, []
 
-    def flaky(direction, ww):
+    def flaky(direction, hww):
         calls.append(1)
         if len(calls) == 5:
             raise np.linalg.LinAlgError("injected")
-        return real(direction, ww)
+        return real(direction, hww)
 
-    monkeypatch.setattr(solver, "_scaled_min_eig", flaky)
+    monkeypatch.setattr(solver, "_step_min_eig", flaky)
     p, _ = random_strictly_feasible(1)
     res = solve_conic_lp(p)
     assert res.status is SolveStatus.NUMERICAL_FAILURE
     assert "injected" in res.message
+
+
+def test_collapsed_step_sizes_end_the_solve(monkeypatch):
+    """No input is known to reach this exit: step tests that allow only
+    steps below 1e-8 for three iterations running end the solve there."""
+    from facred import solver
+
+    monkeypatch.setattr(solver, "_step_min_eig", lambda direction, hww: -1e12)
+    p, _ = random_strictly_feasible(1)
+    res = solve_conic_lp(p)
+    assert res.status is SolveStatus.NUMERICAL_FAILURE
+    assert (res.message, res.iterations) == ("step sizes collapsed", 2)
 
 
 def _spd(rng, n, spread):
@@ -707,7 +719,7 @@ def test_flat_kernel_matches_the_reference(make):
     np.testing.assert_allclose(got.x, want.x, rtol=0, atol=1e-7)
     seen = []
     same = solve_conic_lp(p, replace(options or SolverOptions(),
-                                     stop=lambda x, _: seen.append(x) or False))
+                                     stop=lambda x, *_: seen.append(x) or False))
     assert len(seen) in (got.iterations, got.iterations + 1)
     assert (same.status, same.iterations, same.message, same.primal_obj,
             same.dual_obj, same.residuals) == \
@@ -726,7 +738,7 @@ def test_stop_ends_the_solve_at_its_iterate(k):
     assert solve_conic_lp(p).iterations > k
     calls = []
     res = solve_conic_lp(p, SolverOptions(
-        keep_history=True, stop=lambda x, _: calls.append(x) or len(calls) > k))
+        keep_history=True, stop=lambda x, *_: calls.append(x) or len(calls) > k))
     assert res.iterations == k and len(res.iterates) == k + 1
     assert res.status is SolveStatus.NUMERICAL_FAILURE
     assert res.message == "stopped by the caller's test"
