@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import config
+from . import config, linalg
 from .linalg import _sym, numeric_rank, sym_eig
 from .model import (ConeBlock, StructureMismatchError, YElement, _freeze,
                     cone_margin)
@@ -265,7 +265,7 @@ def _nearest_cone_point(part: np.ndarray, cutoff: float = 0.0) -> np.ndarray:
     below cutoff * max(1, largest)."""
     if part.ndim == 1:
         return np.where(part > cutoff * max(1.0, np.max(part)), part, 0.0)
-    lam, w = np.linalg.eigh(_sym(part))
+    lam, w = linalg.eigh(_sym(part))
     return (w * np.where(lam > cutoff * max(1.0, lam[-1]), lam, 0.0)) @ w.T
 
 
@@ -384,7 +384,7 @@ def tangent_membership_schur(x: np.ndarray, v: np.ndarray, tol: float = 1e-8):
     w = 0.5 * proj @ v @ proj + proj @ v @ (np.eye(n) - proj)
     if r:
         pinv = q[:, :r] @ np.diag(1.0 / dec.eigenvalues[:r]) @ q[:, :r].T
-        beta = float(np.linalg.eigvalsh(w.T @ pinv @ w)[-1]) + 1.0
+        beta = float(linalg.eigvalsh(w.T @ pinv @ w)[-1]) + 1.0
     else:
         beta = 1.0
     return True, (w, beta)

@@ -1,8 +1,13 @@
-"""Dense symmetric linear algebra used by the face machinery.
+"""Dense linear algebra used by the face machinery and the subsolver.
 
-The eigensolver is LAPACK's symmetric solver (numpy.linalg.eigh).
-Eigenvalues come back in descending order with deterministically fixed
-eigenvector signs so repeated runs are reproducible.
+LAPACK is called here: ``cholesky``, ``eigh``, ``eigvalsh``, ``solve``,
+``inv`` and ``qr_r`` call numpy's own gufuncs (numpy.linalg._umath_linalg)
+on float64 input, bit for bit as numpy.linalg does, with its error
+messages.  numpy.linalg's per-call checks, casts and context cost more than
+LAPACK on blocks of order 3 to 14, and an interior-point iteration takes
+seven factorizations per PSD block and two more.  lstsq, svd and norm stay
+on numpy.linalg.  ``sym_eig`` returns eigenvalues descending with fixed
+eigenvector signs, so repeated runs are reproducible.
 """
 
 from __future__ import annotations
@@ -10,8 +15,49 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from . import config
+
+
+def _lapack(name, signature, message):
+    """numpy's LAPACK gufunc ``name`` under the error state numpy.linalg
+    sets around it: LAPACK marks a failure as an invalid operation, which
+    raises LinAlgError(message); the other flags are ignored.  As a
+    decorator, errstate is entered per call with no context object."""
+    gufunc = getattr(_umath_linalg, name)
+
+    def fail(err, flag):
+        raise LinAlgError(message)
+
+    @np.errstate(call=fail, invalid="call", over="ignore", divide="ignore",
+                 under="ignore")
+    def call(*arrays):
+        return gufunc(*arrays, signature=signature)
+    return call
+
+
+# Lower triangles are read, eigenvalues come back ascending, and solve
+# takes a matrix right-hand side.
+cholesky = _lapack("cholesky_lo", "d->d", "Matrix is not positive definite")
+eigh = _lapack("eigh_lo", "d->dd", "Eigenvalues did not converge")
+eigvalsh = _lapack("eigvalsh_lo", "d->d", "Eigenvalues did not converge")
+solve = _lapack("solve", "dd->d", "Singular matrix")
+inv = _lapack("inv", "d->d", "Singular matrix")
+# numpy 2 has one R-factor gufunc; numpy 1 has one for rows <= cols and
+# one for rows > cols.
+_QR_R_RAW = [_lapack("qr_r_raw" if hasattr(_umath_linalg, "qr_r_raw")
+                     else name, "d->d", "Incorrect argument found while "
+                     "performing QR factorization")
+             for name in ("qr_r_raw_m", "qr_r_raw_n")]
+
+
+def qr_r(a):
+    """R of the reduced QR factorization of a, as np.linalg.qr(a, "r")."""
+    a = np.array(a, dtype=float)  # the gufunc overwrites it with the factors
+    rows, cols = a.shape
+    _QR_R_RAW[rows > cols](a)
+    return np.triu(a[:min(rows, cols)])
 
 
 @dataclass(frozen=True)
@@ -37,7 +83,7 @@ def _sym(mats):
 
 
 def sym_eig(x: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix by LAPACK (numpy eigh) on
+    """Eigendecomposition of a symmetric matrix by LAPACK (``eigh``) on
     its symmetric part, eigenvalues descending.
 
     Rejects inputs whose asymmetry exceeds 1e-10 relative to the largest
@@ -49,7 +95,7 @@ def sym_eig(x: np.ndarray) -> EigenDecomposition:
     asym = np.max(np.abs(x - x.T), initial=0.0)
     if asym > 1e-10 * (1.0 + np.max(np.abs(x), initial=0.0)):
         raise ValueError(f"matrix asymmetry {asym:.3e} beyond tolerance")
-    lam, q = np.linalg.eigh(_sym(x))
+    lam, q = eigh(_sym(x))
     order = np.argsort(-lam, kind="stable")
     return EigenDecomposition(lam[order], _fix_signs(q[:, order]))
 

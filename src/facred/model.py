@@ -21,6 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import linalg
+
 SYMMETRY_TOL = 1e-12
 
 
@@ -101,7 +103,7 @@ def cone_margin(part: np.ndarray) -> float:
     the smallest eigenvalue of a matrix (PSD; its lower triangle is read)."""
     if part.ndim == 1:
         return float(np.min(part))
-    return float(np.linalg.eigvalsh(part)[0])
+    return float(linalg.eigvalsh(part)[0])
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

@@ -375,8 +375,9 @@ def solve_reducing_pair(p: ConicProgram, face: FaceRep, tol: float = None,
     without a solve (f compresses to the identity, so the margin bounds the
     value below), and so does the first solve iterate whose x passes the
     same check.  Otherwise the solve decides: values below ``tol``
-    reduce, values above 100 * tol confirm minimality, anything between
-    raises AmbiguousOutcome.
+    reduce, values at or above min(100 * tol, 0.5) confirm minimality (the
+    bounded value is at most 1, so an uncapped rung above 1 could never
+    fire), anything between raises AmbiguousOutcome.
     """
     if tol is None:
         tol = config.DEFAULT_TOL
@@ -420,7 +421,8 @@ def solve_reducing_pair(p: ConicProgram, face: FaceRep, tol: float = None,
     t_star = res.primal_obj
     x_cand = coords.x_particular + coords.null_basis @ res.x[:-1]
 
-    if t_star >= 100.0 * tol:
+    rung = min(100.0 * tol, 0.5)
+    if t_star >= rung:
         return ReducingOutcome.minimal_reached(x_cand, coords)
 
     if t_star <= tol:
@@ -433,7 +435,7 @@ def solve_reducing_pair(p: ConicProgram, face: FaceRep, tol: float = None,
 
     raise AmbiguousOutcome(
         f"reducing value {t_star:.3e} lies between the decision rungs "
-        f"({tol:.1e}, {100 * tol:.1e})")
+        f"({tol:.1e}, {rung:.1e})")
 
 
 def _normalized(f: YElement, y: YElement, stage: str) -> YElement:

@@ -21,8 +21,11 @@ are entrywise, and only the corrector is mapped back.  One QR factor of T
 solves the Schur system and re-projects the dual direction onto the dual
 equations: Euclidean here, so least in the NT metric (Nesterov and Todd,
 SIOPT 1998) and small against the distance to the cone boundary, so the
-endgame does not stall.  Intended for desk-scale problems (ambient
-dimension up to a few thousand); no sparsity exploitation, no warm starts.
+endgame does not stall.  Those factorizations call LAPACK through
+``linalg``'s entry points, which skip numpy.linalg's per-call wrapper: on
+these small blocks it costs more than LAPACK.  Intended for desk-scale
+problems (ambient dimension up to a few thousand); no sparsity
+exploitation, no warm starts.
 
 With ``SolverOptions(keep_history=True)`` every iterate is kept on the
 result, so callers can inspect how the solver approached problems whose
@@ -46,7 +49,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import config
+from . import config, linalg
 from .linalg import (_sym, flatten_data, flatten_element, nullspace_basis,
                      shift_off_objective, unflatten_element)
 from .model import ConicProgram, YElement
@@ -118,11 +121,11 @@ def _psd_scaling(z, y):
     R = lam^1/4 U^T L^-1 satisfies W^-1 = R^T R and
     R Z R^T = R^-T Y R^-1 = diag(v), v = lam^1/2.  Returns (R, v).
     """
-    lz = np.linalg.cholesky(z)
-    lam, u = np.linalg.eigh(_sym(lz.T @ y @ lz))
+    lz = linalg.cholesky(z)
+    lam, u = linalg.eigh(_sym(lz.T @ y @ lz))
     if lam[0] <= 0:
         raise np.linalg.LinAlgError("scaling matrix not PD")
-    return lam[:, None] ** 0.25 * np.linalg.solve(lz.T, u).T, np.sqrt(lam)
+    return lam[:, None] ** 0.25 * linalg.solve(lz.T, u).T, np.sqrt(lam)
 
 
 def _step_min_eig(direction, hww):
@@ -132,13 +135,7 @@ def _step_min_eig(direction, hww):
     so this is sym(direction) * w w^T bit for bit.  V + alpha direction is
     psd exactly while alpha times it is at least -1."""
     d = direction.reshape(hww.shape)
-    return np.linalg.eigvalsh((d + d.T) * hww)[0]
-
-
-def _scaled_min_eig(direction, ww):
-    """The step test of ``_step_min_eig`` given the full weights
-    ww = w w^T."""
-    return float(_step_min_eig(direction, 0.5 * ww))
+    return linalg.eigvalsh((d + d.T) * hww)[0]
 
 
 def _mehrotra_psd(dz, dy, v):
@@ -189,12 +186,12 @@ def _schur_solver(tmat):
     T gets the minimum-norm least-squares solution instead.
     """
     m = tmat.shape[1]
-    r_t = np.linalg.qr(tmat, mode="r")
+    r_t = linalg.qr_r(tmat)
     diag = np.abs(np.diag(r_t))
     if r_t.shape[0] < m or (m and diag.min() <= 1e-13 * diag.max()):
         mat = r_t.T @ r_t
         return lambda rhs: np.linalg.lstsq(mat, rhs, rcond=None)[0]
-    r_inv = np.linalg.inv(r_t)
+    r_inv = linalg.inv(r_t)
 
     def solve(rhs):
         sol = r_inv @ (r_inv.T @ rhs)

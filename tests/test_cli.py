@@ -347,6 +347,35 @@ def test_ambiguous_reduction_exits_two(tmp_path):
     assert "ell: 2" in out.splitlines()
 
 
+def _face_line(out):
+    return [line for line in out.splitlines() if line.startswith("F_min:")]
+
+
+@pytest.mark.parametrize("tol", ["0.02", "0.2", "0.9"])
+def test_loose_tol_confirms_minimality_through_the_solve(tmp_path, tol):
+    """The bounded reducing value is at most 1, so the solve's minimality
+    rung is min(100 tol, 0.5): at --tol 0.02, 0.2 and 0.9 (uncapped rungs
+    2, 20 and 90, which no value reaches) the goldens sdp3, lp5x3 and
+    staircase3 and a strictly feasible SDP reach the faces they reach at
+    the default tol.  mixed0's reducing value 0.291 lies between the rungs
+    at 0.02, and it exits 2 naming the capped rung."""
+    from conftest import random_strictly_feasible
+    strict = tmp_path / "strict.dat-s"
+    strict.write_text(emit_sdpa(random_strictly_feasible(0, n=4, m=3)[0]))
+    for path in [GOLDEN / f"{name}.dat-s"
+                 for name in ("sdp3", "lp5x3", "staircase3")] + [strict]:
+        code, out = run_cli(["reduce", str(path), "--tol", tol])
+        assert code == 0 and "status: ok" in out, path
+        assert _face_line(out) == _face_line(run_cli(["reduce",
+                                                      str(path)])[1]), path
+    if tol == "0.02":
+        code, out = run_cli(["reduce", str(GOLDEN / "mixed0.dat-s"),
+                             "--tol", tol])
+        assert code == 2
+        assert "status: ambiguous (reducing value 2.910e-01 lies between " \
+            "the decision rungs (2.0e-02, 5.0e-01))" in out.splitlines()
+
+
 def test_reduce_computes_the_bound_once(sdp_path, monkeypatch):
     from facred import reduction
 

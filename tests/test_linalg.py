@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from facred import linalg
 from facred.linalg import (_fix_signs, flatten_element, numeric_rank,
                            nullspace_basis, sym_eig, unflatten_element)
 from facred.model import ConeBlock, YElement
@@ -170,3 +173,63 @@ def test_flatten_is_isometric():
         float(flatten_element(y) @ flatten_element(z)), abs=1e-12)
     back = unflatten_element(flatten_element(y), blocks)
     assert (back - y).norm() <= 1e-12
+
+
+def _lapack_inputs():
+    """Random symmetric, SPD, upper triangular and tall inputs of orders 1
+    to 16, each also as a transposed (non-contiguous) view and as a
+    Fortran-ordered copy."""
+    rng = np.random.default_rng(11)
+    for n in range(1, 17):
+        g = rng.normal(size=(n, n))
+        tall = rng.normal(size=(n + 3, n))
+        for mat in (sym(g), g @ g.T + np.eye(n), np.triu(g) + n * np.eye(n),
+                    tall):
+            yield mat
+            yield mat.T
+            yield np.asfortranarray(mat)
+
+
+def test_lapack_entry_points_match_numpy_bit_for_bit():
+    """Each LAPACK entry point returns numpy.linalg's answer bit for bit,
+    on C-ordered inputs and on transposed views as the Schur solver passes
+    them."""
+    rng = np.random.default_rng(12)
+    for mat in _lapack_inputs():
+        rows, cols = mat.shape
+        got, want = linalg.qr_r(mat), np.linalg.qr(mat, mode="r")
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if rows != cols:
+            continue
+        pairs = [(linalg.inv(mat), np.linalg.inv(mat)),
+                 (linalg.eigvalsh(mat), np.linalg.eigvalsh(mat)),
+                 *zip(linalg.eigh(mat), np.linalg.eigh(mat))]
+        rhs = rng.normal(size=(3, rows)).T
+        pairs.append((linalg.solve(mat, rhs), np.linalg.solve(mat, rhs)))
+        if np.all(np.linalg.eigvalsh(sym(mat)) > 0) and np.array_equal(
+                mat, mat.T):
+            pairs.append((linalg.cholesky(mat), np.linalg.cholesky(mat)))
+        for got, want in pairs:
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name, args", [
+    ("cholesky", (np.array([[1.0, 2.0], [2.0, 1.0]]),)),
+    ("cholesky", (-np.eye(3),)),
+    ("eigvalsh", (np.full((3, 3), np.nan),)),
+    ("eigh", (np.full((3, 3), np.nan),)),
+    ("inv", (np.zeros((3, 3)),)),
+    ("inv", (np.array([[1.0, 2.0], [2.0, 4.0]]),)),
+    ("solve", (np.zeros((3, 3)), np.ones((3, 2))))])
+def test_lapack_failures_raise_numpys_error_without_a_warning(name, args):
+    """A failed factorization raises LinAlgError with numpy.linalg's own
+    message and lets no floating-point warning out (the warnings filter
+    turns any warning into an error)."""
+    with pytest.raises(np.linalg.LinAlgError) as want:
+        getattr(np.linalg, name)(*args)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            getattr(linalg, name)(*args)
+    assert str(got.value) == str(want.value)

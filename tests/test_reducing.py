@@ -269,7 +269,7 @@ def _purify_rounds(monkeypatch, programs):
     from facred.reduction import run_facial_reduction
 
     inner = facred.reducing._purify_certificate
-    eigh = np.linalg.eigh
+    eigh = facred.linalg.eigh
     rounds, inside = [], []
 
     def counted_eigh(*args, **kwargs):
@@ -285,7 +285,7 @@ def _purify_rounds(monkeypatch, programs):
         finally:
             inside.pop()
 
-    monkeypatch.setattr(facred.reducing.np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(facred.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(facred.reducing, "_purify_certificate", purify)
     for p in programs:
         run_facial_reduction(p)

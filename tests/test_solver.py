@@ -1,12 +1,15 @@
 import functools
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from facred import linalg
 from facred.extended import build_extended_dual, solve_extended_dual
 from facred.model import ConeBlock, ConicProgram, YElement, adjoint_apply
 from facred.reduction import run_facial_reduction
+from facred.sdpa import parse_sdpa
 from facred.solver import (SolverOptions, SolveStatus, dual_interior_direction,
                            solve_conic_lp, standard_dual)
 
@@ -347,7 +350,7 @@ def test_scaled_space_identities(seed):
     """The per-block pieces of the scaled-space step (scaling root and v,
     the step test, the second-order term) and the affine gap agree with
     textbook formulas in the original coordinates."""
-    from facred.solver import _mehrotra_psd, _psd_scaling, _scaled_min_eig
+    from facred.solver import _mehrotra_psd, _psd_scaling, _step_min_eig
 
     rng = np.random.default_rng(seed)
     n = 3 + seed % 4
@@ -374,7 +377,7 @@ def test_scaled_space_identities(seed):
     for _ in range(3):
         d = sym(rng.normal(size=(n, n)))
         for mat, d_hat in ((z, root @ d @ root.T), (y, rinv.T @ d @ rinv)):
-            lam_min = _scaled_min_eig(d_hat, ww)
+            lam_min = _step_min_eig(d_hat, 0.5 * ww)
             got = np.inf if lam_min >= -1e-14 else -1.0 / lam_min
             want = step(mat, d)
             assert got == want or _close(got, want), (got, want)
@@ -743,3 +746,45 @@ def test_stop_ends_the_solve_at_its_iterate(k):
     assert res.status is SolveStatus.NUMERICAL_FAILURE
     assert res.message == "stopped by the caller's test"
     assert any(np.array_equal(res.x, rec.x) for rec in res.iterates)
+
+
+# numpy.linalg's public functions, which linalg's LAPACK entry points
+# bypass.
+NUMPY_LAPACK = {"cholesky": np.linalg.cholesky, "eigh": np.linalg.eigh,
+                "eigvalsh": np.linalg.eigvalsh, "solve": np.linalg.solve,
+                "inv": np.linalg.inv,
+                "qr_r": lambda a: np.linalg.qr(a, mode="r")}
+GOLDEN = Path(__file__).parent / "golden"
+IDENTITY_CASES = REFERENCE_CASES + [
+    (f"golden-{path.stem}",
+     lambda path=path: (parse_sdpa(path.read_text()), None))
+    for path in sorted(GOLDEN.glob("*.dat-s"))] + [
+    (f"degenerate-{kind}-s{seed}",
+     lambda kind=kind, seed=seed: (random_degenerate(seed, 6, 3, kind)[0],
+                                   None))
+    for kind in ("psd", "orthant") for seed in range(3)]
+
+
+@pytest.mark.parametrize("make", [case for _, case in IDENTITY_CASES],
+                         ids=[name for name, _ in IDENTITY_CASES])
+def test_lapack_entry_points_keep_every_iterate(make, monkeypatch):
+    """The solve through linalg's LAPACK entry points and the solve with
+    them replaced by numpy.linalg's public functions agree bit for bit in
+    every iterate, the status, the message and the result."""
+    p, options = make()
+    options = replace(options or SolverOptions(), keep_history=True)
+    got = solve_conic_lp(p, options)
+    for name, func in NUMPY_LAPACK.items():
+        monkeypatch.setattr(linalg, name, func)
+    want = solve_conic_lp(p, options)
+    assert (got.status, got.iterations, got.message, got.residuals) == \
+        (want.status, want.iterations, want.message, want.residuals)
+    assert len(got.iterates) == len(want.iterates) > 0
+    for g, w in zip(got.iterates + [got], want.iterates + [want]):
+        assert (g.primal_obj, g.dual_obj) == (w.primal_obj, w.dual_obj)
+        for a, b in [(g.x, w.x)] + list(zip(g.y.parts + g.z.parts,
+                                             w.y.parts + w.z.parts)):
+            assert np.array_equal(a, b)
+    for g, w in zip(got.iterates, want.iterates):
+        assert (g.rel_primal, g.rel_dual, g.mu) == \
+            (w.rel_primal, w.rel_dual, w.mu)
